@@ -1,10 +1,13 @@
 """Command-line entry point.
 
-Exit codes are fixed for scripting: 0 success, 1 usage error, 2 check
-failure (rejected trace, losing strategy, parse problems), 3 expectation
-mismatch, 4 resource budget exhausted.  With a fixed seed every run is
-reproducible; timing fields are only emitted on request so that outputs
-are byte-identical across runs.
+Exit codes are fixed for scripting: 0 success; 1 bad arguments or option
+files (``--order given:``, ``--partition``); 2 any malformed or rejected
+input file (formula, trace, strategy, proof, edge list; rejected trace,
+losing strategy); 3 expectation mismatch; 4 the node budget or the
+recursion depth ran out.  ``main`` is the one place that maps errors to
+these codes.  With a fixed seed every run is reproducible; timing fields
+are only emitted on request so that outputs are byte-identical across
+runs.
 """
 
 from __future__ import annotations
@@ -15,8 +18,8 @@ import random
 import sys
 
 from . import families, graphs, proof, qures, rectangles, solver, strategy
-from .obdd import VarOrder
-from .pcnf import Pcnf, PcnfError, QdimacsError, emit_qdimacs, parse_qdimacs
+from .obdd import BudgetExceededError, ObddError, OrderError, VarOrder
+from .pcnf import Pcnf, PcnfError, emit_qdimacs, parse_qdimacs
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -33,8 +36,20 @@ class CheckFailure(Exception):
     pass
 
 
-class ExpectationMismatch(Exception):
-    pass
+# Errors the library raises on malformed or rejected input (exit 2).
+INPUT_ERRORS = (
+    CheckFailure,
+    ObddError,
+    PcnfError,
+    proof.TraceError,
+    strategy.StrategyError,
+    qures.QuResError,
+    graphs.GraphError,
+    families.FamilyError,
+    rectangles.RectangleLabError,
+)
+# Resource exhaustion (exit 4); caught before ObddError, its base class.
+BUDGET_ERRORS = (solver.ResourceBudgetError, BudgetExceededError, RecursionError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -59,10 +74,7 @@ def _write(path: str | None, text: str) -> None:
 
 
 def _load_formula(path: str) -> Pcnf:
-    try:
-        return parse_qdimacs(_read(path))
-    except (QdimacsError, PcnfError) as exc:
-        raise CheckFailure(f"bad QDIMACS input: {exc}") from None
+    return parse_qdimacs(_read(path))
 
 
 def _resolve_order(f: Pcnf, spec: str) -> VarOrder:
@@ -73,9 +85,12 @@ def _resolve_order(f: Pcnf, spec: str) -> VarOrder:
     if spec.startswith("given:"):
         tokens = _read(spec[len("given:") :]).split()
         try:
-            return VarOrder(int(t) for t in tokens)
-        except ValueError as exc:
+            order = VarOrder(int(t) for t in tokens)
+        except (ValueError, OrderError) as exc:
             raise UsageError(f"bad order file: {exc}") from None
+        if set(order.vars) != set(f.variables):
+            raise UsageError("order file must list exactly the formula's variables")
+        return order
     raise UsageError(f"unknown order policy {spec!r}")
 
 
@@ -164,11 +179,7 @@ def cmd_gen(args) -> int:
 def cmd_solve(args) -> int:
     f = _load_formula(args.input)
     order = _resolve_order(f, args.order)
-    try:
-        result = solver.solve(f, order=order, node_budget=args.budget)
-    except solver.ResourceBudgetError as exc:
-        print(f"BUDGET {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    result = solver.solve(f, order=order, node_budget=args.budget)
     verdict = "TRUE" if result.value else "FALSE"
     if args.proof and result.trace is not None:
         _write(args.proof, proof.emit_trace(result.trace))
@@ -186,10 +197,7 @@ def cmd_solve(args) -> int:
 
 def cmd_check(args) -> int:
     f = _load_formula(args.input)
-    try:
-        trace = proof.parse_trace(_read(args.trace))
-    except proof.TraceParseError as exc:
-        raise CheckFailure(f"{exc.reason}: {exc}") from None
+    trace = proof.parse_trace(_read(args.trace))
     result = proof.check_trace(
         f, trace, node_budget=args.budget,
         require_refutation=not args.allow_derivation,
@@ -210,24 +218,14 @@ def cmd_check(args) -> int:
 
 def cmd_extract(args) -> int:
     f = _load_formula(args.input)
-    try:
-        trace = proof.parse_trace(_read(args.trace))
-    except proof.TraceParseError as exc:
-        raise CheckFailure(f"{exc.reason}: {exc}") from None
-    try:
-        family = strategy.extract(f, trace)
-    except strategy.StrategyError as exc:
-        raise CheckFailure(str(exc)) from None
+    family = strategy.extract(f, proof.parse_trace(_read(args.trace)))
     _write(args.output, strategy.emit_strategy(family))
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     f = _load_formula(args.input)
-    try:
-        family = strategy.parse_strategy(_read(args.strategy), f)
-    except strategy.StrategyError as exc:
-        raise CheckFailure(str(exc)) from None
+    family = strategy.parse_strategy(_read(args.strategy), f)
     verdict = strategy.verify_winning(
         f, family,
         exhaustive_limit=args.exhaustive_limit,
@@ -253,11 +251,7 @@ def cmd_verify(args) -> int:
 
 def cmd_translate(args) -> int:
     f = _load_formula(args.input)
-    try:
-        qp = qures.parse_qures(_read(args.proof))
-        trace = qures.simulate_qures(f, qp)
-    except qures.QuResError as exc:
-        raise CheckFailure(str(exc)) from None
+    trace = qures.simulate_qures(f, qures.parse_qures(_read(args.proof)))
     _write(args.output, proof.emit_trace(trace))
     return EXIT_OK
 
@@ -353,18 +347,19 @@ def _resolve_partition(spec: str, g, seed: int):
         lines = [ln for ln in _read(spec).splitlines() if ln.strip()]
         if len(lines) != 2:
             raise UsageError("partition file needs two lines of vertex ids")
-        x1 = [int(t) for t in lines[0].split()]
-        x2 = [int(t) for t in lines[1].split()]
+        try:
+            x1, x2 = ([int(t) for t in ln.split()] for ln in lines)
+        except ValueError:
+            raise UsageError("partition file holds a non-integer vertex id") from None
+        if set(x1) | set(x2) != set(verts) or set(x1) & set(x2):
+            raise UsageError("partition file must split the graph's vertices")
     return x1, x2
 
 
 def cmd_rect(args) -> int:
     g = graphs.parse_edge_list(_read(args.graph))
     part = _resolve_partition(args.partition, g, args.seed)
-    try:
-        report = rectangles.check_rectanglesmall(g, part)
-    except rectangles.RectangleLabError as exc:
-        raise CheckFailure(str(exc)) from None
+    report = rectangles.check_rectanglesmall(g, part)
     text = json.dumps(report, indent=2) + "\n"
     if args.report:
         _write(args.report, text)
@@ -394,12 +389,15 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except CheckFailure as exc:
-        print(f"check failed: {exc}", file=sys.stderr)
-        return EXIT_CHECK
-    except solver.ResourceBudgetError as exc:
+    except BUDGET_ERRORS as exc:
         print(f"BUDGET {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except proof.TraceParseError as exc:
+        print(f"check failed: {exc.reason}: {exc}", file=sys.stderr)
+        return EXIT_CHECK
+    except INPUT_ERRORS as exc:
+        print(f"check failed: {exc}", file=sys.stderr)
+        return EXIT_CHECK
 
 
 def console_main() -> None:

@@ -75,7 +75,10 @@ def parse_edge_list(text: str) -> Graph:
         parts = line.split()
         if len(parts) != 2:
             raise GraphError(f"line {lineno}: expected `u v`, got {line!r}")
-        u, w = int(parts[0]), int(parts[1])
+        try:
+            u, w = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise GraphError(f"line {lineno}: non-integer vertex id in {line!r}") from None
         vertices.update((u, w))
         edges.append((u, w))
     return Graph(vertices, edges)

@@ -28,7 +28,14 @@ class BudgetExceededError(ObddError):
 
 
 class BlockFormatError(ObddError):
-    """A serialized OBDD block could not be parsed."""
+    """Block, trace or strategy text could not be parsed.
+
+    ``truncated`` records whether the text ended before it was complete.
+    """
+
+    def __init__(self, message: str, truncated: bool = False):
+        super().__init__(message)
+        self.truncated = truncated
 
 
 class VarOrder:
@@ -476,7 +483,9 @@ class CompleteObdd:
 #
 # Sinks use T0/T1 with `-` children.  Indices are local to the block and
 # topologically ordered (children before parents); the root is the last
-# index.  Variables are the 1-based ids used in the QDIMACS input.
+# index.  Variables are the 1-based ids used in the QDIMACS input.  In
+# block, trace and strategy text alike, blank lines and lines starting
+# with `c ` are comments and are skipped wherever they occur.
 
 
 def serialize(manager: Manager, f: int) -> str:
@@ -514,49 +523,75 @@ def serialize(manager: Manager, f: int) -> str:
     return "\n".join([f"obdd {len(lines)}"] + lines)
 
 
-def parse_block_nodes(text: str) -> list[tuple[int | None, int | None, int | None]]:
-    """Raw (var, lo, hi) rows of a block; sinks are (None, None, sink-bit)."""
-    lines = [ln.strip() for ln in text.strip().splitlines()]
-    if not lines:
-        raise BlockFormatError("empty block")
-    head = lines[0].split()
-    if len(head) != 2 or head[0] != "obdd":
-        raise BlockFormatError(f"bad block header: {lines[0]!r}")
-    try:
-        k = int(head[1])
-    except ValueError:
-        raise BlockFormatError(f"bad block count: {head[1]!r}") from None
-    if k < 1 or len(lines) - 1 != k:
-        raise BlockFormatError(f"block declares {k} nodes, has {len(lines) - 1}")
-    rows: list[tuple[int | None, int | None, int | None]] = []
-    for i, ln in enumerate(lines[1:]):
-        parts = ln.split()
-        if len(parts) != 4:
-            raise BlockFormatError(f"bad block line: {ln!r}")
-        if parts[0] != str(i):
-            raise BlockFormatError(f"block indices must be 0..k-1 in order: {ln!r}")
-        if parts[1] in ("T0", "T1"):
-            if parts[2] != "-" or parts[3] != "-":
-                raise BlockFormatError(f"sink with children: {ln!r}")
-            rows.append((None, None, int(parts[1][1])))
-        else:
+Row = tuple[int | None, int | None, int | None]
+
+
+class TextReader:
+    """Line reader shared by the block, trace and strategy text formats.
+
+    Blank lines and ``c `` comment lines are skipped everywhere, inside
+    blocks too; every other line is handed out stripped.  Reading past the
+    last line raises a ``BlockFormatError`` marked ``truncated``.
+    """
+
+    def __init__(self, text: str):
+        stripped = (raw.strip() for raw in text.splitlines())
+        self._lines = [ln for ln in stripped if ln and not ln.startswith("c ")]
+        self._pos = 0
+
+    def at_end(self) -> bool:
+        return self._pos == len(self._lines)
+
+    def line(self) -> str:
+        if self.at_end():
+            raise BlockFormatError("unexpected end of input", truncated=True)
+        self._pos += 1
+        return self._lines[self._pos - 1]
+
+    def block_lines(self) -> list[str]:
+        """The next block, header first, framed but with its rows unparsed."""
+        head = self.line()
+        parts = head.split()
+        if len(parts) != 2 or parts[0] != "obdd" or not parts[1].isdecimal():
+            raise BlockFormatError(f"bad block header: {head!r}")
+        k = int(parts[1])
+        if k < 1:
+            raise BlockFormatError(f"block declares {k} nodes")
+        return [f"obdd {k}"] + [self.line() for _ in range(k)]
+
+    def block(self) -> list[Row]:
+        """Raw (var, lo, hi) rows of the next block; sinks are (None, None, bit)."""
+        rows: list[Row] = []
+        for i, ln in enumerate(self.block_lines()[1:]):
+            parts = ln.split()
+            if len(parts) != 4 or parts[0] != str(i):
+                raise BlockFormatError(f"bad block line {i}: {ln!r}")
+            if parts[1] in ("T0", "T1"):
+                if parts[2:] != ["-", "-"]:
+                    raise BlockFormatError(f"sink with children: {ln!r}")
+                rows.append((None, None, int(parts[1][1])))
+                continue
             try:
                 var, lo, hi = int(parts[1]), int(parts[2]), int(parts[3])
             except ValueError:
-                raise BlockFormatError(f"bad block line: {ln!r}") from None
+                raise BlockFormatError(f"bad block line {i}: {ln!r}") from None
             if not (0 <= lo < i and 0 <= hi < i):
                 raise BlockFormatError(f"children must precede parents: {ln!r}")
             rows.append((var, lo, hi))
+        return rows
+
+
+def parse_block_nodes(text: str) -> list[Row]:
+    """Raw rows of a text holding exactly one block."""
+    reader = TextReader(text)
+    rows = reader.block()
+    if not reader.at_end():
+        raise BlockFormatError("trailing content after block")
     return rows
 
 
-def deserialize(text: str, manager: Manager) -> int:
-    """Rebuild a block in ``manager``; the result is canonical there.
-
-    Raises ``BlockFormatError`` on malformed text and ``OrderError`` when the
-    block's edges are inconsistent with the manager's variable order.
-    """
-    rows = parse_block_nodes(text)
+def build_rows(rows: list[Row], manager: Manager) -> int:
+    """Rebuild parsed block rows in ``manager``; returns the root reference."""
     refs: list[int] = []
     for var, lo, hi in rows:
         if var is None:
@@ -566,19 +601,10 @@ def deserialize(text: str, manager: Manager) -> int:
     return refs[-1]
 
 
-def block_variables(text: str) -> set[int]:
-    return {var for var, _, _ in parse_block_nodes(text) if var is not None}
+def deserialize(text: str, manager: Manager) -> int:
+    """Rebuild a block in ``manager``; the result is canonical there.
 
-
-def block_order_constraints(text: str) -> set[tuple[int, int]]:
-    """Pairs (earlier, later) that any compatible variable order must respect."""
-    rows = parse_block_nodes(text)
-    out: set[tuple[int, int]] = set()
-    for var, lo, hi in rows:
-        if var is None:
-            continue
-        for child in (lo, hi):
-            cvar = rows[child][0]
-            if cvar is not None:
-                out.add((var, cvar))
-    return out
+    Raises ``BlockFormatError`` on malformed text and ``OrderError`` when the
+    block's edges are inconsistent with the manager's variable order.
+    """
+    return build_rows(parse_block_nodes(text), manager)

@@ -244,6 +244,8 @@ def is_refutation(f: Pcnf, trace: ProofTrace) -> bool:
 #   <id> U <var> <0|1> <j>
 #   <id> E <j1> ... <jk> 0
 #   <ObddBlock for the preceding E line>
+#
+# Comments and blank lines follow the block format's rule (see obdd).
 
 
 def emit_trace(trace: ProofTrace) -> str:
@@ -269,72 +271,50 @@ def emit_trace(trace: ProofTrace) -> str:
 
 
 def parse_trace(text: str) -> ProofTrace:
-    lines = text.splitlines()
-    idx = 0
-
-    def next_line() -> str:
-        nonlocal idx
-        while idx < len(lines):
-            ln = lines[idx].strip()
-            idx += 1
-            if ln and not ln.startswith("c "):
-                return ln
-        raise TraceParseError("unexpected end of trace", TRUNCATED)
-
-    head = next_line().split()
-    if len(head) != 4 or head[0] != "p" or head[1] != "qobdd-trace":
-        raise TraceParseError(f"bad trace header {' '.join(head)!r}")
+    """Read trace text; entailment blocks are framed here, parsed by the checker."""
+    reader = obdd.TextReader(text)
     try:
+        head = reader.line().split()
+        if len(head) != 4 or head[:2] != ["p", "qobdd-trace"]:
+            raise TraceParseError(f"bad trace header {' '.join(head)!r}")
         nvars, nlines = int(head[2]), int(head[3])
-    except ValueError:
-        raise TraceParseError("bad trace header counts") from None
-    hline = next_line().split()
-    if len(hline) != 2 or hline[0] != "h":
-        raise TraceParseError("missing formula hash line")
-    oline = next_line().split()
-    if len(oline) != nvars + 1 or oline[0] != "o":
-        raise TraceParseError("bad order line")
-    try:
+        hline = reader.line().split()
+        if len(hline) != 2 or hline[0] != "h":
+            raise TraceParseError("missing formula hash line")
+        oline = reader.line().split()
+        if len(oline) != nvars + 1 or oline[0] != "o":
+            raise TraceParseError("bad order line")
         order = VarOrder(int(v) for v in oline[1:])
-    except (ValueError, OrderError) as exc:
-        raise TraceParseError(f"bad order line: {exc}") from None
-
-    proof_lines: list[ProofLine] = []
-    for _ in range(nlines):
-        parts = next_line().split()
-        if len(parts) < 2:
-            raise TraceParseError(f"bad trace line {' '.join(parts)!r}")
-        try:
-            lid = int(parts[0])
-            tag = parts[1]
-            if tag == "A" and len(parts) == 3:
-                rule: Rule = Axiom(int(parts[2]))
-            elif tag == "C" and len(parts) == 4:
-                rule = Conj(int(parts[2]), int(parts[3]))
-            elif tag == "P" and len(parts) == 4:
-                rule = Proj(int(parts[2]), int(parts[3]))
-            elif tag == "U" and len(parts) == 5:
-                value = int(parts[3])
-                if value not in (0, 1):
-                    raise TraceParseError(f"bad reduction constant {parts[3]!r}")
-                rule = URed(int(parts[2]), value, int(parts[4]))
-            elif tag == "E" and len(parts) >= 3 and parts[-1] == "0":
-                premises = tuple(int(p) for p in parts[2:-1])
-                blk_head = next_line().split()
-                if len(blk_head) != 2 or blk_head[0] != "obdd":
-                    raise TraceParseError("entailment line without block")
-                k = int(blk_head[1])
-                blk = [f"obdd {k}"]
-                for _ in range(k):
-                    blk.append(next_line())
-                rule = Entail(premises, "\n".join(blk))
-            else:
-                raise TraceParseError(f"bad trace line {' '.join(parts)!r}")
-        except ValueError:
-            raise TraceParseError(f"bad trace line {' '.join(parts)!r}") from None
-        proof_lines.append(ProofLine(lid, rule))
-    while idx < len(lines):
-        if lines[idx].strip() and not lines[idx].startswith("c "):
+        proof_lines = tuple(_parse_line(reader) for _ in range(nlines))
+        if not reader.at_end():
             raise TraceParseError("trailing content after declared lines")
-        idx += 1
-    return ProofTrace(hline[1], order, tuple(proof_lines))
+    except BlockFormatError as exc:
+        reason = TRUNCATED if exc.truncated else MALFORMED
+        raise TraceParseError(str(exc), reason) from None
+    except (ValueError, OrderError) as exc:
+        raise TraceParseError(f"bad trace: {exc}") from None
+    return ProofTrace(hline[1], order, proof_lines)
+
+
+def _parse_line(reader: obdd.TextReader) -> ProofLine:
+    text = reader.line()
+    parts = text.split()
+    try:
+        lid, args = int(parts[0]), [int(p) for p in parts[2:]]
+    except ValueError:
+        raise TraceParseError(f"bad trace line {text!r}") from None
+    tag = parts[1] if len(parts) > 1 else None
+    rule: Rule
+    if tag == "A" and len(args) == 1:
+        rule = Axiom(args[0])
+    elif tag == "C" and len(args) == 2:
+        rule = Conj(args[0], args[1])
+    elif tag == "P" and len(args) == 2:
+        rule = Proj(args[0], args[1])
+    elif tag == "U" and len(args) == 3 and args[1] in (0, 1):
+        rule = URed(args[0], args[1], args[2])
+    elif tag == "E" and args and parts[-1] == "0":
+        rule = Entail(tuple(args[:-1]), "\n".join(reader.block_lines()))
+    else:
+        raise TraceParseError(f"bad trace line {text!r}")
+    return ProofLine(lid, rule)

@@ -136,7 +136,6 @@ def solve(
     order: VarOrder | None = None,
     emit_trace: bool = True,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    collect_widths: bool = True,
 ) -> SolveResult:
     """Decide the PCNF formula; FALSE runs yield a checkable refutation.
 
@@ -154,13 +153,13 @@ def solve(
     try:
         buckets, lines, funcs, early_false = bucket_init(f, mgr)
         for lid in range(1, len(lines) + 1):
-            _record(stats, mgr, funcs[lid], collect_widths)
+            _record(stats, mgr, funcs[lid])
 
         def emit(rule, ref) -> int:
             lid = len(lines) + 1
             lines.append(ProofLine(lid, rule))
             funcs[lid] = ref
-            _record(stats, mgr, ref, collect_widths)
+            _record(stats, mgr, ref)
             return lid
 
         value: bool | None = None
@@ -199,13 +198,12 @@ def saturation_report(stats_by_n: dict[int, SolveStats]) -> dict:
     }
 
 
-def _record(stats: SolveStats, mgr: Manager, ref: int, collect_widths: bool) -> None:
+def _record(stats: SolveStats, mgr: Manager, ref: int) -> None:
     stats.line_count += 1
     stats.trace_nodes += mgr.size(ref)
-    if collect_widths:
-        w = mgr.complete(ref).width
-        stats.widths.append(w)
-        stats.max_width = max(stats.max_width, w)
+    w = mgr.complete(ref).width
+    stats.widths.append(w)
+    stats.max_width = max(stats.max_width, w)
 
 
 def _eliminate_all(f, mgr, buckets, emit, stats) -> bool:

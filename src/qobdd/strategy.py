@@ -17,13 +17,14 @@ two-player conjunction protocol that evaluates them.
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
 from . import obdd
-from .obdd import CompleteObdd, Manager, VarOrder
+from .obdd import BlockFormatError, CompleteObdd, Manager, Row, VarOrder
 from .pcnf import FORALL, Pcnf
 from .proof import CheckResult, ProofTrace, URed, check_trace
 
@@ -57,9 +58,6 @@ class DecisionList:
         for guard, _ in self.entries:
             out |= self.manager.support(guard)
         return out
-
-    def guard_sizes(self) -> list[int]:
-        return [self.manager.size(g) for g, _ in self.entries]
 
     def width_bound(self) -> int:
         """Largest complete width over the guards."""
@@ -116,14 +114,6 @@ def extract(
     family = DecisionListFamily(f, mgr, lists)
     family.audit()
     return family
-
-
-def eval_list(dl: DecisionList, assignment: Mapping[int, int]) -> int:
-    return dl.evaluate(assignment)
-
-
-def respond(family: DecisionListFamily, tau: Mapping[int, int]) -> dict[int, int]:
-    return family.respond(tau)
 
 
 @dataclass(frozen=True)
@@ -379,9 +369,11 @@ def and_protocol_run(
 #
 #   p qobdd-strategy
 #   u <var> <s>
-#   entry <bit>
+#   entry <0|1>
 #   <ObddBlock>          (one per entry, guard of that entry)
 #   ...
+#
+# Comments and blank lines follow the block format's rule (see obdd).
 
 
 def emit_strategy(family: DecisionListFamily) -> str:
@@ -395,86 +387,66 @@ def emit_strategy(family: DecisionListFamily) -> str:
     return "\n".join(out) + "\n"
 
 
-def _infer_order(blocks: list[str], extra_vars: Iterable[int]) -> VarOrder:
-    """Topological order consistent with every block's parent/child pairs."""
-    constraints: set[tuple[int, int]] = set()
-    vars_seen: set[int] = set(extra_vars)
-    for blk in blocks:
-        constraints |= obdd.block_order_constraints(blk)
-        vars_seen |= obdd.block_variables(blk)
-    succ: dict[int, set[int]] = {v: set() for v in vars_seen}
-    indeg: dict[int, int] = {v: 0 for v in vars_seen}
-    for a, b in constraints:
-        if b not in succ[a]:
-            succ[a].add(b)
-            indeg[b] += 1
-    ready = sorted(v for v in vars_seen if indeg[v] == 0)
+def _infer_order(blocks: list[list[Row]], extra_vars: Iterable[int]) -> VarOrder:
+    """Smallest-first topological order of every block's parent/child pairs."""
+    succ: dict[int, set[int]] = {v: set() for v in extra_vars}
+    for rows in blocks:
+        for var, lo, hi in rows:
+            if var is not None:
+                # children precede parents, so their variables are known
+                kids = {rows[c][0] for c in (lo, hi)} - {None}
+                succ.setdefault(var, set()).update(kids)
+    indeg = {v: 0 for v in succ}
+    for kids in succ.values():
+        for w in kids:
+            indeg[w] += 1
+    ready = [v for v, d in indeg.items() if d == 0]
+    heapq.heapify(ready)
     out: list[int] = []
     while ready:
-        v = ready.pop(0)
+        v = heapq.heappop(ready)
         out.append(v)
-        for w in sorted(succ[v]):
+        for w in succ[v]:
             indeg[w] -= 1
             if indeg[w] == 0:
-                ready.append(w)
-        ready.sort()
-    if len(out) != len(vars_seen):
+                heapq.heappush(ready, w)
+    if len(out) != len(succ):
         raise StrategyError("strategy guards admit no common variable order")
     return VarOrder(out)
 
 
 def parse_strategy(text: str, f: Pcnf) -> DecisionListFamily:
-    lines = [ln for ln in text.splitlines()]
-    idx = 0
-
-    def next_line() -> str:
-        nonlocal idx
-        while idx < len(lines):
-            ln = lines[idx].strip()
-            idx += 1
-            if ln and not ln.startswith("c "):
-                return ln
-        raise StrategyError("unexpected end of strategy file")
-
-    if next_line() != "p qobdd-strategy":
-        raise StrategyError("bad strategy header")
-    raw: dict[int, list[tuple[int, str]]] = {}
-    all_blocks: list[str] = []
+    reader = obdd.TextReader(text)
+    raw: dict[int, list[tuple[int, list[Row]]]] = {}
     try:
-        while True:
-            try:
-                head = next_line()
-            except StrategyError:
-                break
+        if reader.line() != "p qobdd-strategy":
+            raise StrategyError("bad strategy header")
+        while not reader.at_end():
+            head = reader.line()
             parts = head.split()
             if len(parts) != 3 or parts[0] != "u":
                 raise StrategyError(f"expected `u <var> <s>`, got {head!r}")
             var, count = int(parts[1]), int(parts[2])
-            entries: list[tuple[int, str]] = []
-            for _ in range(count):
-                eparts = next_line().split()
-                if len(eparts) != 2 or eparts[0] != "entry":
-                    raise StrategyError("expected `entry <bit>`")
-                value = int(eparts[1])
-                blk_head = next_line().split()
-                if len(blk_head) != 2 or blk_head[0] != "obdd":
-                    raise StrategyError("entry without diagram block")
-                k = int(blk_head[1])
-                blk_lines = [f"obdd {k}"] + [next_line() for _ in range(k)]
-                blk = "\n".join(blk_lines)
-                entries.append((value, blk))
-                all_blocks.append(blk)
-            raw[var] = entries
-    except ValueError as exc:
+            if var in raw:
+                raise StrategyError(f"universal {var} listed twice")
+            raw[var] = [_parse_entry(reader) for _ in range(count)]
+    except (BlockFormatError, ValueError) as exc:
         raise StrategyError(f"bad strategy file: {exc}") from None
     if set(raw) != set(f.universals):
         raise StrategyError("strategy file does not cover the universal variables")
-    order = _infer_order(all_blocks, f.variables)
-    mgr = Manager(order)
-    lists = {}
-    for var, entries in raw.items():
-        decoded = [(obdd.deserialize(blk, mgr), value) for value, blk in entries]
-        lists[var] = DecisionList(mgr, decoded)
+    blocks = [rows for entries in raw.values() for _, rows in entries]
+    mgr = Manager(_infer_order(blocks, f.variables))
+    lists = {
+        var: DecisionList(mgr, [(obdd.build_rows(rows, mgr), v) for v, rows in entries])
+        for var, entries in raw.items()
+    }
     family = DecisionListFamily(f, mgr, lists)
     family.audit()
     return family
+
+
+def _parse_entry(reader: obdd.TextReader) -> tuple[int, list[Row]]:
+    parts = reader.line().split()
+    if len(parts) != 2 or parts[0] != "entry" or parts[1] not in ("0", "1"):
+        raise StrategyError("expected `entry <0|1>`")
+    return int(parts[1]), reader.block()

@@ -238,6 +238,55 @@ def test_rect_analyze_random_partition(tmp_path, capsys):
     assert data["ok"]
 
 
-def test_usage_errors(capsys):
+def test_usage_errors(tmp_path, capsys):
     assert run(capsys, "frobnicate")[0] == EXIT_USAGE
     assert run(capsys, "bench", "--family", "eqprime", "--n", "x")[0] == EXIT_USAGE
+    # option files: an order must list exactly the formula's variables
+    qdimacs = tmp_path / "eq2.qdimacs"
+    run(capsys, "gen", "eqprime", "2", "-o", str(qdimacs))
+    variables = list(parse_qdimacs(qdimacs.read_text()).variables)
+    orderfile = tmp_path / "order.txt"
+    for ids in (variables[:-1], variables + [99], variables + variables[:1], ["x"]):
+        orderfile.write_text(" ".join(map(str, ids)) + "\n")
+        code, _, err = run(capsys, "solve", str(qdimacs), "--order", f"given:{orderfile}")
+        assert code == EXIT_USAGE and "order file" in err, ids
+    # a partition file must hold integer ids that split the graph
+    graph = tmp_path / "m2.edges"
+    graph.write_text("1 2\n3 4\n")
+    partition = tmp_path / "part.txt"
+    for text in ("1 3\n2 x\n", "1 3\n2\n", "1 3\n2 4 5\n", "1 3\n3 2 4\n"):
+        partition.write_text(text)
+        code, _, err = run(
+            capsys, "rect", "analyze", "--graph", str(graph), "--partition", str(partition)
+        )
+        assert code == EXIT_USAGE and "partition file" in err, text
+
+
+def test_malformed_input_files_exit_2(tmp_path, capsys):
+    graph = tmp_path / "bad.edges"
+    graph.write_text("1 2\n3 four\n")
+    code, _, err = run(capsys, "gen", "ipg", str(graph))
+    assert code == EXIT_CHECK and "line 2" in err
+    code, _, err = run(capsys, "rect", "analyze", "--graph", str(graph), "--partition", "pairs")
+    assert code == EXIT_CHECK and "line 2" in err
+    qdimacs = tmp_path / "eq2.qdimacs"
+    run(capsys, "gen", "eqprime", "2", "-o", str(qdimacs))
+    strat = tmp_path / "bad.strategy"
+    strat.write_text(
+        "p qobdd-strategy\n"
+        "u 3 1\nentry 1\nobdd 1\n0 T1 - -\n"
+        "u 4 1\nentry 1\nobdd 2\n0 T1 - -\n1 T0 0 0\n"
+    )
+    code, _, err = run(capsys, "verify", str(qdimacs), str(strat))
+    assert code == EXIT_CHECK and "sink with children" in err
+
+
+def test_recursion_depth_exits_4_with_one_line(tmp_path, capsys):
+    # one 1500-literal clause: quantifying it recurses once per variable
+    n = 1500
+    qdimacs = tmp_path / "wide.qdimacs"
+    ids = " ".join(str(v) for v in range(1, n + 1))
+    qdimacs.write_text(f"p cnf {n} 1\ne {ids} 0\n{ids} 0\n")
+    code, out, err = run(capsys, "solve", str(qdimacs), "--order", "prefix")
+    assert code == EXIT_BUDGET
+    assert out == "" and err.startswith("BUDGET") and err.count("\n") == 1

@@ -30,6 +30,13 @@ def test_edge_list_roundtrip():
     assert parse_edge_list(emit_edge_list(g)) == g
 
 
+def test_edge_list_rejects_non_integer_ids_with_line_number():
+    with pytest.raises(GraphError, match="line 2"):
+        parse_edge_list("1 2\n3 x\n")
+    with pytest.raises(GraphError, match="line 1"):
+        parse_edge_list("1.5 2\n")
+
+
 def test_path_graph_decomposition_width_one():
     g = Graph([1, 2, 3], [(1, 2), (2, 3)])
     pd = path_decomposition(g)

@@ -28,11 +28,9 @@ from qobdd.strategy import (
     StrategyError,
     and_protocol_run,
     emit_strategy,
-    eval_list,
     extract,
     obdd_to_rectangles,
     parse_strategy,
-    respond,
     strategy_range_size,
     to_rectangle_list,
     verify_winning,
@@ -90,17 +88,17 @@ def test_respond_fills_universals_in_prefix_order():
     f, trace = solve_family(gen_eqprime, eqprime_decomposition, 3)
     fam = extract(f, trace)
     tau = {1: 1, 2: 0, 3: 1}
-    full = respond(fam, tau)
+    full = fam.respond(tau)
     assert set(full) >= set(tau) | set(f.universals)
 
 
-def test_eval_list_terminal_only_and_two_entry():
+def test_decision_list_evaluate_terminal_only_and_two_entry():
     m = Manager(VarOrder([1]))
     const = DecisionList(m, [(m.ONE, 1)])
-    assert eval_list(const, {}) == 1
+    assert const.evaluate({}) == 1
     two = DecisionList(m, [(m.literal(1), 0), (m.ONE, 1)])
-    assert eval_list(two, {1: 1}) == 0
-    assert eval_list(two, {1: 0}) == 1
+    assert two.evaluate({1: 1}) == 0
+    assert two.evaluate({1: 0}) == 1
     with pytest.raises(StrategyError):
         DecisionList(m, [(m.literal(1), 0)])  # missing terminal
 
@@ -357,3 +355,23 @@ def test_strategy_file_rejects_garbage():
         parse_strategy("p qobdd-strategy\nu 3 1\nentry 1\n", f)  # missing block
     with pytest.raises(StrategyError):
         parse_strategy("not a strategy\n", f)
+
+
+def test_strategy_file_rejects_entry_bits_other_than_0_and_1():
+    f = gen_eqprime(2)
+    const = (
+        "p qobdd-strategy\n"
+        "u 3 1\nentry {}\nobdd 1\n0 T1 - -\n"
+        "u 4 1\nentry 1\nobdd 1\n0 T1 - -\n"
+    )
+    assert len(parse_strategy(const.format(0), f).lists) == 2
+    for bit in ("7", "-1", "01", "x"):
+        with pytest.raises(StrategyError):
+            parse_strategy(const.format(bit), f)
+
+
+def test_strategy_file_rejects_a_universal_listed_twice():
+    f = gen_eqprime(2)
+    entry = "entry 1\nobdd 1\n0 T1 - -\n"
+    with pytest.raises(StrategyError):
+        parse_strategy(f"p qobdd-strategy\nu 3 1\n{entry}u 3 1\n{entry}u 4 1\n{entry}", f)
