@@ -12,7 +12,8 @@ manager off between threads if you like, but never share one concurrently.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from itertools import accumulate
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 
 class ObddError(Exception):
@@ -112,6 +113,14 @@ def _op_code(op) -> int:
 
 def _is_symmetric(code: int) -> bool:
     return ((code >> 1) & 1) == ((code >> 2) & 1)
+
+
+class Shape(NamedTuple):
+    """Size, complete width and support of one diagram (``Manager.shape``)."""
+
+    size: int
+    width: int
+    support: set[int]
 
 
 class Manager:
@@ -369,6 +378,42 @@ class Manager:
                     stack.append(c)
         return len(seen)
 
+    def shape(self, f: int) -> Shape:
+        """Size, complete width and support of ``f`` in one walk.
+
+        A reached node, sinks included, is a state of the complete diagram
+        on the layers from its smallest parent rank + 1 (0 for the root) up
+        to min(its rank, |X| - 1).  A difference array over those ranges
+        gives every layer size in O(size + |X|); the width is the largest.
+        Equal to ``size(f)``, ``complete(f).width`` and ``support(f)``.
+        """
+        self._check_ref(f)
+        var, lo, hi = self._var, self._lo, self._hi
+        position = self.order.position
+        n = self._terminal_rank
+        first = {f: 0}  # reached node -> first layer it is a state on
+        support: set[int] = set()
+        stack = [f]
+        while stack:
+            r = stack.pop()
+            if r <= 1:
+                continue
+            v = var[r]
+            support.add(v)
+            below = position[v] + 1
+            for c in (lo[r], hi[r]):
+                start = first.get(c)
+                if start is None:
+                    first[c] = below
+                    stack.append(c)
+                elif below < start:
+                    first[c] = below
+        diff = [0] * (n + 1)
+        for r, start in first.items():
+            diff[start] += 1
+            diff[n if r <= 1 else position[var[r]] + 1] -= 1
+        return Shape(len(first), max(accumulate(diff)), support)
+
     def evaluate(self, f: int, assignment: Mapping[int, int]) -> int:
         self._check_ref(f)
         r = f
@@ -397,7 +442,9 @@ class Manager:
 
         States at each layer are the distinct subfunctions on the remaining
         variables; since diagrams are canonical, distinctness is reference
-        inequality.  The result has at most (|X|+1) * size(f) nodes.
+        inequality.  The result has at most (|X|+1) * size(f) nodes.  It
+        serves the rectangle lab, which reads the layers and transitions;
+        the width alone comes from ``shape`` without a layered copy.
         """
         self._check_ref(f)
         layers: list[list[int]] = []

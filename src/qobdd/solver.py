@@ -49,7 +49,8 @@ def tower(a: int, q: int, max_bits: int = 64) -> int | None:
 class SolveStats:
     value: bool | None = None
     max_width: int = 0
-    widths: list[int] = field(default_factory=list)  # complete width per line
+    # per line, the width of its complete diagram (Manager.shape)
+    widths: list[int] = field(default_factory=list)
     trace_nodes: int = 0  # sum of line diagram sizes
     line_count: int = 0
     eliminations: list[dict] = field(default_factory=list)
@@ -94,21 +95,28 @@ def prefix_order(f: Pcnf) -> VarOrder:
 
 def bucket_of(f: Pcnf, manager: Manager, ref: int) -> int | None:
     """Prefix position of the diagram's rightmost variable; None if constant."""
-    support = manager.support(ref)
-    if not support:
-        return None
-    return max(f.prefix_position(v) for v in support)
+    return _rightmost(f, manager.support(ref))
+
+
+def _rightmost(f: Pcnf, support: set[int]) -> int | None:
+    return max((f.prefix_position(v) for v in support), default=None)
+
+
+# A trace line as the eliminator sees it: (ref, line id, size, rightmost
+# prefix position); the position is None for constants, which never enter
+# a bucket.
+Entry = tuple[int, int, int, int | None]
 
 
 def bucket_init(
-    f: Pcnf, manager: Manager
-) -> tuple[list[list[tuple[int, int]]], list[ProofLine], dict[int, int], bool]:
-    """Axiom lines and initial buckets of (ref, line id) pairs.
+    f: Pcnf, manager: Manager, stats: SolveStats
+) -> tuple[list[list[Entry]], list[ProofLine], dict[int, int], bool]:
+    """Axiom lines, recorded in ``stats``, and the initial buckets.
 
     Returns (buckets, lines, line functions, early_false) where early_false
     signals an empty input clause.
     """
-    buckets: list[list[tuple[int, int]]] = [[] for _ in f.prefix]
+    buckets: list[list[Entry]] = [[] for _ in f.prefix]
     lines: list[ProofLine] = []
     funcs: dict[int, int] = {}
     early_false = False
@@ -118,16 +126,16 @@ def bucket_init(
         lid = len(lines) + 1
         lines.append(ProofLine(lid, Axiom(i)))
         funcs[lid] = ref
+        size, pos = _record(stats, manager, f, ref)
         if ref == manager.ZERO:
             early_false = True
             continue
         if ref == manager.ONE:
             continue
-        pos = bucket_of(f, manager, ref)
         assert pos is not None
         if ref not in seen_per_bucket[pos]:
             seen_per_bucket[pos].add(ref)
-            buckets[pos].append((ref, lid))
+            buckets[pos].append((ref, lid, size, pos))
     return buckets, lines, funcs, early_false
 
 
@@ -151,16 +159,13 @@ def solve(
     stats = SolveStats()
 
     try:
-        buckets, lines, funcs, early_false = bucket_init(f, mgr)
-        for lid in range(1, len(lines) + 1):
-            _record(stats, mgr, funcs[lid])
+        buckets, lines, funcs, early_false = bucket_init(f, mgr, stats)
 
-        def emit(rule, ref) -> int:
+        def emit(rule, ref) -> Entry:
             lid = len(lines) + 1
             lines.append(ProofLine(lid, rule))
             funcs[lid] = ref
-            _record(stats, mgr, ref)
-            return lid
+            return (ref, lid, *_record(stats, mgr, f, ref))
 
         value: bool | None = None
         if early_false:
@@ -198,12 +203,16 @@ def saturation_report(stats_by_n: dict[int, SolveStats]) -> dict:
     }
 
 
-def _record(stats: SolveStats, mgr: Manager, ref: int) -> None:
+def _record(
+    stats: SolveStats, mgr: Manager, f: Pcnf, ref: int
+) -> tuple[int, int | None]:
+    """Count one trace line; returns its size and rightmost prefix position."""
+    size, width, support = mgr.shape(ref)
     stats.line_count += 1
-    stats.trace_nodes += mgr.size(ref)
-    w = mgr.complete(ref).width
-    stats.widths.append(w)
-    stats.max_width = max(stats.max_width, w)
+    stats.trace_nodes += size
+    stats.widths.append(width)
+    stats.max_width = max(stats.max_width, width)
+    return size, _rightmost(f, support)
 
 
 def _eliminate_all(f, mgr, buckets, emit, stats) -> bool:
@@ -212,32 +221,30 @@ def _eliminate_all(f, mgr, buckets, emit, stats) -> bool:
         if not entries:
             continue
         q, var = f.prefix[pos]
-        entries.sort(key=lambda e: (mgr.size(e[0]), e[1]))
-        ref, lid = entries[0]
-        for nxt_ref, nxt_lid in entries[1:]:
-            ref = mgr.apply(ref, nxt_ref, "and")
-            lid = emit(Conj(lid, nxt_lid), ref)
-            if ref == mgr.ZERO:
+        entries.sort(key=lambda e: (e[2], e[1]))
+        cur = entries[0]
+        for nxt in entries[1:]:
+            cur = emit(Conj(cur[1], nxt[1]), mgr.apply(cur[0], nxt[0], "and"))
+            if cur[0] == mgr.ZERO:
                 return False
         step = {"var": var, "quantifier": q, "bucket_size": len(entries)}
-        if var in mgr.support(ref):
+        ref, lid, _, right = cur
+        # every entry here ends at pos, so their conjunction ends at pos or
+        # before; it ends at pos exactly when var is still in its support
+        if right == pos:
             if q == EXISTS:
-                ref = mgr.exists(ref, var)
-                lid = emit(Proj(var, lid), ref)
+                cur = emit(Proj(var, lid), mgr.exists(ref, var))
             else:
-                r0 = mgr.restrict(ref, var, 0)
-                lid0 = emit(URed(var, 0, lid), r0)
-                r1 = mgr.restrict(ref, var, 1)
-                lid1 = emit(URed(var, 1, lid), r1)
-                ref = mgr.apply(r0, r1, "and")
-                lid = emit(Conj(lid0, lid1), ref)
-        step["result_size"] = mgr.size(ref)
+                r0, lid0, _, _ = emit(URed(var, 0, lid), mgr.restrict(ref, var, 0))
+                r1, lid1, _, _ = emit(URed(var, 1, lid), mgr.restrict(ref, var, 1))
+                cur = emit(Conj(lid0, lid1), mgr.apply(r0, r1, "and"))
+        ref, _, size, new_pos = cur
+        step["result_size"] = size
         stats.eliminations.append(step)
         if ref == mgr.ZERO:
             return False
         if ref == mgr.ONE:
             continue
-        new_pos = max(f.prefix_position(v) for v in mgr.support(ref))
         assert new_pos < pos
-        buckets[new_pos].append((ref, lid))
+        buckets[new_pos].append(cur)
     return True

@@ -61,7 +61,7 @@ class DecisionList:
 
     def width_bound(self) -> int:
         """Largest complete width over the guards."""
-        return max(self.manager.complete(g).width for g, _ in self.entries)
+        return max(self.manager.shape(g).width for g, _ in self.entries)
 
 
 @dataclass

@@ -218,6 +218,28 @@ def test_width_matches_cofactor_oracle_random():
         assert m.complete(f).layer_sizes == cofactor_counts(m, f)
 
 
+def test_shape_matches_complete_and_cofactor_oracle():
+    rng = random.Random(34)
+    for nv in (1, 3, 6):
+        order = list(range(1, nv + 1))
+        rng.shuffle(order)
+        m = Manager(VarOrder(order))
+        funcs = [m.ZERO, m.ONE, m.literal(order[-1]), m.literal(order[0], positive=False)]
+        funcs += [obdd_from_table(m, order, random_table(rng, nv)) for _ in range(12)]
+        for f in funcs:
+            shape = m.shape(f)
+            assert shape.width == m.complete(f).width == max(cofactor_counts(m, f))
+            assert shape.size == m.size(f)
+            assert shape.support == m.support(f)
+
+
+def test_shape_of_the_empty_order():
+    m = Manager(VarOrder([]))
+    for f in (m.ZERO, m.ONE):
+        assert m.shape(f) == (1, 0, set())
+        assert m.complete(f).width == 0
+
+
 def test_serialize_roundtrip_trivial():
     m = mgr()
     for f in (m.ZERO, m.ONE, m.literal(2), m.literal(3, positive=False)):

@@ -15,6 +15,7 @@ from qobdd.pcnf import EXISTS, FORALL, Pcnf, clause
 from qobdd.proof import URed, check_trace
 from qobdd.solver import (
     ResourceBudgetError,
+    SolveStats,
     bucket_init,
     bucket_of,
     default_order,
@@ -71,9 +72,10 @@ def test_bucket_of_rightmost_prefix_variable():
 def test_bucket_init_matches_rightmost_scan():
     f = gen_eqprime(2)
     mgr = Manager(prefix_order(f))
-    buckets, lines, funcs, early = bucket_init(f, mgr)
+    stats = SolveStats()
+    buckets, lines, funcs, early = bucket_init(f, mgr, stats)
     assert not early
-    assert len(lines) == len(f.clauses)
+    assert len(lines) == len(f.clauses) == stats.line_count
     expected = [0] * len(f.prefix)
     for c in f.clauses:
         pos = max(f.prefix_position(abs(l)) for l in c)
@@ -147,6 +149,35 @@ def test_stats_widths_and_nodes():
     assert len(s.eliminations) > 0
     d = s.as_dict()
     assert {"value", "max_width", "trace_nodes", "lines", "eliminations"} <= set(d)
+
+
+def test_solve_never_completes_a_diagram(monkeypatch):
+    # line widths come from one walk per line, not from a layered copy
+    def refuse(self, f):
+        raise AssertionError("solve built a complete diagram")
+
+    monkeypatch.setattr(Manager, "complete", refuse)
+    for gen, dec in ((gen_quparity, quparity_decomposition), (gen_eqprime, eqprime_decomposition)):
+        f = gen(6)
+        for order in (order_from_decomposition(dec(6)), default_order(f)):
+            assert solve(f, order=order).value is False
+
+
+def test_line_widths_match_the_checkers_complete_diagrams():
+    # the checker replays in a fresh manager; diagrams are canonical under
+    # one order, so its complete widths must equal the solver's line widths
+    rng = random.Random(5)
+    cases = [
+        (gen_eqprime(4), order_from_decomposition(eqprime_decomposition(4))),
+        (gen_quparity(5), None),
+    ]
+    cases += [(random_pcnf(rng, max_vars=10, max_clauses=18), None) for _ in range(8)]
+    for f, order in cases:
+        res = solve(f, order=order)
+        chk = check_trace(f, res.trace)
+        assert chk.accepted
+        widths = [chk.manager.complete(chk.functions[line.id]).width for line in res.trace.lines]
+        assert widths == res.stats.widths
 
 
 def test_clause_diagram_width_at_most_two():
