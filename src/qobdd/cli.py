@@ -3,11 +3,13 @@
 Exit codes are fixed for scripting: 0 success; 1 bad arguments or option
 files (``--order given:``, ``--partition``); 2 any malformed or rejected
 input file (formula, trace, strategy, proof, edge list; rejected trace,
-losing strategy); 3 expectation mismatch; 4 the node budget or the
-recursion depth ran out.  ``main`` is the one place that maps errors to
-these codes.  With a fixed seed every run is reproducible; timing fields
-are only emitted on request so that outputs are byte-identical across
-runs.
+losing strategy); 3 expectation mismatch; 4 the node budget ran out.
+The OBDD kernels are iterative; exceeding the recursion depth still exits
+4 because one helper of the rectangle lab, ``strategy.obdd_to_rectangles``,
+recurses once per layer of the order.  ``main`` is the one place that
+maps errors to these codes.  With a fixed seed every run is reproducible;
+timing fields are only emitted on request so that outputs are
+byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ INPUT_ERRORS = (
     rectangles.RectangleLabError,
 )
 # Resource exhaustion (exit 4); caught before ObddError, its base class.
+# RecursionError: strategy.obdd_to_rectangles recurses once per layer.
 BUDGET_ERRORS = (solver.ResourceBudgetError, BudgetExceededError, RecursionError)
 
 

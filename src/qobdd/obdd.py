@@ -6,6 +6,12 @@ Boolean function is unique within its manager: structural equality is
 reference equality.  The two terminals are ``Manager.ZERO`` and
 ``Manager.ONE``.
 
+The kernels (apply, negate, restrict and the one-pass quantifiers) walk
+with explicit stacks, so a deep variable order never reaches Python's
+recursion limit, and they read each node's rank from an array kept beside
+the store.  References and variables are validated at the public entry
+points only; the kernels and the node constructor they share trust them.
+
 A manager and its references belong to one logical thread at a time; hand a
 manager off between threads if you like, but never share one concurrently.
 """
@@ -13,7 +19,7 @@ manager off between threads if you like, but never share one concurrently.
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 
 class ObddError(Exception):
@@ -140,14 +146,16 @@ class Manager:
         self.node_budget = node_budget
         n = len(order)
         self._terminal_rank = n
-        # parallel arrays; slots 0/1 are the sinks
+        # parallel arrays; slots 0/1 are the sinks, which rank past the order
         self._var: list[int | None] = [None, None]
         self._lo: list[int] = [-1, -1]
         self._hi: list[int] = [-1, -1]
+        self._rank: list[int] = [n, n]
         self._unique: dict[tuple[int, int, int], int] = {}
         self._apply_cache: dict[tuple[int, int, int], int] = {}
         self._neg_cache: dict[int, int] = {}
         self._restrict_cache: dict[tuple[int, int, int], int] = {}
+        self._quant_cache: dict[tuple[int, int, int], int] = {}
 
     # -- basic accessors ---------------------------------------------------
 
@@ -171,8 +179,7 @@ class Manager:
     def rank_of(self, ref: int) -> int:
         """Rank of the ref's root variable; terminals rank past the order."""
         self._check_ref(ref)
-        v = self._var[ref]
-        return self._terminal_rank if v is None else self.order.position[v]
+        return self._rank[ref]
 
     def _check_ref(self, ref: int) -> None:
         if not isinstance(ref, int) or not 0 <= ref < len(self._var):
@@ -190,10 +197,17 @@ class Manager:
         if lo == hi:
             return lo
         rank = self.order.rank(var)
-        if self.rank_of(lo) <= rank or self.rank_of(hi) <= rank:
+        if self._rank[lo] <= rank or self._rank[hi] <= rank:
             raise OrderError(
                 f"variable {var} (rank {rank}) does not precede its children"
             )
+        return self._mk(var, rank, lo, hi)
+
+    def _mk(self, var: int, rank: int, lo: int, hi: int) -> int:
+        # Unchecked: callers pass refs of this manager whose ranks exceed
+        # ``rank``, the rank of ``var``.
+        if lo == hi:
+            return lo
         key = (var, lo, hi)
         found = self._unique.get(key)
         if found is not None:
@@ -206,6 +220,7 @@ class Manager:
         self._var.append(var)
         self._lo.append(lo)
         self._hi.append(hi)
+        self._rank.append(rank)
         self._unique[key] = ref
         return ref
 
@@ -219,13 +234,13 @@ class Manager:
         lits = set(literals)
         if any(-l in lits for l in lits):
             return self.ONE  # tautological clause
+        ranked = sorted(((self.order.rank(abs(l)), l) for l in lits), reverse=True)
         acc = self.ZERO
-        key = lambda l: self.order.rank(abs(l))
-        for lit in sorted(lits, key=key, reverse=True):
+        for rank, lit in ranked:
             if lit > 0:
-                acc = self.node(lit, acc, self.ONE)
+                acc = self._mk(lit, rank, acc, self.ONE)
             else:
-                acc = self.node(-lit, self.ONE, acc)
+                acc = self._mk(-lit, rank, self.ONE, acc)
         return acc
 
     def cube(self, assignment: Mapping[int, int]) -> int:
@@ -239,96 +254,168 @@ class Manager:
         return acc
 
     # -- boolean combination -----------------------------------------------
+    #
+    # Each kernel walks with an explicit stack, so no order is too deep for
+    # it.  A stack entry is either a subproblem or the step that joins the
+    # two results on top of ``out`` into one node: in ``_apply`` a pair
+    # (f, g) or a triple (key, var, rank), in ``_negate`` and
+    # ``_rebuild_above`` a ref f >= 0 or its complement ~f.  The lo
+    # subproblem is pushed last, so it is finished before the hi one starts
+    # and nodes are created in depth-first, lo-first post-order, as a
+    # recursive walk would.
 
     def apply(self, f: int, g: int, op) -> int:
         """Combine two diagrams with a binary Boolean operation.
 
-        ``op`` is a name from ``OPS`` or a 4-bit truth-table code.  The
-        pairwise recursion is memoized per manager, with argument swapping
-        for symmetric operations.
+        ``op`` is a name from ``OPS`` or a 4-bit truth-table code.  The walk
+        over pairs of subdiagrams is memoized per manager, with argument
+        swapping for symmetric operations.
         """
         self._check_ref(f)
         self._check_ref(g)
         return self._apply(_op_code(op), f, g)
 
     def _apply(self, code: int, f: int, g: int) -> int:
-        if f <= 1:
-            pair = ((code >> ((f << 1) | 0)) & 1, (code >> ((f << 1) | 1)) & 1)
-            return self._unary(pair, g)
-        if g <= 1:
-            pair = ((code >> ((0 << 1) | g)) & 1, (code >> ((1 << 1) | g)) & 1)
-            return self._unary(pair, f)
-        if _is_symmetric(code) and f > g:
-            f, g = g, f
-        key = (code, f, g)
-        found = self._apply_cache.get(key)
-        if found is not None:
-            return found
-        rf, rg = self.rank_of(f), self.rank_of(g)
-        if rf <= rg:
-            var, f0, f1 = self._var[f], self._lo[f], self._hi[f]
-        else:
-            var, f0, f1 = self._var[g], f, f
-        if rg <= rf:
-            g0, g1 = self._lo[g], self._hi[g]
-        else:
-            g0, g1 = g, g
-        res = self.node(var, self._apply(code, f0, g0), self._apply(code, f1, g1))
-        self._apply_cache[key] = res
-        return res
+        var, lo, hi, rank = self._var, self._lo, self._hi, self._rank
+        cache, mk, unary = self._apply_cache, self._mk, self._unary
+        symmetric = _is_symmetric(code)
+        out: list[int] = []
+        stack: list[tuple] = [(f, g)]
+        while stack:
+            task = stack.pop()
+            if len(task) == 3:
+                key, v, r = task
+                h = out.pop()
+                res = mk(v, r, out.pop(), h)
+                cache[key] = res
+                out.append(res)
+                continue
+            f, g = task
+            if f <= 1:
+                out.append(unary((code >> (f << 1)) & 3, g))
+                continue
+            if g <= 1:
+                out.append(unary(((code >> g) & 1) | ((code >> (1 + g)) & 2), f))
+                continue
+            if symmetric and f > g:
+                f, g = g, f
+            key = (code, f, g)
+            found = cache.get(key)
+            if found is not None:
+                out.append(found)
+                continue
+            rf, rg = rank[f], rank[g]
+            if rf <= rg:
+                v, r, f0, f1 = var[f], rf, lo[f], hi[f]
+            else:
+                v, r, f0, f1 = var[g], rg, f, f
+            if rg <= rf:
+                g0, g1 = lo[g], hi[g]
+            else:
+                g0, g1 = g, g
+            stack.append((key, v, r))
+            stack.append((f1, g1))
+            stack.append((f0, g0))
+        return out[0]
 
-    def _unary(self, pair: tuple[int, int], g: int) -> int:
-        # pair = (result when g=0, result when g=1)
-        if pair == (0, 0):
+    def _unary(self, pair: int, g: int) -> int:
+        # bit 0: the result when g = 0; bit 1: the result when g = 1
+        if pair == 0b00:
             return self.ZERO
-        if pair == (1, 1):
+        if pair == 0b11:
             return self.ONE
-        if pair == (0, 1):
+        if pair == 0b10:
             return g
-        return self.negate(g)
+        return self._negate(g)
 
     def negate(self, f: int) -> int:
         """Complement by sink swap; size-preserving and involutive."""
         self._check_ref(f)
-        if f <= 1:
-            return 1 - f
-        found = self._neg_cache.get(f)
-        if found is not None:
-            return found
-        res = self.node(self._var[f], self.negate(self._lo[f]), self.negate(self._hi[f]))
-        self._neg_cache[f] = res
-        self._neg_cache[res] = f
-        return res
+        return self._negate(f)
+
+    def _negate(self, f: int) -> int:
+        var, lo, hi, rank = self._var, self._lo, self._hi, self._rank
+        cache, mk = self._neg_cache, self._mk
+        out: list[int] = []
+        stack = [f]
+        while stack:
+            f = stack.pop()
+            if f < 0:
+                f = ~f
+                h = out.pop()
+                res = mk(var[f], rank[f], out.pop(), h)
+                cache[f] = res
+                cache[res] = f
+                out.append(res)
+            elif f <= 1:
+                out.append(1 - f)
+            else:
+                found = cache.get(f)
+                if found is not None:
+                    out.append(found)
+                else:
+                    stack += (~f, hi[f], lo[f])
+        return out[0]
 
     def restrict(self, f: int, var: int, bit: int) -> int:
         """Fix ``var`` to ``bit``; the variable is absent from the result."""
         self._check_ref(f)
-        rank = self.order.rank(var)
-        return self._restrict(f, var, rank, 1 if bit else 0)
-
-    def _restrict(self, f: int, var: int, rank: int, bit: int) -> int:
-        rf = self.rank_of(f)
-        if rf > rank:
-            return f
-        if rf == rank:
-            return self._hi[f] if bit else self._lo[f]
-        key = (f, var, bit)
-        found = self._restrict_cache.get(key)
-        if found is not None:
-            return found
-        res = self.node(
-            self._var[f],
-            self._restrict(self._lo[f], var, rank, bit),
-            self._restrict(self._hi[f], var, rank, bit),
-        )
-        self._restrict_cache[key] = res
-        return res
+        at = self.order.rank(var)
+        bit, child = (1, self._hi) if bit else (0, self._lo)
+        return self._rebuild_above(f, at, self._restrict_cache, bit, child.__getitem__)
 
     def exists(self, f: int, var: int) -> int:
-        return self.apply(self.restrict(f, var, 0), self.restrict(f, var, 1), "or")
+        """Existential projection of ``var``, in one pass over ``f``."""
+        self._check_ref(f)
+        return self._quantify(OPS["or"], f, self.order.rank(var))
 
     def forall(self, f: int, var: int) -> int:
-        return self.apply(self.restrict(f, var, 0), self.restrict(f, var, 1), "and")
+        """Universal projection of ``var``, in one pass over ``f``."""
+        self._check_ref(f)
+        return self._quantify(OPS["and"], f, self.order.rank(var))
+
+    def _quantify(self, code: int, f: int, at: int) -> int:
+        lo, hi, apply = self._lo, self._hi, self._apply
+        return self._rebuild_above(
+            f, at, self._quant_cache, code, lambda r: apply(code, lo[r], hi[r])
+        )
+
+    def _rebuild_above(
+        self,
+        f: int,
+        at: int,
+        cache: dict[tuple[int, int, int], int],
+        tag: int,
+        at_rank: Callable[[int], int],
+    ) -> int:
+        # ``f`` with every node of rank ``at`` replaced by ``at_rank(node)``:
+        # nodes above rank ``at`` are rebuilt over their new children and
+        # those below it are kept.  ``cache`` holds the rebuilt nodes under
+        # (tag, node, at).
+        var, lo, hi, rank, mk = self._var, self._lo, self._hi, self._rank, self._mk
+        out: list[int] = []
+        stack = [f]
+        while stack:
+            f = stack.pop()
+            if f < 0:
+                f = ~f
+                h = out.pop()
+                res = mk(var[f], rank[f], out.pop(), h)
+                cache[(tag, f, at)] = res
+                out.append(res)
+                continue
+            rf = rank[f]
+            if rf > at:
+                out.append(f)
+            elif rf == at:
+                out.append(at_rank(f))
+            else:
+                found = cache.get((tag, f, at))
+                if found is not None:
+                    out.append(found)
+                else:
+                    stack += (~f, hi[f], lo[f])
+        return out[0]
 
     def exists_many(self, f: int, variables: Iterable[int]) -> int:
         """Quantify a set one variable at a time, deepest rank first."""
@@ -345,6 +432,7 @@ class Manager:
         self._apply_cache.clear()
         self._neg_cache.clear()
         self._restrict_cache.clear()
+        self._quant_cache.clear()
 
     # -- inspection ----------------------------------------------------------
 
@@ -388,8 +476,7 @@ class Manager:
         Equal to ``size(f)``, ``complete(f).width`` and ``support(f)``.
         """
         self._check_ref(f)
-        var, lo, hi = self._var, self._lo, self._hi
-        position = self.order.position
+        var, lo, hi, rank = self._var, self._lo, self._hi, self._rank
         n = self._terminal_rank
         first = {f: 0}  # reached node -> first layer it is a state on
         support: set[int] = set()
@@ -398,9 +485,8 @@ class Manager:
             r = stack.pop()
             if r <= 1:
                 continue
-            v = var[r]
-            support.add(v)
-            below = position[v] + 1
+            support.add(var[r])
+            below = rank[r] + 1
             for c in (lo[r], hi[r]):
                 start = first.get(c)
                 if start is None:
@@ -411,7 +497,7 @@ class Manager:
         diff = [0] * (n + 1)
         for r, start in first.items():
             diff[start] += 1
-            diff[n if r <= 1 else position[var[r]] + 1] -= 1
+            diff[n if r <= 1 else rank[r] + 1] -= 1
         return Shape(len(first), max(accumulate(diff)), support)
 
     def evaluate(self, f: int, assignment: Mapping[int, int]) -> int:
@@ -425,6 +511,10 @@ class Manager:
         """Structural self-check: reduced, deduplicated, order-respecting."""
         if len(self._unique) != len(self._var) - 2:
             raise ObddError("unique table out of sync with node store")
+        if len(self._rank) != len(self._var):
+            raise ObddError("rank array out of sync with node store")
+        if self._rank[:2] != [self._terminal_rank] * 2:
+            raise ObddError("sinks do not rank past the order")
         for ref in range(2, len(self._var)):
             var, lo, hi = self._var[ref], self._lo[ref], self._hi[ref]
             if lo == hi:
@@ -432,7 +522,9 @@ class Manager:
             if self._unique.get((var, lo, hi)) != ref:
                 raise ObddError(f"node {ref} missing from unique table")
             rank = self.order.rank(var)
-            if self.rank_of(lo) <= rank or self.rank_of(hi) <= rank:
+            if self._rank[ref] != rank:
+                raise ObddError(f"node {ref} has a stale rank")
+            if self._rank[lo] <= rank or self._rank[hi] <= rank:
                 raise ObddError(f"node {ref} violates the variable order")
 
     # -- completion ----------------------------------------------------------
@@ -458,7 +550,7 @@ class Manager:
                 if s > 1 and self._var[s] == var:
                     edge = (self._lo[s], self._hi[s])
                 else:
-                    if self.rank_of(s) < rank:
+                    if self._rank[s] < rank:
                         raise ObddError("state below its layer; store corrupt")
                     edge = (s, s)
                 trans[s] = edge

@@ -8,7 +8,10 @@ from qobdd.cli import (
     EXIT_USAGE,
     main,
 )
-from qobdd.pcnf import parse_qdimacs
+from qobdd.pcnf import EXISTS, FORALL, Pcnf, clause, parse_qdimacs
+from qobdd.proof import check_trace
+from qobdd.solver import prefix_order, solve
+from qobdd.strategy import extract
 
 
 def run(capsys, *argv):
@@ -281,12 +284,24 @@ def test_malformed_input_files_exit_2(tmp_path, capsys):
     assert code == EXIT_CHECK and "sink with children" in err
 
 
-def test_recursion_depth_exits_4_with_one_line(tmp_path, capsys):
-    # one 1500-literal clause: quantifying it recurses once per variable
-    n = 1500
+def test_deep_order_solves_checks_and_extracts(tmp_path, capsys):
+    # The kernels walk with explicit stacks: a 5000-variable order is no
+    # deeper for them than a 5-variable one.  Run at the default recursion
+    # limit.
+    n = 5000
+    u = n + 1
+    prefix = tuple((EXISTS, v) for v in range(1, n + 1)) + ((FORALL, u),)
+    f = Pcnf(prefix, (clause(list(range(1, n + 2))), clause([-u])))
+    res = solve(f, prefix_order(f))
+    assert res.value is False
+    assert check_trace(f, res.trace, require_refutation=True).accepted
+    extract(f, res.trace).audit()
+
+    # the 1500-literal clause that used to exhaust the recursion depth
+    m = 1500
     qdimacs = tmp_path / "wide.qdimacs"
-    ids = " ".join(str(v) for v in range(1, n + 1))
-    qdimacs.write_text(f"p cnf {n} 1\ne {ids} 0\n{ids} 0\n")
-    code, out, err = run(capsys, "solve", str(qdimacs), "--order", "prefix")
-    assert code == EXIT_BUDGET
-    assert out == "" and err.startswith("BUDGET") and err.count("\n") == 1
+    ids = " ".join(str(v) for v in range(1, m + 1))
+    qdimacs.write_text(f"p cnf {m} 1\ne {ids} 0\n{ids} 0\n")
+    code, out, _ = run(capsys, "solve", str(qdimacs), "--order", "prefix")
+    assert code == EXIT_OK
+    assert out.strip() == "TRUE"

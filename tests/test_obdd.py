@@ -144,6 +144,35 @@ def test_quantification_against_projection_oracle():
             assert m.evaluate(fa, a) == (v0 & v1)
 
 
+def test_fused_quantifier_matches_three_pass_and_table_oracle():
+    rng = random.Random(89)
+    for nv in (1, 3, 6):
+        order = list(range(1, nv + 1))
+        rng.shuffle(order)
+        m = Manager(VarOrder(order))
+        funcs = [m.ZERO, m.ONE, m.literal(order[0]), m.literal(order[-1], positive=False)]
+        # a function that does not depend on the middle variable
+        rest = [v for v in order if v != order[nv // 2]]
+        funcs.append(obdd_from_table(m, rest, random_table(rng, len(rest))))
+        funcs += [obdd_from_table(m, order, random_table(rng, nv)) for _ in range(12)]
+        for f in funcs:
+            table = truth_table_of(m, f, order)
+            for x in order:  # the first and the last rank included
+                x_bit = 1 << (nv - 1 - order.index(x))
+                for quantify, op, fold in ((m.exists, "or", max), (m.forall, "and", min)):
+                    q = quantify(f, x)
+                    three_pass = m.apply(m.restrict(f, x, 0), m.restrict(f, x, 1), op)
+                    assert q == three_pass
+                    want = tuple(
+                        fold(table[i & ~x_bit], table[i | x_bit]) for i in range(len(table))
+                    )
+                    assert truth_table_of(m, q, order) == want
+                    if x not in m.support(f):
+                        assert q == f
+                    m.clear_cache()
+                    assert quantify(f, x) == q
+
+
 def test_quantify_many_matches_iterated_single():
     rng = random.Random(55)
     m = Manager(VarOrder(range(1, 7)))
@@ -291,6 +320,9 @@ def test_audit_and_store_invariants():
         m.exists(refs[i], rng.randint(1, 8))
         m.negate(refs[i + 1])
     m.audit()
+    m._rank[-1] += 1  # a stale rank is caught
+    with pytest.raises(ObddError):
+        m.audit()
 
 
 def test_foreign_reference_rejected():
