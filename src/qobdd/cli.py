@@ -4,10 +4,9 @@ Exit codes are fixed for scripting: 0 success; 1 bad arguments or option
 files (``--order given:``, ``--partition``); 2 any malformed or rejected
 input file (formula, trace, strategy, proof, edge list; rejected trace,
 losing strategy); 3 expectation mismatch; 4 the node budget ran out.
-The OBDD kernels are iterative; exceeding the recursion depth still exits
-4 because one helper of the rectangle lab, ``strategy.obdd_to_rectangles``,
-recurses once per layer of the order.  ``main`` is the one place that
-maps errors to these codes.  With a fixed seed every run is reproducible;
+Nothing recurses once per layer of the order, so deep orders need no
+exit code of their own.  ``main`` is the one place that maps errors to
+these codes.  With a fixed seed every run is reproducible;
 timing fields are only emitted on request so that outputs are
 byte-identical across runs.
 """
@@ -51,8 +50,7 @@ INPUT_ERRORS = (
     rectangles.RectangleLabError,
 )
 # Resource exhaustion (exit 4); caught before ObddError, its base class.
-# RecursionError: strategy.obdd_to_rectangles recurses once per layer.
-BUDGET_ERRORS = (solver.ResourceBudgetError, BudgetExceededError, RecursionError)
+BUDGET_ERRORS = (solver.ResourceBudgetError, BudgetExceededError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -275,17 +273,13 @@ def _parse_range(spec: str) -> list[int]:
 
 
 def _bench_one(family: str, n: int, policy: str, budget: int) -> dict:
-    gen = families.gen_quparity if family == "quparity" else families.gen_eqprime
-    decomp = (
-        families.quparity_decomposition
-        if family == "quparity"
-        else families.eqprime_decomposition
-    )
+    gen, decomp = {
+        "quparity": (families.gen_quparity, families.quparity_decomposition),
+        "eqprime": (families.gen_eqprime, families.eqprime_decomposition),
+    }[family]
     f = gen(n)
     if policy == "pathwidth":
-        order = graphs.order_from_decomposition(decomp(n))
-        have = set(order.vars)
-        order = VarOrder(list(order.vars) + [v for v in f.variables if v not in have])
+        order = solver.extend_order(f, graphs.order_from_decomposition(decomp(n)).vars)
     else:
         order = _resolve_order(f, policy)
     result = solver.solve(f, order=order, node_budget=budget)
@@ -309,10 +303,12 @@ def cmd_bench(args) -> int:
     ns = _parse_range(args.n)
     policies = [p.strip() for p in args.orders.split(",") if p.strip()]
     jobs = [(args.family, n, pol, args.budget) for n in ns for pol in policies]
-    if args.threads > 1:
+    # a pool forks all its workers at the first submit: never more than jobs
+    workers = min(args.threads, len(jobs))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_bench_one_star, jobs))
     else:
         rows = [_bench_one(*job) for job in jobs]

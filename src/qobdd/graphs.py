@@ -1,15 +1,20 @@
-"""Simple graphs, path decompositions, and decomposition-derived orders.
+"""Simple graphs, narrow vertex orders, and path decompositions.
 
-The decomposition heuristic aims for small width, not optimal width;
-every returned decomposition is validated against the three defining
-conditions (vertex coverage, edge coverage, contiguous occurrence).
+``narrow_order`` is the one place that picks an order (the solver's default
+comes from it); it aims for small, not optimal, separation width, which is
+the width of the path decomposition the order induces (Kinnersley 1992).
+``path_decomposition`` validates those bags: vertex coverage, edge
+coverage, contiguous occurrence.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .obdd import VarOrder
@@ -111,43 +116,51 @@ class PathDecomposition:
                 raise GraphError(f"vertex {v} occurs non-contiguously")
 
 
-def _separation_width(g: Graph, order: Sequence[int]) -> int:
+def _last_bags(g: Graph, order: Sequence[int]) -> list[int]:
+    # order[i] lives in bags i through max(i, its last neighbour's position)
     pos = {v: i for i, v in enumerate(order)}
-    width = 0
-    for i, v in enumerate(order):
-        bag = 1 + sum(
-            1
-            for u in order[: i + 1]
-            if u != v and any(pos[w] >= i for w in g.adj[u])
-        )
-        width = max(width, bag)
-    return width - 1
+    return [max([i, *(pos[w] for w in g.adj[v])]) for i, v in enumerate(order)]
+
+
+def _separation_width(g: Graph, order: Sequence[int]) -> int:
+    live = [0] * (len(order) + 1)  # difference array of the bag sizes
+    for i, last in enumerate(_last_bags(g, order)):
+        live[i] += 1
+        live[last + 1] -= 1
+    return max(accumulate(live[:-1]), default=0) - 1
 
 
 def _bags_from_order(g: Graph, order: Sequence[int]) -> PathDecomposition:
-    pos = {v: i for i, v in enumerate(order)}
-    last = {v: max((pos[w] for w in g.adj[v]), default=pos[v]) for v in order}
+    """Bag i holds order[i] and every earlier vertex with a neighbour at i or later."""
+    ending: list[list[int]] = [[] for _ in order]
+    for v, last in zip(order, _last_bags(g, order)):
+        ending[last].append(v)
     bags = []
+    live: set[int] = set()
     for i, v in enumerate(order):
-        bag = {u for u in order[: i + 1] if last[u] >= i}
-        bag.add(v)
-        bags.append(frozenset(bag))
+        live.add(v)
+        bags.append(frozenset(live))
+        live.difference_update(ending[i])
     return PathDecomposition(tuple(bags))
 
 
 def _min_degree_order(g: Graph) -> list[int]:
-    # eliminate on a shrinking copy, connecting each vertex's neighborhood
+    # eliminate on a shrinking copy, connecting each vertex's neighborhood;
+    # the heap holds each remaining vertex's (degree, id), stale ones skipped
     adj = {v: set(g.adj[v]) for v in g.vertices}
+    heap = [(len(adj[v]), v) for v in g.vertices]
+    heapq.heapify(heap)
     order = []
-    remaining = set(g.vertices)
-    while remaining:
-        v = min(remaining, key=lambda u: (len(adj[u]), u))
+    while heap:
+        deg, v = heapq.heappop(heap)
+        if v not in adj or deg != len(adj[v]):
+            continue
         order.append(v)
-        nbrs = adj[v] & remaining
+        nbrs = adj.pop(v)
         for a in nbrs:
             adj[a].discard(v)
             adj[a].update(nbrs - {a})
-        remaining.remove(v)
+            heapq.heappush(heap, (len(adj[a]), a))
     return order
 
 
@@ -157,10 +170,10 @@ def _bfs_order(g: Graph) -> list[int]:
     for start in sorted(g.vertices, key=lambda v: (g.degree(v), v)):
         if start in seen:
             continue
-        queue = [start]
+        queue = deque([start])
         seen.add(start)
         while queue:
-            v = queue.pop(0)
+            v = queue.popleft()
             order.append(v)
             for w in sorted(g.adj[v]):
                 if w not in seen:
@@ -169,17 +182,17 @@ def _bfs_order(g: Graph) -> list[int]:
     return order
 
 
-def path_decomposition(g: Graph) -> PathDecomposition:
-    """Heuristically narrow path decomposition, validated before return.
-
-    Tries a handful of vertex orders (identity, breadth-first, min-degree
-    elimination) and keeps the one of smallest separation width.
-    """
-    if not g.vertices:
-        return PathDecomposition(())
+def narrow_order(g: Graph) -> list[int]:
+    """The first of the identity, breadth-first and min-degree elimination
+    orders with the smallest separation width."""
     candidates = [list(g.vertices), _bfs_order(g), _min_degree_order(g)]
-    best = min(candidates, key=lambda o: _separation_width(g, o))
-    pd = _bags_from_order(g, best)
+    return min(candidates, key=lambda o: _separation_width(g, o))
+
+
+def path_decomposition(g: Graph) -> PathDecomposition:
+    """The bags of ``narrow_order(g)``, validated; ``order_from_decomposition``
+    reads that order back, as v first appears in bag pos(v)."""
+    pd = _bags_from_order(g, narrow_order(g))
     pd.validate(g)
     return pd
 

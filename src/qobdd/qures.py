@@ -23,6 +23,7 @@ from typing import Union
 from .obdd import Manager, VarOrder
 from .pcnf import Clause, Pcnf, PcnfError, clause
 from .proof import Axiom, Conj, Proj, ProofLine, ProofTrace, URed, formula_hash
+from .solver import prefix_order
 
 
 class QuResError(Exception):
@@ -175,7 +176,7 @@ def simulate_qures(f: Pcnf, proof: QuResProof, order: VarOrder | None = None) ->
     if derived[proof.lines[-1].id] != ():
         raise QuResError("proof does not derive the empty clause")
     if order is None:
-        order = VarOrder(f.variables)
+        order = prefix_order(f)
     mgr = Manager(order)
     lines: list[ProofLine] = []
     refs: dict[int, int] = {}

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Sequence
 
-from .graphs import order_from_decomposition, path_decomposition
+from .graphs import narrow_order
 from .obdd import BudgetExceededError, Manager, VarOrder
 from .pcnf import EXISTS, Pcnf, primal_graph
 from .proof import Axiom, Conj, Proj, ProofLine, ProofTrace, URed, formula_hash
@@ -78,15 +79,14 @@ class SolveResult:
 
 
 def default_order(f: Pcnf) -> VarOrder:
-    """Order from a heuristic path decomposition of the primal graph.
+    """``graphs.narrow_order`` of the primal graph, extended to the prefix."""
+    return extend_order(f, narrow_order(primal_graph(f)))
 
-    Prefix variables missing from the matrix are appended at the end.
-    """
-    g = primal_graph(f)
-    ordered = list(order_from_decomposition(path_decomposition(g)).vars)
-    present = set(ordered)
-    ordered += [v for v in f.variables if v not in present]
-    return VarOrder(ordered)
+
+def extend_order(f: Pcnf, leading: Sequence[int]) -> VarOrder:
+    """``leading`` first, then the prefix variables it misses, in prefix order."""
+    have = set(leading)
+    return VarOrder([*leading, *(v for v in f.variables if v not in have)])
 
 
 def prefix_order(f: Pcnf) -> VarOrder:

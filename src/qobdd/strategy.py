@@ -257,36 +257,24 @@ def obdd_to_rectangles(complete: CompleteObdd, cut: int) -> list[Rectangle]:
     Degenerate cuts (0 or all variables) give one-sided full rectangles.
     """
     mgr = complete.manager
-    n = len(complete.vars)
-    if not 0 <= cut <= n:
+    if not 0 <= cut <= len(complete.vars):
         raise StrategyError(f"cut {cut} not a prefix length of the order")
-    x1 = complete.vars[:cut]
-    x2 = complete.vars[cut:]
+    x1, x2 = complete.vars[:cut], complete.vars[cut:]
     states = complete.states_at(cut)
-
-    # reach_i(s): over X1, whether the first i choices lead to state s
-    memo: dict[tuple[int, int], int] = {}
-
-    def reach(layer: int, state: int, target: int) -> int:
-        if layer == cut:
-            return mgr.ONE if state == target else mgr.ZERO
-        key = (layer, state)
-        if key in memo:
-            return memo[key]
-        lo, hi = complete.transitions[layer][state]
-        rlo = reach(layer + 1, lo, target)
-        rhi = reach(layer + 1, hi, target)
-        res = rlo if rlo == rhi else mgr.node(complete.vars[layer], rlo, rhi)
-        memo[key] = res
-        return res
-
     rects = []
     for s in states:
         if s == mgr.ZERO:
             continue  # contributes nothing to the disjunction
-        memo.clear()
-        r1 = reach(0, complete.root, s)
-        rects.append(Rectangle(mgr, x1, x2, r1, s))
+        # reach[t]: over the variables before the current layer, whether
+        # they lead to its state t; swept from the cut back to the root
+        reach = {t: mgr.ONE if t == s else mgr.ZERO for t in states}
+        for layer in range(cut - 1, -1, -1):
+            var, below = complete.vars[layer], reach
+            reach = {}
+            for t, (lo, hi) in complete.transitions[layer].items():
+                rlo, rhi = below[lo], below[hi]
+                reach[t] = rlo if rlo == rhi else mgr.node(var, rlo, rhi)
+        rects.append(Rectangle(mgr, x1, x2, reach[complete.root], s))
     return rects
 
 

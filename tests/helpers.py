@@ -2,8 +2,10 @@
 
 Everything here is deliberately independent of the code paths it checks:
 truth tables come from exhaustive evaluation, widths from cofactor
-counting, rectangle maxima from double-subset enumeration, and PCNF truth
-values from the game-tree recursion in qobdd.bruteforce.
+counting, separation widths and min-degree orders from rescanning every
+prefix or every remaining vertex, rectangle maxima from double-subset
+enumeration, and PCNF truth values from the game-tree recursion in
+qobdd.bruteforce.
 """
 
 from __future__ import annotations
@@ -70,6 +72,40 @@ def cofactor_counts(mgr: Manager, ref: int) -> list[int]:
             seen.add(sub)
         counts.append(len(seen))
     return counts
+
+
+def separation_width_oracle(g, order) -> int:
+    """Vertex separation of an order by counting each prefix's frontier.
+
+    At position i the bag is order[i] plus every earlier vertex that still
+    has a neighbour at i or later; the width is the largest bag minus one.
+    O(V^2) on purpose: it rescans the prefix at every position.
+    """
+    pos = {v: i for i, v in enumerate(order)}
+    width = 0
+    for i, v in enumerate(order):
+        bag = 1 + sum(
+            1
+            for u in order[: i + 1]
+            if u != v and any(pos[w] >= i for w in g.adj[u])
+        )
+        width = max(width, bag)
+    return width - 1
+
+
+def min_degree_order_oracle(g) -> list[int]:
+    """Min-degree elimination by scanning every remaining vertex per step."""
+    adj = {v: set(g.adj[v]) for v in g.vertices}
+    order = []
+    remaining = set(g.vertices)
+    while remaining:
+        v = min(remaining, key=lambda u: (len(adj[u] & remaining), u))
+        order.append(v)
+        nbrs = adj[v] & remaining
+        for a in nbrs:
+            adj[a].update(nbrs - {a})
+        remaining.remove(v)
+    return order
 
 
 def random_pcnf(rng: random.Random, max_vars=14, max_clauses=30) -> Pcnf:

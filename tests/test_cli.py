@@ -11,7 +11,7 @@ from qobdd.cli import (
 from qobdd.pcnf import EXISTS, FORALL, Pcnf, clause, parse_qdimacs
 from qobdd.proof import check_trace
 from qobdd.solver import prefix_order, solve
-from qobdd.strategy import extract
+from qobdd.strategy import extract, to_rectangle_list
 
 
 def run(capsys, *argv):
@@ -203,6 +203,36 @@ def test_bench_threads(capsys):
     assert [r["n"] for r in rows] == [2, 3, 4]
 
 
+def test_bench_workers_capped_at_job_count(monkeypatch, capsys):
+    import concurrent.futures
+
+    sizes = []
+
+    class SerialPool:  # records max_workers, maps in this process
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return [fn(job) for job in jobs]
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    code, out, _ = run(
+        capsys, "--threads", "64", "--json", "bench", "--family", "eqprime", "--n", "2:4",
+    )
+    assert code == EXIT_OK
+    assert [r["n"] for r in json.loads(out)] == [2, 3, 4]
+    assert sizes == [3]
+    code, out, _ = run(capsys, "--threads", "8", "bench", "--family", "eqprime", "--n", "4")
+    assert code == EXIT_OK
+    assert sizes == [3]  # one job runs serially, without a pool
+
+
 def test_verify_json_mode(tmp_path, capsys):
     qdimacs = tmp_path / "eq2.qdimacs"
     trace = tmp_path / "eq2.trace"
@@ -285,9 +315,9 @@ def test_malformed_input_files_exit_2(tmp_path, capsys):
 
 
 def test_deep_order_solves_checks_and_extracts(tmp_path, capsys):
-    # The kernels walk with explicit stacks: a 5000-variable order is no
-    # deeper for them than a 5-variable one.  Run at the default recursion
-    # limit.
+    # The kernels and the rectangle lab walk with explicit stacks or layer
+    # sweeps: a 5000-variable order is no deeper for them than a
+    # 5-variable one.  Run at the default recursion limit.
     n = 5000
     u = n + 1
     prefix = tuple((EXISTS, v) for v in range(1, n + 1)) + ((FORALL, u),)
@@ -295,7 +325,15 @@ def test_deep_order_solves_checks_and_extracts(tmp_path, capsys):
     res = solve(f, prefix_order(f))
     assert res.value is False
     assert check_trace(f, res.trace, require_refutation=True).accepted
-    extract(f, res.trace).audit()
+    family = extract(f, res.trace)
+    family.audit()
+    dl = family.lists[u]
+    rdl = to_rectangle_list(dl, n // 2)
+    assert rdl.partition == (tuple(range(1, n // 2 + 1)), tuple(range(n // 2 + 1, n + 2)))
+    assert len(rdl) <= dl.width_bound() * (len(dl) - 1) + 1
+    for ones in ((), (1,), (n // 2,), (n // 2 + 1,), (n,)):
+        a = {v: int(v in ones) for v in range(1, n + 2)}
+        assert rdl.evaluate(a) == dl.evaluate(a)
 
     # the 1500-literal clause that used to exhaust the recursion depth
     m = 1500

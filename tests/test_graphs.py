@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,12 @@ from qobdd.graphs import (
     Graph,
     GraphError,
     PathDecomposition,
+    _bags_from_order,
+    _bfs_order,
+    _min_degree_order,
+    _separation_width,
     expansion,
+    narrow_order,
     order_from_decomposition,
     parse_edge_list,
     emit_edge_list,
@@ -14,6 +20,8 @@ from qobdd.graphs import (
     random_dregular,
 )
 from qobdd.obdd import Manager
+
+from .helpers import min_degree_order_oracle, separation_width_oracle
 
 
 def test_graph_simple_invariants():
@@ -42,6 +50,44 @@ def test_path_graph_decomposition_width_one():
     pd = path_decomposition(g)
     pd.validate(g)
     assert pd.width == 1
+
+
+def _oracle_graphs():
+    rng = random.Random(11)
+    yield Graph([])
+    yield Graph([4, 9, 2])  # isolated vertices only
+    for n in (1, 2, 5, 8):
+        yield Graph(range(1, n + 1), [(u, w) for u in range(1, n + 1) for w in range(u + 1, n + 1)])
+    for n in (6, 10, 14):
+        yield random_dregular(n, 3, seed=rng.randrange(1000))
+    for _ in range(60):
+        n = rng.randint(1, 16)
+        p = rng.random()
+        ids = rng.sample(range(1, 40), n)
+        yield Graph(ids, [(u, w) for u in ids for w in ids if u < w and rng.random() < p])
+
+
+def test_candidate_orders_and_widths_match_rescan_oracles():
+    for g in _oracle_graphs():
+        assert _min_degree_order(g) == min_degree_order_oracle(g)
+        candidates = [list(g.vertices), _bfs_order(g), _min_degree_order(g)]
+        widths = []
+        for order in candidates:
+            assert sorted(order) == list(g.vertices)
+            width = _separation_width(g, order)
+            assert width == separation_width_oracle(g, order)
+            pos = {v: i for i, v in enumerate(order)}
+            bags = [
+                {u for u in order[: i + 1] if u == v or any(pos[w] >= i for w in g.adj[u])}
+                for i, v in enumerate(order)
+            ]
+            assert list(_bags_from_order(g, order).bags) == bags
+            widths.append(width)
+        # the first candidate of smallest width wins
+        assert narrow_order(g) == candidates[widths.index(min(widths))]
+        pd = path_decomposition(g)
+        pd.validate(g)
+        assert pd.width == min(widths)
 
 
 def test_decomposition_validation_catches_violations():

@@ -6,12 +6,13 @@ from qobdd.bruteforce import qbf_value
 from qobdd.families import (
     eqprime_decomposition,
     gen_eqprime,
+    gen_ipg_qbf,
     gen_quparity,
     quparity_decomposition,
 )
-from qobdd.graphs import order_from_decomposition
+from qobdd.graphs import order_from_decomposition, path_decomposition, random_dregular
 from qobdd.obdd import Manager, VarOrder
-from qobdd.pcnf import EXISTS, FORALL, Pcnf, clause
+from qobdd.pcnf import EXISTS, FORALL, Pcnf, clause, primal_graph
 from qobdd.proof import URed, check_trace
 from qobdd.solver import (
     ResourceBudgetError,
@@ -19,12 +20,38 @@ from qobdd.solver import (
     bucket_init,
     bucket_of,
     default_order,
+    extend_order,
     prefix_order,
     solve,
     tower,
 )
 
 from .helpers import random_pcnf
+
+
+def test_default_order_is_the_decomposition_route():
+    # default_order reads no decomposition; the order it gives must be the
+    # one read back from the validated decomposition of the primal graph
+    rng = random.Random(23)
+    formulas = [gen(n) for n in range(2, 41) for gen in (gen_quparity, gen_eqprime)]
+    formulas += [gen_ipg_qbf(random_dregular(v, 3, seed=s)) for v in (6, 10, 14) for s in range(3)]
+    formulas += [random_pcnf(rng) for _ in range(60)]
+    formulas.append(  # prefix variables 2 and 5 are missing from the matrix
+        Pcnf(tuple(zip((EXISTS, FORALL) * 3, range(1, 6))), (clause([3, -1]), clause([4, 3])))
+    )
+    formulas.append(Pcnf(((EXISTS, 2), (FORALL, 1)), ()))
+    for f in formulas:
+        pd = path_decomposition(primal_graph(f))
+        expected = extend_order(f, order_from_decomposition(pd).vars)
+        assert default_order(f) == expected
+        assert sorted(expected.vars) == sorted(f.variables)
+
+
+def test_extend_order_appends_missing_prefix_variables_in_prefix_order():
+    f = Pcnf(((EXISTS, 4), (FORALL, 1), (EXISTS, 3), (FORALL, 2)), (clause([1, 3]),))
+    assert extend_order(f, [3]).vars == (3, 4, 1, 2)
+    assert extend_order(f, []) == prefix_order(f)
+    assert extend_order(f, [2, 1, 3, 4]).vars == (2, 1, 3, 4)
 
 
 def test_single_existential_true():
