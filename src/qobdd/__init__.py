@@ -6,7 +6,6 @@ step, replay the log with the independent checker, extract the universal
 winning strategy from the reductions in the log, and verify or analyze it.
 """
 
-from .bruteforce import qbf_value
 from .families import (
     eqprime_decomposition,
     gen_eqprime,
@@ -24,7 +23,7 @@ from .graphs import (
 )
 from .obdd import Manager, VarOrder
 from .pcnf import Pcnf, clause, emit_qdimacs, parse_qdimacs, primal_graph
-from .proof import ProofTrace, check_trace, emit_trace, formula_hash, is_refutation, parse_trace
+from .proof import ProofTrace, check_trace, emit_trace, formula_hash, parse_trace
 from .qures import QuResProof, parse_qures, simulate_qures
 from .rectangles import (
     check_rectanglesmall,

@@ -182,7 +182,7 @@ def cmd_solve(args) -> int:
     order = _resolve_order(f, args.order)
     result = solver.solve(f, order=order, node_budget=args.budget)
     verdict = "TRUE" if result.value else "FALSE"
-    if args.proof and result.trace is not None:
+    if args.proof:
         _write(args.proof, proof.emit_trace(result.trace))
     if args.stats:
         _write(args.stats, json.dumps(result.stats.as_dict(args.timings), indent=2) + "\n")
@@ -196,19 +196,23 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
+def _check(f: Pcnf, trace: proof.ProofTrace, budget: int, require_refutation: bool):
+    """Replay ``trace`` under ``budget``: a budget hit exits 4, a rejection 2."""
+    result = proof.check_trace(
+        f, trace, node_budget=budget, require_refutation=require_refutation
+    )
+    v = result.verdict
+    if v.reason == proof.BUDGET_EXCEEDED:
+        raise BudgetExceededError(f"line {v.line}")
+    if not result.accepted:
+        raise CheckFailure(f"line {v.line}: {v.reason}")
+    return result
+
+
 def cmd_check(args) -> int:
     f = _load_formula(args.input)
     trace = proof.parse_trace(_read(args.trace))
-    result = proof.check_trace(
-        f, trace, node_budget=args.budget,
-        require_refutation=not args.allow_derivation,
-    )
-    if not result.accepted:
-        v = result.verdict
-        if v.reason == proof.BUDGET_EXCEEDED:
-            print(f"BUDGET line {v.line}", file=sys.stderr)
-            return EXIT_BUDGET
-        raise CheckFailure(f"line {v.line}: {v.reason}")
+    result = _check(f, trace, args.budget, require_refutation=not args.allow_derivation)
     kind = "refutation" if result.refutation else "derivation"
     if args.json:
         print(json.dumps({"accepted": True, "refutation": result.refutation}))
@@ -219,12 +223,16 @@ def cmd_check(args) -> int:
 
 def cmd_extract(args) -> int:
     f = _load_formula(args.input)
-    family = strategy.extract(f, proof.parse_trace(_read(args.trace)))
+    trace = proof.parse_trace(_read(args.trace))
+    checked = _check(f, trace, args.budget, require_refutation=True)
+    family = strategy.extract(f, trace, checked)
     _write(args.output, strategy.emit_strategy(family))
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
+    if args.samples < 1:
+        raise UsageError("--samples must be at least 1")
     f = _load_formula(args.input)
     family = strategy.parse_strategy(_read(args.strategy), f)
     verdict = strategy.verify_winning(
@@ -241,7 +249,8 @@ def cmd_verify(args) -> int:
             "counterexample": verdict.counterexample,
         }))
     elif verdict.winning:
-        print("WINNING")
+        # a sampled verdict is evidence, not a proof
+        print("WINNING" if verdict.exhaustive else f"WINNING (sampled, {verdict.checked} plays)")
     else:
         lits = " ".join(
             f"{v}={verdict.counterexample[v]}" for v in sorted(verdict.counterexample)
@@ -258,18 +267,18 @@ def cmd_translate(args) -> int:
 
 
 def _parse_range(spec: str) -> list[int]:
-    parts = spec.split(":")
+    """``n``, ``lo:hi`` or ``lo:hi:step``: a step of at least 1, lo <= hi."""
     try:
-        nums = [int(p) for p in parts]
+        nums = [int(p) for p in spec.split(":")]
     except ValueError:
         raise UsageError(f"bad range {spec!r}") from None
     if len(nums) == 1:
-        return nums
+        nums *= 2
     if len(nums) == 2:
-        return list(range(nums[0], nums[1] + 1))
-    if len(nums) == 3:
-        return list(range(nums[0], nums[1] + 1, nums[2]))
-    raise UsageError(f"bad range {spec!r}")
+        nums.append(1)
+    if len(nums) != 3 or nums[2] < 1 or nums[0] > nums[1]:
+        raise UsageError(f"bad range {spec!r}")
+    return list(range(nums[0], nums[1] + 1, nums[2]))
 
 
 def _bench_one(family: str, n: int, policy: str, budget: int) -> dict:

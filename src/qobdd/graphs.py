@@ -3,8 +3,8 @@
 ``narrow_order`` is the one place that picks an order (the solver's default
 comes from it); it aims for small, not optimal, separation width, which is
 the width of the path decomposition the order induces (Kinnersley 1992).
-``path_decomposition`` validates those bags: vertex coverage, edge
-coverage, contiguous occurrence.
+``path_decomposition`` validates those bags: vertex coverage, contiguous
+occurrence, edge coverage.
 """
 
 from __future__ import annotations
@@ -46,14 +46,8 @@ class Graph:
     def edges(self) -> list[tuple[int, int]]:
         return sorted(self._edges)
 
-    def neighbors(self, v: int) -> set[int]:
-        return self.adj[v]
-
     def degree(self, v: int) -> int:
         return len(self.adj[v])
-
-    def max_degree(self) -> int:
-        return max((len(s) for s in self.adj.values()), default=0)
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -102,18 +96,36 @@ class PathDecomposition:
         return max((len(b) for b in self.bags), default=0) - 1
 
     def validate(self, g: Graph) -> None:
-        """Check vertex coverage, edge coverage, and occurrence contiguity."""
-        covered = set().union(*self.bags) if self.bags else set()
-        missing = set(g.vertices) - covered
+        """Check vertex coverage, occurrence contiguity, and edge coverage.
+
+        One sweep over consecutive bags records where each vertex enters and
+        leaves; it occurs contiguously iff it enters once, and then an edge
+        lies in a common bag iff the spans of its ends overlap.  O(V + E +
+        total bag size); the smallest offending vertex or edge is reported.
+        """
+        first: dict[int, int] = {}
+        last: dict[int, int] = {}
+        split: list[int] = []
+        prev: frozenset[int] = frozenset()
+        for i, bag in enumerate((*self.bags, frozenset())):
+            for v in bag - prev:
+                if v in first:
+                    split.append(v)
+                first.setdefault(v, i)
+            for v in prev - bag:
+                last[v] = i - 1
+            prev = bag
+        missing = [v for v in g.vertices if v not in first]
         if missing:
-            raise GraphError(f"vertices {sorted(missing)} in no bag")
-        for u, w in g.edges():
-            if not any(u in b and w in b for b in self.bags):
-                raise GraphError(f"edge ({u},{w}) in no bag")
-        for v in covered:
-            hits = [i for i, b in enumerate(self.bags) if v in b]
-            if hits[-1] - hits[0] + 1 != len(hits):
-                raise GraphError(f"vertex {v} occurs non-contiguously")
+            raise GraphError(f"vertices {missing} in no bag")
+        if split:
+            raise GraphError(f"vertex {min(split)} occurs non-contiguously")
+        uncovered = [
+            (u, w) for u, w in g._edges if max(first[u], first[w]) > min(last[u], last[w])
+        ]
+        if uncovered:
+            u, w = min(uncovered)
+            raise GraphError(f"edge ({u},{w}) in no bag")
 
 
 def _last_bags(g: Graph, order: Sequence[int]) -> list[int]:

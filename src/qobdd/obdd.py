@@ -102,8 +102,6 @@ OPS = {
     "true": 0b1111,
 }
 
-OP_NAMES = {code: name for name, code in OPS.items()}
-
 
 def _op_code(op) -> int:
     if isinstance(op, str):
@@ -154,17 +152,14 @@ class Manager:
         self._unique: dict[tuple[int, int, int], int] = {}
         self._apply_cache: dict[tuple[int, int, int], int] = {}
         self._neg_cache: dict[int, int] = {}
-        self._restrict_cache: dict[tuple[int, int, int], int] = {}
-        self._quant_cache: dict[tuple[int, int, int], int] = {}
+        # rebuilt nodes of restrict (tag 0/1) and the quantifiers (tag
+        # = op code 8/14), keyed by (tag, node, rank)
+        self._rebuild_cache: dict[tuple[int, int, int], int] = {}
 
     # -- basic accessors ---------------------------------------------------
 
     def __len__(self) -> int:
         return len(self._var)
-
-    def is_terminal(self, ref: int) -> bool:
-        self._check_ref(ref)
-        return ref <= 1
 
     def var_of(self, ref: int) -> int | None:
         self._check_ref(ref)
@@ -175,11 +170,6 @@ class Manager:
         if ref <= 1:
             raise ObddError("terminals have no children")
         return self._lo[ref], self._hi[ref]
-
-    def rank_of(self, ref: int) -> int:
-        """Rank of the ref's root variable; terminals rank past the order."""
-        self._check_ref(ref)
-        return self._rank[ref]
 
     def _check_ref(self, ref: int) -> None:
         if not isinstance(ref, int) or not 0 <= ref < len(self._var):
@@ -241,16 +231,6 @@ class Manager:
                 acc = self._mk(lit, rank, acc, self.ONE)
             else:
                 acc = self._mk(-lit, rank, self.ONE, acc)
-        return acc
-
-    def cube(self, assignment: Mapping[int, int]) -> int:
-        """OBDD of the conjunction of literals fixing each given variable."""
-        acc = self.ONE
-        for var in sorted(assignment, key=self.order.rank, reverse=True):
-            if assignment[var]:
-                acc = self.node(var, self.ZERO, acc)
-            else:
-                acc = self.node(var, acc, self.ZERO)
         return acc
 
     # -- boolean combination -----------------------------------------------
@@ -362,7 +342,7 @@ class Manager:
         self._check_ref(f)
         at = self.order.rank(var)
         bit, child = (1, self._hi) if bit else (0, self._lo)
-        return self._rebuild_above(f, at, self._restrict_cache, bit, child.__getitem__)
+        return self._rebuild_above(f, at, bit, child.__getitem__)
 
     def exists(self, f: int, var: int) -> int:
         """Existential projection of ``var``, in one pass over ``f``."""
@@ -376,23 +356,17 @@ class Manager:
 
     def _quantify(self, code: int, f: int, at: int) -> int:
         lo, hi, apply = self._lo, self._hi, self._apply
-        return self._rebuild_above(
-            f, at, self._quant_cache, code, lambda r: apply(code, lo[r], hi[r])
-        )
+        return self._rebuild_above(f, at, code, lambda r: apply(code, lo[r], hi[r]))
 
     def _rebuild_above(
-        self,
-        f: int,
-        at: int,
-        cache: dict[tuple[int, int, int], int],
-        tag: int,
-        at_rank: Callable[[int], int],
+        self, f: int, at: int, tag: int, at_rank: Callable[[int], int]
     ) -> int:
         # ``f`` with every node of rank ``at`` replaced by ``at_rank(node)``:
         # nodes above rank ``at`` are rebuilt over their new children and
-        # those below it are kept.  ``cache`` holds the rebuilt nodes under
-        # (tag, node, at).
+        # those below it are kept.  The rebuilt nodes are cached under
+        # (tag, node, at); the tags of restrict and the quantifiers differ.
         var, lo, hi, rank, mk = self._var, self._lo, self._hi, self._rank, self._mk
+        cache = self._rebuild_cache
         out: list[int] = []
         stack = [f]
         while stack:
@@ -417,22 +391,10 @@ class Manager:
                     stack += (~f, hi[f], lo[f])
         return out[0]
 
-    def exists_many(self, f: int, variables: Iterable[int]) -> int:
-        """Quantify a set one variable at a time, deepest rank first."""
-        for var in sorted(variables, key=self.order.rank, reverse=True):
-            f = self.exists(f, var)
-        return f
-
-    def forall_many(self, f: int, variables: Iterable[int]) -> int:
-        for var in sorted(variables, key=self.order.rank, reverse=True):
-            f = self.forall(f, var)
-        return f
-
     def clear_cache(self) -> None:
         self._apply_cache.clear()
         self._neg_cache.clear()
-        self._restrict_cache.clear()
-        self._quant_cache.clear()
+        self._rebuild_cache.clear()
 
     # -- inspection ----------------------------------------------------------
 

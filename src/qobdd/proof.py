@@ -227,12 +227,6 @@ def check_trace(
     return CheckResult(Verdict(True), mgr, funcs, ref)
 
 
-def is_refutation(f: Pcnf, trace: ProofTrace) -> bool:
-    """Whether the trace is an accepted derivation of the constant 0."""
-    result = check_trace(f, trace)
-    return result.accepted and result.refutation
-
-
 # -- text format ----------------------------------------------------------
 #
 #   p qobdd-trace <nvars> <nlines>

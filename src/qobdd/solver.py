@@ -73,7 +73,7 @@ class SolveStats:
 @dataclass
 class SolveResult:
     value: bool
-    trace: ProofTrace | None
+    trace: ProofTrace
     stats: SolveStats
     order: VarOrder
 
@@ -93,11 +93,6 @@ def prefix_order(f: Pcnf) -> VarOrder:
     return VarOrder(f.variables)
 
 
-def bucket_of(f: Pcnf, manager: Manager, ref: int) -> int | None:
-    """Prefix position of the diagram's rightmost variable; None if constant."""
-    return _rightmost(f, manager.support(ref))
-
-
 def _rightmost(f: Pcnf, support: set[int]) -> int | None:
     return max((f.prefix_position(v) for v in support), default=None)
 
@@ -110,25 +105,24 @@ Entry = tuple[int, int, int, int | None]
 
 def bucket_init(
     f: Pcnf, manager: Manager, stats: SolveStats
-) -> tuple[list[list[Entry]], list[ProofLine], dict[int, int], bool]:
+) -> tuple[list[list[Entry]], list[ProofLine], int | None]:
     """Axiom lines, recorded in ``stats``, and the initial buckets.
 
-    Returns (buckets, lines, line functions, early_false) where early_false
-    signals an empty input clause.
+    Returns (buckets, lines, empty) where ``empty`` is the line id of the
+    first empty input clause, None if there is none.
     """
     buckets: list[list[Entry]] = [[] for _ in f.prefix]
     lines: list[ProofLine] = []
-    funcs: dict[int, int] = {}
-    early_false = False
+    empty: int | None = None
     seen_per_bucket: list[set[int]] = [set() for _ in f.prefix]
     for i, c in enumerate(f.clauses, start=1):
         ref = manager.clause(c)
         lid = len(lines) + 1
         lines.append(ProofLine(lid, Axiom(i)))
-        funcs[lid] = ref
         size, pos = _record(stats, manager, f, ref)
         if ref == manager.ZERO:
-            early_false = True
+            if empty is None:
+                empty = lid
             continue
         if ref == manager.ONE:
             continue
@@ -136,13 +130,12 @@ def bucket_init(
         if ref not in seen_per_bucket[pos]:
             seen_per_bucket[pos].add(ref)
             buckets[pos].append((ref, lid, size, pos))
-    return buckets, lines, funcs, early_false
+    return buckets, lines, empty
 
 
 def solve(
     f: Pcnf,
     order: VarOrder | None = None,
-    emit_trace: bool = True,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> SolveResult:
     """Decide the PCNF formula; FALSE runs yield a checkable refutation.
@@ -159,33 +152,24 @@ def solve(
     stats = SolveStats()
 
     try:
-        buckets, lines, funcs, early_false = bucket_init(f, mgr, stats)
+        buckets, lines, empty = bucket_init(f, mgr, stats)
 
         def emit(rule, ref) -> Entry:
             lid = len(lines) + 1
             lines.append(ProofLine(lid, rule))
-            funcs[lid] = ref
             return (ref, lid, *_record(stats, mgr, f, ref))
 
-        value: bool | None = None
-        if early_false:
-            empty_lid = next(
-                lid for lid, r in funcs.items() if r == mgr.ZERO
-            )
-            emit(Conj(empty_lid, empty_lid), mgr.ZERO)
+        if empty is not None:
+            emit(Conj(empty, empty), mgr.ZERO)
             value = False
-
-        if value is None:
+        else:
             value = _eliminate_all(f, mgr, buckets, emit, stats)
     except BudgetExceededError as exc:
         raise ResourceBudgetError(str(exc)) from exc
 
     stats.value = value
     stats.wall_time_ms = (time.perf_counter() - start) * 1000.0
-    trace = None
-    if emit_trace:
-        trace = ProofTrace(formula_hash(f), order, tuple(lines))
-    return SolveResult(value, trace, stats, order)
+    return SolveResult(value, ProofTrace(formula_hash(f), order, tuple(lines)), stats, order)
 
 
 def saturation_report(stats_by_n: dict[int, SolveStats]) -> dict:

@@ -201,11 +201,8 @@ def strategy_range_size(family: DecisionListFamily, exhaustive_limit: int = 20) 
 class Rectangle:
     """Product function r1(X1) and r2(X2) over a two-block variable split.
 
-    Halves live in the owning manager; explicit model sets are materialized
-    on demand for sides of at most ``MODEL_LIMIT`` variables.
+    Both halves live in the owning manager.
     """
-
-    MODEL_LIMIT = 20
 
     manager: Manager
     x1_vars: tuple[int, ...]
@@ -217,27 +214,6 @@ class Rectangle:
         return self.manager.evaluate(self.r1, assignment) & self.manager.evaluate(
             self.r2, assignment
         )
-
-    def as_ref(self) -> int:
-        return self.manager.apply(self.r1, self.r2, "and")
-
-    def _models(self, ref: int, side: tuple[int, ...]) -> frozenset[int]:
-        if len(side) > self.MODEL_LIMIT:
-            raise StrategyError(
-                f"model sets limited to {self.MODEL_LIMIT}-variable sides"
-            )
-        out = set()
-        for bits in range(1 << len(side)):
-            a = {v: (bits >> i) & 1 for i, v in enumerate(side)}
-            if self.manager.evaluate(ref, a):
-                out.add(bits)
-        return frozenset(out)
-
-    def models_left(self) -> frozenset[int]:
-        return self._models(self.r1, self.x1_vars)
-
-    def models_right(self) -> frozenset[int]:
-        return self._models(self.r2, self.x2_vars)
 
     @property
     def balance(self) -> Fraction:

@@ -4,14 +4,17 @@ Everything here is deliberately independent of the code paths it checks:
 truth tables come from exhaustive evaluation, widths from cofactor
 counting, separation widths and min-degree orders from rescanning every
 prefix or every remaining vertex, rectangle maxima from double-subset
-enumeration, and PCNF truth values from the game-tree recursion in
-qobdd.bruteforce.
+enumeration, and PCNF truth values from the game-tree recursions
+``qbf_value`` and ``qbf_value_fn`` here, which work on the clause list or
+a matrix predicate and never build a diagram (exponential in the number
+of variables; keep inputs small).
 """
 
 from __future__ import annotations
 
 import random
 from itertools import product
+from typing import Callable, Mapping, Sequence
 
 from qobdd.obdd import Manager
 from qobdd.pcnf import EXISTS, FORALL, Pcnf, clause
@@ -49,6 +52,15 @@ def obdd_from_table(mgr: Manager, variables, table) -> int:
         return res
 
     return build(tuple(variables), tuple(table))
+
+
+def cube(mgr: Manager, assignment) -> int:
+    """OBDD of the conjunction of literals fixing each given variable."""
+    acc = mgr.ONE
+    for var in sorted(assignment, key=mgr.order.rank, reverse=True):
+        lo, hi = (mgr.ZERO, acc) if assignment[var] else (acc, mgr.ZERO)
+        acc = mgr.node(var, lo, hi)
+    return acc
 
 
 def random_table(rng: random.Random, nvars: int) -> tuple[int, ...]:
@@ -155,3 +167,76 @@ def naive_max_mono(rows: tuple[int, ...], ncols: int) -> int:
                 if size > best:
                     best = size
     return best
+
+
+def qbf_value(f: Pcnf) -> bool:
+    """Game-tree truth value with early cutoffs on settled clauses."""
+    clauses = [list(c) for c in f.clauses]
+    if not clauses:
+        return True
+    occ: dict[int, list[tuple[int, bool]]] = {v: [] for _, v in f.prefix}
+    for ci, c in enumerate(clauses):
+        for lit in c:
+            occ[abs(lit)].append((ci, lit > 0))
+    false_lits = [0] * len(clauses)  # literals assigned false
+    true_lits = [0] * len(clauses)  # literals assigned true
+    falsified = 0
+    unsatisfied = len(clauses)  # clauses with no true literal yet
+    sizes = [len(c) for c in clauses]
+    prefix = f.prefix
+
+    def assign(var: int, value: int, sign: int):
+        nonlocal falsified, unsatisfied
+        for ci, positive in occ[var]:
+            if positive == bool(value):
+                true_lits[ci] += sign
+                if sign > 0 and true_lits[ci] == 1:
+                    unsatisfied -= 1
+                elif sign < 0 and true_lits[ci] == 0:
+                    unsatisfied += 1
+            else:
+                false_lits[ci] += sign
+                if sign > 0 and false_lits[ci] == sizes[ci]:
+                    falsified += 1
+                elif sign < 0 and false_lits[ci] == sizes[ci] - 1:
+                    falsified -= 1
+
+    def play(i: int) -> bool:
+        if falsified:
+            return False
+        if not unsatisfied or i == len(prefix):
+            # on a full assignment every clause is settled one way or the other
+            return True
+        q, var = prefix[i]
+        want_any = q == EXISTS
+        for value in (0, 1):
+            assign(var, value, +1)
+            res = play(i + 1)
+            assign(var, value, -1)
+            if res == want_any:
+                return want_any
+        return not want_any
+
+    return play(0)
+
+
+def qbf_value_fn(
+    prefix: Sequence[tuple[str, int]], matrix: Callable[[Mapping[int, int]], int]
+) -> bool:
+    """Game value for an arbitrary matrix predicate over full assignments."""
+    assignment: dict[int, int] = {}
+
+    def play(i: int) -> bool:
+        if i == len(prefix):
+            return bool(matrix(assignment))
+        q, var = prefix[i]
+        want_any = q == EXISTS
+        for value in (0, 1):
+            assignment[var] = value
+            res = play(i + 1)
+            del assignment[var]
+            if res == want_any:
+                return want_any
+        return not want_any
+
+    return play(0)

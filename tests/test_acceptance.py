@@ -12,7 +12,6 @@ from itertools import product
 import pytest
 
 from qobdd import obdd
-from qobdd.bruteforce import qbf_value
 from qobdd.families import (
     eqprime_decomposition,
     gen_eqprime,
@@ -53,7 +52,14 @@ from qobdd.rectangles import (
 from qobdd.solver import solve
 from qobdd.strategy import and_protocol_run, extract, strategy_range_size, to_rectangle_list, verify_winning
 
-from .helpers import assignments, obdd_from_table, random_pcnf, random_table, truth_table_of
+from .helpers import (
+    assignments,
+    obdd_from_table,
+    qbf_value,
+    random_pcnf,
+    random_table,
+    truth_table_of,
+)
 
 # pinned on first green run; the family widths must not drift
 PINNED_MAX_WIDTH = {"eqprime": 4, "quparity": 5}

@@ -20,6 +20,16 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def eqprime_files(tmp_path, capsys, n):
+    """eqprime(n), its default refutation and its extracted strategy."""
+    paths = [tmp_path / f"eq{n}.{ext}" for ext in ("qdimacs", "trace", "strategy")]
+    qdimacs, trace, strat = map(str, paths)
+    assert run(capsys, "gen", "eqprime", str(n), "-o", qdimacs)[0] == EXIT_OK
+    assert run(capsys, "solve", qdimacs, "--proof", trace)[0] == EXIT_OK
+    assert run(capsys, "extract", qdimacs, trace, "-o", strat)[0] == EXIT_OK
+    return qdimacs, trace, strat
+
+
 def test_gen_quparity_clause_count(tmp_path, capsys):
     out = tmp_path / "q4.qdimacs"
     code, _, _ = run(capsys, "gen", "quparity", "4", "-o", str(out))
@@ -234,16 +244,32 @@ def test_bench_workers_capped_at_job_count(monkeypatch, capsys):
 
 
 def test_verify_json_mode(tmp_path, capsys):
-    qdimacs = tmp_path / "eq2.qdimacs"
-    trace = tmp_path / "eq2.trace"
-    strat = tmp_path / "eq2.strategy"
-    run(capsys, "gen", "eqprime", "2", "-o", str(qdimacs))
-    run(capsys, "solve", str(qdimacs), "--proof", str(trace))
-    run(capsys, "extract", str(qdimacs), str(trace), "-o", str(strat))
-    code, out, _ = run(capsys, "--json", "verify", str(qdimacs), str(strat))
+    qdimacs, _, strat = eqprime_files(tmp_path, capsys, 2)
+    code, out, _ = run(capsys, "--json", "verify", qdimacs, strat)
     assert code == EXIT_OK
     data = json.loads(out)
     assert data["winning"] is True and data["exhaustive"] is True
+
+
+def test_verify_labels_a_sampled_verdict(tmp_path, capsys):
+    # eqprime(20) has 59 existentials, past the exhaustive limit of 16
+    qdimacs, _, strat = eqprime_files(tmp_path, capsys, 20)
+    code, out, _ = run(capsys, "verify", qdimacs, strat, "--samples", "10")
+    assert code == EXIT_OK
+    assert out.strip() == "WINNING (sampled, 10 plays)"
+    code, out, _ = run(capsys, "--json", "verify", qdimacs, strat, "--samples", "10")
+    data = json.loads(out)
+    assert data["winning"] is True and data["exhaustive"] is False and data["checked"] == 10
+    # zero plays would print WINNING having checked nothing
+    code, out, err = run(capsys, "verify", qdimacs, strat, "--samples", "0")
+    assert code == EXIT_USAGE and "--samples" in err and out == ""
+
+
+def test_extract_keeps_the_node_budget_of_check(tmp_path, capsys):
+    qdimacs, trace, strat = eqprime_files(tmp_path, capsys, 30)
+    for argv in (["check", qdimacs, trace], ["extract", qdimacs, trace, "-o", strat]):
+        code, _, err = run(capsys, "--budget", "2000", *argv)
+        assert code == EXIT_BUDGET and err.strip() == "BUDGET line 244", argv
 
 
 def test_rect_analyze(tmp_path, capsys):
@@ -274,6 +300,8 @@ def test_rect_analyze_random_partition(tmp_path, capsys):
 def test_usage_errors(tmp_path, capsys):
     assert run(capsys, "frobnicate")[0] == EXIT_USAGE
     assert run(capsys, "bench", "--family", "eqprime", "--n", "x")[0] == EXIT_USAGE
+    for spec in ("2:4:0", "2:4:-1", "4:2"):
+        assert run(capsys, "bench", "--family", "eqprime", "--n", spec)[0] == EXIT_USAGE
     # option files: an order must list exactly the formula's variables
     qdimacs = tmp_path / "eq2.qdimacs"
     run(capsys, "gen", "eqprime", "2", "-o", str(qdimacs))

@@ -2,7 +2,6 @@ import itertools
 
 import pytest
 
-from qobdd.bruteforce import qbf_value
 from qobdd.families import (
     FamilyError,
     eqprime_decomposition,
@@ -15,7 +14,7 @@ from qobdd.graphs import Graph
 from qobdd.pcnf import EXISTS, FORALL, parse_qdimacs, emit_qdimacs, primal_graph
 from qobdd.rectangles import eval_ipg
 
-from .helpers import assignments
+from .helpers import assignments, qbf_value
 
 
 def test_quparity_counts():

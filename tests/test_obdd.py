@@ -1,5 +1,4 @@
 import random
-from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +15,14 @@ from qobdd.obdd import (
     VarOrder,
 )
 
-from .helpers import assignments, obdd_from_table, random_table, truth_table_of, cofactor_counts
+from .helpers import (
+    assignments,
+    cofactor_counts,
+    cube,
+    obdd_from_table,
+    random_table,
+    truth_table_of,
+)
 
 
 def mgr(n=4):
@@ -173,23 +179,6 @@ def test_fused_quantifier_matches_three_pass_and_table_oracle():
                     assert quantify(f, x) == q
 
 
-def test_quantify_many_matches_iterated_single():
-    rng = random.Random(55)
-    m = Manager(VarOrder(range(1, 7)))
-    for _ in range(20):
-        f = obdd_from_table(m, range(1, 7), random_table(rng, 6))
-        vs = rng.sample(range(1, 7), rng.randint(1, 3))
-        ex = m.exists_many(f, vs)
-        fa = m.forall_many(f, vs)
-        for a in assignments(range(1, 7)):
-            sub = [
-                m.evaluate(f, {**a, **dict(zip(vs, bits))})
-                for bits in product((0, 1), repeat=len(vs))
-            ]
-            assert m.evaluate(ex, a) == max(sub)
-            assert m.evaluate(fa, a) == min(sub)
-
-
 def test_canonicity_of_construction_paths():
     # same function via Shannon expansion and via minterm disjunction
     rng = random.Random(9)
@@ -200,7 +189,7 @@ def test_canonicity_of_construction_paths():
         g = m.ZERO
         for a, bit in zip(assignments(range(1, 6)), table):
             if bit:
-                g = m.apply(g, m.cube(a), "or")
+                g = m.apply(g, cube(m, a), "or")
         assert f == g
 
 

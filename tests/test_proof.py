@@ -3,7 +3,6 @@ import random
 import pytest
 
 from qobdd import obdd
-from qobdd.bruteforce import qbf_value, qbf_value_fn
 from qobdd.families import eqprime_decomposition, gen_eqprime, gen_quparity, quparity_decomposition
 from qobdd.graphs import order_from_decomposition
 from qobdd.obdd import Manager, VarOrder
@@ -30,12 +29,11 @@ from qobdd.proof import (
     check_trace,
     emit_trace,
     formula_hash,
-    is_refutation,
     parse_trace,
 )
 from qobdd.solver import solve
 
-from .helpers import random_pcnf
+from .helpers import qbf_value, qbf_value_fn, random_pcnf
 
 
 def contradiction():
@@ -59,7 +57,8 @@ def test_trivial_refutation_accepted():
     t = trivial_refutation(f)
     result = check_trace(f, t, require_refutation=True)
     assert result.accepted and result.refutation
-    assert is_refutation(f, t)
+    plain = check_trace(f, t)
+    assert plain.accepted and plain.refutation
 
 
 def test_derivation_ending_in_literal_is_not_refutation():
@@ -69,8 +68,8 @@ def test_derivation_ending_in_literal_is_not_refutation():
         VarOrder([1, 2]),
         (ProofLine(1, Axiom(1)), ProofLine(2, Axiom(2)), ProofLine(3, Conj(1, 2))),
     )
-    assert check_trace(f, t).accepted
-    assert not is_refutation(f, t)
+    derived = check_trace(f, t)
+    assert derived.accepted and not derived.refutation
     rejected = check_trace(f, t, require_refutation=True)
     assert rejected.verdict.reason == NOT_REFUTATION
 

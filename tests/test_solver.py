@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from qobdd.bruteforce import qbf_value
 from qobdd.families import (
     eqprime_decomposition,
     gen_eqprime,
@@ -18,7 +17,6 @@ from qobdd.solver import (
     ResourceBudgetError,
     SolveStats,
     bucket_init,
-    bucket_of,
     default_order,
     extend_order,
     prefix_order,
@@ -26,7 +24,7 @@ from qobdd.solver import (
     tower,
 )
 
-from .helpers import random_pcnf
+from .helpers import qbf_value, random_pcnf
 
 
 def test_default_order_is_the_decomposition_route():
@@ -85,23 +83,12 @@ def test_empty_input_clause():
     assert check_trace(f, res.trace, require_refutation=True).refutation
 
 
-def test_bucket_of_rightmost_prefix_variable():
-    f = Pcnf(
-        ((EXISTS, 1), (EXISTS, 2), (EXISTS, 3)),
-        (clause([1, 3]),),
-    )
-    mgr = Manager(prefix_order(f))
-    ref = mgr.clause([1, 3])
-    assert bucket_of(f, mgr, ref) == 2  # position of variable 3
-    assert bucket_of(f, mgr, mgr.ONE) is None
-
-
 def test_bucket_init_matches_rightmost_scan():
     f = gen_eqprime(2)
     mgr = Manager(prefix_order(f))
     stats = SolveStats()
-    buckets, lines, funcs, early = bucket_init(f, mgr, stats)
-    assert not early
+    buckets, lines, empty = bucket_init(f, mgr, stats)
+    assert empty is None
     assert len(lines) == len(f.clauses) == stats.line_count
     expected = [0] * len(f.prefix)
     for c in f.clauses:

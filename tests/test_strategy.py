@@ -250,7 +250,7 @@ def test_rectangles_of_ip_two_pairs():
     assert len(rects) == 2
     union = m.ZERO
     for r in rects:
-        union = m.apply(union, r.as_ref(), "or")
+        union = m.apply(union, m.apply(r.r1, r.r2, "and"), "or")
     assert union == ip
     for a in assignments([1, 2, 3, 4]):
         assert max(r.evaluate(a) for r in rects) == m.evaluate(ip, a)
@@ -267,14 +267,17 @@ def test_rectangle_count_bounded_by_width():
         assert len(rects) <= co.width
         union = m.ZERO
         for r in rects:
-            union = m.apply(union, r.as_ref(), "or")
+            union = m.apply(union, m.apply(r.r1, r.r2, "and"), "or")
         assert union == f
 
 
 def test_rectangle_models_and_balance():
     m, ip = ip2_manager()
     rects = obdd_to_rectangles(m.complete(ip), 2)
-    total = sum(len(r.models_left()) * len(r.models_right()) for r in rects)
+    total = sum(
+        sum(truth_table_of(m, r.r1, r.x1_vars)) * sum(truth_table_of(m, r.r2, r.x2_vars))
+        for r in rects
+    )
     ones = sum(truth_table_of(m, ip, [1, 2, 3, 4]))
     assert total == ones  # rectangles partition the models along the cut
     assert rects[0].balance.numerator * 2 == rects[0].balance.denominator
