@@ -21,7 +21,7 @@ from .graphs import (
     path_decomposition,
     random_dregular,
 )
-from .obdd import Manager, VarOrder
+from .obdd import Manager, QobddError, VarOrder
 from .pcnf import Pcnf, clause, emit_qdimacs, parse_qdimacs, primal_graph
 from .proof import ProofTrace, check_trace, emit_trace, formula_hash, parse_trace
 from .qures import QuResProof, parse_qures, simulate_qures

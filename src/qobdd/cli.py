@@ -6,7 +6,9 @@ input file (formula, trace, strategy, proof, edge list; rejected trace,
 losing strategy); 3 expectation mismatch; 4 the node budget ran out.
 Nothing recurses once per layer of the order, so deep orders need no
 exit code of their own.  ``main`` is the one place that maps errors to
-these codes.  With a fixed seed every run is reproducible;
+these codes: ``UsageError`` to 1, the node budget's
+``BudgetExceededError`` to 4, and every other ``QobddError``, the base of
+the library's errors, to 2.  With a fixed seed every run is reproducible;
 timing fields are only emitted on request so that outputs are
 byte-identical across runs.
 """
@@ -19,8 +21,8 @@ import random
 import sys
 
 from . import families, graphs, proof, qures, rectangles, solver, strategy
-from .obdd import BudgetExceededError, ObddError, OrderError, VarOrder
-from .pcnf import Pcnf, PcnfError, emit_qdimacs, parse_qdimacs
+from .obdd import DEFAULT_NODE_BUDGET, BudgetExceededError, OrderError, QobddError, VarOrder
+from .pcnf import Pcnf, emit_qdimacs, parse_qdimacs
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -31,26 +33,6 @@ EXIT_BUDGET = 4
 
 class UsageError(Exception):
     pass
-
-
-class CheckFailure(Exception):
-    pass
-
-
-# Errors the library raises on malformed or rejected input (exit 2).
-INPUT_ERRORS = (
-    CheckFailure,
-    ObddError,
-    PcnfError,
-    proof.TraceError,
-    strategy.StrategyError,
-    qures.QuResError,
-    graphs.GraphError,
-    families.FamilyError,
-    rectangles.RectangleLabError,
-)
-# Resource exhaustion (exit 4); caught before ObddError, its base class.
-BUDGET_ERRORS = (solver.ResourceBudgetError, BudgetExceededError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -99,7 +81,7 @@ def build_parser() -> _Parser:
     p = _Parser(prog="qobdd", description=__doc__.splitlines()[0])
     p.add_argument("--seed", type=int, default=0, help="seed for all randomness")
     p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.add_argument("--budget", type=int, default=solver.DEFAULT_NODE_BUDGET,
+    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET,
                    help="node budget per manager")
     p.add_argument("--threads", type=int, default=1,
                    help="worker processes for bench")
@@ -134,7 +116,6 @@ def build_parser() -> _Parser:
     v = sub.add_parser("verify", help="verify a strategy file wins")
     v.add_argument("input")
     v.add_argument("strategy")
-    v.add_argument("--exhaustive-limit", type=int, default=16)
     v.add_argument("--samples", type=int, default=100000)
 
     t = sub.add_parser("translate", help="turn a QU-resolution refutation into a trace")
@@ -205,7 +186,7 @@ def _check(f: Pcnf, trace: proof.ProofTrace, budget: int, require_refutation: bo
     if v.reason == proof.BUDGET_EXCEEDED:
         raise BudgetExceededError(f"line {v.line}")
     if not result.accepted:
-        raise CheckFailure(f"line {v.line}: {v.reason}")
+        raise proof.TraceError(f"line {v.line}: {v.reason}")
     return result
 
 
@@ -235,12 +216,7 @@ def cmd_verify(args) -> int:
         raise UsageError("--samples must be at least 1")
     f = _load_formula(args.input)
     family = strategy.parse_strategy(_read(args.strategy), f)
-    verdict = strategy.verify_winning(
-        f, family,
-        exhaustive_limit=args.exhaustive_limit,
-        samples=args.samples,
-        seed=args.seed,
-    )
+    verdict = strategy.verify_winning(f, family, samples=args.samples, seed=args.seed)
     if args.json:
         print(json.dumps({
             "winning": verdict.winning,
@@ -391,19 +367,21 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.budget < 0:
+            raise UsageError("--budget must be at least 0")
         if args.command == "rect":
             return cmd_rect(args)
         return COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except BUDGET_ERRORS as exc:
+    except BudgetExceededError as exc:  # before QobddError, its base
         print(f"BUDGET {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except proof.TraceParseError as exc:
         print(f"check failed: {exc.reason}: {exc}", file=sys.stderr)
         return EXIT_CHECK
-    except INPUT_ERRORS as exc:
+    except QobddError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return EXIT_CHECK
 

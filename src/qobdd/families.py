@@ -19,10 +19,11 @@ Variable numbering (all 1-based, matching the emitted QDIMACS):
 from __future__ import annotations
 
 from .graphs import Graph, PathDecomposition
+from .obdd import QobddError
 from .pcnf import EXISTS, FORALL, Clause, Pcnf, clause
 
 
-class FamilyError(Exception):
+class FamilyError(QobddError):
     pass
 
 

@@ -17,10 +17,10 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Iterable, Sequence
 
-from .obdd import VarOrder
+from .obdd import QobddError, VarOrder
 
 
-class GraphError(Exception):
+class GraphError(QobddError):
     pass
 
 

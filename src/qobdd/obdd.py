@@ -14,6 +14,11 @@ points only; the kernels and the node constructor they share trust them.
 
 A manager and its references belong to one logical thread at a time; hand a
 manager off between threads if you like, but never share one concurrently.
+
+Every module of the package imports this one, so it also holds what they
+share: ``QobddError``, the base of every error the library raises, and
+``DEFAULT_NODE_BUDGET``, the node budget of a solve or a check unless the
+caller gives one.
 """
 
 from __future__ import annotations
@@ -21,8 +26,14 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
+DEFAULT_NODE_BUDGET = 10**7
 
-class ObddError(Exception):
+
+class QobddError(Exception):
+    """Base of every error the library raises on bad input or exhausted budget."""
+
+
+class ObddError(QobddError):
     pass
 
 
@@ -160,16 +171,6 @@ class Manager:
 
     def __len__(self) -> int:
         return len(self._var)
-
-    def var_of(self, ref: int) -> int | None:
-        self._check_ref(ref)
-        return self._var[ref]
-
-    def children(self, ref: int) -> tuple[int, int]:
-        self._check_ref(ref)
-        if ref <= 1:
-            raise ObddError("terminals have no children")
-        return self._lo[ref], self._hi[ref]
 
     def _check_ref(self, ref: int) -> None:
         if not isinstance(ref, int) or not 0 <= ref < len(self._var):
@@ -416,17 +417,25 @@ class Manager:
     def size(self, f: int) -> int:
         """Number of reachable nodes, sinks included."""
         self._check_ref(f)
-        seen = {f}
+        return len(self._postorder(f))
+
+    def _postorder(self, f: int) -> list[int]:
+        # nodes reachable from f, sinks included, children before parents
+        # and the lo subtree first; ~r on the stack emits r
+        lo, hi = self._lo, self._hi
+        out: list[int] = []
+        seen: set[int] = set()
         stack = [f]
         while stack:
             r = stack.pop()
-            if r <= 1:
-                continue
-            for c in (self._lo[r], self._hi[r]):
-                if c not in seen:
-                    seen.add(c)
-                    stack.append(c)
-        return len(seen)
+            if r < 0:
+                out.append(~r)
+            elif r not in seen:
+                seen.add(r)
+                stack.append(~r)
+                if r > 1:
+                    stack += (hi[r], lo[r])
+        return out
 
     def shape(self, f: int) -> Shape:
         """Size, complete width and support of ``f`` in one walk.
@@ -591,36 +600,16 @@ class CompleteObdd:
 
 def serialize(manager: Manager, f: int) -> str:
     manager._check_ref(f)
+    var, lo, hi = manager._var, manager._lo, manager._hi
     index: dict[int, int] = {}
     lines: list[str] = []
-
-    order: list[int] = []
-    seen: set[int] = set()
-    stack: list[tuple[int, bool]] = [(f, False)]
-    while stack:
-        ref, expanded = stack.pop()
-        if ref in seen and not expanded:
-            continue
-        if expanded:
-            order.append(ref)
-            continue
-        seen.add(ref)
-        stack.append((ref, True))
-        if ref > 1:
-            lo, hi = manager.children(ref)
-            for c in (hi, lo):
-                if c not in seen:
-                    stack.append((c, False))
-    for ref in order:
+    for ref in manager._postorder(f):
         idx = len(index)
         index[ref] = idx
         if ref <= 1:
             lines.append(f"{idx} T{ref} - -")
         else:
-            lines.append(
-                f"{idx} {manager.var_of(ref)} "
-                f"{index[manager.children(ref)[0]]} {index[manager.children(ref)[1]]}"
-            )
+            lines.append(f"{idx} {var[ref]} {index[lo[ref]]} {index[hi[ref]]}")
     return "\n".join([f"obdd {len(lines)}"] + lines)
 
 

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .graphs import Graph
+from .obdd import QobddError
 
 EXISTS = "e"
 FORALL = "a"
@@ -18,7 +19,7 @@ FORALL = "a"
 Clause = tuple[int, ...]
 
 
-class PcnfError(Exception):
+class PcnfError(QobddError):
     pass
 
 

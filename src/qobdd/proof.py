@@ -26,8 +26,6 @@ from . import obdd
 from .obdd import BlockFormatError, BudgetExceededError, Manager, OrderError, VarOrder
 from .pcnf import Pcnf, emit_qdimacs
 
-DEFAULT_CHECK_BUDGET = 10**7
-
 # rejection reason codes
 HASH_MISMATCH = "formula-hash-mismatch"
 ORDER_MISMATCH = "order-mismatch"
@@ -43,7 +41,7 @@ TRUNCATED = "truncated"
 MALFORMED = "malformed"
 
 
-class TraceError(Exception):
+class TraceError(obdd.QobddError):
     pass
 
 
@@ -146,7 +144,7 @@ class CheckResult:
 def check_trace(
     f: Pcnf,
     trace: ProofTrace,
-    node_budget: int = DEFAULT_CHECK_BUDGET,
+    node_budget: int = obdd.DEFAULT_NODE_BUDGET,
     require_refutation: bool = False,
 ) -> CheckResult:
     """Replay a trace against its formula in a fresh manager.

@@ -20,13 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .obdd import Manager, VarOrder
+from .obdd import Manager, QobddError, VarOrder
 from .pcnf import Clause, Pcnf, PcnfError, clause
 from .proof import Axiom, Conj, Proj, ProofLine, ProofTrace, URed, formula_hash
 from .solver import prefix_order
 
 
-class QuResError(Exception):
+class QuResError(QobddError):
     def __init__(self, message: str, line: int | None = None):
         if line is not None:
             message = f"line id {line}: {message}"

@@ -23,11 +23,12 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from .graphs import Graph
+from .obdd import QobddError
 
 MAX_ORACLE_ROWS = 64
 
 
-class RectangleLabError(Exception):
+class RectangleLabError(QobddError):
     pass
 
 

@@ -20,15 +20,9 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .graphs import narrow_order
-from .obdd import BudgetExceededError, Manager, VarOrder
+from .obdd import DEFAULT_NODE_BUDGET, Manager, VarOrder
 from .pcnf import EXISTS, Pcnf, primal_graph
 from .proof import Axiom, Conj, Proj, ProofLine, ProofTrace, URed, formula_hash
-
-DEFAULT_NODE_BUDGET = 10**7
-
-
-class ResourceBudgetError(Exception):
-    """Raised when a solve runs out of its node budget; never a verdict."""
 
 
 def tower(a: int, q: int, max_bits: int = 64) -> int | None:
@@ -141,7 +135,8 @@ def solve(
     """Decide the PCNF formula; FALSE runs yield a checkable refutation.
 
     TRUE runs still return their derivation log (never a refutation).
-    Exceeding the node budget raises ``ResourceBudgetError``.
+    Exceeding the node budget raises ``obdd.BudgetExceededError``; a budget
+    hit is never a verdict.
     """
     start = time.perf_counter()
     if order is None:
@@ -151,21 +146,18 @@ def solve(
     mgr = Manager(order, node_budget=node_budget)
     stats = SolveStats()
 
-    try:
-        buckets, lines, empty = bucket_init(f, mgr, stats)
+    buckets, lines, empty = bucket_init(f, mgr, stats)
 
-        def emit(rule, ref) -> Entry:
-            lid = len(lines) + 1
-            lines.append(ProofLine(lid, rule))
-            return (ref, lid, *_record(stats, mgr, f, ref))
+    def emit(rule, ref) -> Entry:
+        lid = len(lines) + 1
+        lines.append(ProofLine(lid, rule))
+        return (ref, lid, *_record(stats, mgr, f, ref))
 
-        if empty is not None:
-            emit(Conj(empty, empty), mgr.ZERO)
-            value = False
-        else:
-            value = _eliminate_all(f, mgr, buckets, emit, stats)
-    except BudgetExceededError as exc:
-        raise ResourceBudgetError(str(exc)) from exc
+    if empty is not None:
+        emit(Conj(empty, empty), mgr.ZERO)
+        value = False
+    else:
+        value = _eliminate_all(f, mgr, buckets, emit, stats)
 
     stats.value = value
     stats.wall_time_ms = (time.perf_counter() - start) * 1000.0

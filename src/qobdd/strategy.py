@@ -29,8 +29,11 @@ from .pcnf import FORALL, Pcnf
 from .proof import CheckResult, ProofTrace, URed, check_trace
 
 
-class StrategyError(Exception):
+class StrategyError(obdd.QobddError):
     pass
+
+
+EXHAUSTIVE_PLAYS = 2**16  # verify_winning always enumerates 16 existentials
 
 
 @dataclass
@@ -136,22 +139,24 @@ def _matrix_satisfied(f: Pcnf, assignment: Mapping[int, int]) -> bool:
 def verify_winning(
     f: Pcnf,
     family: DecisionListFamily,
-    exhaustive_limit: int = 16,
     samples: int = 100000,
     seed: int = 0,
 ) -> WinningVerdict:
     """Does the family falsify the matrix against every existential play?
 
-    Exhaustive when the existential count is within ``exhaustive_limit``,
-    sampled otherwise.  A counterexample is reported in the verdict, never
-    raised.
+    Plays every existential assignment when there are at most
+    max(``samples``, ``EXHAUSTIVE_PLAYS``) of them, and ``samples`` seeded
+    random assignments otherwise; the verdict's ``exhaustive`` says which.
+    A counterexample is reported in the verdict, never raised.
     """
+    if samples < 1:
+        raise StrategyError(f"samples must be at least 1, got {samples}")
     family.audit()
     evars = f.existentials
-    exhaustive = len(evars) <= exhaustive_limit
+    total = 1 << len(evars)
+    exhaustive = total <= max(samples, EXHAUSTIVE_PLAYS)
     if exhaustive:
-        space: Iterable[int] = range(1 << len(evars))
-        total = 1 << len(evars)
+        space: Iterable[int] = range(total)
     else:
         rng = random.Random(seed)
         space = (rng.getrandbits(len(evars)) for _ in range(samples))

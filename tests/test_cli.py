@@ -311,6 +311,10 @@ def test_usage_errors(tmp_path, capsys):
         orderfile.write_text(" ".join(map(str, ids)) + "\n")
         code, _, err = run(capsys, "solve", str(qdimacs), "--order", f"given:{orderfile}")
         assert code == EXIT_USAGE and "order file" in err, ids
+    # a negative node budget is a bad argument, not an exhausted budget
+    code, _, err = run(capsys, "--budget", "-1", "solve", str(qdimacs))
+    assert code == EXIT_USAGE and "--budget" in err
+    assert run(capsys, "--budget", "0", "solve", str(qdimacs))[0] == EXIT_BUDGET
     # a partition file must hold integer ids that split the graph
     graph = tmp_path / "m2.edges"
     graph.write_text("1 2\n3 4\n")

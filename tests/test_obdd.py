@@ -279,6 +279,16 @@ def test_serialize_roundtrip_random():
         assert obdd.deserialize(blk, m) == f
 
 
+def test_serialize_pins_the_block_layout():
+    # children before parents, lo subtree first, a shared node listed once
+    m = Manager(VarOrder([1, 2, 3]))
+    x3 = m.literal(3)
+    f = m.node(1, x3, m.apply(m.literal(2), x3, "and"))
+    assert obdd.serialize(m, f) == (
+        "obdd 5\n0 T0 - -\n1 T1 - -\n2 3 0 1\n3 2 0 2\n4 1 2 3"
+    )
+
+
 def test_deserialize_rejects_malformed():
     m = mgr()
     with pytest.raises(BlockFormatError):

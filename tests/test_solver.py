@@ -10,11 +10,10 @@ from qobdd.families import (
     quparity_decomposition,
 )
 from qobdd.graphs import order_from_decomposition, path_decomposition, random_dregular
-from qobdd.obdd import Manager, VarOrder
+from qobdd.obdd import BudgetExceededError, Manager, VarOrder
 from qobdd.pcnf import EXISTS, FORALL, Pcnf, clause, primal_graph
 from qobdd.proof import URed, check_trace
 from qobdd.solver import (
-    ResourceBudgetError,
     SolveStats,
     bucket_init,
     default_order,
@@ -148,7 +147,7 @@ def test_order_must_cover_variables():
 
 def test_budget_raises_instead_of_answering():
     f = gen_eqprime(6)
-    with pytest.raises(ResourceBudgetError):
+    with pytest.raises(BudgetExceededError):
         solve(f, node_budget=20)
 
 

@@ -126,11 +126,30 @@ def test_verify_winning_counterexample_for_constant_strategy():
 
 
 def test_verify_winning_sampled_mode():
-    f, trace = solve_family(gen_eqprime, eqprime_decomposition, 3)
+    # eqprime(6) has 17 existentials, past the 2**16 plays always enumerated
+    f, trace = solve_family(gen_eqprime, eqprime_decomposition, 6)
     fam = extract(f, trace)
-    verdict = verify_winning(f, fam, exhaustive_limit=2, samples=500, seed=7)
+    verdict = verify_winning(f, fam, samples=500, seed=7)
     assert verdict.winning and not verdict.exhaustive
     assert verdict.checked == 500
+
+
+def test_verify_winning_enumerates_when_samples_cover_every_play():
+    # 17 existentials and samples >= 2**17: every play, each one once
+    f = Pcnf(tuple((EXISTS, v) for v in range(1, 18)) + ((FORALL, 18),), ((18,),))
+    m = Manager(VarOrder(f.variables))
+    fam = DecisionListFamily(f, m, {18: DecisionList(m, [(m.ONE, 0)])})
+    verdict = verify_winning(f, fam, samples=2**17)
+    assert verdict.winning and verdict.exhaustive
+    assert verdict.checked == 2**17
+
+
+def test_verify_winning_rejects_samples_below_one():
+    f, trace = solve_family(gen_eqprime, eqprime_decomposition, 20)
+    fam = extract(f, trace)
+    for samples in (0, -5):
+        with pytest.raises(StrategyError):
+            verify_winning(f, fam, samples=samples)
 
 
 def test_strategy_range_eqprime():
