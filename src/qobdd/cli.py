@@ -186,7 +186,8 @@ def _check(f: Pcnf, trace: proof.ProofTrace, budget: int, require_refutation: bo
     if v.reason == proof.BUDGET_EXCEEDED:
         raise BudgetExceededError(f"line {v.line}")
     if not result.accepted:
-        raise proof.TraceError(f"line {v.line}: {v.reason}")
+        where = "" if v.line is None else f"line {v.line}: "
+        raise proof.TraceError(where + v.reason)
     return result
 
 

@@ -219,7 +219,7 @@ def order_from_decomposition(pd: PathDecomposition) -> VarOrder:
     return VarOrder(sorted(first, key=lambda v: (first[v], v)))
 
 
-def random_dregular(n: int, degree: int, seed: int | random.Random = 0) -> Graph:
+def random_dregular(n: int, degree: int, seed: int = 0) -> Graph:
     """Random regular graph by the pairing model, resampled until simple."""
     if n <= 0 or degree < 0:
         raise GraphError("need n > 0 and degree >= 0")
@@ -227,7 +227,7 @@ def random_dregular(n: int, degree: int, seed: int | random.Random = 0) -> Graph
         raise GraphError("n * degree must be even")
     if degree >= n:
         raise GraphError("degree must be below n for a simple graph")
-    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+    rng = random.Random(seed)
     points = [v for v in range(1, n + 1) for _ in range(degree)]
     for _ in range(100000):
         rng.shuffle(points)
@@ -241,18 +241,18 @@ def random_dregular(n: int, degree: int, seed: int | random.Random = 0) -> Graph
     raise GraphError("pairing model failed to produce a simple graph")
 
 
-def expansion(g: Graph, limit: int = 20) -> Fraction:
+def expansion(g: Graph) -> Fraction:
     """Exact vertex expansion: min |N(S)| / |S| over S with |S| <= |V|/2.
 
     N(S) is the open neighborhood (vertices outside S adjacent to S).
     Exhaustive over all subsets, so only feasible for small graphs; raises
-    once |V| exceeds ``limit``.
+    ``GraphError`` above 20 vertices.
     """
     n = len(g.vertices)
     if n == 0:
         raise GraphError("expansion of the empty graph is undefined")
-    if n > limit:
-        raise GraphError(f"exhaustive expansion limited to {limit} vertices")
+    if n > 20:
+        raise GraphError("exhaustive expansion limited to 20 vertices")
     verts = g.vertices
     best: Fraction | None = None
     for mask in range(1, 1 << n):

@@ -17,7 +17,7 @@ manager off between threads if you like, but never share one concurrently.
 
 Every module of the package imports this one, so it also holds what they
 share: ``QobddError``, the base of every error the library raises, and
-``DEFAULT_NODE_BUDGET``, the node budget of a solve or a check unless the
+``DEFAULT_NODE_BUDGET``, the node budget of every manager unless the
 caller gives one.
 """
 
@@ -144,13 +144,14 @@ class Manager:
     Node references are indices into the store; 0 and 1 are the sinks.  No
     node ever has equal children and no triple is stored twice, so diagrams
     are fully reduced by construction.  There is no garbage collection:
-    managers are meant to be short-lived, one per solve or check.
+    managers are meant to be short-lived, one per solve or check, and each
+    raises ``BudgetExceededError`` past ``node_budget`` inner nodes.
     """
 
     ZERO = 0
     ONE = 1
 
-    def __init__(self, order: VarOrder, node_budget: int | None = None):
+    def __init__(self, order: VarOrder, node_budget: int = DEFAULT_NODE_BUDGET):
         self.order = order
         self.node_budget = node_budget
         n = len(order)
@@ -203,7 +204,7 @@ class Manager:
         found = self._unique.get(key)
         if found is not None:
             return found
-        if self.node_budget is not None and len(self._var) - 2 >= self.node_budget:
+        if len(self._var) - 2 >= self.node_budget:
             raise BudgetExceededError(
                 f"node budget {self.node_budget} exceeded"
             )

@@ -83,9 +83,10 @@ class Pcnf:
     def is_universal(self, var: int) -> bool:
         return self.quantifier(var) == FORALL
 
-    def left_of(self, var: int) -> tuple[int, ...]:
-        """Variables quantified before ``var`` (its dependency set)."""
-        return tuple(v for _, v in self.prefix[: self.prefix_position(var)])
+    def rightmost(self, variables: Iterable[int]) -> int | None:
+        """Prefix position of the innermost of ``variables``, None if empty:
+        universal reduction may only substitute for the variable there."""
+        return max(map(self.prefix_position, variables), default=None)
 
     def blocks(self) -> list[tuple[str, list[int]]]:
         out: list[tuple[str, list[int]]] = []

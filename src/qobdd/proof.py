@@ -99,9 +99,7 @@ class ProofTrace:
     def referenced(self, rule: Rule) -> tuple[int, ...]:
         if isinstance(rule, Conj):
             return (rule.left, rule.right)
-        if isinstance(rule, Proj):
-            return (rule.premise,)
-        if isinstance(rule, URed):
+        if isinstance(rule, (Proj, URed)):
             return (rule.premise,)
         if isinstance(rule, Entail):
             return rule.premises
@@ -150,7 +148,8 @@ def check_trace(
     """Replay a trace against its formula in a fresh manager.
 
     Returns an accepting result carrying the replayed line functions, or a
-    rejection naming the offending line and a reason code.
+    rejection naming the offending line (for a budget hit, the line whose
+    replay ran out) and a reason code.
     """
 
     def reject(line_id: int | None, reason: str) -> CheckResult:
@@ -178,24 +177,20 @@ def check_trace(
             for j in trace.referenced(rule):
                 if j not in funcs:
                     return reject(line.id, BAD_REFERENCE)
+            if isinstance(rule, (Proj, URed)) and rule.var not in trace.order:
+                return reject(line.id, BAD_REFERENCE)
             if isinstance(rule, Axiom):
                 ref = mgr.clause(f.clauses[rule.clause_index - 1])
             elif isinstance(rule, Conj):
                 ref = mgr.apply(funcs[rule.left], funcs[rule.right], "and")
             elif isinstance(rule, Proj):
-                if rule.var not in trace.order:
-                    return reject(line.id, BAD_REFERENCE)
                 ref = mgr.exists(funcs[rule.premise], rule.var)
             elif isinstance(rule, URed):
-                if rule.var not in trace.order:
-                    return reject(line.id, BAD_REFERENCE)
                 if not f.is_universal(rule.var):
                     return reject(line.id, URED_NOT_UNIVERSAL)
+                # also rejects a premise whose support misses rule.var
                 support = mgr.support(funcs[rule.premise])
-                if rule.var not in support or any(
-                    f.prefix_position(v) > f.prefix_position(rule.var)
-                    for v in support
-                ):
+                if f.rightmost(support) != f.prefix_position(rule.var):
                     return reject(line.id, URED_NOT_RIGHTMOST)
                 ref = mgr.restrict(funcs[rule.premise], rule.var, rule.value)
             elif isinstance(rule, Entail):
@@ -214,7 +209,7 @@ def check_trace(
             funcs[line.id] = ref
             last_id = line.id
     except BudgetExceededError:
-        return reject(last_id, BUDGET_EXCEEDED)
+        return reject(line.id, BUDGET_EXCEEDED)
     if len(trace.lines) < m:
         # every derivation opens with one axiom per matrix clause
         return reject(last_id if trace.lines else None, AXIOM_MISMATCH)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .obdd import Manager, QobddError, VarOrder
+from .obdd import Manager, QobddError
 from .pcnf import Clause, Pcnf, PcnfError, clause
 from .proof import Axiom, Conj, Proj, ProofLine, ProofTrace, URed, formula_hash
 from .solver import prefix_order
@@ -165,19 +165,17 @@ def is_qures_refutation(f: Pcnf, proof: QuResProof) -> bool:
     return derived[proof.lines[-1].id] == ()
 
 
-def simulate_qures(f: Pcnf, proof: QuResProof, order: VarOrder | None = None) -> ProofTrace:
+def simulate_qures(f: Pcnf, proof: QuResProof) -> ProofTrace:
     """Translate a valid QU-Resolution refutation into an OBDD trace.
 
-    The output checks under ``check_trace`` and ends in the constant 0;
-    its total node count stays within a small constant of
-    |proof| * (number of variables).
+    The trace is over the prefix order, checks under ``check_trace`` and
+    ends in the constant 0; its total node count stays within a small
+    constant of |proof| * (number of variables).
     """
     derived = validate_qures(f, proof)
     if derived[proof.lines[-1].id] != ():
         raise QuResError("proof does not derive the empty clause")
-    if order is None:
-        order = prefix_order(f)
-    mgr = Manager(order)
+    mgr = Manager(prefix_order(f))
     lines: list[ProofLine] = []
     refs: dict[int, int] = {}
 
@@ -210,11 +208,10 @@ def simulate_qures(f: Pcnf, proof: QuResProof, order: VarOrder | None = None) ->
             cur_id = tid[r.premise]
             cur = refs[cur_id]
             while True:
-                support = mgr.support(cur)
-                inward = [v for v in support if f.prefix_position(v) >= upos]
-                if not inward:
+                right = f.rightmost(mgr.support(cur))
+                if right is None or right < upos:
                     break
-                v = max(inward, key=f.prefix_position)
+                v = f.prefix[right][1]
                 if v in premise_clause:
                     c_val = 0
                 elif -v in premise_clause:
@@ -234,4 +231,4 @@ def simulate_qures(f: Pcnf, proof: QuResProof, order: VarOrder | None = None) ->
     if final != lines[-1].id:
         # the empty line predates the trace end; restate it as the last line
         final = emit(Conj(final, final), mgr.ZERO)
-    return ProofTrace(formula_hash(f), order, tuple(lines))
+    return ProofTrace(formula_hash(f), mgr.order, tuple(lines))

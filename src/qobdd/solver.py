@@ -25,19 +25,19 @@ from .pcnf import EXISTS, Pcnf, primal_graph
 from .proof import Axiom, Conj, Proj, ProofLine, ProofTrace, URed, formula_hash
 
 
-def tower(a: int, q: int, max_bits: int = 64) -> int | None:
+def tower(a: int, q: int) -> int | None:
     """Iterated exponential: tower(a, 1) = a, tower(a, q+1) = 2**tower(a, q).
 
-    Returns None once the value no longer fits in ``max_bits`` bits.
+    Returns None once the value no longer fits in 64 bits.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
     val = a
     for _ in range(q - 1):
-        if val > max_bits:
+        if val > 64:
             return None
         val = 2**val
-    return val if val.bit_length() <= max_bits else None
+    return val if val.bit_length() <= 64 else None
 
 
 @dataclass
@@ -69,7 +69,6 @@ class SolveResult:
     value: bool
     trace: ProofTrace
     stats: SolveStats
-    order: VarOrder
 
 
 def default_order(f: Pcnf) -> VarOrder:
@@ -85,10 +84,6 @@ def extend_order(f: Pcnf, leading: Sequence[int]) -> VarOrder:
 
 def prefix_order(f: Pcnf) -> VarOrder:
     return VarOrder(f.variables)
-
-
-def _rightmost(f: Pcnf, support: set[int]) -> int | None:
-    return max((f.prefix_position(v) for v in support), default=None)
 
 
 # A trace line as the eliminator sees it: (ref, line id, size, rightmost
@@ -161,7 +156,7 @@ def solve(
 
     stats.value = value
     stats.wall_time_ms = (time.perf_counter() - start) * 1000.0
-    return SolveResult(value, ProofTrace(formula_hash(f), order, tuple(lines)), stats, order)
+    return SolveResult(value, ProofTrace(formula_hash(f), order, tuple(lines)), stats)
 
 
 def saturation_report(stats_by_n: dict[int, SolveStats]) -> dict:
@@ -188,7 +183,7 @@ def _record(
     stats.trace_nodes += size
     stats.widths.append(width)
     stats.max_width = max(stats.max_width, width)
-    return size, _rightmost(f, support)
+    return size, f.rightmost(support)
 
 
 def _eliminate_all(f, mgr, buckets, emit, stats) -> bool:

@@ -34,6 +34,7 @@ class StrategyError(obdd.QobddError):
 
 
 EXHAUSTIVE_PLAYS = 2**16  # verify_winning always enumerates 16 existentials
+RANGE_LIMIT = 20  # strategy_range_size enumerates at most 20 existentials
 
 
 @dataclass
@@ -69,19 +70,31 @@ class DecisionList:
 
 @dataclass
 class DecisionListFamily:
+    """One decision list per universal, audited when built: a family
+    exists only if each guard reads just the variables left of its universal."""
+
     formula: Pcnf
     manager: Manager
     lists: dict[int, DecisionList]
 
+    def __post_init__(self):
+        self.audit()
+
     def audit(self) -> None:
-        """Each guard may only mention variables left of its universal."""
-        for u, dl in self.lists.items():
-            allowed = set(self.formula.left_of(u))
-            extra = dl.support() - allowed
-            if extra:
-                raise StrategyError(
-                    f"guards for {u} depend on non-preceding variables {sorted(extra)}"
-                )
+        """Each guard may only mention variables left of its universal; one
+        walk of the prefix, which reports the outermost offending universal."""
+        left: set[int] = set()
+        for _, v in self.formula.prefix:
+            if v in self.lists:
+                extra = self.lists[v].support() - left
+                if extra:
+                    raise StrategyError(
+                        f"guards for {v} depend on non-preceding variables {sorted(extra)}"
+                    )
+            left.add(v)
+        unquantified = self.lists.keys() - left
+        if unquantified:
+            raise StrategyError(f"lists for unquantified variables {sorted(unquantified)}")
 
     def respond(self, tau: Mapping[int, int]) -> dict[int, int]:
         """Extend an existential assignment with the strategy's responses."""
@@ -114,9 +127,7 @@ def extract(
         u: DecisionList(mgr, entries + [(mgr.ONE, 1)])
         for u, entries in pairs.items()
     }
-    family = DecisionListFamily(f, mgr, lists)
-    family.audit()
-    return family
+    return DecisionListFamily(f, mgr, lists)
 
 
 @dataclass(frozen=True)
@@ -147,11 +158,11 @@ def verify_winning(
     Plays every existential assignment when there are at most
     max(``samples``, ``EXHAUSTIVE_PLAYS``) of them, and ``samples`` seeded
     random assignments otherwise; the verdict's ``exhaustive`` says which.
-    A counterexample is reported in the verdict, never raised.
+    A counterexample is reported in the verdict, never raised; the family
+    was audited when built.
     """
     if samples < 1:
         raise StrategyError(f"samples must be at least 1, got {samples}")
-    family.audit()
     evars = f.existentials
     total = 1 << len(evars)
     exhaustive = total <= max(samples, EXHAUSTIVE_PLAYS)
@@ -171,24 +182,23 @@ def verify_winning(
     return WinningVerdict(True, None, total, exhaustive)
 
 
-def strategy_range_size(family: DecisionListFamily, exhaustive_limit: int = 20) -> int:
+def strategy_range_size(family: DecisionListFamily) -> int:
     """Number of distinct universal response vectors across existential plays.
 
     Responses only depend on existential variables appearing in some guard,
-    so enumeration runs over that subset; the limit bounds its size.
+    so enumeration runs over that subset, of at most ``RANGE_LIMIT``.  The
+    family was audited when built.
     """
-    family.audit()
     f = family.formula
     existential = set(f.existentials)
     relevant = sorted(
         {v for dl in family.lists.values() for v in dl.support() if v in existential}
     )
-    if len(relevant) > exhaustive_limit:
+    if len(relevant) > RANGE_LIMIT:
         raise StrategyError(
-            f"{len(relevant)} relevant existentials exceed limit {exhaustive_limit}"
+            f"{len(relevant)} relevant existentials exceed limit {RANGE_LIMIT}"
         )
-    other = [v for v in f.existentials if v not in relevant]
-    fill = {v: 0 for v in other}
+    fill = {v: 0 for v in f.existentials if v not in relevant}
     universals = f.universals
     seen: set[tuple[int, ...]] = set()
     for bits in range(1 << len(relevant)):
@@ -409,9 +419,7 @@ def parse_strategy(text: str, f: Pcnf) -> DecisionListFamily:
         var: DecisionList(mgr, [(obdd.build_rows(rows, mgr), v) for v, rows in entries])
         for var, entries in raw.items()
     }
-    family = DecisionListFamily(f, mgr, lists)
-    family.audit()
-    return family
+    return DecisionListFamily(f, mgr, lists)
 
 
 def _parse_entry(reader: obdd.TextReader) -> tuple[int, list[Row]]:

@@ -266,10 +266,30 @@ def test_verify_labels_a_sampled_verdict(tmp_path, capsys):
 
 
 def test_extract_keeps_the_node_budget_of_check(tmp_path, capsys):
+    # a budget hit names the line whose replay ran out: line 1 is the
+    # first axiom, and 2000 nodes run out while building line 245
     qdimacs, trace, strat = eqprime_files(tmp_path, capsys, 30)
     for argv in (["check", qdimacs, trace], ["extract", qdimacs, trace, "-o", strat]):
-        code, _, err = run(capsys, "--budget", "2000", *argv)
-        assert code == EXIT_BUDGET and err.strip() == "BUDGET line 244", argv
+        for budget, line in (("0", 1), ("2000", 245)):
+            code, _, err = run(capsys, "--budget", budget, *argv)
+            assert code == EXIT_BUDGET and err == f"BUDGET line {line}\n", argv
+
+
+def test_whole_trace_rejections_name_no_line(tmp_path, capsys):
+    qdimacs, trace, _ = eqprime_files(tmp_path, capsys, 3)
+    other = str(tmp_path / "eq4.qdimacs")
+    run(capsys, "gen", "eqprime", "4", "-o", other)
+    code, out, err = run(capsys, "check", other, trace)
+    assert (code, out, err) == (EXIT_CHECK, "", "check failed: formula-hash-mismatch\n")
+    # drop the last variable from the order line and its count from the header
+    lines = open(trace).read().splitlines()
+    head = lines[0].split()
+    lines[0] = " ".join(head[:2] + [str(int(head[2]) - 1), head[3]])
+    lines[2] = lines[2].rsplit(" ", 1)[0]
+    short = tmp_path / "short-order.trace"
+    short.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "check", qdimacs, str(short))
+    assert (code, out, err) == (EXIT_CHECK, "", "check failed: order-mismatch\n")
 
 
 def test_rect_analyze(tmp_path, capsys):

@@ -163,4 +163,4 @@ def test_expansion_k4():
 def test_expansion_limit():
     g = random_dregular(22, 3, seed=1)
     with pytest.raises(GraphError):
-        expansion(g, limit=20)
+        expansion(g)

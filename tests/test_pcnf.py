@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from qobdd.pcnf import (
@@ -11,6 +13,8 @@ from qobdd.pcnf import (
     parse_qdimacs,
     primal_graph,
 )
+
+from .helpers import random_pcnf
 
 
 def test_parse_single_unit():
@@ -65,7 +69,6 @@ def test_blocks():
         (clause([1, -3]),),
     )
     assert f.blocks() == [(EXISTS, [1, 2]), (FORALL, [3]), (EXISTS, [4, 5])]
-    assert f.left_of(3) == (1, 2)
     assert f.is_universal(3) and not f.is_universal(4)
 
 
@@ -103,3 +106,15 @@ def test_primal_graph_eqprime2_edge_count():
                 expected.add((u, w))
     assert set(g.edges()) == expected
     assert len(g.edges()) == 8
+
+
+def test_rightmost_is_the_innermost_prefix_position():
+    rng = random.Random(23)
+    for _ in range(40):
+        f = random_pcnf(rng)
+        for _ in range(5):
+            support = set(rng.sample(f.variables, rng.randint(1, len(f.variables))))
+            assert f.rightmost(support) == max(f.prefix_position(v) for v in support)
+        assert f.rightmost(set()) is None
+        with pytest.raises(PcnfError):
+            f.rightmost({len(f.variables) + 1})

@@ -94,6 +94,27 @@ def test_ured_requires_rightmost():
     assert result.verdict.line == 3
 
 
+@pytest.mark.parametrize("premise", [2, 4])
+def test_ured_requires_the_variable_in_its_premise(premise):
+    # u is innermost in the prefix but absent from line 2 = (e) and from
+    # line 4 = (e) and (not e), the constant 0
+    f = Pcnf(((EXISTS, 2), (FORALL, 1)), (clause([1, 2]), clause([2]), clause([-2])))
+    t = ProofTrace(
+        formula_hash(f),
+        VarOrder([2, 1]),
+        (
+            ProofLine(1, Axiom(1)),
+            ProofLine(2, Axiom(2)),
+            ProofLine(3, Axiom(3)),
+            ProofLine(4, Conj(2, 3)),
+            ProofLine(5, URed(1, 0, premise)),
+        ),
+    )
+    result = check_trace(f, t)
+    assert result.verdict.reason == URED_NOT_RIGHTMOST
+    assert result.verdict.line == 5
+
+
 def test_ured_valid_on_rightmost():
     f = Pcnf(((EXISTS, 2), (FORALL, 1)), (clause([1, 2]), clause([1, -2])))
     t = ProofTrace(

@@ -106,9 +106,10 @@ def test_decision_list_evaluate_terminal_only_and_two_entry():
 def test_family_audit_rejects_dependency_violation():
     f = Pcnf(((FORALL, 1), (EXISTS, 2)), (clause([1, 2]), clause([1, -2])))
     m = Manager(VarOrder([1, 2]))
-    bad = DecisionListFamily(f, m, {1: DecisionList(m, [(m.literal(2), 0), (m.ONE, 1)])})
-    with pytest.raises(StrategyError):
-        bad.audit()
+    with pytest.raises(StrategyError, match=r"non-preceding variables \[2\]"):
+        DecisionListFamily(f, m, {1: DecisionList(m, [(m.literal(2), 0), (m.ONE, 1)])})
+    with pytest.raises(StrategyError, match=r"unquantified variables \[3\]"):
+        DecisionListFamily(f, m, {3: DecisionList(m, [(m.ONE, 1)])})
 
 
 def test_verify_winning_counterexample_for_constant_strategy():
@@ -166,10 +167,11 @@ def test_strategy_range_constant_and_limit():
         f, m, {u: DecisionList(m, [(m.ONE, 1)]) for u in f.universals}
     )
     assert strategy_range_size(fam) == 1
-    f2, trace = solve_family(gen_eqprime, eqprime_decomposition, 3)
+    # eqprime(21) has 21 relevant existentials, one past the limit
+    f2, trace = solve_family(gen_eqprime, eqprime_decomposition, 21)
     fam2 = extract(f2, trace)
-    with pytest.raises(StrategyError):
-        strategy_range_size(fam2, exhaustive_limit=1)
+    with pytest.raises(StrategyError, match="21 relevant existentials exceed limit 20"):
+        strategy_range_size(fam2)
 
 
 def test_strategy_range_single_edge_ip():
@@ -390,6 +392,44 @@ def test_strategy_file_rejects_entry_bits_other_than_0_and_1():
     for bit in ("7", "-1", "01", "x"):
         with pytest.raises(StrategyError):
             parse_strategy(const.format(bit), f)
+
+
+def test_each_family_is_audited_once_when_built(monkeypatch):
+    audited = []
+    audit = DecisionListFamily.audit
+
+    def counting_audit(family):
+        audited.append(family)
+        audit(family)
+
+    monkeypatch.setattr(DecisionListFamily, "audit", counting_audit)
+    f, trace = solve_family(gen_eqprime, eqprime_decomposition, 3)
+    fam = extract(f, trace)
+    assert len(audited) == 1 and audited[0] is fam
+    parsed = parse_strategy(emit_strategy(fam), f)
+    assert len(audited) == 2 and audited[1] is parsed
+    assert verify_winning(f, parsed).winning
+    assert strategy_range_size(parsed) == 8
+    assert len(audited) == 2
+
+
+@pytest.mark.parametrize(
+    "guard, extra",
+    [
+        # reads its own universal 1
+        ("obdd 3\n0 T0 - -\n1 T1 - -\n2 1 0 1\n", "[1]"),
+        # reads the foreign variable 7
+        ("obdd 3\n0 T0 - -\n1 T1 - -\n2 7 0 1\n", "[7]"),
+        # reads the later variable 2 and the foreign variable 7
+        ("obdd 4\n0 T0 - -\n1 T1 - -\n2 7 0 1\n3 2 0 2\n", "[2, 7]"),
+    ],
+)
+def test_strategy_file_rejects_guards_on_later_or_foreign_variables(guard, extra):
+    f = Pcnf(((FORALL, 1), (EXISTS, 2)), (clause([1, 2]), clause([1, -2])))
+    text = f"p qobdd-strategy\nu 1 2\nentry 0\n{guard}entry 1\nobdd 1\n0 T1 - -\n"
+    with pytest.raises(StrategyError) as exc:
+        parse_strategy(text, f)
+    assert str(exc.value) == f"guards for 1 depend on non-preceding variables {extra}"
 
 
 def test_strategy_file_rejects_a_universal_listed_twice():
