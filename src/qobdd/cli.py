@@ -216,7 +216,7 @@ def cmd_verify(args) -> int:
     if args.samples < 1:
         raise UsageError("--samples must be at least 1")
     f = _load_formula(args.input)
-    family = strategy.parse_strategy(_read(args.strategy), f)
+    family = strategy.parse_strategy(_read(args.strategy), f, node_budget=args.budget)
     verdict = strategy.verify_winning(f, family, samples=args.samples, seed=args.seed)
     if args.json:
         print(json.dumps({
@@ -238,7 +238,9 @@ def cmd_verify(args) -> int:
 
 def cmd_translate(args) -> int:
     f = _load_formula(args.input)
-    trace = qures.simulate_qures(f, qures.parse_qures(_read(args.proof)))
+    trace = qures.simulate_qures(
+        f, qures.parse_qures(_read(args.proof)), node_budget=args.budget
+    )
     _write(args.output, proof.emit_trace(trace))
     return EXIT_OK
 

@@ -400,19 +400,23 @@ class Manager:
 
     # -- inspection ----------------------------------------------------------
 
-    def support(self, f: int) -> set[int]:
-        self._check_ref(f)
+    def support(self, *refs: int) -> set[int]:
+        """Variables read by any of ``refs``: one walk with one visited set,
+        so a node shared by several roots is read once."""
+        for f in refs:
+            self._check_ref(f)
+        var, lo, hi = self._var, self._lo, self._hi
         seen: set[int] = set()
         out: set[int] = set()
-        stack = [f]
+        stack = list(refs)
         while stack:
             r = stack.pop()
             if r <= 1 or r in seen:
                 continue
             seen.add(r)
-            out.add(self._var[r])
-            stack.append(self._lo[r])
-            stack.append(self._hi[r])
+            out.add(var[r])
+            stack.append(lo[r])
+            stack.append(hi[r])
         return out
 
     def size(self, f: int) -> int:

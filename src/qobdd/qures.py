@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .obdd import Manager, QobddError
+from .obdd import DEFAULT_NODE_BUDGET, Manager, QobddError
 from .pcnf import Clause, Pcnf, PcnfError, clause
 from .proof import Axiom, Conj, Proj, ProofLine, ProofTrace, URed, formula_hash
 from .solver import prefix_order
@@ -165,17 +165,20 @@ def is_qures_refutation(f: Pcnf, proof: QuResProof) -> bool:
     return derived[proof.lines[-1].id] == ()
 
 
-def simulate_qures(f: Pcnf, proof: QuResProof) -> ProofTrace:
+def simulate_qures(
+    f: Pcnf, proof: QuResProof, node_budget: int = DEFAULT_NODE_BUDGET
+) -> ProofTrace:
     """Translate a valid QU-Resolution refutation into an OBDD trace.
 
     The trace is over the prefix order, checks under ``check_trace`` and
     ends in the constant 0; its total node count stays within a small
-    constant of |proof| * (number of variables).
+    constant of |proof| * (number of variables).  Building more than
+    ``node_budget`` nodes raises ``obdd.BudgetExceededError``.
     """
     derived = validate_qures(f, proof)
     if derived[proof.lines[-1].id] != ():
         raise QuResError("proof does not derive the empty clause")
-    mgr = Manager(prefix_order(f))
+    mgr = Manager(prefix_order(f), node_budget=node_budget)
     lines: list[ProofLine] = []
     refs: dict[int, int] = {}
 

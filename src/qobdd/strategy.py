@@ -58,10 +58,7 @@ class DecisionList:
         raise AssertionError("unreachable: terminal guard is constant true")
 
     def support(self) -> set[int]:
-        out: set[int] = set()
-        for guard, _ in self.entries:
-            out |= self.manager.support(guard)
-        return out
+        return self.manager.support(*(guard for guard, _ in self.entries))
 
     def width_bound(self) -> int:
         """Largest complete width over the guards."""
@@ -394,7 +391,12 @@ def _infer_order(blocks: list[list[Row]], extra_vars: Iterable[int]) -> VarOrder
     return VarOrder(out)
 
 
-def parse_strategy(text: str, f: Pcnf) -> DecisionListFamily:
+def parse_strategy(
+    text: str, f: Pcnf, node_budget: int = obdd.DEFAULT_NODE_BUDGET
+) -> DecisionListFamily:
+    """Read a strategy file into an audited family over one manager; its
+    guards may build at most ``node_budget`` nodes, else
+    ``obdd.BudgetExceededError``."""
     reader = obdd.TextReader(text)
     raw: dict[int, list[tuple[int, list[Row]]]] = {}
     try:
@@ -414,7 +416,7 @@ def parse_strategy(text: str, f: Pcnf) -> DecisionListFamily:
     if set(raw) != set(f.universals):
         raise StrategyError("strategy file does not cover the universal variables")
     blocks = [rows for entries in raw.values() for _, rows in entries]
-    mgr = Manager(_infer_order(blocks, f.variables))
+    mgr = Manager(_infer_order(blocks, f.variables), node_budget=node_budget)
     lists = {
         var: DecisionList(mgr, [(obdd.build_rows(rows, mgr), v) for v, rows in entries])
         for var, entries in raw.items()

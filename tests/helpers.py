@@ -4,7 +4,8 @@ Everything here is deliberately independent of the code paths it checks:
 truth tables come from exhaustive evaluation, widths from cofactor
 counting, separation widths and min-degree orders from rescanning every
 prefix or every remaining vertex, rectangle maxima from double-subset
-enumeration, and PCNF truth values from the game-tree recursions
+enumeration (sizes) or a full closure scan per candidate (witnesses),
+and PCNF truth values from the game-tree recursions
 ``qbf_value`` and ``qbf_value_fn`` here, which work on the clause list or
 a matrix predicate and never build a diagram (exponential in the number
 of variables; keep inputs small).
@@ -18,6 +19,7 @@ from typing import Callable, Mapping, Sequence
 
 from qobdd.obdd import Manager
 from qobdd.pcnf import EXISTS, FORALL, Pcnf, clause
+from qobdd.rectangles import MAX_ORACLE_ROWS, MonoRectangle, RectangleLabError, TruthTable
 
 
 def assignments(variables):
@@ -167,6 +169,76 @@ def naive_max_mono(rows: tuple[int, ...], ncols: int) -> int:
                 if size > best:
                     best = size
     return best
+
+
+def closure_scan_max_mono(tt: TruthTable) -> MonoRectangle:
+    """Reference maximum monochromatic rectangle: the same depth-first
+    closed-set enumeration as ``rectangles.max_mono_rectangle``, with the
+    looser bound |c2| * nrows and a full closure scan of every candidate.
+
+    Kept as the oracle was before its exact bound and early rejection, so
+    that both must return the same witness, not just the same size.
+    """
+    nrows, ncols = tt.nrows, tt.ncols
+    transposed = False
+    rows = tt.rows
+    if nrows > ncols:
+        transposed = True
+        rows = tuple(
+            sum(((tt.rows[i] >> j) & 1) << i for i in range(nrows))
+            for j in range(ncols)
+        )
+        nrows, ncols = ncols, nrows
+    if nrows > MAX_ORACLE_ROWS:
+        raise RectangleLabError(
+            f"oracle limited to {MAX_ORACLE_ROWS} rows on the shorter side"
+        )
+    full_cols = (1 << ncols) - 1
+    best = 0
+    best_wit: tuple[int, int, int] | None = None  # (color, row mask, col mask)
+
+    for color in (0, 1):
+        masks = [r ^ full_cols if color == 0 else r for r in rows]
+
+        def closure(colmask: int) -> int:
+            amask = 0
+            for i in range(nrows):
+                if masks[i] & colmask == colmask:
+                    amask |= 1 << i
+            return amask
+
+        def visit(amask: int, colmask: int) -> None:
+            nonlocal best, best_wit
+            size = amask.bit_count() * colmask.bit_count()
+            if size > best:
+                best = size
+                best_wit = (color, amask, colmask)
+
+        def grow(amask: int, colmask: int, start: int) -> None:
+            for i in range(start, nrows):
+                if amask >> i & 1:
+                    continue
+                c2 = colmask & masks[i]
+                if c2 == 0 or c2.bit_count() * nrows <= best:
+                    continue
+                a2 = closure(c2)
+                if a2 & ((1 << i) - 1) & ~amask:
+                    continue  # canonical generation: no new earlier row
+                visit(a2, c2)
+                grow(a2, c2, i + 1)
+
+        a0 = closure(full_cols)
+        visit(a0, full_cols)
+        grow(a0, full_cols, 0)
+
+    if best_wit is None:
+        return MonoRectangle(0, 0, (), ())
+    color, amask, colmask = best_wit
+    rows_idx = tuple(i for i in range(nrows) if amask >> i & 1)
+    cols_idx = tuple(j for j in range(ncols) if colmask >> j & 1)
+    if transposed:
+        rows_idx, cols_idx = cols_idx, rows_idx
+    return MonoRectangle(best, color, rows_idx, cols_idx)
 
 
 def qbf_value(f: Pcnf) -> bool:

@@ -166,6 +166,23 @@ def test_translate_command(tmp_path, capsys):
     assert code == EXIT_OK and "refutation" in out
 
 
+def test_translate_and_verify_keep_the_node_budget(tmp_path, capsys):
+    qdimacs = tmp_path / "pairs.qdimacs"
+    qdimacs.write_text("p cnf 2 4\na 1 0\ne 2 0\n1 2 0\n1 -2 0\n-1 2 0\n-1 -2 0\n")
+    proof = tmp_path / "proof.qures"
+    proof.write_text("1 A 1 2 0\n2 A 1 -2 0\n3 R 1 2 2\n4 U 3 1\n")
+    trace = tmp_path / "out.trace"
+    code, out, err = run(
+        capsys, "--budget", "0", "translate", str(qdimacs), str(proof), "-o", str(trace)
+    )
+    assert (code, out) == (EXIT_BUDGET, "") and not trace.exists()
+    assert err == "BUDGET node budget 0 exceeded\n"
+    qdimacs, _, strat = eqprime_files(tmp_path, capsys, 2)
+    for flag in ([], ["--json"]):
+        code, out, err = run(capsys, "--budget", "0", *flag, "verify", qdimacs, strat)
+        assert (code, out, err) == (EXIT_BUDGET, "", "BUDGET node budget 0 exceeded\n")
+
+
 def test_verify_counterexample(tmp_path, capsys):
     qdimacs = tmp_path / "eq2.qdimacs"
     run(capsys, "gen", "eqprime", "2", "-o", str(qdimacs))

@@ -3,7 +3,8 @@ from itertools import product
 
 import pytest
 
-from qobdd.graphs import Graph
+from qobdd import rectangles
+from qobdd.graphs import Graph, random_dregular
 from qobdd.rectangles import (
     GI_FORMS,
     Matching,
@@ -17,7 +18,7 @@ from qobdd.rectangles import (
     max_mono_rectangle,
 )
 
-from .helpers import assignments, naive_max_mono
+from .helpers import assignments, closure_scan_max_mono, naive_max_mono
 
 
 def matching_graph(n):
@@ -112,6 +113,67 @@ def test_max_mono_witness_is_monochromatic():
             }
             assert cells == {res.color}
             assert res.size == len(res.row_indices) * len(res.col_indices)
+
+
+def table(nx1, nx2, rows):
+    return TruthTable(tuple(range(1, nx1 + 1)), tuple(range(nx1 + 1, nx1 + nx2 + 1)), tuple(rows))
+
+
+def random_table(rng, nx1, nx2, density):
+    """Cells drawn independently; dense tables have many closed row sets."""
+    return table(nx1, nx2, (
+        sum(1 << j for j in range(1 << nx2) if rng.random() < density)
+        for _ in range(1 << nx1)
+    ))
+
+
+def block_table(rng, nx1, nx2, k):
+    """Union of k random rectangles: large monochromatic blocks, few closed
+    row sets, so wide tables stay quick for the reference."""
+    rows = [0] * (1 << nx1)
+    for _ in range(k):
+        cols = rng.getrandbits(1 << nx2)
+        for i in range(1 << nx1):
+            if rng.random() < 0.5:
+                rows[i] |= cols
+    return table(nx1, nx2, rows)
+
+
+def test_max_mono_returns_the_closure_scan_witness():
+    # same size, colour, rows and columns as the full-closure reference;
+    # 6|6 has 64 columns, past the 8 that the naive tests reach, and
+    # 6|3 runs on the transposed table
+    rng = random.Random(2024)
+    tables = [
+        random_table(rng, nx1, nx2, density)
+        for nx1, nx2, reps in ((4, 4, 20), (3, 6, 6), (6, 3, 6))
+        for density in (0.5, 0.15, 0.85)
+        for _ in range(reps)
+    ]
+    tables += [random_table(rng, 5, 5, 0.5) for _ in range(2)]
+    tables += [block_table(rng, nx, nx, k) for nx in (5, 6) for k in (2, 3, 4, 5)]
+    tables += [block_table(rng, 3, 6, 3), block_table(rng, 6, 3, 3)]
+    for nx1, nx2 in ((4, 4), (3, 6), (6, 3), (6, 6)):
+        tables += [random_table(rng, nx1, nx2, density) for density in (0.0, 1.0)]
+    for n in (3, 4):
+        tables.append(ip_truth_table(matching_graph(n), pair_split(n)))
+    for tt in tables:
+        assert max_mono_rectangle(tt) == closure_scan_max_mono(tt), tt
+
+
+def test_check_rectanglesmall_reports_match_the_closure_scan(monkeypatch):
+    rng = random.Random(77)
+    cases = []
+    for nv in (6, 8, 10):
+        for seed in range(3):
+            g = random_dregular(nv, 3, seed=100 * nv + seed)
+            verts = list(g.vertices)
+            rng.shuffle(verts)
+            for k in (nv // 2, nv // 2 - 2):  # balanced and unbalanced
+                cases.append((g, (sorted(verts[:k]), sorted(verts[k:]))))
+    reports = [check_rectanglesmall(g, part) for g, part in cases]
+    monkeypatch.setattr(rectangles, "max_mono_rectangle", closure_scan_max_mono)
+    assert reports == [check_rectanglesmall(g, part) for g, part in cases]
 
 
 def test_ip_bound_with_equality_witness():
