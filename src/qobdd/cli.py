@@ -183,8 +183,6 @@ def _check(f: Pcnf, trace: proof.ProofTrace, budget: int, require_refutation: bo
         f, trace, node_budget=budget, require_refutation=require_refutation
     )
     v = result.verdict
-    if v.reason == proof.BUDGET_EXCEEDED:
-        raise BudgetExceededError(f"line {v.line}")
     if not result.accepted:
         where = "" if v.line is None else f"line {v.line}: "
         raise proof.TraceError(where + v.reason)

@@ -511,8 +511,9 @@ class Manager:
         States at each layer are the distinct subfunctions on the remaining
         variables; since diagrams are canonical, distinctness is reference
         inequality.  The result has at most (|X|+1) * size(f) nodes.  It
-        serves the rectangle lab, which reads the layers and transitions;
-        the width alone comes from ``shape`` without a layered copy.
+        serves ``strategy.obdd_to_rectangles``, which reads the cut layer
+        and sweeps the transitions above it; the width alone comes from
+        ``shape`` without a layered copy.
         """
         self._check_ref(f)
         layers: list[list[int]] = []
@@ -546,7 +547,11 @@ class CompleteObdd:
     """Layered view of a function testing every variable on every path.
 
     ``layers[i]`` holds the distinct subfunctions entering the test of the
-    i-th order variable; ``width`` is the largest layer.
+    i-th order variable, ``transitions[i]`` maps each of them to its
+    (lo, hi) successors in the next layer, and ``sinks`` are the terminals
+    after the last variable; so the states after a prefix of ``cut``
+    variables are ``layers[cut]``, or ``sinks`` when the cut is the whole
+    order.  ``width`` is the largest layer.
     """
 
     def __init__(self, manager: Manager, layers, transitions, sinks):
@@ -573,14 +578,6 @@ class CompleteObdd:
     @property
     def root(self) -> int:
         return self.layers[0][0] if self.layers else self.sinks[0]
-
-    def states_at(self, cut: int) -> list[int]:
-        """Distinct subfunctions after the first ``cut`` variables."""
-        if not 0 <= cut <= len(self.vars):
-            raise ValueError(f"cut {cut} out of range")
-        if cut < len(self.vars):
-            return list(self.layers[cut])
-        return list(self.sinks)
 
     def evaluate(self, assignment: Mapping[int, int]) -> int:
         state = self.root

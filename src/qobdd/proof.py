@@ -34,7 +34,6 @@ BAD_REFERENCE = "bad-reference"
 URED_NOT_UNIVERSAL = "ured-not-universal"
 URED_NOT_RIGHTMOST = "ured-not-rightmost"
 ENTAILMENT_FAILED = "entailment-failed"
-BUDGET_EXCEEDED = "budget-exceeded"
 MALFORMED_BLOCK = "malformed-block"
 NOT_REFUTATION = "not-a-refutation"
 TRUNCATED = "truncated"
@@ -148,8 +147,10 @@ def check_trace(
     """Replay a trace against its formula in a fresh manager.
 
     Returns an accepting result carrying the replayed line functions, or a
-    rejection naming the offending line (for a budget hit, the line whose
-    replay ran out) and a reason code.
+    rejection naming the offending line and a reason code.  A budget hit is
+    never a verdict: running out of ``node_budget`` raises
+    ``obdd.BudgetExceededError("line <id>")``, naming the line whose replay
+    ran out, as ``solver.solve`` raises it.
     """
 
     def reject(line_id: int | None, reason: str) -> CheckResult:
@@ -209,7 +210,7 @@ def check_trace(
             funcs[line.id] = ref
             last_id = line.id
     except BudgetExceededError:
-        return reject(line.id, BUDGET_EXCEEDED)
+        raise BudgetExceededError(f"line {line.id}") from None
     if len(trace.lines) < m:
         # every derivation opens with one axiom per matrix clause
         return reject(last_id if trace.lines else None, AXIOM_MISMATCH)

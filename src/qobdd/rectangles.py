@@ -99,6 +99,13 @@ def ip_truth_table(g: Graph, partition: tuple[Sequence[int], Sequence[int]]) -> 
     return TruthTable.from_function(lambda a: eval_ipg(g, a), tuple(x1), tuple(x2))
 
 
+def _check_oracle_rows(shorter: int) -> None:
+    if shorter > MAX_ORACLE_ROWS:
+        raise RectangleLabError(
+            f"oracle limited to {MAX_ORACLE_ROWS} rows on the shorter side"
+        )
+
+
 @dataclass(frozen=True)
 class MonoRectangle:
     size: int
@@ -121,6 +128,7 @@ def max_mono_rectangle(tt: TruthTable) -> MonoRectangle:
     Empty-by-construction rectangles count as size 0.
     """
     nrows, ncols = tt.nrows, tt.ncols
+    _check_oracle_rows(min(nrows, ncols))
     transposed = False
     rows = tt.rows
     if nrows > ncols:
@@ -130,10 +138,6 @@ def max_mono_rectangle(tt: TruthTable) -> MonoRectangle:
             for j in range(ncols)
         )
         nrows, ncols = ncols, nrows
-    if nrows > MAX_ORACLE_ROWS:
-        raise RectangleLabError(
-            f"oracle limited to {MAX_ORACLE_ROWS} rows on the shorter side"
-        )
     full_cols = (1 << ncols) - 1
     best = 0
     best_wit: tuple[int, int, int] | None = None  # (color, row mask, col mask)
@@ -237,10 +241,15 @@ def induced_matching(
 def check_rectanglesmall(
     g: Graph, partition: tuple[Sequence[int], Sequence[int]]
 ) -> dict:
-    """Compare the oracle's maximum rectangle against the 2^(n-m) bound."""
+    """Compare the oracle's maximum rectangle against the 2^(n-m) bound.
+
+    A split whose shorter side has more than ``MAX_ORACLE_ROWS`` rows is
+    refused before its truth table is built, with the oracle's error.
+    """
     n = len(g.vertices)
     matching = induced_matching(g, partition)
     m = len(matching)
+    _check_oracle_rows(1 << min(len(partition[0]), len(partition[1])))
     tt = ip_truth_table(g, partition)
     result = max_mono_rectangle(tt)
     bound = 1 << (n - m)

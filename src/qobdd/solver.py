@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .graphs import narrow_order
-from .obdd import DEFAULT_NODE_BUDGET, Manager, VarOrder
+from .obdd import DEFAULT_NODE_BUDGET, Manager, OrderError, VarOrder
 from .pcnf import EXISTS, Pcnf, primal_graph
 from .proof import Axiom, Conj, Proj, ProofLine, ProofTrace, URed, formula_hash
 
@@ -130,14 +130,15 @@ def solve(
     """Decide the PCNF formula; FALSE runs yield a checkable refutation.
 
     TRUE runs still return their derivation log (never a refutation).
-    Exceeding the node budget raises ``obdd.BudgetExceededError``; a budget
-    hit is never a verdict.
+    An order that does not cover exactly the formula variables raises
+    ``obdd.OrderError``.  Exceeding the node budget raises
+    ``obdd.BudgetExceededError``; a budget hit is never a verdict.
     """
     start = time.perf_counter()
     if order is None:
         order = default_order(f)
     if set(order.vars) != set(f.variables):
-        raise ValueError("order must cover exactly the formula variables")
+        raise OrderError("order must cover exactly the formula variables")
     mgr = Manager(order, node_budget=node_budget)
     stats = SolveStats()
 

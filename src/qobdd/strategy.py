@@ -10,9 +10,11 @@ A guard built this way only mentions variables left of u in the prefix, so
 responses can be computed one universal at a time, outermost first, and
 the strategy is a well-defined function of the existential assignment.
 
-The second half of this module converts decision lists into rectangle
-decision lists over a prefix/suffix variable split, and runs the
-two-player conjunction protocol that evaluates them.
+The second half of this module converts a decision list into a rectangle
+decision list along a cut of the manager's order: one record holding the
+partition (X1, X2) = (first ``cut`` variables, the rest) and first-match
+``(r1, r2, value)`` entries, where r1 reads only X1 and r2 only X2.  The
+two-player conjunction protocol is its one evaluator.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Mapping
 
 from . import obdd
@@ -209,46 +210,20 @@ def strategy_range_size(family: DecisionListFamily) -> int:
 # -- rectangles ------------------------------------------------------------
 
 
-@dataclass
-class Rectangle:
-    """Product function r1(X1) and r2(X2) over a two-block variable split.
-
-    Both halves live in the owning manager.
-    """
-
-    manager: Manager
-    x1_vars: tuple[int, ...]
-    x2_vars: tuple[int, ...]
-    r1: int
-    r2: int
-
-    def evaluate(self, assignment: Mapping[int, int]) -> int:
-        return self.manager.evaluate(self.r1, assignment) & self.manager.evaluate(
-            self.r2, assignment
-        )
-
-    @property
-    def balance(self) -> Fraction:
-        total = len(self.x1_vars) + len(self.x2_vars)
-        if total == 0:
-            return Fraction(0)
-        return Fraction(min(len(self.x1_vars), len(self.x2_vars)), total)
-
-
-def obdd_to_rectangles(complete: CompleteObdd, cut: int) -> list[Rectangle]:
+def obdd_to_rectangles(complete: CompleteObdd, cut: int) -> list[tuple[int, int]]:
     """Rectangle cover of a complete diagram along a prefix cut.
 
-    One rectangle per live node in the cut layer: its left half accepts the
-    prefix assignments reaching the node, its right half is the node's own
-    function on the remaining variables.  The disjunction of the rectangles
-    is the original function and their number is at most the width.
-    Degenerate cuts (0 or all variables) give one-sided full rectangles.
+    One ``(r1, r2)`` pair per nonzero state of the cut layer (the sinks
+    when the cut is the whole order): ``r1`` accepts the assignments to the
+    first ``cut`` variables that reach the state, ``r2`` is the state's own
+    function on the remaining variables.  The disjunction of the products
+    r1 and r2 is the original function and their number is at most the
+    width.  Degenerate cuts (0 or all variables) give one-sided pairs.
     """
     mgr = complete.manager
     if not 0 <= cut <= len(complete.vars):
         raise StrategyError(f"cut {cut} not a prefix length of the order")
-    x1, x2 = complete.vars[:cut], complete.vars[cut:]
-    states = complete.states_at(cut)
+    states = complete.layers[cut] if cut < len(complete.vars) else complete.sinks
     rects = []
     for s in states:
         if s == mgr.ZERO:
@@ -262,54 +237,53 @@ def obdd_to_rectangles(complete: CompleteObdd, cut: int) -> list[Rectangle]:
             for t, (lo, hi) in complete.transitions[layer].items():
                 rlo, rhi = below[lo], below[hi]
                 reach[t] = rlo if rlo == rhi else mgr.node(var, rlo, rhi)
-        rects.append(Rectangle(mgr, x1, x2, reach[complete.root], s))
+        rects.append((reach[complete.root], s))
     return rects
 
 
 @dataclass
 class RectangleDecisionList:
-    """First-match rectangles sharing one partition; last entry is full."""
+    """First-match ``(r1, r2, value)`` entries over one partition (X1, X2).
 
-    entries: list[tuple[Rectangle, int]]
+    Each ``r1`` reads only X1 and each ``r2`` only X2, both refs of
+    ``manager``; the last entry is the full rectangle (ONE, ONE, b).
+    """
+
+    manager: Manager
+    partition: tuple[tuple[int, ...], tuple[int, ...]]
+    entries: list[tuple[int, int, int]]
 
     def __post_init__(self):
-        if not self.entries:
-            raise StrategyError("empty rectangle decision list")
-        last = self.entries[-1][0]
-        if last.r1 != last.manager.ONE or last.r2 != last.manager.ONE:
+        one = self.manager.ONE
+        if not self.entries or self.entries[-1][:2] != (one, one):
             raise StrategyError("terminal rectangle must be full")
 
     def __len__(self) -> int:
         return len(self.entries)
 
-    @property
-    def partition(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        r = self.entries[0][0]
-        return r.x1_vars, r.x2_vars
-
     def evaluate(self, assignment: Mapping[int, int]) -> int:
-        for rect, value in self.entries:
-            if rect.evaluate(assignment):
-                return value
-        raise AssertionError("unreachable: terminal rectangle is full")
+        return and_protocol_run(self, assignment, assignment).value
 
 
 def to_rectangle_list(dl: DecisionList, cut: int) -> RectangleDecisionList:
-    """Expand each guard into its cut rectangles, preserving order and values.
+    """Expand each guard into its ``Manager.complete`` cover at the cut,
+    preserving order and values; the cut must be a prefix length of the
+    manager's order.
 
     For a list of length s whose guards have complete width at most w, the
     result has length at most w*(s-1) + 1 and computes the same function.
     """
     mgr = dl.manager
-    entries: list[tuple[Rectangle, int]] = []
-    for guard, value in dl.entries[:-1]:
-        for rect in obdd_to_rectangles(mgr.complete(guard), cut):
-            entries.append((rect, value))
-    x1 = mgr.order.vars[:cut]
-    x2 = mgr.order.vars[cut:]
-    terminal = Rectangle(mgr, x1, x2, mgr.ONE, mgr.ONE)
-    entries.append((terminal, dl.entries[-1][1]))
-    return RectangleDecisionList(entries)
+    order = mgr.order.vars
+    if not 0 <= cut <= len(order):
+        raise StrategyError(f"cut {cut} not a prefix length of the order")
+    entries = [
+        (r1, r2, value)
+        for guard, value in dl.entries[:-1]
+        for r1, r2 in obdd_to_rectangles(mgr.complete(guard), cut)
+    ]
+    entries.append((mgr.ONE, mgr.ONE, dl.entries[-1][1]))
+    return RectangleDecisionList(mgr, (order[:cut], order[cut:]), entries)
 
 
 @dataclass(frozen=True)
@@ -332,11 +306,9 @@ def and_protocol_run(
     x1_vars, x2_vars = rdl.partition
     if not set(x1_vars) <= set(a1) or not set(x2_vars) <= set(a2):
         raise StrategyError("assignments do not cover their partition sides")
-    mgr = rdl.entries[0][0].manager
-    for rounds, (rect, value) in enumerate(rdl.entries, start=1):
-        b1 = mgr.evaluate(rect.r1, a1)
-        b2 = mgr.evaluate(rect.r2, a2)
-        if b1 & b2:
+    evaluate = rdl.manager.evaluate
+    for rounds, (r1, r2, value) in enumerate(rdl.entries, start=1):
+        if evaluate(r1, a1) & evaluate(r2, a2):
             return ProtocolRun(value, rounds)
     raise AssertionError("unreachable: terminal rectangle is full")
 

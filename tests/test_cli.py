@@ -1,5 +1,6 @@
 import json
 
+from qobdd import rectangles
 from qobdd.cli import (
     EXIT_BUDGET,
     EXIT_CHECK,
@@ -362,6 +363,20 @@ def test_usage_errors(tmp_path, capsys):
             capsys, "rect", "analyze", "--graph", str(graph), "--partition", str(partition)
         )
         assert code == EXIT_USAGE and "partition file" in err, text
+
+
+def test_rect_analyze_refuses_an_oversized_split_at_once(tmp_path, capsys, monkeypatch):
+    def no_table(*args):
+        raise AssertionError("truth table built for a split the oracle refuses")
+
+    monkeypatch.setattr(rectangles, "ip_truth_table", no_table)
+    graph = tmp_path / "c24.edges"
+    graph.write_text("".join(f"{v} {v % 24 + 1}\n" for v in range(1, 25)))
+    code, out, err = run(
+        capsys, "rect", "analyze", "--graph", str(graph), "--partition", "random:7"
+    )
+    assert (code, out) == (EXIT_CHECK, "")
+    assert err == "check failed: oracle limited to 64 rows on the shorter side\n"
 
 
 def test_malformed_input_files_exit_2(tmp_path, capsys):

@@ -10,7 +10,6 @@ from qobdd.pcnf import EXISTS, FORALL, Pcnf, clause
 from qobdd.proof import (
     AXIOM_MISMATCH,
     BAD_REFERENCE,
-    BUDGET_EXCEEDED,
     ENTAILMENT_FAILED,
     HASH_MISMATCH,
     NOT_REFUTATION,
@@ -163,8 +162,9 @@ def test_entailment_accepted_and_rejected():
 def test_checker_budget():
     f = gen_eqprime(4)
     res = solve(f)
-    out = check_trace(f, res.trace, node_budget=10)
-    assert out.verdict.reason == BUDGET_EXCEEDED
+    # a budget hit is never a verdict: it raises, naming the line that ran out
+    with pytest.raises(obdd.BudgetExceededError, match="^line 4$"):
+        check_trace(f, res.trace, node_budget=10)
 
 
 def test_roundtrip_text_format():

@@ -176,6 +176,21 @@ def test_check_rectanglesmall_reports_match_the_closure_scan(monkeypatch):
     assert reports == [check_rectanglesmall(g, part) for g, part in cases]
 
 
+def test_check_rectanglesmall_refuses_oversized_splits_before_the_table(monkeypatch):
+    def no_table(*args):
+        raise AssertionError("truth table built for a split the oracle refuses")
+
+    monkeypatch.setattr(rectangles, "ip_truth_table", no_table)
+    cycle = Graph(range(1, 17), [(v, v % 16 + 1) for v in range(1, 17)])
+    for k in (7, 8, 9):  # shorter sides of 128, 256 and 128 rows
+        part = (list(range(1, k + 1)), list(range(k + 1, 17)))
+        with pytest.raises(RectangleLabError, match="oracle limited to 64 rows on the shorter side"):
+            check_rectanglesmall(cycle, part)
+    for k in (6, 10):  # 64 rows on the shorter side: the table is built
+        with pytest.raises(AssertionError, match="truth table built"):
+            check_rectanglesmall(cycle, (list(range(1, k + 1)), list(range(k + 1, 17))))
+
+
 def test_ip_bound_with_equality_witness():
     hit_equality = 0
     for n in range(1, 5):

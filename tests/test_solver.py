@@ -10,7 +10,7 @@ from qobdd.families import (
     quparity_decomposition,
 )
 from qobdd.graphs import order_from_decomposition, path_decomposition, random_dregular
-from qobdd.obdd import BudgetExceededError, Manager, VarOrder
+from qobdd.obdd import BudgetExceededError, Manager, OrderError, VarOrder
 from qobdd.pcnf import EXISTS, FORALL, Pcnf, clause, primal_graph
 from qobdd.proof import URed, check_trace
 from qobdd.solver import (
@@ -141,7 +141,7 @@ def test_random_orders_keep_verdicts_and_traces_valid():
 
 def test_order_must_cover_variables():
     f = gen_eqprime(2)
-    with pytest.raises(ValueError):
+    with pytest.raises(OrderError):  # a QobddError, like all bad input
         solve(f, order=VarOrder([1, 2]))
 
 

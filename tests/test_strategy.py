@@ -9,7 +9,7 @@ from qobdd.families import (
     gen_quparity,
     quparity_decomposition,
 )
-from qobdd.graphs import Graph, order_from_decomposition
+from qobdd.graphs import Graph, order_from_decomposition, random_dregular
 from qobdd.obdd import Manager, VarOrder
 from qobdd.pcnf import EXISTS, FORALL, Pcnf, clause
 from qobdd.proof import (
@@ -25,6 +25,7 @@ from qobdd.solver import solve
 from qobdd.strategy import (
     DecisionList,
     DecisionListFamily,
+    RectangleDecisionList,
     StrategyError,
     and_protocol_run,
     emit_strategy,
@@ -259,10 +260,12 @@ def ip2_manager():
 
 def test_rectangles_cut_zero_degenerate():
     m, ip = ip2_manager()
-    rects = obdd_to_rectangles(m.complete(ip), 0)
-    assert len(rects) == 1
-    assert rects[0].x1_vars == ()
+    assert obdd_to_rectangles(m.complete(ip), 0) == [(m.ONE, ip)]
+    assert obdd_to_rectangles(m.complete(ip), 4) == [(ip, m.ONE)]
     assert obdd_to_rectangles(m.complete(m.ZERO), 0) == []
+    rdl = to_rectangle_list(DecisionList(m, [(ip, 1), (m.ONE, 0)]), 0)
+    assert rdl.partition == ((), (1, 2, 3, 4))
+    assert rdl.entries == [(m.ONE, ip, 1), (m.ONE, m.ONE, 0)]
 
 
 def test_rectangles_of_ip_two_pairs():
@@ -270,11 +273,12 @@ def test_rectangles_of_ip_two_pairs():
     rects = obdd_to_rectangles(m.complete(ip), 2)
     assert len(rects) == 2
     union = m.ZERO
-    for r in rects:
-        union = m.apply(union, m.apply(r.r1, r.r2, "and"), "or")
+    for r1, r2 in rects:
+        union = m.apply(union, m.apply(r1, r2, "and"), "or")
     assert union == ip
     for a in assignments([1, 2, 3, 4]):
-        assert max(r.evaluate(a) for r in rects) == m.evaluate(ip, a)
+        fired = max(m.evaluate(r1, a) & m.evaluate(r2, a) for r1, r2 in rects)
+        assert fired == m.evaluate(ip, a)
 
 
 def test_rectangle_count_bounded_by_width():
@@ -287,21 +291,22 @@ def test_rectangle_count_bounded_by_width():
         rects = obdd_to_rectangles(co, cut)
         assert len(rects) <= co.width
         union = m.ZERO
-        for r in rects:
-            union = m.apply(union, m.apply(r.r1, r.r2, "and"), "or")
+        for r1, r2 in rects:
+            union = m.apply(union, m.apply(r1, r2, "and"), "or")
         assert union == f
 
 
 def test_rectangle_models_and_balance():
     m, ip = ip2_manager()
-    rects = obdd_to_rectangles(m.complete(ip), 2)
+    rdl = to_rectangle_list(DecisionList(m, [(ip, 1), (m.ONE, 0)]), 2)
+    x1, x2 = rdl.partition
+    assert len(x1) == len(x2) == 2  # the middle cut is balanced
     total = sum(
-        sum(truth_table_of(m, r.r1, r.x1_vars)) * sum(truth_table_of(m, r.r2, r.x2_vars))
-        for r in rects
+        sum(truth_table_of(m, r1, x1)) * sum(truth_table_of(m, r2, x2))
+        for r1, r2, _ in rdl.entries[:-1]
     )
     ones = sum(truth_table_of(m, ip, [1, 2, 3, 4]))
     assert total == ones  # rectangles partition the models along the cut
-    assert rects[0].balance.numerator * 2 == rects[0].balance.denominator
 
 
 def test_to_rectangle_list_terminal_only():
@@ -309,7 +314,91 @@ def test_to_rectangle_list_terminal_only():
     dl = DecisionList(m, [(m.ONE, 1)])
     rdl = to_rectangle_list(dl, 1)
     assert len(rdl) == 1
+    assert rdl.entries == [(m.ONE, m.ONE, 1)]
     assert rdl.evaluate({1: 0, 2: 1}) == 1
+
+
+def test_to_rectangle_list_checks_the_cut_before_anything_else():
+    m = Manager(VarOrder([1, 2, 3]))
+    dl = DecisionList(m, [(m.ONE, 1)])  # no guard reaches obdd_to_rectangles
+    for cut in (-1, len(m.order) + 1, 7):
+        with pytest.raises(StrategyError, match=f"cut {cut} "):
+            to_rectangle_list(dl, cut)
+    for cut in range(len(m.order) + 1):
+        assert to_rectangle_list(dl, cut).partition == ((1, 2, 3)[:cut], (1, 2, 3)[cut:])
+
+
+def test_rectangle_list_must_end_in_the_full_rectangle():
+    m, ip = ip2_manager()
+    part = ((1, 2), (3, 4))
+    for entries in ([], [(m.ONE, ip, 1)], [(ip, m.ONE, 0)], [(m.ONE, m.ONE, 1), (m.ZERO, m.ONE, 0)]):
+        with pytest.raises(StrategyError):
+            RectangleDecisionList(m, part, entries)
+    assert len(RectangleDecisionList(m, part, [(m.ONE, ip, 1), (m.ONE, m.ONE, 0)])) == 2
+
+
+def assert_rectangle_list_properties(dl, cut, plays):
+    """Entries are the per-guard covers in list order; r1 reads X1 and r2
+    X2; each guard's r1 and r2 products join to the guard; the protocol
+    stops at the first entry that fires, with the list's value."""
+    m = dl.manager
+    rdl = to_rectangle_list(dl, cut)
+    x1, x2 = map(set, rdl.partition)
+    assert rdl.partition == (m.order.vars[:cut], m.order.vars[cut:])
+    expected = []
+    for guard, value in dl.entries[:-1]:
+        cover = obdd_to_rectangles(m.complete(guard), cut)
+        union = m.ZERO
+        for r1, r2 in cover:
+            assert m.support(r1) <= x1 and m.support(r2) <= x2
+            union = m.apply(union, m.apply(r1, r2, "and"), "or")
+            expected.append((r1, r2, value))
+        assert union == guard
+    expected.append((m.ONE, m.ONE, dl.entries[-1][1]))
+    assert rdl.entries == expected
+    for a in plays:
+        first = next(
+            i
+            for i, (r1, r2, _) in enumerate(rdl.entries, 1)
+            if m.evaluate(r1, a) & m.evaluate(r2, a)
+        )
+        run = and_protocol_run(rdl, a, a)
+        assert run.rounds == first
+        assert run.value == rdl.entries[first - 1][2] == dl.evaluate(a)
+
+
+def test_rectangle_lists_of_random_functions_at_every_cut():
+    rng = random.Random(21)
+    for trial in range(60):
+        k = 1 + trial % 8
+        order = list(range(1, k + 1))
+        rng.shuffle(order)
+        m = Manager(VarOrder(order))
+        guards = [obdd_from_table(m, order, random_table(rng, k)) for _ in range(3)]
+        dl = DecisionList(m, [(g, rng.randint(0, 1)) for g in guards] + [(m.ONE, rng.randint(0, 1))])
+        plays = list(assignments(order))
+        for cut in range(k + 1):
+            assert_rectangle_list_properties(dl, cut, plays)
+
+
+def test_rectangle_lists_of_extracted_strategies_at_every_cut():
+    rng = random.Random(22)
+    runs = [
+        solve_family(gen, dec, n)
+        for gen, dec in ((gen_eqprime, eqprime_decomposition), (gen_quparity, quparity_decomposition))
+        for n in (2, 3)
+    ]
+    ipg = gen_ipg_qbf(random_dregular(6, 3, seed=4))
+    res = solve(ipg)
+    assert res.value is False
+    runs.append((ipg, res.trace))
+    for f, trace in runs:
+        fam = extract(f, trace)
+        order = fam.manager.order.vars
+        plays = [{v: rng.getrandbits(1) for v in order} for _ in range(24)]
+        for dl in fam.lists.values():
+            for cut in range(len(order) + 1):
+                assert_rectangle_list_properties(dl, cut, plays)
 
 
 def test_to_rectangle_list_semantics_and_length():
@@ -338,9 +427,13 @@ def test_and_protocol_matches_evaluation():
     x1, x2 = rdl.partition
     for a in assignments(mgr.order.vars):
         run = and_protocol_run(rdl, {v: a[v] for v in x1}, {v: a[v] for v in x2})
-        assert run.value == rdl.evaluate(a)
+        assert run.value == dl.evaluate(a)
         assert 1 <= run.rounds <= len(rdl)
-        fired = [i for i, (r, _) in enumerate(rdl.entries, 1) if r.evaluate(a)]
+        fired = [
+            i
+            for i, (r1, r2, _) in enumerate(rdl.entries, 1)
+            if mgr.evaluate(r1, a) & mgr.evaluate(r2, a)
+        ]
         assert run.rounds == fired[0]
 
 
