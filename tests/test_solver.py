@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -12,7 +13,7 @@ from qobdd.families import (
 from qobdd.graphs import order_from_decomposition, path_decomposition, random_dregular
 from qobdd.obdd import BudgetExceededError, Manager, OrderError, VarOrder
 from qobdd.pcnf import EXISTS, FORALL, Pcnf, clause, primal_graph
-from qobdd.proof import URed, check_trace
+from qobdd.proof import Conj, Proj, URed, check_trace
 from qobdd.solver import (
     SolveStats,
     bucket_init,
@@ -94,6 +95,44 @@ def test_bucket_init_matches_rightmost_scan():
         pos = max(f.prefix_position(abs(l)) for l in c)
         expected[pos] += 1
     assert [len(b) for b in buckets] == expected
+
+
+def test_bucket_placement_read_off_the_trace():
+    # each distinct clause diagram enters the bucket of its rightmost
+    # variable once, at its first axiom line; a universal's two U lines on
+    # one premise are one use of it
+    rng = random.Random(11)
+    formulas = [random_pcnf(rng, 10, 20) for _ in range(300)] + [gen_eqprime(5), gen_quparity(5)]
+    trues = 0
+    for f in formulas:
+        res = solve(f)
+        chk = check_trace(f, res.trace)
+        assert chk.accepted
+        mgr, fn = chk.manager, chk.functions
+        uses: Counter[int] = Counter()
+        reductions = set()
+        for line in res.trace.lines:
+            r = line.rule
+            if isinstance(r, Conj):
+                uses.update((r.left, r.right))
+            elif isinstance(r, Proj):
+                uses[r.premise] += 1
+                assert f.prefix[f.rightmost(mgr.support(fn[r.premise]))][1] == r.var
+            elif isinstance(r, URed) and (r.var, r.premise) not in reductions:
+                reductions.add((r.var, r.premise))
+                uses[r.premise] += 1
+        placed = set()
+        for line in res.trace.lines[: len(f.clauses)]:
+            ref = fn[line.id]
+            if ref in (mgr.ZERO, mgr.ONE):
+                continue
+            if ref in placed:
+                assert uses[line.id] == 0, (f, line)
+            else:
+                placed.add(ref)
+                assert uses[line.id] == 1 if res.value else uses[line.id] <= 1, (f, line)
+        trues += res.value
+    assert trues
 
 
 def test_elimination_matches_direct_quantification():
