@@ -77,6 +77,20 @@ def _resolve_order(f: Pcnf, spec: str) -> VarOrder:
     raise UsageError(f"unknown order policy {spec!r}")
 
 
+FAMILIES = {  # generator and hand-written decomposition of each sized family
+    "quparity": (families.gen_quparity, families.quparity_decomposition),
+    "eqprime": (families.gen_eqprime, families.eqprime_decomposition),
+}
+
+
+def _gen_family(family: str, n: int) -> Pcnf:
+    """A sized family instance; a size the family refuses is a bad argument."""
+    try:
+        return FAMILIES[family][0](n)
+    except families.FamilyError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def build_parser() -> _Parser:
     p = _Parser(prog="qobdd", description=__doc__.splitlines()[0])
     p.add_argument("--seed", type=int, default=0, help="seed for all randomness")
@@ -90,7 +104,7 @@ def build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="emit a generated family instance")
-    g.add_argument("family", choices=["quparity", "eqprime", "ipg"])
+    g.add_argument("family", choices=[*FAMILIES, "ipg"])
     g.add_argument("param", help="n for quparity/eqprime, edge-list file for ipg")
     g.add_argument("-o", "--output", default=None)
 
@@ -124,7 +138,7 @@ def build_parser() -> _Parser:
     t.add_argument("-o", "--output", default=None)
 
     b = sub.add_parser("bench", help="family scaling table")
-    b.add_argument("--family", choices=["quparity", "eqprime"], required=True)
+    b.add_argument("--family", choices=list(FAMILIES), required=True)
     b.add_argument("--n", required=True, help="range as lo:hi[:step]")
     b.add_argument("--orders", default="pathwidth", help="comma-separated policies")
 
@@ -150,10 +164,7 @@ def cmd_gen(args) -> int:
             n = int(args.param)
         except ValueError:
             raise UsageError(f"expected an integer size, got {args.param!r}") from None
-        try:
-            f = families.gen_quparity(n) if args.family == "quparity" else families.gen_eqprime(n)
-        except families.FamilyError as exc:
-            raise UsageError(str(exc)) from None
+        f = _gen_family(args.family, n)
     _write(args.output, emit_qdimacs(f))
     return EXIT_OK
 
@@ -259,26 +270,14 @@ def _parse_range(spec: str) -> list[int]:
 
 
 def _bench_one(family: str, n: int, policy: str, budget: int) -> dict:
-    gen, decomp = {
-        "quparity": (families.gen_quparity, families.quparity_decomposition),
-        "eqprime": (families.gen_eqprime, families.eqprime_decomposition),
-    }[family]
-    f = gen(n)
+    f = _gen_family(family, n)
     if policy == "pathwidth":
-        order = solver.extend_order(f, graphs.order_from_decomposition(decomp(n)).vars)
+        decomp = FAMILIES[family][1](n)
+        order = solver.extend_order(f, graphs.order_from_decomposition(decomp).vars)
     else:
         order = _resolve_order(f, policy)
     result = solver.solve(f, order=order, node_budget=budget)
-    return {
-        "family": family,
-        "n": n,
-        "order": policy,
-        "value": result.value,
-        "max_width": result.stats.max_width,
-        "trace_nodes": result.stats.trace_nodes,
-        "eliminations": len(result.stats.eliminations),
-        "wall_time_ms": round(result.stats.wall_time_ms, 3),
-    }
+    return {"family": family, "n": n, "order": policy, **result.stats.as_dict()}
 
 
 BENCH_COLUMNS = ["family", "n", "order", "value", "max_width",

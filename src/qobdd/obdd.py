@@ -119,10 +119,10 @@ def _op_code(op) -> int:
         try:
             return OPS[op]
         except KeyError:
-            raise ValueError(f"unknown binary op {op!r}") from None
+            raise ObddError(f"unknown binary op {op!r}") from None
     code = int(op)
     if not 0 <= code <= 15:
-        raise ValueError(f"op code out of range: {op!r}")
+        raise ObddError(f"op code out of range: {op!r}")
     return code
 
 

@@ -10,7 +10,8 @@ Every step is logged as a trace line: conjunctions directly, existential
 elimination as a projection, and universal elimination as two constant
 substitutions joined by a conjunction (for a rightmost variable x,
 forall x. L  =  L[x/0] and L[x/1], so the log stays within the checker's
-rule set).
+rule set).  One ``emit`` in ``solve`` writes every line, axioms included,
+and measures its diagram once.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .graphs import narrow_order
-from .obdd import DEFAULT_NODE_BUDGET, Manager, OrderError, VarOrder
+from .obdd import DEFAULT_NODE_BUDGET, Manager, OrderError, QobddError, VarOrder
 from .pcnf import EXISTS, Pcnf, primal_graph
 from .proof import Axiom, Conj, Proj, ProofLine, ProofTrace, URed, formula_hash
 
@@ -31,7 +32,7 @@ def tower(a: int, q: int) -> int | None:
     Returns None once the value no longer fits in 64 bits.
     """
     if q < 1:
-        raise ValueError("q must be >= 1")
+        raise QobddError("q must be >= 1")
     val = a
     for _ in range(q - 1):
         if val > 64:
@@ -42,14 +43,22 @@ def tower(a: int, q: int) -> int | None:
 
 @dataclass
 class SolveStats:
+    """Counts of one run, each stored once: ``widths`` holds every trace
+    line's complete width, so line count and largest width derive from it."""
+
     value: bool | None = None
-    max_width: int = 0
-    # per line, the width of its complete diagram (Manager.shape)
     widths: list[int] = field(default_factory=list)
     trace_nodes: int = 0  # sum of line diagram sizes
-    line_count: int = 0
     eliminations: list[dict] = field(default_factory=list)
     wall_time_ms: float = 0.0
+
+    @property
+    def line_count(self) -> int:
+        return len(self.widths)
+
+    @property
+    def max_width(self) -> int:
+        return max(self.widths, default=0)
 
     def as_dict(self, with_timing: bool = True) -> dict:
         out = {
@@ -92,36 +101,6 @@ def prefix_order(f: Pcnf) -> VarOrder:
 Entry = tuple[int, int, int, int | None]
 
 
-def bucket_init(
-    f: Pcnf, manager: Manager, stats: SolveStats
-) -> tuple[list[list[Entry]], list[ProofLine], int | None]:
-    """Axiom lines, recorded in ``stats``, and the initial buckets.
-
-    Returns (buckets, lines, empty) where ``empty`` is the line id of the
-    first empty input clause, None if there is none.
-    """
-    buckets: list[list[Entry]] = [[] for _ in f.prefix]
-    lines: list[ProofLine] = []
-    empty: int | None = None
-    seen_per_bucket: list[set[int]] = [set() for _ in f.prefix]
-    for i, c in enumerate(f.clauses, start=1):
-        ref = manager.clause(c)
-        lid = len(lines) + 1
-        lines.append(ProofLine(lid, Axiom(i)))
-        size, pos = _record(stats, manager, f, ref)
-        if ref == manager.ZERO:
-            if empty is None:
-                empty = lid
-            continue
-        if ref == manager.ONE:
-            continue
-        assert pos is not None
-        if ref not in seen_per_bucket[pos]:
-            seen_per_bucket[pos].add(ref)
-            buckets[pos].append((ref, lid, size, pos))
-    return buckets, lines, empty
-
-
 def solve(
     f: Pcnf,
     order: VarOrder | None = None,
@@ -141,21 +120,17 @@ def solve(
         raise OrderError("order must cover exactly the formula variables")
     mgr = Manager(order, node_budget=node_budget)
     stats = SolveStats()
-
-    buckets, lines, empty = bucket_init(f, mgr, stats)
+    lines: list[ProofLine] = []
 
     def emit(rule, ref) -> Entry:
-        lid = len(lines) + 1
-        lines.append(ProofLine(lid, rule))
-        return (ref, lid, *_record(stats, mgr, f, ref))
+        size, width, support = mgr.shape(ref)
+        lines.append(ProofLine(len(lines) + 1, rule))
+        stats.widths.append(width)
+        stats.trace_nodes += size
+        return (ref, len(lines), size, f.rightmost(support))
 
-    if empty is not None:
-        emit(Conj(empty, empty), mgr.ZERO)
-        value = False
-    else:
-        value = _eliminate_all(f, mgr, buckets, emit, stats)
-
-    stats.value = value
+    axioms = [emit(Axiom(i), mgr.clause(c)) for i, c in enumerate(f.clauses, start=1)]
+    stats.value = value = _eliminate_all(f, mgr, axioms, emit, stats.eliminations)
     stats.wall_time_ms = (time.perf_counter() - start) * 1000.0
     return SolveResult(value, ProofTrace(formula_hash(f), order, tuple(lines)), stats)
 
@@ -175,19 +150,22 @@ def saturation_report(stats_by_n: dict[int, SolveStats]) -> dict:
     }
 
 
-def _record(
-    stats: SolveStats, mgr: Manager, f: Pcnf, ref: int
-) -> tuple[int, int | None]:
-    """Count one trace line; returns its size and rightmost prefix position."""
-    size, width, support = mgr.shape(ref)
-    stats.line_count += 1
-    stats.trace_nodes += size
-    stats.widths.append(width)
-    stats.max_width = max(stats.max_width, width)
-    return size, f.rightmost(support)
+def _eliminate_all(f, mgr, axioms, emit, eliminations) -> bool:
+    """Bucket elimination, innermost variable first; False once 0 appears.
 
-
-def _eliminate_all(f, mgr, buckets, emit, stats) -> bool:
+    An empty clause refutes at once.  Each other clause diagram enters its
+    rightmost variable's bucket at its first axiom line: equal diagrams end
+    at one position, so one set keeps every repeat out."""
+    buckets: list[list[Entry]] = [[] for _ in f.prefix]
+    placed: set[int] = set()
+    for entry in axioms:
+        ref, lid, _, pos = entry
+        if ref == mgr.ZERO:
+            emit(Conj(lid, lid), ref)
+            return False
+        if pos is not None and ref not in placed:
+            placed.add(ref)
+            buckets[pos].append(entry)
     for pos in range(len(f.prefix) - 1, -1, -1):
         entries = buckets[pos]
         if not entries:
@@ -212,7 +190,7 @@ def _eliminate_all(f, mgr, buckets, emit, stats) -> bool:
                 cur = emit(Conj(lid0, lid1), mgr.apply(r0, r1, "and"))
         ref, _, size, new_pos = cur
         step["result_size"] = size
-        stats.eliminations.append(step)
+        eliminations.append(step)
         if ref == mgr.ZERO:
             return False
         if ref == mgr.ONE:

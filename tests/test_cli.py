@@ -340,6 +340,11 @@ def test_usage_errors(tmp_path, capsys):
     assert run(capsys, "bench", "--family", "eqprime", "--n", "x")[0] == EXIT_USAGE
     for spec in ("2:4:0", "2:4:-1", "4:2"):
         assert run(capsys, "bench", "--family", "eqprime", "--n", spec)[0] == EXIT_USAGE
+    # a size the family refuses is a bad argument, as for gen, with or without workers
+    assert run(capsys, "gen", "quparity", "1") == (EXIT_USAGE, "", "usage error: need n >= 2\n")
+    for threads in ("1", "2"):
+        argv = ("--threads", threads, "bench", "--family", "quparity", "--n", "0:3")
+        assert run(capsys, *argv) == (EXIT_USAGE, "", "usage error: need n >= 2\n"), threads
     # option files: an order must list exactly the formula's variables
     qdimacs = tmp_path / "eq2.qdimacs"
     run(capsys, "gen", "eqprime", "2", "-o", str(qdimacs))

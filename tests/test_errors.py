@@ -4,8 +4,11 @@ import importlib
 import inspect
 import pkgutil
 
+import pytest
+
 import qobdd
-from qobdd.obdd import QobddError
+from qobdd import solver
+from qobdd.obdd import Manager, ObddError, QobddError, VarOrder
 
 
 def test_every_library_error_derives_from_qobdd_error():
@@ -21,3 +24,18 @@ def test_every_library_error_derives_from_qobdd_error():
     del errors["cli.UsageError"]
     for name, cls in errors.items():
         assert issubclass(cls, QobddError), name
+
+
+def test_bad_binary_op_is_an_obdd_error():
+    mgr = Manager(VarOrder([1]))
+    x = mgr.literal(1)
+    with pytest.raises(ObddError, match="unknown binary op 'bogus'"):
+        mgr.apply(x, mgr.ONE, "bogus")
+    for code in (-1, 16):
+        with pytest.raises(ObddError, match="op code out of range"):
+            mgr.apply(x, mgr.ONE, code)
+
+
+def test_tower_of_height_zero_is_a_qobdd_error():
+    with pytest.raises(QobddError, match="q must be >= 1"):
+        solver.tower(2, 0)

@@ -11,12 +11,10 @@ from qobdd.families import (
     quparity_decomposition,
 )
 from qobdd.graphs import order_from_decomposition, path_decomposition, random_dregular
-from qobdd.obdd import BudgetExceededError, Manager, OrderError, VarOrder
+from qobdd.obdd import BudgetExceededError, Manager, OrderError, QobddError, VarOrder
 from qobdd.pcnf import EXISTS, FORALL, Pcnf, clause, primal_graph
 from qobdd.proof import Conj, Proj, URed, check_trace
 from qobdd.solver import (
-    SolveStats,
-    bucket_init,
     default_order,
     extend_order,
     prefix_order,
@@ -81,20 +79,6 @@ def test_empty_input_clause():
     res = solve(f)
     assert res.value is False
     assert check_trace(f, res.trace, require_refutation=True).refutation
-
-
-def test_bucket_init_matches_rightmost_scan():
-    f = gen_eqprime(2)
-    mgr = Manager(prefix_order(f))
-    stats = SolveStats()
-    buckets, lines, empty = bucket_init(f, mgr, stats)
-    assert empty is None
-    assert len(lines) == len(f.clauses) == stats.line_count
-    expected = [0] * len(f.prefix)
-    for c in f.clauses:
-        pos = max(f.prefix_position(abs(l)) for l in c)
-        expected[pos] += 1
-    assert [len(b) for b in buckets] == expected
 
 
 def test_bucket_placement_read_off_the_trace():
@@ -264,7 +248,7 @@ def test_tower():
     assert tower(2, 4) == 65536
     assert tower(4, 2) == 16
     assert tower(2, 5) is None  # 2**65536 does not fit
-    with pytest.raises(ValueError):
+    with pytest.raises(QobddError, match="q must be >= 1"):
         tower(2, 0)
 
 
