@@ -10,7 +10,7 @@ from qobdd.families import (
     gen_quparity,
     quparity_decomposition,
 )
-from qobdd.graphs import Graph
+from qobdd.graphs import Graph, random_dregular
 from qobdd.pcnf import EXISTS, FORALL, parse_qdimacs, emit_qdimacs, primal_graph
 from qobdd.rectangles import eval_ipg
 
@@ -98,6 +98,25 @@ def test_ipg_single_edge():
         )
         assert not sat({**a, 3: winning_z})
         assert sat({**a, 3: 1 - winning_z})
+
+
+def test_ipg_variable_layout():
+    # E 1..n, then the circuit output z = n+1 universal, then E n+2..n+2m-1:
+    # the other gate outputs, AND gates first, then the XOR chain
+    for g in (
+        Graph([1, 2, 3], [(1, 2), (2, 3)]),
+        Graph([1, 2, 3], [(1, 2), (2, 3), (1, 3)]),
+        random_dregular(8, 3, seed=1),
+    ):
+        n, m = len(g.vertices), len(g.edges())
+        f = gen_ipg_qbf(g)
+        assert f.prefix == (
+            tuple((EXISTS, v) for v in range(1, n + 1))
+            + ((FORALL, n + 1),)
+            + tuple((EXISTS, v) for v in range(n + 2, n + 2 * m))
+        )
+        assert len(f.clauses) == 3 * m + 4 * (m - 1)
+    assert m >= 10
 
 
 def test_ipg_two_edge_matching_false():
