@@ -140,7 +140,9 @@ def build_parser() -> _Parser:
     b = sub.add_parser("bench", help="family scaling table")
     b.add_argument("--family", choices=list(FAMILIES), required=True)
     b.add_argument("--n", required=True, help="range as lo:hi[:step]")
-    b.add_argument("--orders", default="pathwidth", help="comma-separated policies")
+    b.add_argument("--orders", default="pathwidth",
+                   help="comma-separated policies as in solve --order, but "
+                   "pathwidth is the family's hand-written decomposition")
 
     r = sub.add_parser("rect", help="rectangle bound analysis")
     rsub = r.add_subparsers(dest="rect_command", required=True)
@@ -179,7 +181,7 @@ def cmd_solve(args) -> int:
     if args.stats:
         _write(args.stats, json.dumps(result.stats.as_dict(args.timings), indent=2) + "\n")
     if args.json:
-        print(json.dumps({"value": result.value, **result.stats.as_dict(args.timings)}))
+        print(json.dumps(result.stats.as_dict(args.timings)))
     else:
         print(verdict)
     if args.expect is not None and (args.expect == "true") != result.value:
@@ -360,6 +362,7 @@ COMMANDS = {
     "verify": cmd_verify,
     "translate": cmd_translate,
     "bench": cmd_bench,
+    "rect": cmd_rect,
 }
 
 
@@ -369,8 +372,6 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if args.budget < 0:
             raise UsageError("--budget must be at least 0")
-        if args.command == "rect":
-            return cmd_rect(args)
         return COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -11,9 +11,9 @@ Variable numbering (all 1-based, matching the emitted QDIMACS):
 * split equality (``gen_eqprime``): x_i -> i, u_i -> n+i, t_i -> 2n+i,
   e_i -> 3n+i (only e_1..e_{n-1} exist; the last chain clause closes on
   t_n directly).
-* graph inner product (``gen_ipg_qbf``): graph vertices -> 1..n, the
-  universally quantified circuit output -> n+1, Tseitin gate variables
-  follow.
+* graph inner product (``gen_ipg_qbf``), m edges: graph vertices -> 1..n,
+  the universally quantified circuit output z -> n+1, the other gate
+  outputs -> n+2..n+2m-1 (AND gates in edge order, then the XOR chain).
 """
 
 from __future__ import annotations
@@ -138,39 +138,25 @@ def gen_ipg_qbf(g: Graph) -> Pcnf:
         # constant-0 circuit: the output can only be consistent at 0
         prefix = [(EXISTS, i) for i in range(1, n + 1)] + [(FORALL, z)]
         return Pcnf(tuple(prefix), (clause([-z]),))
-    # gate variable layout: AND outputs first, then the XOR chain outputs;
-    # the final chain output is z itself
-    and_var = [z if m == 1 else n + 1 + j for j in range(1, m + 1)]
-    and_var = [None] + and_var  # 1-based
-    xor_var: dict[int, int] = {}
-    nxt = n + m + 2
-    for j in range(2, m + 1):
-        if j == m:
-            xor_var[j] = z
-        else:
-            xor_var[j] = nxt
-            nxt += 1
-    for j, (a, b) in enumerate(edges, start=1):
-        gv = and_var[j]
+    # gate outputs: the m AND gates, then the m-1 XOR chain gates; the last
+    # output of all is z itself, the others are n+2 .. n+2m-1 in that order
+    outs = list(range(n + 2, n + 2 * m)) + [z]
+    ands, xors = outs[:m], outs[m:]
+    for gv, (a, b) in zip(ands, edges):
         clauses.append(clause([-gv, a]))
         clauses.append(clause([-gv, b]))
         clauses.append(clause([gv, -a, -b]))
-    out_prev = and_var[1]
-    for j in range(2, m + 1):
-        gv = xor_var[j]
-        r = and_var[j]
+    out_prev = ands[0]
+    for gv, r in zip(xors, ands[1:]):
         clauses.append(clause([-gv, out_prev, r]))
         clauses.append(clause([-gv, -out_prev, -r]))
         clauses.append(clause([gv, out_prev, -r]))
         clauses.append(clause([gv, -out_prev, r]))
         out_prev = gv
-    gate_vars = sorted(
-        ({and_var[j] for j in range(1, m + 1)} | set(xor_var.values())) - {z}
-    )
     prefix = (
         [(EXISTS, i) for i in range(1, n + 1)]
         + [(FORALL, z)]
-        + [(EXISTS, v) for v in gate_vars]
+        + [(EXISTS, v) for v in outs[:-1]]
     )
     f = Pcnf(tuple(prefix), tuple(clauses))
     f.audit()

@@ -9,8 +9,9 @@ reference equality.  The two terminals are ``Manager.ZERO`` and
 The kernels (apply, negate, restrict and the one-pass quantifiers) walk
 with explicit stacks, so a deep variable order never reaches Python's
 recursion limit, and they read each node's rank from an array kept beside
-the store.  References and variables are validated at the public entry
-points only; the kernels and the node constructor they share trust them.
+the store.  References, variables and ``apply`` ops are validated at the
+public entry points only; the kernels and the node constructor they share
+trust them.
 
 A manager and its references belong to one logical thread at a time; hand a
 manager off between threads if you like, but never share one concurrently.
@@ -115,15 +116,15 @@ OPS = {
 
 
 def _op_code(op) -> int:
+    """A name from ``OPS`` or a truth-table code: an int (not a bool) in 0..15."""
     if isinstance(op, str):
-        try:
+        if op in OPS:
             return OPS[op]
-        except KeyError:
-            raise ObddError(f"unknown binary op {op!r}") from None
-    code = int(op)
-    if not 0 <= code <= 15:
+    elif isinstance(op, int) and not isinstance(op, bool):
+        if 0 <= op <= 15:
+            return op
         raise ObddError(f"op code out of range: {op!r}")
-    return code
+    raise ObddError(f"unknown binary op {op!r}")
 
 
 def _is_symmetric(code: int) -> bool:
@@ -673,15 +674,6 @@ class TextReader:
         return rows
 
 
-def parse_block_nodes(text: str) -> list[Row]:
-    """Raw rows of a text holding exactly one block."""
-    reader = TextReader(text)
-    rows = reader.block()
-    if not reader.at_end():
-        raise BlockFormatError("trailing content after block")
-    return rows
-
-
 def build_rows(rows: list[Row], manager: Manager) -> int:
     """Rebuild parsed block rows in ``manager``; returns the root reference."""
     refs: list[int] = []
@@ -694,9 +686,14 @@ def build_rows(rows: list[Row], manager: Manager) -> int:
 
 
 def deserialize(text: str, manager: Manager) -> int:
-    """Rebuild a block in ``manager``; the result is canonical there.
+    """Rebuild the one block of ``text`` in ``manager``, canonical there.
 
-    Raises ``BlockFormatError`` on malformed text and ``OrderError`` when the
-    block's edges are inconsistent with the manager's variable order.
+    Raises ``BlockFormatError`` on malformed text or content after the
+    block, and ``OrderError`` when the block's edges are inconsistent with
+    the manager's variable order.
     """
-    return build_rows(parse_block_nodes(text), manager)
+    reader = TextReader(text)
+    rows = reader.block()
+    if not reader.at_end():
+        raise BlockFormatError("trailing content after block")
+    return build_rows(rows, manager)

@@ -160,11 +160,6 @@ def validate_qures(f: Pcnf, proof: QuResProof) -> dict[int, Clause]:
     return derived
 
 
-def is_qures_refutation(f: Pcnf, proof: QuResProof) -> bool:
-    derived = validate_qures(f, proof)
-    return derived[proof.lines[-1].id] == ()
-
-
 def simulate_qures(
     f: Pcnf, proof: QuResProof, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> ProofTrace:

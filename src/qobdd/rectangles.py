@@ -301,19 +301,7 @@ def gi_decomposition(
         )
     out = []
     for x, y in matching.edges:
-        px = 0
-        for w in g.adj[x]:
-            if w != y:
-                px ^= residual[w]
-        py = 0
-        for w in g.adj[y]:
-            if w != x:
-                py ^= residual[w]
-        form = {
-            (0, 0): "x&y",
-            (1, 0): "x&~y",
-            (0, 1): "~x&y",
-            (1, 1): "x|y",
-        }[(px, py)]
-        out.append(((x, y), form))
+        px = sum(residual[w] for w in g.adj[x] if w != y) & 1
+        py = sum(residual[w] for w in g.adj[y] if w != x) & 1
+        out.append(((x, y), GI_FORMS[px | py << 1]))
     return out

@@ -44,12 +44,13 @@ def tower(a: int, q: int) -> int | None:
 @dataclass
 class SolveStats:
     """Counts of one run, each stored once: ``widths`` holds every trace
-    line's complete width, so line count and largest width derive from it."""
+    line's complete width, so line count and largest width derive from it,
+    and ``eliminations`` the variable of each bucket processed, innermost first."""
 
     value: bool | None = None
     widths: list[int] = field(default_factory=list)
     trace_nodes: int = 0  # sum of line diagram sizes
-    eliminations: list[dict] = field(default_factory=list)
+    eliminations: list[int] = field(default_factory=list)
     wall_time_ms: float = 0.0
 
     @property
@@ -135,21 +136,6 @@ def solve(
     return SolveResult(value, ProofTrace(formula_hash(f), order, tuple(lines)), stats)
 
 
-def saturation_report(stats_by_n: dict[int, SolveStats]) -> dict:
-    """Compare max intermediate widths across instance sizes of one family.
-
-    A family whose width column is constant solves in time linear in the
-    trace length regardless of n; ``saturated`` reports that observation.
-    """
-    widths = {n: s.max_width for n, s in sorted(stats_by_n.items())}
-    values = list(widths.values())
-    return {
-        "max_width_by_n": widths,
-        "saturated": len(set(values)) == 1,
-        "peak": max(values) if values else 0,
-    }
-
-
 def _eliminate_all(f, mgr, axioms, emit, eliminations) -> bool:
     """Bucket elimination, innermost variable first; False once 0 appears.
 
@@ -177,7 +163,6 @@ def _eliminate_all(f, mgr, axioms, emit, eliminations) -> bool:
             cur = emit(Conj(cur[1], nxt[1]), mgr.apply(cur[0], nxt[0], "and"))
             if cur[0] == mgr.ZERO:
                 return False
-        step = {"var": var, "quantifier": q, "bucket_size": len(entries)}
         ref, lid, _, right = cur
         # every entry here ends at pos, so their conjunction ends at pos or
         # before; it ends at pos exactly when var is still in its support
@@ -188,9 +173,8 @@ def _eliminate_all(f, mgr, axioms, emit, eliminations) -> bool:
                 r0, lid0, _, _ = emit(URed(var, 0, lid), mgr.restrict(ref, var, 0))
                 r1, lid1, _, _ = emit(URed(var, 1, lid), mgr.restrict(ref, var, 1))
                 cur = emit(Conj(lid0, lid1), mgr.apply(r0, r1, "and"))
-        ref, _, size, new_pos = cur
-        step["result_size"] = size
-        eliminations.append(step)
+        ref, _, _, new_pos = cur
+        eliminations.append(var)
         if ref == mgr.ZERO:
             return False
         if ref == mgr.ONE:

@@ -34,6 +34,10 @@ def test_bad_binary_op_is_an_obdd_error():
     for code in (-1, 16):
         with pytest.raises(ObddError, match="op code out of range"):
             mgr.apply(x, mgr.ONE, code)
+    # only names and non-bool ints are op codes: no float, bool, None or complex
+    for op in (2.5, True, None, 2j):
+        with pytest.raises(ObddError, match="unknown binary op"):
+            mgr.apply(x, mgr.ONE, op)
 
 
 def test_tower_of_height_zero_is_a_qobdd_error():
