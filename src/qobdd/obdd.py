@@ -9,9 +9,13 @@ reference equality.  The two terminals are ``Manager.ZERO`` and
 The kernels (apply, negate, restrict and the one-pass quantifiers) walk
 with explicit stacks, so a deep variable order never reaches Python's
 recursion limit, and they read each node's rank from an array kept beside
-the store.  References, variables and ``apply`` ops are validated at the
-public entry points only; the kernels and the node constructor they share
-trust them.
+the store.  Apply, restrict and the quantifiers memoize per operation (a
+quantification's cofactor conjunctions share its memo): their hits come
+from inside one walk, and a repeat finds its nodes in the unique table.
+Only negation's memo, which stores each pair both ways, is manager-wide,
+as strategy extraction negates the same guards across calls.  References,
+variables and ``apply`` ops are validated at the public entry points only;
+the kernels and the node constructor they share trust them.
 
 A manager and its references belong to one logical thread at a time; hand a
 manager off between threads if you like, but never share one concurrently.
@@ -146,7 +150,8 @@ class Manager:
     node ever has equal children and no triple is stored twice, so diagrams
     are fully reduced by construction.  There is no garbage collection:
     managers are meant to be short-lived, one per solve or check, and each
-    raises ``BudgetExceededError`` past ``node_budget`` inner nodes.
+    raises ``BudgetExceededError`` past ``node_budget`` inner nodes.  Its
+    one memo is negation's; every other operation memoizes per call.
     """
 
     ZERO = 0
@@ -163,11 +168,7 @@ class Manager:
         self._hi: list[int] = [-1, -1]
         self._rank: list[int] = [n, n]
         self._unique: dict[tuple[int, int, int], int] = {}
-        self._apply_cache: dict[tuple[int, int, int], int] = {}
         self._neg_cache: dict[int, int] = {}
-        # rebuilt nodes of restrict (tag 0/1) and the quantifiers (tag
-        # = op code 8/14), keyed by (tag, node, rank)
-        self._rebuild_cache: dict[tuple[int, int, int], int] = {}
 
     # -- basic accessors ---------------------------------------------------
 
@@ -225,6 +226,8 @@ class Manager:
     def clause(self, literals: Iterable[int]) -> int:
         """OBDD of a disjunction of signed DIMACS-style literals."""
         lits = set(literals)
+        if 0 in lits:
+            raise ObddError("0 is not a literal")
         if any(-l in lits for l in lits):
             return self.ONE  # tautological clause
         ranked = sorted(((self.order.rank(abs(l)), l) for l in lits), reverse=True)
@@ -251,16 +254,16 @@ class Manager:
         """Combine two diagrams with a binary Boolean operation.
 
         ``op`` is a name from ``OPS`` or a 4-bit truth-table code.  The walk
-        over pairs of subdiagrams is memoized per manager, with argument
+        over pairs of subdiagrams is memoized for this call, with argument
         swapping for symmetric operations.
         """
         self._check_ref(f)
         self._check_ref(g)
-        return self._apply(_op_code(op), f, g)
+        return self._apply(_op_code(op), f, g, {})
 
-    def _apply(self, code: int, f: int, g: int) -> int:
+    def _apply(self, code: int, f: int, g: int, memo: dict[tuple[int, int], int]) -> int:
         var, lo, hi, rank = self._var, self._lo, self._hi, self._rank
-        cache, mk, unary = self._apply_cache, self._mk, self._unary
+        mk, unary = self._mk, self._unary
         symmetric = _is_symmetric(code)
         out: list[int] = []
         stack: list[tuple] = [(f, g)]
@@ -270,7 +273,7 @@ class Manager:
                 key, v, r = task
                 h = out.pop()
                 res = mk(v, r, out.pop(), h)
-                cache[key] = res
+                memo[key] = res
                 out.append(res)
                 continue
             f, g = task
@@ -282,8 +285,8 @@ class Manager:
                 continue
             if symmetric and f > g:
                 f, g = g, f
-            key = (code, f, g)
-            found = cache.get(key)
+            key = (f, g)
+            found = memo.get(key)
             if found is not None:
                 out.append(found)
                 continue
@@ -343,9 +346,10 @@ class Manager:
     def restrict(self, f: int, var: int, bit: int) -> int:
         """Fix ``var`` to ``bit``; the variable is absent from the result."""
         self._check_ref(f)
-        at = self.order.rank(var)
-        bit, child = (1, self._hi) if bit else (0, self._lo)
-        return self._rebuild_above(f, at, bit, child.__getitem__)
+        if bit not in (0, 1):
+            raise ObddError(f"restrict bit must be 0 or 1, not {bit!r}")
+        child = self._hi if bit else self._lo
+        return self._rebuild_above(f, self.order.rank(var), child.__getitem__)
 
     def exists(self, f: int, var: int) -> int:
         """Existential projection of ``var``, in one pass over ``f``."""
@@ -358,18 +362,15 @@ class Manager:
         return self._quantify(OPS["and"], f, self.order.rank(var))
 
     def _quantify(self, code: int, f: int, at: int) -> int:
-        lo, hi, apply = self._lo, self._hi, self._apply
-        return self._rebuild_above(f, at, code, lambda r: apply(code, lo[r], hi[r]))
+        lo, hi, apply, memo = self._lo, self._hi, self._apply, {}
+        return self._rebuild_above(f, at, lambda r: apply(code, lo[r], hi[r], memo))
 
-    def _rebuild_above(
-        self, f: int, at: int, tag: int, at_rank: Callable[[int], int]
-    ) -> int:
+    def _rebuild_above(self, f: int, at: int, at_rank: Callable[[int], int]) -> int:
         # ``f`` with every node of rank ``at`` replaced by ``at_rank(node)``:
         # nodes above rank ``at`` are rebuilt over their new children and
-        # those below it are kept.  The rebuilt nodes are cached under
-        # (tag, node, at); the tags of restrict and the quantifiers differ.
+        # those below it are kept.
         var, lo, hi, rank, mk = self._var, self._lo, self._hi, self._rank, self._mk
-        cache = self._rebuild_cache
+        memo: dict[int, int] = {}
         out: list[int] = []
         stack = [f]
         while stack:
@@ -378,7 +379,7 @@ class Manager:
                 f = ~f
                 h = out.pop()
                 res = mk(var[f], rank[f], out.pop(), h)
-                cache[(tag, f, at)] = res
+                memo[f] = res
                 out.append(res)
                 continue
             rf = rank[f]
@@ -387,7 +388,7 @@ class Manager:
             elif rf == at:
                 out.append(at_rank(f))
             else:
-                found = cache.get((tag, f, at))
+                found = memo.get(f)
                 if found is not None:
                     out.append(found)
                 else:
@@ -395,9 +396,7 @@ class Manager:
         return out[0]
 
     def clear_cache(self) -> None:
-        self._apply_cache.clear()
         self._neg_cache.clear()
-        self._rebuild_cache.clear()
 
     # -- inspection ----------------------------------------------------------
 
@@ -479,10 +478,12 @@ class Manager:
 
     def evaluate(self, f: int, assignment: Mapping[int, int]) -> int:
         self._check_ref(f)
-        r = f
-        while r > 1:
-            r = self._hi[r] if assignment[self._var[r]] else self._lo[r]
-        return r
+        try:
+            while f > 1:
+                f = self._hi[f] if assignment[self._var[f]] else self._lo[f]
+        except KeyError:
+            raise ObddError(f"assignment lacks variable {self._var[f]}") from None
+        return f
 
     def audit(self) -> None:
         """Structural self-check: reduced, deduplicated, order-respecting."""
@@ -564,9 +565,7 @@ class CompleteObdd:
 
     @property
     def width(self) -> int:
-        if not self.layers:
-            return 0
-        return max(len(layer) for layer in self.layers)
+        return max(map(len, self.layers), default=0)
 
     @property
     def layer_sizes(self) -> list[int]:

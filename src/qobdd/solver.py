@@ -33,6 +33,8 @@ def tower(a: int, q: int) -> int | None:
     """
     if q < 1:
         raise QobddError("q must be >= 1")
+    if a < 0:
+        raise QobddError("a must be >= 0")
     val = a
     for _ in range(q - 1):
         if val > 64:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 from qobdd import rectangles
 from qobdd.cli import (
@@ -300,7 +301,7 @@ def test_whole_trace_rejections_name_no_line(tmp_path, capsys):
     code, out, err = run(capsys, "check", other, trace)
     assert (code, out, err) == (EXIT_CHECK, "", "check failed: formula-hash-mismatch\n")
     # drop the last variable from the order line and its count from the header
-    lines = open(trace).read().splitlines()
+    lines = Path(trace).read_text().splitlines()
     head = lines[0].split()
     lines[0] = " ".join(head[:2] + [str(int(head[2]) - 1), head[3]])
     lines[2] = lines[2].rsplit(" ", 1)[0]

@@ -40,6 +40,36 @@ def test_bad_binary_op_is_an_obdd_error():
             mgr.apply(x, mgr.ONE, op)
 
 
+def test_restrict_bit_other_than_0_or_1_is_an_obdd_error():
+    mgr = Manager(VarOrder([1]))
+    x = mgr.literal(1)
+    for bit in (2, -1, "0", "1", None):
+        with pytest.raises(ObddError, match="restrict bit must be 0 or 1"):
+            mgr.restrict(x, 1, bit)
+    assert (mgr.restrict(x, 1, 0), mgr.restrict(x, 1, 1)) == (mgr.ZERO, mgr.ONE)
+
+
+def test_literal_zero_in_a_clause_is_an_obdd_error():
+    mgr = Manager(VarOrder([1, 2]))
+    for lits in ([0], [0, 1], [-2, 0]):
+        with pytest.raises(ObddError, match="0 is not a literal"):
+            mgr.clause(lits)
+
+
+def test_evaluate_names_the_unassigned_variable():
+    mgr = Manager(VarOrder([1, 2]))
+    f = mgr.apply(mgr.literal(1), mgr.literal(2), "and")
+    with pytest.raises(ObddError, match="assignment lacks variable 2"):
+        mgr.evaluate(f, {1: 1})
+    assert mgr.evaluate(f, {1: 0}) == mgr.ZERO  # variable 2 is not on this path
+
+
 def test_tower_of_height_zero_is_a_qobdd_error():
     with pytest.raises(QobddError, match="q must be >= 1"):
         solver.tower(2, 0)
+
+
+def test_tower_of_a_negative_base_is_a_qobdd_error():
+    for q in (1, 2):
+        with pytest.raises(QobddError, match="a must be >= 0"):
+            solver.tower(-3, q)

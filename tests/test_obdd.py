@@ -175,8 +175,13 @@ def test_fused_quantifier_matches_three_pass_and_table_oracle():
                     assert truth_table_of(m, q, order) == want
                     if x not in m.support(f):
                         assert q == f
+                    # memos last one operation: a repeat finds every node it
+                    # makes in the unique table, so the store does not grow
                     m.clear_cache()
+                    size = len(m)
                     assert quantify(f, x) == q
+                    assert m.apply(m.restrict(f, x, 0), m.restrict(f, x, 1), op) == q
+                    assert len(m) == size
 
 
 def test_canonicity_of_construction_paths():
