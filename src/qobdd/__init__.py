@@ -39,7 +39,6 @@ from .strategy import (
     DecisionListFamily,
     and_protocol_run,
     extract,
-    obdd_to_rectangles,
     strategy_range_size,
     to_rectangle_list,
     verify_winning,

@@ -512,64 +512,53 @@ class Manager:
 
         States at each layer are the distinct subfunctions on the remaining
         variables; since diagrams are canonical, distinctness is reference
-        inequality.  The result has at most (|X|+1) * size(f) nodes.  It
-        serves ``strategy.obdd_to_rectangles``, which reads the cut layer
-        and sweeps the transitions above it; the width alone comes from
-        ``shape`` without a layered copy.
+        inequality.  A state that does not test a layer's variable passes
+        to the next layer unchanged, so the states are refs of this store
+        and the result has at most (|X|+1) * size(f) of them.  It serves
+        ``CompleteObdd.covers``; the width alone comes from ``shape``
+        without a layered copy.
         """
         self._check_ref(f)
+        var, lo, hi, rank = self._var, self._lo, self._hi, self._rank
         layers: list[list[int]] = []
-        transitions: list[dict[int, tuple[int, int]]] = []
         states = [f]
-        for rank, var in enumerate(self.order.vars):
-            trans: dict[int, tuple[int, int]] = {}
-            nxt: list[int] = []
-            seen: set[int] = set()
-            for s in states:
-                if s > 1 and self._var[s] == var:
-                    edge = (self._lo[s], self._hi[s])
-                else:
-                    if self._rank[s] < rank:
-                        raise ObddError("state below its layer; store corrupt")
-                    edge = (s, s)
-                trans[s] = edge
-                for c in edge:
-                    if c not in seen:
-                        seen.add(c)
-                        nxt.append(c)
+        for i, v in enumerate(self.order.vars):
             layers.append(states)
-            transitions.append(trans)
-            states = nxt
+            nxt: dict[int, None] = {}  # insertion-ordered set
+            for s in states:
+                if s > 1 and var[s] == v:
+                    nxt[lo[s]] = None
+                    nxt[hi[s]] = None
+                elif rank[s] < i:
+                    raise ObddError("state below its layer; store corrupt")
+                else:
+                    nxt[s] = None
+            states = list(nxt)
         if any(s > 1 for s in states):
             raise ObddError("non-terminal state past the last layer")
-        return CompleteObdd(self, layers, transitions, states)
+        return CompleteObdd(self, layers, states)
 
 
 class CompleteObdd:
     """Layered view of a function testing every variable on every path.
 
     ``layers[i]`` holds the distinct subfunctions entering the test of the
-    i-th order variable, ``transitions[i]`` maps each of them to its
-    (lo, hi) successors in the next layer, and ``sinks`` are the terminals
-    after the last variable; so the states after a prefix of ``cut``
-    variables are ``layers[cut]``, or ``sinks`` when the cut is the whole
-    order.  ``width`` is the largest layer.
+    i-th order variable, as refs of ``manager``, and ``sinks`` are the
+    terminals after the last variable; so the states after a prefix of
+    ``cut`` variables are ``layers[cut]``, or ``sinks`` when the cut is the
+    whole order.  A state's successors are its own ``lo``/``hi`` in the
+    store when it tests the layer's variable, and itself otherwise.
+    ``width`` is the largest layer.
     """
 
-    def __init__(self, manager: Manager, layers, transitions, sinks):
+    def __init__(self, manager: Manager, layers: list[list[int]], sinks: list[int]):
         self.manager = manager
-        self.vars = manager.order.vars
         self.layers = layers
-        self.transitions = transitions
         self.sinks = sinks
 
     @property
     def width(self) -> int:
         return max(map(len, self.layers), default=0)
-
-    @property
-    def layer_sizes(self) -> list[int]:
-        return [len(layer) for layer in self.layers]
 
     @property
     def size(self) -> int:
@@ -579,11 +568,44 @@ class CompleteObdd:
     def root(self) -> int:
         return self.layers[0][0] if self.layers else self.sinks[0]
 
-    def evaluate(self, assignment: Mapping[int, int]) -> int:
-        state = self.root
-        for var, trans in zip(self.vars, self.transitions):
-            state = trans[state][1 if assignment[var] else 0]
-        return state
+    def covers(self, cut: int) -> list[tuple[int, int]]:
+        """Rectangle cover along the prefix cut of ``cut`` variables.
+
+        One ``(r1, r2)`` pair per nonzero state of the cut layer (the sinks
+        when the cut is the whole order), in layer order: ``r1`` accepts the
+        assignments to the first ``cut`` variables that reach the state,
+        ``r2`` is the state itself, a function of the remaining variables.
+        The disjunction of the products r1 and r2 is the original function,
+        and their number is at most the width.  Degenerate cuts (0 or all
+        variables) give one-sided pairs.  A cut outside 0..|X| raises
+        ``ObddError``.
+        """
+        mgr = self.manager
+        order = mgr.order.vars
+        if not 0 <= cut <= len(order):
+            raise ObddError(f"cut {cut} not a prefix length of the order")
+        states = self.layers[cut] if cut < len(order) else self.sinks
+        var, lo, hi, mk = mgr._var, mgr._lo, mgr._hi, mgr._mk
+        # the states that test each layer's variable, from the cut back to
+        # the root; every other state passes its layer and keeps its reach
+        sweep = []
+        for i in range(cut - 1, -1, -1):
+            v = order[i]
+            nodes = [(t, lo[t], hi[t]) for t in self.layers[i] if t > 1 and var[t] == v]
+            sweep.append((v, i, nodes))
+        rects = []
+        for s in states:
+            if s == mgr.ZERO:
+                continue  # contributes nothing to the disjunction
+            # reach[t]: over the variables before t's layer, whether they
+            # lead to the cut state s
+            reach = dict.fromkeys(states, mgr.ZERO)
+            reach[s] = mgr.ONE
+            for v, rank, nodes in sweep:
+                for t, t0, t1 in nodes:
+                    reach[t] = mk(v, rank, reach[t0], reach[t1])
+            rects.append((reach[self.root], s))
+        return rects
 
 
 # -- serialization -----------------------------------------------------------

@@ -119,10 +119,15 @@ class Pcnf:
 
 
 def parse_qdimacs(text: str) -> Pcnf:
-    """Parse QDIMACS; free variables become an outermost existential block."""
+    """Parse QDIMACS; free variables become an outermost existential block.
+
+    A tautological clause is true and is dropped, but the header's clause
+    count counts it.
+    """
     header: tuple[int, int] | None = None
     prefix: list[tuple[str, int]] = []
     clauses: list[Clause] = []
+    clause_lines = 0
     quantified: set[int] = set()
     in_clauses = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -161,6 +166,7 @@ def parse_qdimacs(text: str) -> Pcnf:
             continue
         # clause line
         in_clauses = True
+        clause_lines += 1
         if tokens[-1] != "0":
             raise QdimacsError("clause not 0-terminated", lineno)
         lits: list[int] = []
@@ -174,15 +180,13 @@ def parse_qdimacs(text: str) -> Pcnf:
             if not 1 <= abs(l) <= header[0]:
                 raise QdimacsError(f"variable {abs(l)} out of range", lineno)
             lits.append(l)
-        try:
+        if not any(-l in lits for l in lits):
             clauses.append(clause(lits))
-        except PcnfError as exc:
-            raise QdimacsError(str(exc), lineno) from None
     if header is None:
         raise QdimacsError("missing header")
-    if len(clauses) != header[1]:
+    if clause_lines != header[1]:
         raise QdimacsError(
-            f"header declares {header[1]} clauses, found {len(clauses)}"
+            f"header declares {header[1]} clauses, found {clause_lines}"
         )
     free = sorted({abs(l) for c in clauses for l in c} - quantified)
     full_prefix = [(EXISTS, v) for v in free] + prefix

@@ -13,8 +13,10 @@ the strategy is a well-defined function of the existential assignment.
 The second half of this module converts a decision list into a rectangle
 decision list along a cut of the manager's order: one record holding the
 partition (X1, X2) = (first ``cut`` variables, the rest) and first-match
-``(r1, r2, value)`` entries, where r1 reads only X1 and r2 only X2.  The
-two-player conjunction protocol is its one evaluator.
+``(r1, r2, value)`` entries, where r1 reads only X1 and r2 only X2.  Each
+guard contributes the cover ``CompleteObdd.covers`` reads off its layered
+diagram, so only ``obdd`` knows the layered format.  The two-player
+conjunction protocol is the list's one evaluator.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from . import obdd
-from .obdd import BlockFormatError, CompleteObdd, Manager, Row, VarOrder
+from .obdd import BlockFormatError, Manager, Row, VarOrder
 from .pcnf import FORALL, Pcnf
 from .proof import CheckResult, ProofTrace, URed, check_trace
 
@@ -210,37 +212,6 @@ def strategy_range_size(family: DecisionListFamily) -> int:
 # -- rectangles ------------------------------------------------------------
 
 
-def obdd_to_rectangles(complete: CompleteObdd, cut: int) -> list[tuple[int, int]]:
-    """Rectangle cover of a complete diagram along a prefix cut.
-
-    One ``(r1, r2)`` pair per nonzero state of the cut layer (the sinks
-    when the cut is the whole order): ``r1`` accepts the assignments to the
-    first ``cut`` variables that reach the state, ``r2`` is the state's own
-    function on the remaining variables.  The disjunction of the products
-    r1 and r2 is the original function and their number is at most the
-    width.  Degenerate cuts (0 or all variables) give one-sided pairs.
-    """
-    mgr = complete.manager
-    if not 0 <= cut <= len(complete.vars):
-        raise StrategyError(f"cut {cut} not a prefix length of the order")
-    states = complete.layers[cut] if cut < len(complete.vars) else complete.sinks
-    rects = []
-    for s in states:
-        if s == mgr.ZERO:
-            continue  # contributes nothing to the disjunction
-        # reach[t]: over the variables before the current layer, whether
-        # they lead to its state t; swept from the cut back to the root
-        reach = {t: mgr.ONE if t == s else mgr.ZERO for t in states}
-        for layer in range(cut - 1, -1, -1):
-            var, below = complete.vars[layer], reach
-            reach = {}
-            for t, (lo, hi) in complete.transitions[layer].items():
-                rlo, rhi = below[lo], below[hi]
-                reach[t] = rlo if rlo == rhi else mgr.node(var, rlo, rhi)
-        rects.append((reach[complete.root], s))
-    return rects
-
-
 @dataclass
 class RectangleDecisionList:
     """First-match ``(r1, r2, value)`` entries over one partition (X1, X2).
@@ -266,9 +237,9 @@ class RectangleDecisionList:
 
 
 def to_rectangle_list(dl: DecisionList, cut: int) -> RectangleDecisionList:
-    """Expand each guard into its ``Manager.complete`` cover at the cut,
+    """Expand each guard into ``Manager.complete(guard).covers(cut)``,
     preserving order and values; the cut must be a prefix length of the
-    manager's order.
+    manager's order, and is checked before any guard is completed.
 
     For a list of length s whose guards have complete width at most w, the
     result has length at most w*(s-1) + 1 and computes the same function.
@@ -280,7 +251,7 @@ def to_rectangle_list(dl: DecisionList, cut: int) -> RectangleDecisionList:
     entries = [
         (r1, r2, value)
         for guard, value in dl.entries[:-1]
-        for r1, r2 in obdd_to_rectangles(mgr.complete(guard), cut)
+        for r1, r2 in mgr.complete(guard).covers(cut)
     ]
     entries.append((mgr.ONE, mgr.ONE, dl.entries[-1][1]))
     return RectangleDecisionList(mgr, (order[:cut], order[cut:]), entries)

@@ -69,23 +69,28 @@ def random_table(rng: random.Random, nvars: int) -> tuple[int, ...]:
     return tuple(rng.randint(0, 1) for _ in range(1 << nvars))
 
 
-def cofactor_counts(mgr: Manager, ref: int) -> list[int]:
-    """Distinct-subfunction count per layer, by exhaustive evaluation.
+def cofactor_tables(mgr: Manager, ref: int) -> list[set[tuple[int, ...]]]:
+    """Distinct subfunctions per layer, by exhaustive evaluation.
 
-    Independent oracle for complete-OBDD widths: for each prefix length i
-    of the manager's order, counts the distinct truth tables of f with the
-    first i variables fixed in every possible way.
+    Independent oracle for complete OBDDs: for each prefix length i of the
+    manager's order, 0..|X|, the set of truth tables of f over ``order[i:]``
+    (in ``assignments`` order) with the first i variables fixed in every
+    possible way.  Since the first variable is the most significant index
+    bit, these are the 2**i slices of f's table over the whole order.
     """
     order = mgr.order.vars
-    counts = []
-    for i in range(len(order)):
-        prefix, suffix = order[:i], order[i:]
-        seen = set()
-        for a in assignments(prefix):
-            sub = tuple(mgr.evaluate(ref, {**a, **b}) for b in assignments(suffix))
-            seen.add(sub)
-        counts.append(len(seen))
-    return counts
+    table = truth_table_of(mgr, ref, order)
+    out = []
+    for i in range(len(order) + 1):
+        step = 1 << (len(order) - i)
+        out.append({table[k : k + step] for k in range(0, len(table), step)})
+    return out
+
+
+def cofactor_counts(mgr: Manager, ref: int) -> list[int]:
+    """Distinct-subfunction count per layer (prefix lengths 0..|X|-1), the
+    complete-OBDD widths, from ``cofactor_tables``."""
+    return [len(tables) for tables in cofactor_tables(mgr, ref)[:-1]]
 
 
 def separation_width_oracle(g, order) -> int:

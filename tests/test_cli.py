@@ -74,6 +74,8 @@ def test_full_pipeline_ends_winning(tmp_path, capsys):
     assert out.strip() == "FALSE"
     code, out, _ = run(capsys, "check", str(qdimacs), str(trace))
     assert code == EXIT_OK and "ACCEPTED refutation" in out
+    code, out, _ = run(capsys, "--json", "check", str(qdimacs), str(trace))
+    assert (code, json.loads(out)) == (EXIT_OK, {"accepted": True, "refutation": True})
     assert run(capsys, "extract", str(qdimacs), str(trace), "-o", str(strat))[0] == EXIT_OK
     code, out, _ = run(capsys, "verify", str(qdimacs), str(strat))
     assert code == EXIT_OK
@@ -213,11 +215,14 @@ def test_bench_table_schema_and_monotone_sizes(capsys):
 def test_bench_eqprime_constant_width(capsys):
     code, out, _ = run(
         capsys, "--json", "bench", "--family", "eqprime", "--n", "4:8:2",
-        "--orders", "pathwidth",
+        "--orders", "pathwidth,prefix",
     )
     assert code == EXIT_OK
     rows = json.loads(out)
-    widths = {r["max_width"] for r in rows}
+    assert [(r["n"], r["order"]) for r in rows] == [
+        (n, order) for n in (4, 6, 8) for order in ("pathwidth", "prefix")
+    ]
+    widths = {r["max_width"] for r in rows if r["order"] == "pathwidth"}
     assert len(widths) == 1
     assert all(r["value"] is False for r in rows)
 
@@ -334,6 +339,9 @@ def test_rect_analyze_random_partition(tmp_path, capsys):
     assert code == EXIT_OK
     data = json.loads(out)
     assert data["ok"]
+    # `random` takes its seed from --seed
+    argv = ("rect", "analyze", "--graph", str(graph), "--partition", "random")
+    assert run(capsys, "--seed", "3", *argv) == (EXIT_OK, out, "")
 
 
 def test_usage_errors(tmp_path, capsys):
@@ -363,12 +371,17 @@ def test_usage_errors(tmp_path, capsys):
     graph = tmp_path / "m2.edges"
     graph.write_text("1 2\n3 4\n")
     partition = tmp_path / "part.txt"
-    for text in ("1 3\n2 x\n", "1 3\n2\n", "1 3\n2 4 5\n", "1 3\n3 2 4\n"):
+    for text in ("1 3\n2 x\n", "1 3\n2\n", "1 3\n2 4 5\n", "1 3\n3 2 4\n", "1 3 2 4\n"):
         partition.write_text(text)
         code, _, err = run(
             capsys, "rect", "analyze", "--graph", str(graph), "--partition", str(partition)
         )
         assert code == EXIT_USAGE and "partition file" in err, text
+    code, _, err = run(capsys, "rect", "analyze", "--graph", str(graph), "--partition", "random:x")
+    assert (code, err) == (EXIT_USAGE, "usage error: bad partition spec 'random:x'\n")
+    # an input path that cannot be read is a bad argument
+    code, _, err = run(capsys, "solve", str(tmp_path / "missing.qdimacs"))
+    assert code == EXIT_USAGE and err.startswith("usage error: cannot read ")
 
 
 def test_rect_analyze_refuses_an_oversized_split_at_once(tmp_path, capsys, monkeypatch):

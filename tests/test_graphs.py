@@ -36,6 +36,8 @@ def test_graph_simple_invariants():
 def test_edge_list_roundtrip():
     g = Graph([1, 2, 3, 4], [(1, 2), (3, 4)])
     assert parse_edge_list(emit_edge_list(g)) == g
+    # blank lines and lines starting with `#` or `c` are comments
+    assert parse_edge_list("# two edges\nc split\n\n1 2\n3 4\n") == g
 
 
 def test_edge_list_rejects_non_integer_ids_with_line_number():

@@ -18,6 +18,7 @@ from qobdd.obdd import (
 from .helpers import (
     assignments,
     cofactor_counts,
+    cofactor_tables,
     cube,
     obdd_from_table,
     random_table,
@@ -64,6 +65,7 @@ def test_apply_and_identity():
     assert truth_table_of(m, f, [1, 2]) == (0, 0, 0, 1)
     assert m.apply(f, m.ONE, "and") == f
     assert m.apply(f, m.ZERO, "or") == f
+    assert m.apply(x, y, OPS["and"]) == f  # an op may be its 4-bit code
 
 
 OP_FUNCS = {name: code for name, code in OPS.items()}
@@ -202,20 +204,35 @@ def test_complete_of_sink():
     m = Manager(VarOrder([1, 2]))
     co = m.complete(m.ONE)
     assert co.width == 1
-    assert co.layer_sizes == [1, 1]
+    assert co.layers == [[m.ONE], [m.ONE]]
     assert co.size == 3  # two chain nodes plus the sink
 
 
 def test_complete_size_bound_and_semantics():
+    # each layer's states are exactly the distinct cofactors left after
+    # fixing the variables before it, and the sinks those after all of them
     rng = random.Random(3)
     for nv in (4, 6, 8, 10):
-        m = Manager(VarOrder(range(1, nv + 1)))
+        order = tuple(range(1, nv + 1))
+        m = Manager(VarOrder(order))
         for _ in range(8):
-            f = obdd_from_table(m, range(1, nv + 1), random_table(rng, nv))
+            f = obdd_from_table(m, order, random_table(rng, nv))
             co = m.complete(f)
             assert co.size <= (nv + 1) * m.size(f)
-            for a in assignments(range(1, nv + 1)):
-                assert co.evaluate(a) == m.evaluate(f, a)
+            want = cofactor_tables(m, f)
+            for i, states in enumerate(co.layers + [co.sinks]):
+                got = [truth_table_of(m, s, order[i:]) for s in states]
+                assert len(got) == len(set(got))
+                assert set(got) == want[i]
+
+
+def test_covers_reject_cuts_outside_the_order():
+    m = mgr(3)
+    co = m.complete(m.literal(2))
+    for cut in (-1, len(m.order) + 1):
+        with pytest.raises(ObddError, match=f"cut {cut} "):
+            co.covers(cut)
+    assert co.covers(len(m.order)) == [(m.literal(2), m.ONE)]
 
 
 def test_width_of_literal():
@@ -230,7 +247,7 @@ def test_width_matches_cofactor_oracle():
     p2 = m.apply(m.literal(3), m.literal(4), "and")
     ip = m.apply(p1, p2, "xor")
     co = m.complete(ip)
-    assert co.layer_sizes == cofactor_counts(m, ip)
+    assert list(map(len, co.layers)) == cofactor_counts(m, ip)
 
 
 def test_width_matches_cofactor_oracle_random():
@@ -238,7 +255,7 @@ def test_width_matches_cofactor_oracle_random():
     m = Manager(VarOrder(range(1, 7)))
     for _ in range(10):
         f = obdd_from_table(m, range(1, 7), random_table(rng, 6))
-        assert m.complete(f).layer_sizes == cofactor_counts(m, f)
+        assert list(map(len, m.complete(f).layers)) == cofactor_counts(m, f)
 
 
 def test_shape_matches_complete_and_cofactor_oracle():
@@ -302,6 +319,8 @@ def test_deserialize_rejects_malformed():
         obdd.deserialize("obdd 1\n0 T0 0 1", m)  # sink with children
     with pytest.raises(BlockFormatError):
         obdd.deserialize("nonsense", m)
+    with pytest.raises(BlockFormatError, match="block declares 0 nodes"):
+        obdd.deserialize("obdd 0\n", m)
     with pytest.raises(BlockFormatError):
         obdd.deserialize("obdd 3\n0 T0 - -\n1 T1 - -\n2 1 2 0", m)  # forward ref
 

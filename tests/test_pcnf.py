@@ -50,6 +50,14 @@ def test_parse_errors_carry_line_numbers():
         parse_qdimacs("p cnf 2 1\ne 1 1 0\n1 0\n")  # duplicate quantification
 
 
+def test_tautological_clause_is_dropped_but_counted():
+    f = parse_qdimacs("p cnf 2 2\na 1 0\ne 2 0\n1 -1 0\n2 0\n")
+    assert f.prefix == ((FORALL, 1), (EXISTS, 2))
+    assert f.clauses == ((2,),)
+    with pytest.raises(QdimacsError, match="header declares 1 clauses, found 2"):
+        parse_qdimacs("p cnf 2 1\ne 1 2 0\n1 -1 2 0\n2 0\n")
+
+
 def test_clause_canonicalization():
     assert clause([3, -1, 3]) == (-1, 3)
     with pytest.raises(PcnfError):

@@ -12,6 +12,7 @@ from qobdd.proof import (
     BAD_REFERENCE,
     ENTAILMENT_FAILED,
     HASH_MISMATCH,
+    MALFORMED,
     NOT_REFUTATION,
     ORDER_MISMATCH,
     TRUNCATED,
@@ -71,6 +72,10 @@ def test_derivation_ending_in_literal_is_not_refutation():
     assert derived.accepted and not derived.refutation
     rejected = check_trace(f, t, require_refutation=True)
     assert rejected.verdict.reason == NOT_REFUTATION
+    # an empty matrix still needs a line to derive anything
+    empty = Pcnf(((EXISTS, 1),), ())
+    verdict = check_trace(empty, ProofTrace(formula_hash(empty), VarOrder([1]), ())).verdict
+    assert (verdict.accepted, verdict.line, verdict.reason) == (False, None, MALFORMED)
 
 
 def test_ured_requires_rightmost():
@@ -277,6 +282,13 @@ def test_mutations_kill_each_reason(family_idx):
     # missing axiom block
     short = ProofTrace(trace.formula_hash, trace.order, trace.lines[: m - 1])
     assert check_trace(f, short).verdict.reason == AXIOM_MISMATCH
+
+    # an axiom after the matrix lines
+    late_axiom = ProofTrace(
+        trace.formula_hash, trace.order, trace.lines + (ProofLine(last_id + 1, Axiom(1)),)
+    )
+    verdict = check_trace(f, late_axiom).verdict
+    assert (verdict.line, verdict.reason) == (last_id + 1, AXIOM_MISMATCH)
 
 
 def test_conj_operand_mutation_rejected():

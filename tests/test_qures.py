@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from qobdd.pcnf import EXISTS, FORALL, Pcnf, clause
@@ -39,8 +41,12 @@ REDUCTION_PROOF = """\
 
 
 def test_parse_emit_roundtrip():
-    p = parse_qures(UNIVERSAL_PIVOT_PROOF)
-    assert parse_qures(emit_qures(p)) == p
+    for text in (UNIVERSAL_PIVOT_PROOF, REDUCTION_PROOF):
+        p = parse_qures(text)
+        assert parse_qures(emit_qures(p)) == p
+    # comment and blank lines are skipped anywhere
+    commented = "c proof\n\n" + REDUCTION_PROOF.replace("4 U", "c reduce\n4 U")
+    assert parse_qures(commented) == parse_qures(REDUCTION_PROOF)
 
 
 def test_universal_pivot_fixture_translates():
@@ -109,18 +115,27 @@ def test_node_count_bound():
 
 def test_validation_rejects_bad_proofs():
     f = all_pairs_formula()
-    with pytest.raises(QuResError):
-        validate_qures(f, parse_qures("1 A 1 -2 2 0\n"))  # tautological axiom
-    with pytest.raises(QuResError):
-        validate_qures(f, parse_qures("1 A 2 0\n"))  # not a matrix clause
-    with pytest.raises(QuResError):
-        validate_qures(f, parse_qures("1 A 1 2 0\n2 U 1 2\n"))  # existential reduce
-    with pytest.raises(QuResError):
+    for text, message in (
+        ("1 A 1 -2 2 0\n", "bad axiom at line 1: tautological clause"),
+        ("1 A 2 0\n", "axiom clause not in the matrix"),
+        ("1 A 1 2 0\n2 U 1 2\n", "reduced variable is not universal"),
         # reduction blocked by an existential right of the universal
-        validate_qures(f, parse_qures("1 A 1 2 0\n2 U 1 1\n"))
-    with pytest.raises(QuResError):
+        ("1 A 1 2 0\n2 U 1 1\n", "existential variable right of the reduced literal"),
         # pivot polarities reversed
-        validate_qures(f, parse_qures("1 A 1 2 0\n2 A -1 2 0\n3 R 2 1 1\n"))
+        ("1 A 1 2 0\n2 A -1 2 0\n3 R 2 1 1\n", "pivot must occur positively left"),
+        ("1 A 1 2\n", "axiom not 0-terminated at line 1"),
+        ("1 A 1 2 0\n2 X 1 1\n", "bad proof line '2 X 1 1' at line 2"),  # unknown tag
+        ("1 A 1 2 0\n2 R 1 1\n", "bad proof line '2 R 1 1' at line 2"),  # arity
+        ("1 A 1 2 0\n2 U 1 u\n", "bad proof line '2 U 1 u' at line 2"),  # not an int
+        ("c nothing here\n\n", "empty proof"),
+        ("2 A 1 2 0\n2 A 1 -2 0\n", "line id 2: non-increasing line id"),
+        ("1 A 1 2 0\n2 R 1 5 2\n", "line id 2: unknown premise"),
+        ("1 A 1 2 0\n2 U 7 1\n", "line id 2: unknown premise"),
+        ("1 A 1 2 0\n2 A 1 -2 0\n3 R 1 2 -2\n", "pivot must be a positive variable id"),
+        ("1 A 1 2 0\n2 U 1 -1\n", "line id 2: reduced literal not in clause"),
+    ):
+        with pytest.raises(QuResError, match=re.escape(message)):
+            validate_qures(f, parse_qures(text))
     g = Pcnf(((EXISTS, 1), (EXISTS, 2)), (clause([1, 2]), clause([-1, -2])))
     with pytest.raises(QuResError):
         validate_qures(g, parse_qures("1 A 1 2 0\n2 A -1 -2 0\n3 R 1 2 1\n"))

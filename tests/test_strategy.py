@@ -30,7 +30,6 @@ from qobdd.strategy import (
     and_protocol_run,
     emit_strategy,
     extract,
-    obdd_to_rectangles,
     parse_strategy,
     strategy_range_size,
     to_rectangle_list,
@@ -73,6 +72,10 @@ def test_extract_requires_refutation():
     res = solve(f)
     with pytest.raises(StrategyError):
         extract(f, res.trace)
+    derivation = check_trace(f, res.trace)
+    assert derivation.accepted and not derivation.refutation
+    with pytest.raises(StrategyError, match="needs a refutation"):
+        extract(f, res.trace, derivation)
 
 
 def test_eqprime_strategy_is_identity():
@@ -260,9 +263,9 @@ def ip2_manager():
 
 def test_rectangles_cut_zero_degenerate():
     m, ip = ip2_manager()
-    assert obdd_to_rectangles(m.complete(ip), 0) == [(m.ONE, ip)]
-    assert obdd_to_rectangles(m.complete(ip), 4) == [(ip, m.ONE)]
-    assert obdd_to_rectangles(m.complete(m.ZERO), 0) == []
+    assert m.complete(ip).covers(0) == [(m.ONE, ip)]
+    assert m.complete(ip).covers(4) == [(ip, m.ONE)]
+    assert m.complete(m.ZERO).covers(0) == []
     rdl = to_rectangle_list(DecisionList(m, [(ip, 1), (m.ONE, 0)]), 0)
     assert rdl.partition == ((), (1, 2, 3, 4))
     assert rdl.entries == [(m.ONE, ip, 1), (m.ONE, m.ONE, 0)]
@@ -270,7 +273,7 @@ def test_rectangles_cut_zero_degenerate():
 
 def test_rectangles_of_ip_two_pairs():
     m, ip = ip2_manager()
-    rects = obdd_to_rectangles(m.complete(ip), 2)
+    rects = m.complete(ip).covers(2)
     assert len(rects) == 2
     union = m.ZERO
     for r1, r2 in rects:
@@ -288,7 +291,7 @@ def test_rectangle_count_bounded_by_width():
         f = obdd_from_table(m, range(1, 9), random_table(rng, 8))
         co = m.complete(f)
         cut = rng.randint(0, 8)
-        rects = obdd_to_rectangles(co, cut)
+        rects = co.covers(cut)
         assert len(rects) <= co.width
         union = m.ZERO
         for r1, r2 in rects:
@@ -320,7 +323,7 @@ def test_to_rectangle_list_terminal_only():
 
 def test_to_rectangle_list_checks_the_cut_before_anything_else():
     m = Manager(VarOrder([1, 2, 3]))
-    dl = DecisionList(m, [(m.ONE, 1)])  # no guard reaches obdd_to_rectangles
+    dl = DecisionList(m, [(m.ONE, 1)])  # no guard reaches Manager.complete
     for cut in (-1, len(m.order) + 1, 7):
         with pytest.raises(StrategyError, match=f"cut {cut} "):
             to_rectangle_list(dl, cut)
@@ -347,7 +350,7 @@ def assert_rectangle_list_properties(dl, cut, plays):
     assert rdl.partition == (m.order.vars[:cut], m.order.vars[cut:])
     expected = []
     for guard, value in dl.entries[:-1]:
-        cover = obdd_to_rectangles(m.complete(guard), cut)
+        cover = m.complete(guard).covers(cut)
         union = m.ZERO
         for r1, r2 in cover:
             assert m.support(r1) <= x1 and m.support(r2) <= x2
