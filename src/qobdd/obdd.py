@@ -6,10 +6,11 @@ Boolean function is unique within its manager: structural equality is
 reference equality.  The two terminals are ``Manager.ZERO`` and
 ``Manager.ONE``.
 
-The kernels (apply, negate, restrict and the one-pass quantifiers) walk
-with explicit stacks, so a deep variable order never reaches Python's
-recursion limit, and they read each node's rank from an array kept beside
-the store.  Apply, restrict and the quantifiers memoize per operation (a
+The kernels (apply, negate, restrict, the one-pass quantifiers and the
+bit-parallel ``evaluate_bits``) walk with explicit stacks, so a deep
+variable order never reaches Python's recursion limit, and those that
+build nodes read each node's rank from an array kept beside the store.
+Apply, restrict and the quantifiers memoize per operation (a
 quantification's cofactor conjunctions share its memo): their hits come
 from inside one walk, and a repeat finds its nodes in the unique table.
 Only negation's memo, which stores each pair both ways, is manager-wide,
@@ -484,6 +485,37 @@ class Manager:
         except KeyError:
             raise ObddError(f"assignment lacks variable {self._var[f]}") from None
         return f
+
+    def evaluate_bits(self, f: int, columns: Mapping[int, int], memo: dict[int, int]) -> int:
+        """``f`` on many plays at once, one bit per play.
+
+        Bit j of ``columns[v]`` is v's value in play j, and bit j of the
+        result is ``f`` in play j.  ``memo`` maps refs to their result
+        columns and must start as ``{ZERO: 0, ONE: all-ones}`` over the
+        plays; share it across every root evaluated on the same columns, so
+        that each node is computed once: ``lo ^ (x & (lo ^ hi))``.  A column
+        added later must not change a memoized node, so add it only for a
+        variable no memoized node reads.  One post-order walk with an
+        explicit stack, as in ``_postorder``.
+        """
+        self._check_ref(f)
+        if self.ZERO not in memo or self.ONE not in memo:
+            raise ObddError("memo must start with both sinks")
+        var, lo, hi = self._var, self._lo, self._hi
+        stack = [f]
+        while stack:
+            r = stack.pop()
+            if r < 0:
+                r = ~r
+                a = memo[lo[r]]
+                try:
+                    x = columns[var[r]]
+                except KeyError:
+                    raise ObddError(f"columns lack variable {var[r]}") from None
+                memo[r] = a ^ (x & (a ^ memo[hi[r]]))
+            elif r not in memo:
+                stack += (~r, hi[r], lo[r])
+        return memo[f]
 
     def audit(self) -> None:
         """Structural self-check: reduced, deduplicated, order-respecting."""

@@ -10,6 +10,12 @@ A guard built this way only mentions variables left of u in the prefix, so
 responses can be computed one universal at a time, outermost first, and
 the strategy is a well-defined function of the existential assignment.
 
+``verify_winning`` plays the family against existential assignments in
+chunks, one bit per play: each variable's values over a chunk form one int
+column, ``Manager.evaluate_bits`` computes each guard node once per chunk
+on those columns, and the matrix is one AND of clause ORs.  Only the first
+losing play, if any, is replayed with the scalar ``respond``.
+
 The second half of this module converts a decision list into a rectangle
 decision list along a cut of the manager's order: one record holding the
 partition (X1, X2) = (first ``cut`` variables, the rest) and first-match
@@ -24,7 +30,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from . import obdd
 from .obdd import BlockFormatError, Manager, Row, VarOrder
@@ -37,6 +43,7 @@ class StrategyError(obdd.QobddError):
 
 
 EXHAUSTIVE_PLAYS = 2**16  # verify_winning always enumerates 16 existentials
+_CHUNK_PLAYS = 4096  # plays per bit-parallel pass of verify_winning
 RANGE_LIMIT = 20  # strategy_range_size enumerates at most 20 existentials
 
 
@@ -82,7 +89,9 @@ class DecisionListFamily:
 
     def audit(self) -> None:
         """Each guard may only mention variables left of its universal; one
-        walk of the prefix, which reports the outermost offending universal."""
+        walk of the prefix, which reports the outermost offending universal.
+        Every universal has a list, and no list is for an unquantified
+        variable."""
         left: set[int] = set()
         for _, v in self.formula.prefix:
             if v in self.lists:
@@ -95,6 +104,9 @@ class DecisionListFamily:
         unquantified = self.lists.keys() - left
         if unquantified:
             raise StrategyError(f"lists for unquantified variables {sorted(unquantified)}")
+        missing = [u for u in self.formula.universals if u not in self.lists]
+        if missing:
+            raise StrategyError(f"no decision list for universals {missing}")
 
     def respond(self, tau: Mapping[int, int]) -> dict[int, int]:
         """Extend an existential assignment with the strategy's responses."""
@@ -141,12 +153,6 @@ class WinningVerdict:
         return self.winning
 
 
-def _matrix_satisfied(f: Pcnf, assignment: Mapping[int, int]) -> bool:
-    return all(
-        any((lit > 0) == bool(assignment[abs(lit)]) for lit in c) for c in f.clauses
-    )
-
-
 def verify_winning(
     f: Pcnf,
     family: DecisionListFamily,
@@ -159,27 +165,73 @@ def verify_winning(
     max(``samples``, ``EXHAUSTIVE_PLAYS``) of them, and ``samples`` seeded
     random assignments otherwise; the verdict's ``exhaustive`` says which.
     A counterexample is reported in the verdict, never raised; the family
-    was audited when built.
+    was audited when built, and must be built for ``f``.
+
+    Plays go in chunks of ``_CHUNK_PLAYS``, one bit per play: each
+    variable's values form one int column, each universal's response
+    column comes from ``Manager.evaluate_bits`` on its guards, first match
+    winning, and the matrix column is the AND of the clause ORs.  One memo
+    per chunk serves every guard, so each guard node is computed once per
+    chunk.  The first play whose matrix bit is set is the counterexample,
+    and ``checked`` counts the plays up to and including it.
     """
     if samples < 1:
         raise StrategyError(f"samples must be at least 1, got {samples}")
+    if family.formula != f:
+        raise StrategyError("strategy family was built for another formula")
     evars = f.existentials
-    total = 1 << len(evars)
+    width = len(evars)
+    total = 1 << width
     exhaustive = total <= max(samples, EXHAUSTIVE_PLAYS)
-    if exhaustive:
-        space: Iterable[int] = range(total)
-    else:
+    if not exhaustive:
         rng = random.Random(seed)
-        space = (rng.getrandbits(len(evars)) for _ in range(samples))
         total = samples
-    checked = 0
-    for bits in space:
-        tau = {v: (bits >> i) & 1 for i, v in enumerate(evars)}
-        full = family.respond(tau)
-        checked += 1
-        if _matrix_satisfied(f, full):
-            return WinningVerdict(False, full, checked, exhaustive)
+    mgr = family.manager
+    evaluate_bits = mgr.evaluate_bits
+    responders = [(u, family.lists[u].entries) for u in f.universals]
+    for start in range(0, total, _CHUNK_PLAYS):
+        size = min(_CHUNK_PLAYS, total - start)
+        if exhaustive:
+            plays: Sequence[int] = range(start, start + size)
+        else:
+            plays = [rng.getrandbits(width) for _ in range(size)]
+        full = (1 << size) - 1
+        columns = _transpose(plays, evars)
+        memo = {mgr.ZERO: 0, mgr.ONE: full}
+        for u, entries in responders:
+            resp = decided = 0
+            for guard, value in entries:
+                fire = evaluate_bits(guard, columns, memo) & ~decided
+                if value:
+                    resp |= fire
+                decided |= fire
+                if decided == full:
+                    break
+            columns[u] = resp
+        sat = full
+        for c in f.clauses:
+            col = 0
+            for lit in c:
+                x = columns[abs(lit)]
+                col |= x if lit > 0 else full ^ x
+            sat &= col
+            if not sat:
+                break
+        if sat:
+            j = (sat & -sat).bit_length() - 1
+            bits = plays[j]
+            tau = {v: (bits >> i) & 1 for i, v in enumerate(evars)}
+            return WinningVerdict(False, family.respond(tau), start + j + 1, exhaustive)
     return WinningVerdict(True, None, total, exhaustive)
+
+
+def _transpose(plays: Sequence[int], evars: Sequence[int]) -> dict[int, int]:
+    """Per-variable columns of a chunk: bit j of ``columns[evars[i]]`` is
+    bit i of ``plays[j]``.  Each play is written as a fixed-width binary
+    string, last play first, so column i is every width-th character."""
+    width = len(evars)
+    text = "".join([format(p, f"0{width}b") for p in reversed(plays)])
+    return {v: int(text[width - 1 - i :: width], 2) for i, v in enumerate(evars)}
 
 
 def strategy_range_size(family: DecisionListFamily) -> int:

@@ -5,21 +5,28 @@ truth tables come from exhaustive evaluation, widths from cofactor
 counting, separation widths and min-degree orders from rescanning every
 prefix or every remaining vertex, rectangle maxima from double-subset
 enumeration (sizes) or a full closure scan per candidate (witnesses),
-and PCNF truth values from the game-tree recursions
+PCNF truth values from the game-tree recursions
 ``qbf_value`` and ``qbf_value_fn`` here, which work on the clause list or
 a matrix predicate and never build a diagram (exponential in the number
-of variables; keep inputs small).
+of variables; keep inputs small), and strategy verdicts from
+``verify_winning_oracle``, which plays one assignment at a time.
 """
 
 from __future__ import annotations
 
 import random
 from itertools import product
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
-from qobdd.obdd import Manager
+from qobdd.obdd import Manager, VarOrder
 from qobdd.pcnf import EXISTS, FORALL, Pcnf, clause
 from qobdd.rectangles import MAX_ORACLE_ROWS, MonoRectangle, RectangleLabError, TruthTable
+from qobdd.strategy import (
+    EXHAUSTIVE_PLAYS,
+    DecisionList,
+    DecisionListFamily,
+    WinningVerdict,
+)
 
 
 def assignments(variables):
@@ -317,3 +324,68 @@ def qbf_value_fn(
         return not want_any
 
     return play(0)
+
+
+# -- strategies ---------------------------------------------------------------
+
+
+def random_family(rng: random.Random, f: Pcnf) -> DecisionListFamily:
+    """Zero to three random guards per universal, each a random table over
+    up to four variables left of it, then the constant-true guard."""
+    m = Manager(VarOrder(f.variables))
+    lists: dict[int, DecisionList] = {}
+    left: list[int] = []
+    for q, v in f.prefix:
+        if q == FORALL:
+            entries = []
+            for _ in range(rng.randint(0, 3)):
+                vs = sorted(rng.sample(left, min(len(left), rng.randint(0, 4))))
+                guard = obdd_from_table(m, vs, random_table(rng, len(vs)))
+                entries.append((guard, rng.getrandbits(1)))
+            lists[v] = DecisionList(m, entries + [(m.ONE, rng.getrandbits(1))])
+        left.append(v)
+    return DecisionListFamily(f, m, lists)
+
+
+def flipped_entry(
+    rng: random.Random, family: DecisionListFamily
+) -> DecisionListFamily:
+    """The family with one random entry's value flipped."""
+    u = rng.choice(family.formula.universals)
+    entries = list(family.lists[u].entries)
+    i = rng.randrange(len(entries))
+    guard, value = entries[i]
+    entries[i] = (guard, 1 - value)
+    lists = {**family.lists, u: DecisionList(family.manager, entries)}
+    return DecisionListFamily(family.formula, family.manager, lists)
+
+
+def _matrix_satisfied(f: Pcnf, assignment: Mapping[int, int]) -> bool:
+    return all(
+        any((lit > 0) == bool(assignment[abs(lit)]) for lit in c) for c in f.clauses
+    )
+
+
+def verify_winning_oracle(
+    f: Pcnf, family: DecisionListFamily, samples: int = 100000, seed: int = 0
+) -> WinningVerdict:
+    """``strategy.verify_winning`` one play at a time: the same plays in
+    the same order, each answered by ``family.respond`` and checked clause
+    by clause."""
+    evars = f.existentials
+    total = 1 << len(evars)
+    exhaustive = total <= max(samples, EXHAUSTIVE_PLAYS)
+    if exhaustive:
+        space: Iterable[int] = range(total)
+    else:
+        rng = random.Random(seed)
+        space = (rng.getrandbits(len(evars)) for _ in range(samples))
+        total = samples
+    checked = 0
+    for bits in space:
+        tau = {v: (bits >> i) & 1 for i, v in enumerate(evars)}
+        full = family.respond(tau)
+        checked += 1
+        if _matrix_satisfied(f, full):
+            return WinningVerdict(False, full, checked, exhaustive)
+    return WinningVerdict(True, None, total, exhaustive)

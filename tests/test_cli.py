@@ -13,7 +13,7 @@ from qobdd.cli import (
 from qobdd.pcnf import EXISTS, FORALL, Pcnf, clause, parse_qdimacs
 from qobdd.proof import check_trace
 from qobdd.solver import prefix_order, solve
-from qobdd.strategy import extract, to_rectangle_list
+from qobdd.strategy import extract, to_rectangle_list, verify_winning
 
 
 def run(capsys, *argv):
@@ -437,6 +437,8 @@ def test_deep_order_solves_checks_and_extracts(tmp_path, capsys):
     for ones in ((), (1,), (n // 2,), (n // 2 + 1,), (n,)):
         a = {v: int(v in ones) for v in range(1, n + 2)}
         assert rdl.evaluate(a) == dl.evaluate(a)
+    verdict = verify_winning(f, family, samples=64)
+    assert verdict.winning and not verdict.exhaustive and verdict.checked == 64
 
     # the 1500-literal clause that used to exhaust the recursion depth
     m = 1500

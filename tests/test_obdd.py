@@ -334,6 +334,41 @@ def test_deserialize_rejects_order_mismatch():
         obdd.deserialize(blk, m2)
 
 
+def test_evaluate_bits_matches_evaluate_play_by_play():
+    rng = random.Random(15)
+    m = mgr(6)
+    variables = range(1, 7)
+    roots = [obdd_from_table(m, variables, random_table(rng, 6)) for _ in range(6)]
+    roots += [m.ZERO, m.ONE, m.literal(3)]
+    plays = [{v: rng.getrandbits(1) for v in variables} for _ in range(100)]
+    columns = {v: sum(p[v] << j for j, p in enumerate(plays)) for v in variables}
+    # one memo shared by every root, as verify_winning shares it per chunk
+    memo = {m.ZERO: 0, m.ONE: (1 << len(plays)) - 1}
+    for f in roots:
+        col = m.evaluate_bits(f, columns, memo)
+        assert [(col >> j) & 1 for j in range(len(plays))] == [
+            m.evaluate(f, p) for p in plays
+        ]
+    assert set(memo) <= set(range(len(m)))
+
+
+def test_evaluate_bits_walks_a_deep_order_and_names_a_missing_column():
+    # a 5000-literal clause is a 5000-node chain; default recursion limit
+    n = 5000
+    m = mgr(n)
+    f = m.clause(range(1, n + 1))
+    columns = {v: 0 for v in range(1, n + 1)}
+    columns[n] = 0b10  # play 1 sets the last variable, play 0 nothing
+    assert m.evaluate_bits(f, columns, {m.ZERO: 0, m.ONE: 0b11}) == 0b10
+    del columns[n]
+    with pytest.raises(ObddError, match=f"columns lack variable {n}"):
+        m.evaluate_bits(f, columns, {m.ZERO: 0, m.ONE: 0b11})
+    with pytest.raises(ObddError, match="memo must start with both sinks"):
+        m.evaluate_bits(f, columns, {m.ONE: 0b11})
+    with pytest.raises(ObddError, match="invalid node reference"):
+        m.evaluate_bits(len(m), columns, {m.ZERO: 0, m.ONE: 0b11})
+
+
 def test_audit_and_store_invariants():
     rng = random.Random(2)
     m = Manager(VarOrder(range(1, 9)))

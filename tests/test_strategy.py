@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -23,6 +24,7 @@ from qobdd.proof import (
 from qobdd.rectangles import eval_ipg
 from qobdd.solver import solve
 from qobdd.strategy import (
+    _CHUNK_PLAYS,
     DecisionList,
     DecisionListFamily,
     RectangleDecisionList,
@@ -36,7 +38,16 @@ from qobdd.strategy import (
     verify_winning,
 )
 
-from .helpers import assignments, obdd_from_table, random_table, truth_table_of
+from .helpers import (
+    assignments,
+    flipped_entry,
+    obdd_from_table,
+    random_family,
+    random_pcnf,
+    random_table,
+    truth_table_of,
+    verify_winning_oracle,
+)
 
 
 def solve_family(gen, dec, n):
@@ -155,6 +166,94 @@ def test_verify_winning_rejects_samples_below_one():
     for samples in (0, -5):
         with pytest.raises(StrategyError):
             verify_winning(f, fam, samples=samples)
+
+
+def test_family_audit_rejects_a_universal_without_a_list():
+    f, trace = solve_family(gen_eqprime, eqprime_decomposition, 3)
+    fam = extract(f, trace)
+    lists = {u: dl for u, dl in fam.lists.items() if u != 4}
+    with pytest.raises(StrategyError, match=r"no decision list for universals \[4\]"):
+        DecisionListFamily(f, fam.manager, lists)
+
+
+def test_verify_winning_rejects_a_family_of_another_formula():
+    f3, t3 = solve_family(gen_eqprime, eqprime_decomposition, 3)
+    f4, t4 = solve_family(gen_eqprime, eqprime_decomposition, 4)
+    for f, other in ((f4, extract(f3, t3)), (f3, extract(f4, t4))):
+        with pytest.raises(StrategyError, match="built for another formula"):
+            verify_winning(f, other)
+
+
+def assert_matches_oracle(f, fam, samples, seed=0):
+    got = verify_winning(f, fam, samples=samples, seed=seed)
+    want = verify_winning_oracle(f, fam, samples=samples, seed=seed)
+    assert (got.winning, got.exhaustive, got.checked) == (
+        want.winning, want.exhaustive, want.checked,
+    )
+    # through json.dumps, so the counterexample's key order counts too
+    assert json.dumps(got.counterexample) == json.dumps(want.counterexample)
+    return got
+
+
+def test_verify_winning_matches_the_per_play_oracle():
+    rng = random.Random(15)
+    every = (1, 5, 300, 100000)
+    cases = []
+    for _ in range(80):
+        f = random_pcnf(rng, max_vars=10)
+        cases += [(f, random_family(rng, f), every) for _ in range(2)]
+        res = solve(f)
+        if res.value is False:
+            genuine = extract(f, res.trace)
+            cases += [(f, genuine, every), (f, flipped_entry(rng, genuine), every)]
+    # eqprime(6) has 17 existentials, so it is sampled; the oracle takes
+    # seconds over 100,000 winning samples, so only its genuine family
+    # plays the default
+    for gen, dec, n, mutant_samples in (
+        (gen_eqprime, eqprime_decomposition, 3, every),
+        (gen_eqprime, eqprime_decomposition, 6, every[:-1]),
+        (gen_quparity, quparity_decomposition, 4, every),
+        (gen_quparity, quparity_decomposition, 6, every),
+    ):
+        f, trace = solve_family(gen, dec, n)
+        genuine = extract(f, trace)
+        cases.append((f, genuine, every))
+        cases += [(f, flipped_entry(rng, genuine), mutant_samples) for _ in range(6)]
+    outcomes = set()
+    for f, fam, samples_list in cases:
+        for samples in samples_list:
+            verdict = assert_matches_oracle(f, fam, samples, seed=rng.randrange(100))
+            outcomes.add((verdict.winning, verdict.exhaustive))
+    assert outcomes == {(w, e) for w in (True, False) for e in (True, False)}
+
+
+@pytest.mark.parametrize("index", [_CHUNK_PLAYS - 1, _CHUNK_PLAYS])
+@pytest.mark.parametrize("width", [13, 20])
+def test_verify_winning_finds_a_lone_losing_play_at_a_chunk_edge(width, index):
+    # The matrix holds on one existential play only, the play at `index`:
+    # the last play of the first chunk, or the first of the second.  With
+    # 13 existentials play i is the number i; with 20 it is the i-th draw
+    # of the sampler's stream.
+    evars = range(1, width + 1)
+    u = width + 1
+    if width <= 16:
+        play = index
+    else:
+        rng = random.Random(7)
+        draws = [rng.getrandbits(width) for _ in range(index + 1)]
+        play = draws[-1]
+        assert play not in draws[:-1]
+    cube = [v if (play >> i) & 1 else -v for i, v in enumerate(evars)]
+    f = Pcnf(
+        tuple((EXISTS, v) for v in evars) + ((FORALL, u),),
+        tuple(clause([lit]) for lit in cube) + (clause([cube[0], u]),),
+    )
+    m = Manager(VarOrder(f.variables))
+    fam = DecisionListFamily(f, m, {u: DecisionList(m, [(m.ONE, 0)])})
+    verdict = assert_matches_oracle(f, fam, 100000, seed=7)
+    assert not verdict.winning and verdict.exhaustive == (width <= 16)
+    assert verdict.checked == index + 1
+    assert verdict.counterexample == {abs(lit): int(lit > 0) for lit in cube} | {u: 0}
 
 
 def test_strategy_range_eqprime():
