@@ -30,7 +30,7 @@ caller gives one.
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 DEFAULT_NODE_BUDGET = 10**7
 
@@ -137,11 +137,12 @@ def _is_symmetric(code: int) -> bool:
 
 
 class Shape(NamedTuple):
-    """Size, complete width and support of one diagram (``Manager.shape``)."""
+    """Size, complete width and rightmost position of one diagram
+    (``Manager.shape``); the position is None for a constant."""
 
     size: int
     width: int
-    support: set[int]
+    rightmost: int | None
 
 
 class Manager:
@@ -229,9 +230,15 @@ class Manager:
         lits = set(literals)
         if 0 in lits:
             raise ObddError("0 is not a literal")
-        if any(-l in lits for l in lits):
-            return self.ONE  # tautological clause
-        ranked = sorted(((self.order.rank(abs(l)), l) for l in lits), reverse=True)
+        position = self.order.position
+        try:
+            ranked = sorted([(position[abs(l)], l) for l in lits], reverse=True)
+        except KeyError as exc:
+            raise OrderError(f"variable {exc.args[0]} not in order") from None
+        # the literals are distinct, so equal adjacent ranks are x and not x
+        for i in range(1, len(ranked)):
+            if ranked[i][0] == ranked[i - 1][0]:
+                return self.ONE
         acc = self.ZERO
         for rank, lit in ranked:
             if lit > 0:
@@ -443,39 +450,72 @@ class Manager:
                     stack += (hi[r], lo[r])
         return out
 
-    def shape(self, f: int) -> Shape:
-        """Size, complete width and support of ``f`` in one walk.
+    def shape(self, f: int, positions: Sequence[int] | None = None) -> Shape:
+        """Size, complete width and rightmost position of ``f`` in one walk.
 
         A reached node, sinks included, is a state of the complete diagram
         on the layers from its smallest parent rank + 1 (0 for the root) up
-        to min(its rank, |X| - 1).  A difference array over those ranges
-        gives every layer size in O(size + |X|); the width is the largest.
-        Equal to ``size(f)``, ``complete(f).width`` and ``support(f)``.
+        to min(its rank, |X| - 1).  Above the root's rank the root is the
+        only state, and past the deepest inner rank d only the reached
+        sinks are, so a difference array over the ranks rank(f) .. d + 1
+        gives every layer size that can be the largest, in O(size); the
+        width is the largest, layer d + 1 counting only if it is in the
+        order.  ``positions[k]`` places the rank-k variable in an outer
+        order, such as a PCNF prefix, and the rightmost position is the
+        largest over the nodes; without ``positions`` it is d.  A constant
+        has size 1, width 1 (0 on an empty order) and position None.
+        Equal to ``size(f)``, ``complete(f).width`` and the largest
+        position over ``support(f)``.
         """
         self._check_ref(f)
-        var, lo, hi, rank = self._var, self._lo, self._hi, self._rank
         n = self._terminal_rank
-        first = {f: 0}  # reached node -> first layer it is a state on
-        support: set[int] = set()
-        stack = [f]
+        if f <= 1:
+            return Shape(1, 1 if n else 0, None)
+        lo, hi, rank = self._lo, self._hi, self._rank
+        if positions is None:
+            positions = range(n)
+        top = deep = rank[f]
+        right = positions[top]
+        first = {f: top}  # reached node -> first layer (from top) it is a state on
+        stack = [f]  # inner nodes only
         while stack:
             r = stack.pop()
-            if r <= 1:
-                continue
-            support.add(var[r])
-            below = rank[r] + 1
-            for c in (lo[r], hi[r]):
-                start = first.get(c)
-                if start is None:
-                    first[c] = below
+            k = rank[r]
+            if k > deep:
+                deep = k
+            p = positions[k]
+            if p > right:
+                right = p
+            k += 1
+            c = lo[r]
+            start = first.get(c)
+            if start is None:
+                first[c] = k
+                if c > 1:
                     stack.append(c)
-                elif below < start:
-                    first[c] = below
-        diff = [0] * (n + 1)
+            elif k < start:
+                first[c] = k
+            c = hi[r]
+            start = first.get(c)
+            if start is None:
+                first[c] = k
+                if c > 1:
+                    stack.append(c)
+            elif k < start:
+                first[c] = k
+        size = len(first)
+        # a non-constant diagram reaches both sinks, states to the order's end
+        sinks = (first.pop(self.ZERO), first.pop(self.ONE))
+        diff = [0] * (deep - top + 2)
         for r, start in first.items():
-            diff[start] += 1
-            diff[n if r <= 1 else rank[r] + 1] -= 1
-        return Shape(len(first), max(accumulate(diff)), support)
+            diff[start - top] += 1
+            diff[rank[r] + 1 - top] -= 1
+        for start in sinks:
+            diff[start - top] += 1
+        layers = list(accumulate(diff))
+        if deep + 1 == n:
+            layers.pop()  # the sinks' layer lies past the order
+        return Shape(size, max(layers), right)
 
     def evaluate(self, f: int, assignment: Mapping[int, int]) -> int:
         self._check_ref(f)

@@ -10,8 +10,11 @@ Every step is logged as a trace line: conjunctions directly, existential
 elimination as a projection, and universal elimination as two constant
 substitutions joined by a conjunction (for a rightmost variable x,
 forall x. L  =  L[x/0] and L[x/1], so the log stays within the checker's
-rule set).  One ``emit`` in ``solve`` writes every line, axioms included,
-and measures its diagram once.
+rule set).  One ``emit`` in ``solve`` writes every line, axioms included.
+An axiom's size, width and rightmost prefix position are read off its
+clause; every other line's come from one ``Manager.shape`` walk, which
+reads a rank-to-prefix-position list built once per solve and keeps no
+support set, so bookkeeping costs the line's size, not the variable count.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .graphs import narrow_order
-from .obdd import DEFAULT_NODE_BUDGET, Manager, OrderError, QobddError, VarOrder
-from .pcnf import EXISTS, Pcnf, primal_graph
+from .obdd import DEFAULT_NODE_BUDGET, Manager, OrderError, QobddError, Shape, VarOrder
+from .pcnf import EXISTS, Clause, Pcnf, primal_graph
 from .proof import Axiom, Conj, Proj, ProofLine, ProofTrace, URed, formula_hash
 
 
@@ -122,17 +125,30 @@ def solve(
     if set(order.vars) != set(f.variables):
         raise OrderError("order must cover exactly the formula variables")
     mgr = Manager(order, node_budget=node_budget)
+    positions = [f.prefix_position(v) for v in order.vars]  # by rank
+    last = order.vars[-1] if order.vars else None
     stats = SolveStats()
     lines: list[ProofLine] = []
 
-    def emit(rule, ref) -> Entry:
-        size, width, support = mgr.shape(ref)
+    def emit(rule, ref, shape: Shape | None = None) -> Entry:
+        size, width, right = mgr.shape(ref, positions) if shape is None else shape
         lines.append(ProofLine(len(lines) + 1, rule))
         stats.widths.append(width)
         stats.trace_nodes += size
-        return (ref, len(lines), size, f.rightmost(support))
+        return (ref, len(lines), size, right)
 
-    axioms = [emit(Axiom(i), mgr.clause(c)) for i, c in enumerate(f.clauses, start=1)]
+    def axiom(i: int, c: Clause) -> Entry:
+        # Pcnf clauses are canonical, so one of k >= 1 literals is a chain
+        # of k nodes over both sinks: width 2, or 1 for a unit on the
+        # order's last variable; the empty clause is the constant ZERO
+        ref = mgr.clause(c)
+        if ref <= 1:
+            return emit(Axiom(i), ref)
+        width = 1 if len(c) == 1 and abs(c[0]) == last else 2
+        right = max([f.prefix_position(abs(l)) for l in c])
+        return emit(Axiom(i), ref, Shape(len(c) + 2, width, right))
+
+    axioms = [axiom(i, c) for i, c in enumerate(f.clauses, start=1)]
     stats.value = value = _eliminate_all(f, mgr, axioms, emit, stats.eliminations)
     stats.wall_time_ms = (time.perf_counter() - start) * 1000.0
     return SolveResult(value, ProofTrace(formula_hash(f), order, tuple(lines)), stats)

@@ -3,8 +3,10 @@
 From a checked refutation, a single scan of its lines builds one decision
 list per universal variable u: for every reduction line L_i = L_j[u/c],
 the pair (not L_i, c) is appended, and a constant-true guard with value 1
-closes the list.  Guards are references into the checker's manager, so the
-scan is linear in the trace length.
+closes the list.  Guards are references into the checker's manager.  The
+scan visits each line once, but each guard is a negated copy of its line,
+so extraction costs the sizes of the reduction lines' diagrams, not the
+trace length.
 
 A guard built this way only mentions variables left of u in the prefix, so
 responses can be computed one universal at a time, outermost first, and
@@ -15,6 +17,7 @@ chunks, one bit per play: each variable's values over a chunk form one int
 column, ``Manager.evaluate_bits`` computes each guard node once per chunk
 on those columns, and the matrix is one AND of clause ORs.  Only the first
 losing play, if any, is replayed with the scalar ``respond``.
+``strategy_range_size`` answers its plays with the same columns.
 
 The second half of this module converts a decision list into a rectangle
 decision list along a cut of the manager's order: one record holding the
@@ -186,9 +189,6 @@ def verify_winning(
     if not exhaustive:
         rng = random.Random(seed)
         total = samples
-    mgr = family.manager
-    evaluate_bits = mgr.evaluate_bits
-    responders = [(u, family.lists[u].entries) for u in f.universals]
     for start in range(0, total, _CHUNK_PLAYS):
         size = min(_CHUNK_PLAYS, total - start)
         if exhaustive:
@@ -197,17 +197,7 @@ def verify_winning(
             plays = [rng.getrandbits(width) for _ in range(size)]
         full = (1 << size) - 1
         columns = _transpose(plays, evars)
-        memo = {mgr.ZERO: 0, mgr.ONE: full}
-        for u, entries in responders:
-            resp = decided = 0
-            for guard, value in entries:
-                fire = evaluate_bits(guard, columns, memo) & ~decided
-                if value:
-                    resp |= fire
-                decided |= fire
-                if decided == full:
-                    break
-            columns[u] = resp
+        _respond_bits(family, columns, full)
         sat = full
         for c in f.clauses:
             col = 0
@@ -225,6 +215,25 @@ def verify_winning(
     return WinningVerdict(True, None, total, exhaustive)
 
 
+def _respond_bits(family: DecisionListFamily, columns: dict[int, int], full: int) -> None:
+    """Add each universal's response column to ``columns``, outermost
+    first: bit j is set where the first guard firing in play j has value
+    1.  ``full`` has one bit per play; one memo serves every guard."""
+    mgr = family.manager
+    evaluate_bits = mgr.evaluate_bits
+    memo = {mgr.ZERO: 0, mgr.ONE: full}
+    for u in family.formula.universals:
+        resp = decided = 0
+        for guard, value in family.lists[u].entries:
+            fire = evaluate_bits(guard, columns, memo) & ~decided
+            if value:
+                resp |= fire
+            decided |= fire
+            if decided == full:
+                break
+        columns[u] = resp
+
+
 def _transpose(plays: Sequence[int], evars: Sequence[int]) -> dict[int, int]:
     """Per-variable columns of a chunk: bit j of ``columns[evars[i]]`` is
     bit i of ``plays[j]``.  Each play is written as a fixed-width binary
@@ -238,8 +247,11 @@ def strategy_range_size(family: DecisionListFamily) -> int:
     """Number of distinct universal response vectors across existential plays.
 
     Responses only depend on existential variables appearing in some guard,
-    so enumeration runs over that subset, of at most ``RANGE_LIMIT``.  The
-    family was audited when built.
+    so enumeration runs over that subset, of at most ``RANGE_LIMIT``; the
+    others are never read.  The plays go in chunks of ``_CHUNK_PLAYS``, one
+    bit per play, answered as in ``verify_winning``, and each play's
+    response vector is read across the universals' columns.  The family was
+    audited when built.
     """
     f = family.formula
     existential = set(f.existentials)
@@ -250,14 +262,18 @@ def strategy_range_size(family: DecisionListFamily) -> int:
         raise StrategyError(
             f"{len(relevant)} relevant existentials exceed limit {RANGE_LIMIT}"
         )
-    fill = {v: 0 for v in f.existentials if v not in relevant}
     universals = f.universals
-    seen: set[tuple[int, ...]] = set()
-    for bits in range(1 << len(relevant)):
-        tau = {v: (bits >> i) & 1 for i, v in enumerate(relevant)}
-        tau.update(fill)
-        full = family.respond(tau)
-        seen.add(tuple(full[u] for u in universals))
+    if not universals:
+        return 1  # every play answers with the empty vector
+    total = 1 << len(relevant)
+    seen: set[str] = set()
+    for start in range(0, total, _CHUNK_PLAYS):
+        size = min(_CHUNK_PLAYS, total - start)
+        columns = _transpose(range(start, start + size), relevant)
+        _respond_bits(family, columns, (1 << size) - 1)
+        # one binary string per universal; zip reads one play across them
+        rows = [format(columns[u], f"0{size}b") for u in universals]
+        seen.update(map("".join, zip(*rows)))
     return len(seen)
 
 

@@ -8,8 +8,9 @@ enumeration (sizes) or a full closure scan per candidate (witnesses),
 PCNF truth values from the game-tree recursions
 ``qbf_value`` and ``qbf_value_fn`` here, which work on the clause list or
 a matrix predicate and never build a diagram (exponential in the number
-of variables; keep inputs small), and strategy verdicts from
-``verify_winning_oracle``, which plays one assignment at a time.
+of variables; keep inputs small), and strategy verdicts and range sizes
+from ``verify_winning_oracle`` and ``strategy_range_size_oracle``, which
+play one assignment at a time.
 """
 
 from __future__ import annotations
@@ -389,3 +390,15 @@ def verify_winning_oracle(
         if _matrix_satisfied(f, full):
             return WinningVerdict(False, full, checked, exhaustive)
     return WinningVerdict(True, None, total, exhaustive)
+
+
+def strategy_range_size_oracle(family: DecisionListFamily) -> int:
+    """``strategy.strategy_range_size`` one play at a time: every
+    assignment of all existentials, relevant to a guard or not, answered
+    by ``family.respond``; no relevance limit (keep formulas small)."""
+    f = family.formula
+    seen: set[tuple[int, ...]] = set()
+    for tau in assignments(f.existentials):
+        full = family.respond(tau)
+        seen.add(tuple(full[u] for u in f.universals))
+    return len(seen)

@@ -266,17 +266,22 @@ def test_shape_matches_complete_and_cofactor_oracle():
         m = Manager(VarOrder(order))
         funcs = [m.ZERO, m.ONE, m.literal(order[-1]), m.literal(order[0], positive=False)]
         funcs += [obdd_from_table(m, order, random_table(rng, nv)) for _ in range(12)]
+        positions = list(range(nv))
+        rng.shuffle(positions)
         for f in funcs:
             shape = m.shape(f)
             assert shape.width == m.complete(f).width == max(cofactor_counts(m, f))
             assert shape.size == m.size(f)
-            assert shape.support == m.support(f)
+            ranks = [m.order.rank(v) for v in m.support(f)]
+            assert shape.rightmost == max(ranks, default=None)
+            rightmost = max((positions[k] for k in ranks), default=None)
+            assert m.shape(f, positions) == (shape.size, shape.width, rightmost)
 
 
 def test_shape_of_the_empty_order():
     m = Manager(VarOrder([]))
     for f in (m.ZERO, m.ONE):
-        assert m.shape(f) == (1, 0, set())
+        assert m.shape(f) == (1, 0, None)
         assert m.complete(f).width == 0
 
 

@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+from qobdd import solver
 from qobdd.families import (
     eqprime_decomposition,
     gen_eqprime,
@@ -199,6 +200,70 @@ def test_solve_never_completes_a_diagram(monkeypatch):
         f = gen(6)
         for order in (order_from_decomposition(dec(6)), default_order(f)):
             assert solve(f, order=order).value is False
+
+
+def test_solve_reads_no_support(monkeypatch):
+    # bucket positions come from the walk's rank-to-position list and, for
+    # axioms, from the clause; no support set is built or scanned
+    def refuse(*args):
+        raise AssertionError("solve read a support set")
+
+    monkeypatch.setattr(Manager, "support", refuse)
+    monkeypatch.setattr(Pcnf, "rightmost", refuse)
+    for gen, dec in ((gen_quparity, quparity_decomposition), (gen_eqprime, eqprime_decomposition)):
+        f = gen(6)
+        for order in (order_from_decomposition(dec(6)), default_order(f)):
+            assert solve(f, order=order).value is False
+
+
+def test_line_numbers_match_the_checkers_oracles(monkeypatch):
+    # every line's size, width and bucket position, read off the clause for
+    # an axiom and from one walk otherwise, against the checker's fresh
+    # manager: Manager.size, the complete width and Pcnf.rightmost
+    eliminate_all = solver._eliminate_all
+
+    def checked(f, order):
+        # the eliminator's entry (ref, line id, size, position) of each line
+        entries = []
+
+        def spy(f, mgr, axioms, emit, eliminations):
+            def recording(*args):
+                entries.append(emit(*args))
+                return entries[-1]
+
+            entries.extend(axioms)
+            return eliminate_all(f, mgr, axioms, recording, eliminations)
+
+        monkeypatch.setattr(solver, "_eliminate_all", spy)
+        res = solve(f, order=order)
+        assert [e[1] for e in entries] == [line.id for line in res.trace.lines]
+        chk = check_trace(f, res.trace)
+        assert chk.accepted
+        m = chk.manager
+        got = [(size, width, right) for (_, _, size, right), width in zip(entries, res.stats.widths)]
+        want = [
+            (m.size(g), m.complete(g).width, f.rightmost(m.support(g)))
+            for g in (chk.functions[line.id] for line in res.trace.lines)
+        ]
+        assert got == want, (f, order)
+        assert res.stats.trace_nodes == sum(size for size, _, _ in got)
+        return got
+
+    rng = random.Random(41)
+    for _ in range(15):
+        f = random_pcnf(rng, max_vars=10, max_clauses=18)
+        shuffled = list(f.variables)
+        rng.shuffle(shuffled)
+        for order in (None, prefix_order(f), VarOrder(shuffled)):
+            checked(f, order)
+    # a unit clause on the order's last variable is a width-1 axiom
+    f = Pcnf(((EXISTS, 1), (FORALL, 2)), (clause([1, 2]), clause([2]), clause([-1])))
+    assert checked(f, VarOrder([1, 2]))[:3] == [(4, 2, 1), (3, 1, 1), (3, 2, 0)]
+    # an empty clause is ZERO: one node, no position, refuted at once
+    f = Pcnf(((EXISTS, 1), (FORALL, 2)), (clause([1, -2]), ()))
+    assert checked(f, None)[1:] == [(1, 1, None)] * 2
+    # with no variables the empty order has no layer, so no width
+    assert checked(Pcnf((), ((),)), None) == [(1, 0, None)] * 2
 
 
 def test_line_widths_match_the_checkers_complete_diagrams():

@@ -45,6 +45,7 @@ from .helpers import (
     random_family,
     random_pcnf,
     random_table,
+    strategy_range_size_oracle,
     truth_table_of,
     verify_winning_oracle,
 )
@@ -257,10 +258,28 @@ def test_verify_winning_finds_a_lone_losing_play_at_a_chunk_edge(width, index):
 
 
 def test_strategy_range_eqprime():
-    for n in (2, 3, 4):
+    # 13 relevant existentials are two chunks of plays
+    for n in (2, 3, 4, 13):
         f, trace = solve_family(gen_eqprime, eqprime_decomposition, n)
         fam = extract(f, trace)
         assert strategy_range_size(fam) == 2**n
+
+
+def test_strategy_range_matches_the_per_play_oracle():
+    rng = random.Random(29)
+    families = []
+    for _ in range(60):
+        f = random_pcnf(rng, max_vars=10)
+        families += [random_family(rng, f) for _ in range(2)]
+        res = solve(f)
+        if res.value is False:
+            genuine = extract(f, res.trace)
+            families += [genuine, flipped_entry(rng, genuine)]
+    f = Pcnf(((EXISTS, 1), (EXISTS, 2)), (clause([1, 2]),))
+    families.append(DecisionListFamily(f, Manager(VarOrder(f.variables)), {}))
+    sizes = [strategy_range_size(fam) for fam in families]
+    assert sizes == [strategy_range_size_oracle(fam) for fam in families]
+    assert sizes[-1] == 1 and max(sizes) > 2
 
 
 def test_strategy_range_constant_and_limit():
