@@ -10,13 +10,12 @@ The kernels (apply, negate, restrict, the one-pass quantifiers and the
 bit-parallel ``evaluate_bits``) walk with explicit stacks, so a deep
 variable order never reaches Python's recursion limit, and those that
 build nodes read each node's rank from an array kept beside the store.
-Apply, restrict and the quantifiers memoize per operation (a
-quantification's cofactor conjunctions share its memo): their hits come
-from inside one walk, and a repeat finds its nodes in the unique table.
-Only negation's memo, which stores each pair both ways, is manager-wide,
-as strategy extraction negates the same guards across calls.  References,
-variables and ``apply`` ops are validated at the public entry points only;
-the kernels and the node constructor they share trust them.
+Every kernel memoizes per operation (a quantification's cofactor
+conjunctions share its memo, and a caller may share one negation memo
+across several roots): hits come from inside one walk, and a repeat finds
+its nodes in the unique table, so no memo outlives the call that made it.
+References, variables and ``apply`` ops are validated at the public entry
+points only; the kernels and the node constructor they share trust them.
 
 A manager and its references belong to one logical thread at a time; hand a
 manager off between threads if you like, but never share one concurrently.
@@ -152,8 +151,9 @@ class Manager:
     node ever has equal children and no triple is stored twice, so diagrams
     are fully reduced by construction.  There is no garbage collection:
     managers are meant to be short-lived, one per solve or check, and each
-    raises ``BudgetExceededError`` past ``node_budget`` inner nodes.  Its
-    one memo is negation's; every other operation memoizes per call.
+    raises ``BudgetExceededError`` past ``node_budget`` inner nodes.  The
+    store and its unique table are all it keeps between calls: every
+    operation memoizes per call.
     """
 
     ZERO = 0
@@ -170,7 +170,6 @@ class Manager:
         self._hi: list[int] = [-1, -1]
         self._rank: list[int] = [n, n]
         self._unique: dict[tuple[int, int, int], int] = {}
-        self._neg_cache: dict[int, int] = {}
 
     # -- basic accessors ---------------------------------------------------
 
@@ -286,10 +285,10 @@ class Manager:
                 continue
             f, g = task
             if f <= 1:
-                out.append(unary((code >> (f << 1)) & 3, g))
+                out.append(unary((code >> (f << 1)) & 3, g, memo))
                 continue
             if g <= 1:
-                out.append(unary(((code >> g) & 1) | ((code >> (1 + g)) & 2), f))
+                out.append(unary(((code >> g) & 1) | ((code >> (1 + g)) & 2), f, memo))
                 continue
             if symmetric and f > g:
                 f, g = g, f
@@ -312,24 +311,29 @@ class Manager:
             stack.append((f0, g0))
         return out[0]
 
-    def _unary(self, pair: int, g: int) -> int:
-        # bit 0: the result when g = 0; bit 1: the result when g = 1
+    def _unary(self, pair: int, g: int, memo: dict) -> int:
+        # bit 0: the result when g = 0; bit 1: the result when g = 1.  A
+        # negation keeps its int keys in the apply memo, beside the pairs.
         if pair == 0b00:
             return self.ZERO
         if pair == 0b11:
             return self.ONE
         if pair == 0b10:
             return g
-        return self._negate(g)
+        return self._negate(g, memo)
 
-    def negate(self, f: int) -> int:
-        """Complement by sink swap; size-preserving and involutive."""
+    def negate(self, f: int, memo: dict[int, int] | None = None) -> int:
+        """Complement by sink swap; size-preserving and involutive.
+
+        ``memo`` maps refs to their complements, both ways; pass one dict
+        to several calls on this manager to negate their shared nodes once.
+        Without it the memo lasts this call.
+        """
         self._check_ref(f)
-        return self._negate(f)
+        return self._negate(f, {} if memo is None else memo)
 
-    def _negate(self, f: int) -> int:
-        var, lo, hi, rank = self._var, self._lo, self._hi, self._rank
-        cache, mk = self._neg_cache, self._mk
+    def _negate(self, f: int, cache: dict) -> int:
+        var, lo, hi, rank, mk = self._var, self._lo, self._hi, self._rank, self._mk
         out: list[int] = []
         stack = [f]
         while stack:
@@ -402,9 +406,6 @@ class Manager:
                 else:
                     stack += (~f, hi[f], lo[f])
         return out[0]
-
-    def clear_cache(self) -> None:
-        self._neg_cache.clear()
 
     # -- inspection ----------------------------------------------------------
 
@@ -640,16 +641,19 @@ class CompleteObdd:
     def root(self) -> int:
         return self.layers[0][0] if self.layers else self.sinks[0]
 
-    def covers(self, cut: int) -> list[tuple[int, int]]:
+    def covers(self, cut: int, drop: int) -> list[tuple[int, int]]:
         """Rectangle cover along the prefix cut of ``cut`` variables.
 
-        One ``(r1, r2)`` pair per nonzero state of the cut layer (the sinks
-        when the cut is the whole order), in layer order: ``r1`` accepts the
-        assignments to the first ``cut`` variables that reach the state,
-        ``r2`` is the state itself, a function of the remaining variables.
-        The disjunction of the products r1 and r2 is the original function,
-        and their number is at most the width.  Degenerate cuts (0 or all
-        variables) give one-sided pairs.  A cut outside 0..|X| raises
+        One ``(r1, r2)`` pair per state of the cut layer (the sinks when
+        the cut is the whole order) other than the sink ``drop``, in layer
+        order: ``r1`` accepts the assignments to the first ``cut`` variables
+        that reach the state, ``r2`` is the state itself, a function of the
+        remaining variables.  With ``drop`` = ZERO the disjunction of the
+        products r1 and r2 is the original function; with ``drop`` = ONE,
+        the same disjunction over the complemented states is its
+        complement, as the complement's diagram is this one with the sinks
+        swapped.  Their number is at most the width.  Degenerate cuts (0 or
+        all variables) give one-sided pairs.  A cut outside 0..|X| raises
         ``ObddError``.
         """
         mgr = self.manager
@@ -667,7 +671,7 @@ class CompleteObdd:
             sweep.append((v, i, nodes))
         rects = []
         for s in states:
-            if s == mgr.ZERO:
+            if s == drop:
                 continue  # contributes nothing to the disjunction
             # reach[t]: over the variables before t's layer, whether they
             # lead to the cut state s
@@ -694,7 +698,9 @@ class CompleteObdd:
 # with `c ` are comments and are skipped wherever they occur.
 
 
-def serialize(manager: Manager, f: int) -> str:
+def serialize(manager: Manager, f: int, negated: bool = False) -> str:
+    """The block of ``f``; with ``negated``, the block of its complement,
+    which is ``f``'s with the sinks swapped, row for row."""
     manager._check_ref(f)
     var, lo, hi = manager._var, manager._lo, manager._hi
     index: dict[int, int] = {}
@@ -703,7 +709,7 @@ def serialize(manager: Manager, f: int) -> str:
         idx = len(index)
         index[ref] = idx
         if ref <= 1:
-            lines.append(f"{idx} T{ref} - -")
+            lines.append(f"{idx} T{ref ^ negated} - -")
         else:
             lines.append(f"{idx} {var[ref]} {index[lo[ref]]} {index[hi[ref]]}")
     return "\n".join([f"obdd {len(lines)}"] + lines)

@@ -2,11 +2,16 @@
 
 From a checked refutation, a single scan of its lines builds one decision
 list per universal variable u: for every reduction line L_i = L_j[u/c],
-the pair (not L_i, c) is appended, and a constant-true guard with value 1
-closes the list.  Guards are references into the checker's manager.  The
-scan visits each line once, but each guard is a negated copy of its line,
-so extraction costs the sizes of the reduction lines' diagrams, not the
-trace length.
+the entry with guard not L_i and value c is appended, and a constant-true
+guard with value 1 closes the list.  Guards are held as their lines: a
+list stores the pair (L_i, c), references into the checker's manager, and
+an entry fires where its line is 0.  The complement's diagram is the
+line's with the sinks swapped, node for node, so it has the same support
+and shape, and each reader takes the negation at the sinks: evaluation
+tests for 0, strategy files write and read the sinks swapped, and the
+rectangle covers keep the line's cut states that are not ONE and negate
+only those.  So extraction creates no node, and the scan costs the trace
+length plus the audit's walk of the lines.
 
 A guard built this way only mentions variables left of u in the prefix, so
 responses can be computed one universal at a time, outermost first, and
@@ -14,17 +19,18 @@ the strategy is a well-defined function of the existential assignment.
 
 ``verify_winning`` plays the family against existential assignments in
 chunks, one bit per play: each variable's values over a chunk form one int
-column, ``Manager.evaluate_bits`` computes each guard node once per chunk
-on those columns, and the matrix is one AND of clause ORs.  Only the first
-losing play, if any, is replayed with the scalar ``respond``.
+column, ``Manager.evaluate_bits`` computes each line node once per chunk
+on those columns, an entry fires on the complement of its line's column,
+and the matrix is one AND of clause ORs.  Only the first losing play, if
+any, is replayed with the scalar ``respond``.
 ``strategy_range_size`` answers its plays with the same columns.
 
 The second half of this module converts a decision list into a rectangle
 decision list along a cut of the manager's order: one record holding the
 partition (X1, X2) = (first ``cut`` variables, the rest) and first-match
 ``(r1, r2, value)`` entries, where r1 reads only X1 and r2 only X2.  Each
-guard contributes the cover ``CompleteObdd.covers`` reads off its layered
-diagram, so only ``obdd`` knows the layered format.  The two-player
+guard contributes the cover ``CompleteObdd.covers`` reads off its line's
+layered diagram, so only ``obdd`` knows the layered format.  The two-player
 conjunction protocol is the list's one evaluator.
 """
 
@@ -52,30 +58,40 @@ RANGE_LIMIT = 20  # strategy_range_size enumerates at most 20 existentials
 
 @dataclass
 class DecisionList:
-    """First-match (guard, bit) pairs; the last guard is constant true."""
+    """First-match entries, each held as (line, bit): the entry fires where
+    its line is 0, so its guard is the line's complement.  The last line is
+    constant false, that is, the last guard constant true."""
 
     manager: Manager
-    entries: list[tuple[int, int]]  # (guard ref, value)
+    lines: list[tuple[int, int]]  # (line ref, value)
 
     def __post_init__(self):
-        if not self.entries or self.entries[-1][0] != self.manager.ONE:
+        if not self.lines or self.lines[-1][0] != self.manager.ZERO:
             raise StrategyError("decision list must end in a constant-true guard")
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.lines)
+
+    @property
+    def entries(self) -> list[tuple[int, int]]:
+        """(guard, value) pairs, each guard its line negated; this builds
+        the guards' nodes, so no hot path reads it."""
+        negate, memo = self.manager.negate, {}
+        return [(negate(line, memo), value) for line, value in self.lines]
 
     def evaluate(self, assignment: Mapping[int, int]) -> int:
-        for guard, value in self.entries:
-            if self.manager.evaluate(guard, assignment):
+        for line, value in self.lines:
+            if not self.manager.evaluate(line, assignment):
                 return value
-        raise AssertionError("unreachable: terminal guard is constant true")
+        raise AssertionError("unreachable: terminal line is constant false")
 
     def support(self) -> set[int]:
-        return self.manager.support(*(guard for guard, _ in self.entries))
+        """Variables the guards read: the lines' support."""
+        return self.manager.support(*(line for line, _ in self.lines))
 
     def width_bound(self) -> int:
-        """Largest complete width over the guards."""
-        return max(self.manager.shape(g).width for g, _ in self.entries)
+        """Largest complete width over the guards, read off their lines."""
+        return max(self.manager.shape(line).width for line, _ in self.lines)
 
 
 @dataclass
@@ -123,7 +139,8 @@ class DecisionListFamily:
 def extract(
     f: Pcnf, trace: ProofTrace, check: CheckResult | None = None
 ) -> DecisionListFamily:
-    """Decision lists from a refutation, in one pass over its lines."""
+    """Decision lists from a refutation, in one pass over its lines; each
+    list holds its reduction lines as they are, so no node is created."""
     if check is None:
         check = check_trace(f, trace, require_refutation=True)
     if not check.accepted:
@@ -136,10 +153,9 @@ def extract(
     pairs: dict[int, list[tuple[int, int]]] = {u: [] for u in f.universals}
     for line in trace.lines:
         if isinstance(line.rule, URed):
-            guard = mgr.negate(check.functions[line.id])
-            pairs[line.rule.var].append((guard, line.rule.value))
+            pairs[line.rule.var].append((check.functions[line.id], line.rule.value))
     lists = {
-        u: DecisionList(mgr, entries + [(mgr.ONE, 1)])
+        u: DecisionList(mgr, entries + [(mgr.ZERO, 1)])
         for u, entries in pairs.items()
     }
     return DecisionListFamily(f, mgr, lists)
@@ -172,11 +188,12 @@ def verify_winning(
 
     Plays go in chunks of ``_CHUNK_PLAYS``, one bit per play: each
     variable's values form one int column, each universal's response
-    column comes from ``Manager.evaluate_bits`` on its guards, first match
-    winning, and the matrix column is the AND of the clause ORs.  One memo
-    per chunk serves every guard, so each guard node is computed once per
-    chunk.  The first play whose matrix bit is set is the counterexample,
-    and ``checked`` counts the plays up to and including it.
+    column comes from ``Manager.evaluate_bits`` on its lines, an entry
+    firing where its line is 0 and the first match winning, and the matrix
+    column is the AND of the clause ORs.  One memo per chunk serves every
+    line, so each line node is computed once per chunk.  The first play
+    whose matrix bit is set is the counterexample, and ``checked`` counts
+    the plays up to and including it.
     """
     if samples < 1:
         raise StrategyError(f"samples must be at least 1, got {samples}")
@@ -217,15 +234,16 @@ def verify_winning(
 
 def _respond_bits(family: DecisionListFamily, columns: dict[int, int], full: int) -> None:
     """Add each universal's response column to ``columns``, outermost
-    first: bit j is set where the first guard firing in play j has value
-    1.  ``full`` has one bit per play; one memo serves every guard."""
+    first: bit j is set where the first entry firing in play j, the first
+    whose line is 0 there, has value 1.  ``full`` has one bit per play; one
+    memo serves every line."""
     mgr = family.manager
     evaluate_bits = mgr.evaluate_bits
     memo = {mgr.ZERO: 0, mgr.ONE: full}
     for u in family.formula.universals:
         resp = decided = 0
-        for guard, value in family.lists[u].entries:
-            fire = evaluate_bits(guard, columns, memo) & ~decided
+        for line, value in family.lists[u].lines:
+            fire = (full ^ evaluate_bits(line, columns, memo)) & ~decided
             if value:
                 resp |= fire
             decided |= fire
@@ -250,7 +268,8 @@ def strategy_range_size(family: DecisionListFamily) -> int:
     so enumeration runs over that subset, of at most ``RANGE_LIMIT``; the
     others are never read.  The plays go in chunks of ``_CHUNK_PLAYS``, one
     bit per play, answered as in ``verify_winning``, and each play's
-    response vector is read across the universals' columns.  The family was
+    response vector is one int, bit i the i-th universal's response, read
+    across the universals' columns by ``_transpose``.  The family was
     audited when built.
     """
     f = family.formula
@@ -266,14 +285,15 @@ def strategy_range_size(family: DecisionListFamily) -> int:
     if not universals:
         return 1  # every play answers with the empty vector
     total = 1 << len(relevant)
-    seen: set[str] = set()
+    seen: set[int] = set()
     for start in range(0, total, _CHUNK_PLAYS):
         size = min(_CHUNK_PLAYS, total - start)
         columns = _transpose(range(start, start + size), relevant)
         _respond_bits(family, columns, (1 << size) - 1)
-        # one binary string per universal; zip reads one play across them
-        rows = [format(columns[u], f"0{size}b") for u in universals]
-        seen.update(map("".join, zip(*rows)))
+        # transposed back: the universals' columns are the "plays", and
+        # play j's column is its response vector
+        vectors = _transpose([columns[u] for u in universals], range(size))
+        seen.update(vectors.values())
     return len(seen)
 
 
@@ -305,23 +325,28 @@ class RectangleDecisionList:
 
 
 def to_rectangle_list(dl: DecisionList, cut: int) -> RectangleDecisionList:
-    """Expand each guard into ``Manager.complete(guard).covers(cut)``,
-    preserving order and values; the cut must be a prefix length of the
-    manager's order, and is checked before any guard is completed.
+    """Expand each guard into its cover at the cut, preserving order and
+    values; the cut must be a prefix length of the manager's order, and is
+    checked before any line is completed.
 
-    For a list of length s whose guards have complete width at most w, the
-    result has length at most w*(s-1) + 1 and computes the same function.
+    A guard's cover is its line's ``Manager.complete(line).covers(cut,
+    ONE)`` with each state negated: an assignment reaches a state of the
+    line exactly where it reaches that state's complement in the guard.
+    One negation memo serves the whole list.  For a list of length s whose
+    guards have complete width at most w, the result has length at most
+    w*(s-1) + 1 and computes the same function.
     """
     mgr = dl.manager
     order = mgr.order.vars
     if not 0 <= cut <= len(order):
         raise StrategyError(f"cut {cut} not a prefix length of the order")
+    negate, memo = mgr.negate, {}
     entries = [
-        (r1, r2, value)
-        for guard, value in dl.entries[:-1]
-        for r1, r2 in mgr.complete(guard).covers(cut)
+        (r1, negate(state, memo), value)
+        for line, value in dl.lines[:-1]
+        for r1, state in mgr.complete(line).covers(cut, mgr.ONE)
     ]
-    entries.append((mgr.ONE, mgr.ONE, dl.entries[-1][1]))
+    entries.append((mgr.ONE, mgr.ONE, dl.lines[-1][1]))
     return RectangleDecisionList(mgr, (order[:cut], order[cut:]), entries)
 
 
@@ -360,7 +385,9 @@ def and_protocol_run(
 #   <ObddBlock>          (one per entry, guard of that entry)
 #   ...
 #
-# Comments and blank lines follow the block format's rule (see obdd).
+# Comments and blank lines follow the block format's rule (see obdd).  A
+# list holds lines, not guards, so each block is written and read with its
+# sinks swapped.
 
 
 def emit_strategy(family: DecisionListFamily) -> str:
@@ -368,9 +395,9 @@ def emit_strategy(family: DecisionListFamily) -> str:
     for u in family.formula.universals:
         dl = family.lists[u]
         out.append(f"u {u} {len(dl)}")
-        for guard, value in dl.entries:
+        for line, value in dl.lines:
             out.append(f"entry {value}")
-            out.append(obdd.serialize(family.manager, guard))
+            out.append(obdd.serialize(family.manager, line, negated=True))
     return "\n".join(out) + "\n"
 
 
@@ -436,7 +463,13 @@ def parse_strategy(
 
 
 def _parse_entry(reader: obdd.TextReader) -> tuple[int, list[Row]]:
+    """The entry's value and the rows of its line: the guard's block with
+    the sinks swapped."""
     parts = reader.line().split()
     if len(parts) != 2 or parts[0] != "entry" or parts[1] not in ("0", "1"):
         raise StrategyError("expected `entry <0|1>`")
-    return int(parts[1]), reader.block()
+    rows = [
+        (var, lo, hi) if var is not None else (None, None, 1 - hi)
+        for var, lo, hi in reader.block()
+    ]
+    return int(parts[1]), rows

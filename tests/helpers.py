@@ -8,9 +8,11 @@ enumeration (sizes) or a full closure scan per candidate (witnesses),
 PCNF truth values from the game-tree recursions
 ``qbf_value`` and ``qbf_value_fn`` here, which work on the clause list or
 a matrix predicate and never build a diagram (exponential in the number
-of variables; keep inputs small), and strategy verdicts and range sizes
+of variables; keep inputs small), strategy verdicts and range sizes
 from ``verify_winning_oracle`` and ``strategy_range_size_oracle``, which
-play one assignment at a time.
+play one assignment at a time, and strategy files and rectangle lists from
+``emit_strategy_oracle`` and ``rectangle_list_oracle``, which negate each
+line into its guard and read the guard itself.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import random
 from itertools import product
 from typing import Callable, Iterable, Mapping, Sequence
 
-from qobdd.obdd import Manager, VarOrder
+from qobdd.obdd import Manager, VarOrder, serialize
 from qobdd.pcnf import EXISTS, FORALL, Pcnf, clause
 from qobdd.rectangles import MAX_ORACLE_ROWS, MonoRectangle, RectangleLabError, TruthTable
 from qobdd.strategy import (
@@ -330,6 +332,13 @@ def qbf_value_fn(
 # -- strategies ---------------------------------------------------------------
 
 
+def guard_list(m: Manager, entries: Iterable[tuple[int, int]]) -> DecisionList:
+    """A decision list from first-match (guard, value) pairs, the last
+    guard constant true: each guard is stored as its negation, the line
+    whose zeros fire the entry."""
+    return DecisionList(m, [(m.negate(guard), value) for guard, value in entries])
+
+
 def random_family(rng: random.Random, f: Pcnf) -> DecisionListFamily:
     """Zero to three random guards per universal, each a random table over
     up to four variables left of it, then the constant-true guard."""
@@ -343,7 +352,7 @@ def random_family(rng: random.Random, f: Pcnf) -> DecisionListFamily:
                 vs = sorted(rng.sample(left, min(len(left), rng.randint(0, 4))))
                 guard = obdd_from_table(m, vs, random_table(rng, len(vs)))
                 entries.append((guard, rng.getrandbits(1)))
-            lists[v] = DecisionList(m, entries + [(m.ONE, rng.getrandbits(1))])
+            lists[v] = guard_list(m, entries + [(m.ONE, rng.getrandbits(1))])
         left.append(v)
     return DecisionListFamily(f, m, lists)
 
@@ -353,12 +362,43 @@ def flipped_entry(
 ) -> DecisionListFamily:
     """The family with one random entry's value flipped."""
     u = rng.choice(family.formula.universals)
-    entries = list(family.lists[u].entries)
+    entries = family.lists[u].entries
     i = rng.randrange(len(entries))
     guard, value = entries[i]
     entries[i] = (guard, 1 - value)
-    lists = {**family.lists, u: DecisionList(family.manager, entries)}
+    lists = {**family.lists, u: guard_list(family.manager, entries)}
     return DecisionListFamily(family.formula, family.manager, lists)
+
+
+def oracle_guards(dl: DecisionList) -> list[tuple[int, int]]:
+    """(guard, value) pairs, each line negated on its own with a fresh
+    memo."""
+    return [(dl.manager.negate(line), value) for line, value in dl.lines]
+
+
+def emit_strategy_oracle(family: DecisionListFamily) -> str:
+    """``strategy.emit_strategy`` from the negated guards, each block
+    serialized as it is."""
+    out = ["p qobdd-strategy"]
+    for u in family.formula.universals:
+        dl = family.lists[u]
+        out.append(f"u {u} {len(dl)}")
+        for guard, value in oracle_guards(dl):
+            out += [f"entry {value}", serialize(family.manager, guard)]
+    return "\n".join(out) + "\n"
+
+
+def rectangle_list_oracle(dl: DecisionList, cut: int) -> list[tuple[int, int, int]]:
+    """``strategy.to_rectangle_list`` entries from the negated guards: each
+    guard's cover, dropping its ZERO states, then the full rectangle."""
+    m = dl.manager
+    guards = oracle_guards(dl)
+    entries = [
+        (r1, r2, value)
+        for guard, value in guards[:-1]
+        for r1, r2 in m.complete(guard).covers(cut, m.ZERO)
+    ]
+    return entries + [(m.ONE, m.ONE, guards[-1][1])]
 
 
 def _matrix_satisfied(f: Pcnf, assignment: Mapping[int, int]) -> bool:

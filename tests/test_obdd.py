@@ -179,7 +179,6 @@ def test_fused_quantifier_matches_three_pass_and_table_oracle():
                         assert q == f
                     # memos last one operation: a repeat finds every node it
                     # makes in the unique table, so the store does not grow
-                    m.clear_cache()
                     size = len(m)
                     assert quantify(f, x) == q
                     assert m.apply(m.restrict(f, x, 0), m.restrict(f, x, 1), op) == q
@@ -231,8 +230,10 @@ def test_covers_reject_cuts_outside_the_order():
     co = m.complete(m.literal(2))
     for cut in (-1, len(m.order) + 1):
         with pytest.raises(ObddError, match=f"cut {cut} "):
-            co.covers(cut)
-    assert co.covers(len(m.order)) == [(m.literal(2), m.ONE)]
+            co.covers(cut, m.ZERO)
+    assert co.covers(len(m.order), m.ZERO) == [(m.literal(2), m.ONE)]
+    # dropping ONE keeps the ZERO state, reached on the complement
+    assert co.covers(len(m.order), m.ONE) == [(m.literal(2, positive=False), m.ZERO)]
 
 
 def test_width_of_literal():
@@ -402,8 +403,15 @@ def test_node_budget():
         obdd_from_table(m, range(1, 9), random_table(random.Random(1), 8))
 
 
-def test_clear_cache_keeps_results_canonical():
+def test_repeated_operations_are_canonical():
+    # no memo outlives a call: a repeat, or a negation sharing a memo with
+    # another, returns the same reference and makes no node
     m = mgr()
     f = m.apply(m.literal(1), m.literal(2), "xor")
-    m.clear_cache()
+    g = m.negate(f)
+    size = len(m)
     assert m.apply(m.literal(1), m.literal(2), "xor") == f
+    assert m.negate(f) == g
+    memo: dict[int, int] = {}
+    assert [m.negate(r, memo) for r in (f, g, f)] == [g, f, g]
+    assert len(m) == size

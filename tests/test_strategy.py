@@ -25,7 +25,6 @@ from qobdd.rectangles import eval_ipg
 from qobdd.solver import solve
 from qobdd.strategy import (
     _CHUNK_PLAYS,
-    DecisionList,
     DecisionListFamily,
     RectangleDecisionList,
     StrategyError,
@@ -40,11 +39,15 @@ from qobdd.strategy import (
 
 from .helpers import (
     assignments,
+    emit_strategy_oracle,
     flipped_entry,
+    guard_list,
     obdd_from_table,
+    oracle_guards,
     random_family,
     random_pcnf,
     random_table,
+    rectangle_list_oracle,
     strategy_range_size_oracle,
     truth_table_of,
     verify_winning_oracle,
@@ -90,6 +93,26 @@ def test_extract_requires_refutation():
         extract(f, res.trace, derivation)
 
 
+def test_extract_creates_no_node():
+    # each list holds the checker's reduction lines as they are
+    runs = [
+        solve_family(gen_eqprime, eqprime_decomposition, 4),
+        solve_family(gen_quparity, quparity_decomposition, 4),
+    ]
+    ipg = gen_ipg_qbf(random_dregular(8, 3, seed=2))
+    runs.append((ipg, solve(ipg).trace))
+    for f, trace in runs:
+        chk = check_trace(f, trace, require_refutation=True)
+        size = len(chk.manager)
+        fam = extract(f, trace, chk)
+        assert fam.manager is chk.manager and len(chk.manager) == size
+        reductions = [line for line in trace.lines if isinstance(line.rule, URed)]
+        assert reductions
+        assert sorted(ref for dl in fam.lists.values() for ref, _ in dl.lines[:-1]) == sorted(
+            chk.functions[line.id] for line in reductions
+        )
+
+
 def test_eqprime_strategy_is_identity():
     for n in (2, 3, 4):
         f, trace = solve_family(gen_eqprime, eqprime_decomposition, n)
@@ -110,29 +133,32 @@ def test_respond_fills_universals_in_prefix_order():
 
 def test_decision_list_evaluate_terminal_only_and_two_entry():
     m = Manager(VarOrder([1]))
-    const = DecisionList(m, [(m.ONE, 1)])
+    const = guard_list(m, [(m.ONE, 1)])
     assert const.evaluate({}) == 1
-    two = DecisionList(m, [(m.literal(1), 0), (m.ONE, 1)])
+    two = guard_list(m, [(m.literal(1), 0), (m.ONE, 1)])
+    # held as lines: an entry fires where its line is 0
+    assert two.lines == [(m.literal(1, positive=False), 0), (m.ZERO, 1)]
+    assert two.entries == [(m.literal(1), 0), (m.ONE, 1)]
     assert two.evaluate({1: 1}) == 0
     assert two.evaluate({1: 0}) == 1
     with pytest.raises(StrategyError):
-        DecisionList(m, [(m.literal(1), 0)])  # missing terminal
+        guard_list(m, [(m.literal(1), 0)])  # missing terminal
 
 
 def test_family_audit_rejects_dependency_violation():
     f = Pcnf(((FORALL, 1), (EXISTS, 2)), (clause([1, 2]), clause([1, -2])))
     m = Manager(VarOrder([1, 2]))
     with pytest.raises(StrategyError, match=r"non-preceding variables \[2\]"):
-        DecisionListFamily(f, m, {1: DecisionList(m, [(m.literal(2), 0), (m.ONE, 1)])})
+        DecisionListFamily(f, m, {1: guard_list(m, [(m.literal(2), 0), (m.ONE, 1)])})
     with pytest.raises(StrategyError, match=r"unquantified variables \[3\]"):
-        DecisionListFamily(f, m, {3: DecisionList(m, [(m.ONE, 1)])})
+        DecisionListFamily(f, m, {3: guard_list(m, [(m.ONE, 1)])})
 
 
 def test_verify_winning_counterexample_for_constant_strategy():
     f = gen_eqprime(2)
     m = Manager(VarOrder(f.variables))
     fam = DecisionListFamily(
-        f, m, {u: DecisionList(m, [(m.ONE, 0)]) for u in f.universals}
+        f, m, {u: guard_list(m, [(m.ONE, 0)]) for u in f.universals}
     )
     verdict = verify_winning(f, fam)
     assert not verdict.winning
@@ -155,7 +181,7 @@ def test_verify_winning_enumerates_when_samples_cover_every_play():
     # 17 existentials and samples >= 2**17: every play, each one once
     f = Pcnf(tuple((EXISTS, v) for v in range(1, 18)) + ((FORALL, 18),), ((18,),))
     m = Manager(VarOrder(f.variables))
-    fam = DecisionListFamily(f, m, {18: DecisionList(m, [(m.ONE, 0)])})
+    fam = DecisionListFamily(f, m, {18: guard_list(m, [(m.ONE, 0)])})
     verdict = verify_winning(f, fam, samples=2**17)
     assert verdict.winning and verdict.exhaustive
     assert verdict.checked == 2**17
@@ -250,11 +276,27 @@ def test_verify_winning_finds_a_lone_losing_play_at_a_chunk_edge(width, index):
         tuple(clause([lit]) for lit in cube) + (clause([cube[0], u]),),
     )
     m = Manager(VarOrder(f.variables))
-    fam = DecisionListFamily(f, m, {u: DecisionList(m, [(m.ONE, 0)])})
+    fam = DecisionListFamily(f, m, {u: guard_list(m, [(m.ONE, 0)])})
     verdict = assert_matches_oracle(f, fam, 100000, seed=7)
     assert not verdict.winning and verdict.exhaustive == (width <= 16)
     assert verdict.checked == index + 1
     assert verdict.counterexample == {abs(lit): int(lit > 0) for lit in cube} | {u: 0}
+
+
+def test_flipped_entries_lose_exactly_where_they_change_a_response():
+    # eqprime's universals must copy the x's, so a mutant wins only if it
+    # responds as the genuine family on every x
+    rng = random.Random(31)
+    n = 4
+    f, trace = solve_family(gen_eqprime, eqprime_decomposition, n)
+    genuine = extract(f, trace)
+    xs = list(assignments(range(1, n + 1)))
+    changed = []
+    for _ in range(16):
+        mutant = flipped_entry(rng, genuine)
+        changed.append(any(mutant.respond(x) != genuine.respond(x) for x in xs))
+        assert verify_winning(f, mutant).winning is not changed[-1]
+    assert any(changed)
 
 
 def test_strategy_range_eqprime():
@@ -286,7 +328,7 @@ def test_strategy_range_constant_and_limit():
     f = gen_eqprime(2)
     m = Manager(VarOrder(f.variables))
     fam = DecisionListFamily(
-        f, m, {u: DecisionList(m, [(m.ONE, 1)]) for u in f.universals}
+        f, m, {u: guard_list(m, [(m.ONE, 1)]) for u in f.universals}
     )
     assert strategy_range_size(fam) == 1
     # eqprime(21) has 21 relevant existentials, one past the limit
@@ -381,17 +423,17 @@ def ip2_manager():
 
 def test_rectangles_cut_zero_degenerate():
     m, ip = ip2_manager()
-    assert m.complete(ip).covers(0) == [(m.ONE, ip)]
-    assert m.complete(ip).covers(4) == [(ip, m.ONE)]
-    assert m.complete(m.ZERO).covers(0) == []
-    rdl = to_rectangle_list(DecisionList(m, [(ip, 1), (m.ONE, 0)]), 0)
+    assert m.complete(ip).covers(0, m.ZERO) == [(m.ONE, ip)]
+    assert m.complete(ip).covers(4, m.ZERO) == [(ip, m.ONE)]
+    assert m.complete(m.ZERO).covers(0, m.ZERO) == []
+    rdl = to_rectangle_list(guard_list(m, [(ip, 1), (m.ONE, 0)]), 0)
     assert rdl.partition == ((), (1, 2, 3, 4))
     assert rdl.entries == [(m.ONE, ip, 1), (m.ONE, m.ONE, 0)]
 
 
 def test_rectangles_of_ip_two_pairs():
     m, ip = ip2_manager()
-    rects = m.complete(ip).covers(2)
+    rects = m.complete(ip).covers(2, m.ZERO)
     assert len(rects) == 2
     union = m.ZERO
     for r1, r2 in rects:
@@ -409,7 +451,7 @@ def test_rectangle_count_bounded_by_width():
         f = obdd_from_table(m, range(1, 9), random_table(rng, 8))
         co = m.complete(f)
         cut = rng.randint(0, 8)
-        rects = co.covers(cut)
+        rects = co.covers(cut, m.ZERO)
         assert len(rects) <= co.width
         union = m.ZERO
         for r1, r2 in rects:
@@ -419,7 +461,7 @@ def test_rectangle_count_bounded_by_width():
 
 def test_rectangle_models_and_balance():
     m, ip = ip2_manager()
-    rdl = to_rectangle_list(DecisionList(m, [(ip, 1), (m.ONE, 0)]), 2)
+    rdl = to_rectangle_list(guard_list(m, [(ip, 1), (m.ONE, 0)]), 2)
     x1, x2 = rdl.partition
     assert len(x1) == len(x2) == 2  # the middle cut is balanced
     total = sum(
@@ -432,7 +474,7 @@ def test_rectangle_models_and_balance():
 
 def test_to_rectangle_list_terminal_only():
     m = Manager(VarOrder([1, 2]))
-    dl = DecisionList(m, [(m.ONE, 1)])
+    dl = guard_list(m, [(m.ONE, 1)])
     rdl = to_rectangle_list(dl, 1)
     assert len(rdl) == 1
     assert rdl.entries == [(m.ONE, m.ONE, 1)]
@@ -441,7 +483,7 @@ def test_to_rectangle_list_terminal_only():
 
 def test_to_rectangle_list_checks_the_cut_before_anything_else():
     m = Manager(VarOrder([1, 2, 3]))
-    dl = DecisionList(m, [(m.ONE, 1)])  # no guard reaches Manager.complete
+    dl = guard_list(m, [(m.ONE, 1)])  # no guard reaches Manager.complete
     for cut in (-1, len(m.order) + 1, 7):
         with pytest.raises(StrategyError, match=f"cut {cut} "):
             to_rectangle_list(dl, cut)
@@ -468,7 +510,7 @@ def assert_rectangle_list_properties(dl, cut, plays):
     assert rdl.partition == (m.order.vars[:cut], m.order.vars[cut:])
     expected = []
     for guard, value in dl.entries[:-1]:
-        cover = m.complete(guard).covers(cut)
+        cover = m.complete(guard).covers(cut, m.ZERO)
         union = m.ZERO
         for r1, r2 in cover:
             assert m.support(r1) <= x1 and m.support(r2) <= x2
@@ -496,7 +538,7 @@ def test_rectangle_lists_of_random_functions_at_every_cut():
         rng.shuffle(order)
         m = Manager(VarOrder(order))
         guards = [obdd_from_table(m, order, random_table(rng, k)) for _ in range(3)]
-        dl = DecisionList(m, [(g, rng.randint(0, 1)) for g in guards] + [(m.ONE, rng.randint(0, 1))])
+        dl = guard_list(m, [(g, rng.randint(0, 1)) for g in guards] + [(m.ONE, rng.randint(0, 1))])
         plays = list(assignments(order))
         for cut in range(k + 1):
             assert_rectangle_list_properties(dl, cut, plays)
@@ -560,16 +602,36 @@ def test_and_protocol_matches_evaluation():
 
 def test_and_protocol_terminal_only_single_round():
     m = Manager(VarOrder([1, 2]))
-    rdl = to_rectangle_list(DecisionList(m, [(m.ONE, 0)]), 1)
+    rdl = to_rectangle_list(guard_list(m, [(m.ONE, 0)]), 1)
     run = and_protocol_run(rdl, {1: 1}, {2: 0})
     assert run == type(run)(value=0, rounds=1)
 
 
 def test_and_protocol_partition_mismatch():
     m = Manager(VarOrder([1, 2]))
-    rdl = to_rectangle_list(DecisionList(m, [(m.ONE, 0)]), 1)
+    rdl = to_rectangle_list(guard_list(m, [(m.ONE, 0)]), 1)
     with pytest.raises(StrategyError):
         and_protocol_run(rdl, {}, {2: 0})
+
+
+def test_reference_lists_match_the_negated_guard_oracle():
+    # strategy files, the guard view and rectangle lists at every cut, from
+    # lists that hold lines, equal those read off each line negated alone
+    rng = random.Random(41)
+    families = []
+    while len(families) < 30:
+        f = random_pcnf(rng, max_vars=9)
+        res = solve(f)
+        if res.value is False:
+            families.append(extract(f, res.trace))
+            families.append(random_family(rng, f))
+    assert any(len(dl) > 2 for fam in families for dl in fam.lists.values())
+    for fam in families:
+        assert emit_strategy(fam) == emit_strategy_oracle(fam)
+        for dl in fam.lists.values():
+            assert dl.entries == oracle_guards(dl)
+            for cut in range(len(fam.manager.order) + 1):
+                assert to_rectangle_list(dl, cut).entries == rectangle_list_oracle(dl, cut)
 
 
 # -- strategy files ----------------------------------------------------------
