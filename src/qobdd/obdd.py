@@ -6,10 +6,12 @@ Boolean function is unique within its manager: structural equality is
 reference equality.  The two terminals are ``Manager.ZERO`` and
 ``Manager.ONE``.
 
-The kernels (apply, negate, restrict, the one-pass quantifiers and the
-bit-parallel ``evaluate_bits``) walk with explicit stacks, so a deep
-variable order never reaches Python's recursion limit, and those that
-build nodes read each node's rank from an array kept beside the store.
+The kernels (apply, negate, restrict, the one-pass quantifiers,
+``forall_split``, which makes both cofactors of a universal and their
+conjunction in one walk, and the bit-parallel ``evaluate_bits``) walk
+with explicit stacks, so a deep variable order never reaches Python's
+recursion limit, and those that build nodes read each node's rank from
+an array kept beside the store.
 Every kernel memoizes per operation (a quantification's cofactor
 conjunctions share its memo, and a caller may share one negation memo
 across several roots): hits come from inside one walk, and a repeat finds
@@ -251,11 +253,11 @@ class Manager:
     # Each kernel walks with an explicit stack, so no order is too deep for
     # it.  A stack entry is either a subproblem or the step that joins the
     # two results on top of ``out`` into one node: in ``_apply`` a pair
-    # (f, g) or a triple (key, var, rank), in ``_negate`` and
-    # ``_rebuild_above`` a ref f >= 0 or its complement ~f.  The lo
-    # subproblem is pushed last, so it is finished before the hi one starts
-    # and nodes are created in depth-first, lo-first post-order, as a
-    # recursive walk would.
+    # (f, g) or a triple (key, var, rank), in ``_negate``,
+    # ``_rebuild_above`` and ``forall_split`` a ref f >= 0 or its
+    # complement ~f.  The lo subproblem is pushed last, so it is finished
+    # before the hi one starts and nodes are created in depth-first,
+    # lo-first post-order, as a recursive walk would.
 
     def apply(self, f: int, g: int, op) -> int:
         """Combine two diagrams with a binary Boolean operation.
@@ -377,6 +379,48 @@ class Manager:
         lo, hi, apply, memo = self._lo, self._hi, self._apply, {}
         return self._rebuild_above(f, at, lambda r: apply(code, lo[r], hi[r], memo))
 
+    def forall_split(self, f: int, var: int) -> tuple[int, int, int]:
+        """``(f[var/0], f[var/1], forall var. f)`` in one walk over ``f``.
+
+        The three are images of the same nodes above ``var``'s rank (the
+        Shannon cofactors and their conjunction), so each such node is
+        rebuilt three ways at once; a node of ``var``'s rank gives its lo,
+        its hi and their conjunction, the conjunctions sharing one memo.
+        Equal to ``restrict(f, var, 0)``, ``restrict(f, var, 1)`` and
+        ``forall(f, var)``, and leaves the store with the same nodes.
+        """
+        self._check_ref(f)
+        at = self.order.rank(var)
+        var_, lo, hi, rank, mk = self._var, self._lo, self._hi, self._rank, self._mk
+        apply, code, conj_memo = self._apply, OPS["and"], {}
+        memo: dict[int, tuple[int, int, int]] = {}
+        out: list[tuple[int, int, int]] = []
+        stack = [f]
+        while stack:
+            f = stack.pop()
+            if f < 0:
+                f = ~f
+                h0, h1, h = out.pop()
+                l0, l1, l = out.pop()
+                v, r = var_[f], rank[f]
+                res = (mk(v, r, l0, h0), mk(v, r, l1, h1), mk(v, r, l, h))
+                memo[f] = res
+                out.append(res)
+                continue
+            rf = rank[f]
+            if rf > at:
+                out.append((f, f, f))
+            elif rf == at:
+                f0, f1 = lo[f], hi[f]
+                out.append((f0, f1, apply(code, f0, f1, conj_memo)))
+            else:
+                found = memo.get(f)
+                if found is not None:
+                    out.append(found)
+                else:
+                    stack += (~f, hi[f], lo[f])
+        return out[0]
+
     def _rebuild_above(self, f: int, at: int, at_rank: Callable[[int], int]) -> int:
         # ``f`` with every node of rank ``at`` replaced by ``at_rank(node)``:
         # nodes above rank ``at`` are rebuilt over their new children and
@@ -409,13 +453,16 @@ class Manager:
 
     # -- inspection ----------------------------------------------------------
 
-    def support(self, *refs: int) -> set[int]:
+    def support(self, *refs: int, seen: set[int] | None = None) -> set[int]:
         """Variables read by any of ``refs``: one walk with one visited set,
-        so a node shared by several roots is read once."""
+        so a node shared by several roots is read once.  Pass ``seen`` to
+        share that set across calls: the walk skips the nodes in it, and so
+        everything below them, and adds the nodes it reads."""
         for f in refs:
             self._check_ref(f)
         var, lo, hi = self._var, self._lo, self._hi
-        seen: set[int] = set()
+        if seen is None:
+            seen = set()
         out: set[int] = set()
         stack = list(refs)
         while stack:
@@ -580,22 +627,30 @@ class Manager:
 
     # -- completion ----------------------------------------------------------
 
-    def complete(self, f: int) -> "CompleteObdd":
-        """Equivalent complete OBDD over the manager's full variable set.
+    def complete(self, f: int, depth: int | None = None) -> "CompleteObdd":
+        """Equivalent complete OBDD over the manager's full variable set,
+        built through the layer after the first ``depth`` variables.
 
         States at each layer are the distinct subfunctions on the remaining
         variables; since diagrams are canonical, distinctness is reference
         inequality.  A state that does not test a layer's variable passes
         to the next layer unchanged, so the states are refs of this store
         and the result has at most (|X|+1) * size(f) of them.  It serves
-        ``CompleteObdd.covers``; the width alone comes from ``shape``
-        without a layered copy.
+        ``CompleteObdd.covers``, which at a cut of ``cut`` variables reads
+        only the layers 0..cut, so ``complete(f, cut)`` is all it needs;
+        the default ``depth`` is the whole order, sinks included.  The width
+        alone comes from ``shape`` without a layered copy.
         """
         self._check_ref(f)
+        n = len(self.order)
+        if depth is None:
+            depth = n
+        elif not 0 <= depth <= n:
+            raise ObddError(f"depth {depth} not a prefix length of the order")
         var, lo, hi, rank = self._var, self._lo, self._hi, self._rank
         layers: list[list[int]] = []
         states = [f]
-        for i, v in enumerate(self.order.vars):
+        for i, v in enumerate(self.order.vars[:depth]):
             layers.append(states)
             nxt: dict[int, None] = {}  # insertion-ordered set
             for s in states:
@@ -607,6 +662,9 @@ class Manager:
                 else:
                     nxt[s] = None
             states = list(nxt)
+        if depth < n:
+            layers.append(states)
+            return CompleteObdd(self, layers, None)
         if any(s > 1 for s in states):
             raise ObddError("non-terminal state past the last layer")
         return CompleteObdd(self, layers, states)
@@ -621,10 +679,14 @@ class CompleteObdd:
     ``cut`` variables are ``layers[cut]``, or ``sinks`` when the cut is the
     whole order.  A state's successors are its own ``lo``/``hi`` in the
     store when it tests the layer's variable, and itself otherwise.
-    ``width`` is the largest layer.
+    ``width`` is the largest layer and ``size`` counts the states.  Built
+    through a shorter prefix (``Manager.complete(f, depth)``), it holds the
+    layers 0..depth, ``sinks`` is None, and both count only those layers.
     """
 
-    def __init__(self, manager: Manager, layers: list[list[int]], sinks: list[int]):
+    def __init__(
+        self, manager: Manager, layers: list[list[int]], sinks: list[int] | None
+    ):
         self.manager = manager
         self.layers = layers
         self.sinks = sinks
@@ -635,7 +697,7 @@ class CompleteObdd:
 
     @property
     def size(self) -> int:
-        return sum(len(layer) for layer in self.layers) + len(self.sinks)
+        return sum(len(layer) for layer in self.layers) + len(self.sinks or ())
 
     @property
     def root(self) -> int:
@@ -653,14 +715,19 @@ class CompleteObdd:
         the same disjunction over the complemented states is its
         complement, as the complement's diagram is this one with the sinks
         swapped.  Their number is at most the width.  Degenerate cuts (0 or
-        all variables) give one-sided pairs.  A cut outside 0..|X| raises
-        ``ObddError``.
+        all variables) give one-sided pairs.  A cut outside 0..|X|, or past
+        the layers built, raises ``ObddError``.
         """
         mgr = self.manager
         order = mgr.order.vars
         if not 0 <= cut <= len(order):
             raise ObddError(f"cut {cut} not a prefix length of the order")
-        states = self.layers[cut] if cut < len(order) else self.sinks
+        if cut < len(self.layers):
+            states = self.layers[cut]
+        elif self.sinks is not None:
+            states = self.sinks
+        else:
+            raise ObddError(f"cut {cut} past the {len(self.layers)} layers built")
         var, lo, hi, mk = mgr._var, mgr._lo, mgr._hi, mgr._mk
         # the states that test each layer's variable, from the cut back to
         # the root; every other state passes its layer and keeps its reach

@@ -147,10 +147,17 @@ def check_trace(
     """Replay a trace against its formula in a fresh manager.
 
     Returns an accepting result carrying the replayed line functions, or a
-    rejection naming the offending line and a reason code.  A budget hit is
-    never a verdict: running out of ``node_budget`` raises
+    rejection naming the offending line and a reason code.  Two reductions
+    of one premise on one variable to opposite constants, when some ``Conj``
+    line joins them, are replayed at the pair's first reduction line: its
+    side test and one ``Manager.forall_split`` walk give both reductions and
+    their conjunction, which the pair's other lines and that ``Conj`` read.
+    Every other line is replayed on its own.
+
+    A budget hit is never a verdict: running out of ``node_budget`` raises
     ``obdd.BudgetExceededError("line <id>")``, naming the line whose replay
-    ran out, as ``solver.solve`` raises it.
+    ran out (for a joined pair, its first reduction line).  ``solver.solve``
+    raises the same error without a line.
     """
 
     def reject(line_id: int | None, reason: str) -> CheckResult:
@@ -162,6 +169,9 @@ def check_trace(
         return reject(None, ORDER_MISMATCH)
     mgr = Manager(trace.order, node_budget=node_budget)
     funcs: dict[int, int] = {}
+    joined = _joined_reductions(trace)
+    splits: dict[tuple[int, int], tuple[int, int, int]] = {}  # of joined pairs
+    reductions: dict[int, URed] = {}  # replayed reduction lines by id
     m = len(f.clauses)
     last_id = 0
     ref = mgr.ONE
@@ -183,17 +193,26 @@ def check_trace(
             if isinstance(rule, Axiom):
                 ref = mgr.clause(f.clauses[rule.clause_index - 1])
             elif isinstance(rule, Conj):
-                ref = mgr.apply(funcs[rule.left], funcs[rule.right], "and")
+                split = splits.get(_pair(reductions.get(rule.left), reductions.get(rule.right)))
+                ref = split[2] if split else mgr.apply(funcs[rule.left], funcs[rule.right], "and")
             elif isinstance(rule, Proj):
                 ref = mgr.exists(funcs[rule.premise], rule.var)
             elif isinstance(rule, URed):
-                if not f.is_universal(rule.var):
-                    return reject(line.id, URED_NOT_UNIVERSAL)
-                # also rejects a premise whose support misses rule.var
-                support = mgr.support(funcs[rule.premise])
-                if f.rightmost(support) != f.prefix_position(rule.var):
-                    return reject(line.id, URED_NOT_RIGHTMOST)
-                ref = mgr.restrict(funcs[rule.premise], rule.var, rule.value)
+                key = (rule.premise, rule.var)
+                if key not in splits:
+                    if not f.is_universal(rule.var):
+                        return reject(line.id, URED_NOT_UNIVERSAL)
+                    # also rejects a premise whose support misses rule.var
+                    support = mgr.support(funcs[rule.premise])
+                    if f.rightmost(support) != f.prefix_position(rule.var):
+                        return reject(line.id, URED_NOT_RIGHTMOST)
+                    if key in joined:
+                        splits[key] = mgr.forall_split(funcs[rule.premise], rule.var)
+                if key in splits:
+                    ref = splits[key][rule.value]
+                else:
+                    ref = mgr.restrict(funcs[rule.premise], rule.var, rule.value)
+                reductions[line.id] = rule
             elif isinstance(rule, Entail):
                 try:
                     claimed = obdd.deserialize(rule.block, mgr)
@@ -219,6 +238,27 @@ def check_trace(
     if require_refutation and ref != mgr.ZERO:
         return reject(last_id, NOT_REFUTATION)
     return CheckResult(Verdict(True), mgr, funcs, ref)
+
+
+def _pair(a: URed | None, b: URed | None) -> tuple[int, int] | None:
+    """(premise, var) if ``a`` and ``b`` reduce one premise on one variable
+    to opposite constants, whose conjunction is the universal projection."""
+    if a and b and (a.premise, a.var) == (b.premise, b.var) and a.value != b.value:
+        return (a.premise, a.var)
+    return None
+
+
+def _joined_reductions(trace: ProofTrace) -> set[tuple[int, int]]:
+    """The ``_pair`` of each ``Conj`` line's operands, where they are one.
+    Only a hint for the replay, which pairs the lines it accepted again."""
+    ureds = {line.id: line.rule for line in trace.lines if isinstance(line.rule, URed)}
+    pairs = {
+        _pair(ureds.get(line.rule.left), ureds.get(line.rule.right))
+        for line in trace.lines
+        if isinstance(line.rule, Conj)
+    }
+    pairs.discard(None)
+    return pairs
 
 
 # -- text format ----------------------------------------------------------

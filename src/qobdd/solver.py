@@ -10,7 +10,9 @@ Every step is logged as a trace line: conjunctions directly, existential
 elimination as a projection, and universal elimination as two constant
 substitutions joined by a conjunction (for a rightmost variable x,
 forall x. L  =  L[x/0] and L[x/1], so the log stays within the checker's
-rule set).  One ``emit`` in ``solve`` writes every line, axioms included.
+rule set).  The three diagrams of a universal elimination come from one
+``Manager.forall_split`` walk over L, and are emitted as those three
+lines.  One ``emit`` in ``solve`` writes every line, axioms included.
 An axiom's size, width and rightmost prefix position are read off its
 clause; every other line's come from one ``Manager.shape`` walk, which
 reads a rank-to-prefix-position list built once per solve and keeps no
@@ -188,9 +190,10 @@ def _eliminate_all(f, mgr, axioms, emit, eliminations) -> bool:
             if q == EXISTS:
                 cur = emit(Proj(var, lid), mgr.exists(ref, var))
             else:
-                r0, lid0, _, _ = emit(URed(var, 0, lid), mgr.restrict(ref, var, 0))
-                r1, lid1, _, _ = emit(URed(var, 1, lid), mgr.restrict(ref, var, 1))
-                cur = emit(Conj(lid0, lid1), mgr.apply(r0, r1, "and"))
+                r0, r1, both = mgr.forall_split(ref, var)
+                lid0 = emit(URed(var, 0, lid), r0)[1]
+                lid1 = emit(URed(var, 1, lid), r1)[1]
+                cur = emit(Conj(lid0, lid1), both)
         ref, _, _, new_pos = cur
         eliminations.append(var)
         if ref == mgr.ZERO:

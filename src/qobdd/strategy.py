@@ -110,11 +110,18 @@ class DecisionListFamily:
         """Each guard may only mention variables left of its universal; one
         walk of the prefix, which reports the outermost offending universal.
         Every universal has a list, and no list is for an unquantified
-        variable."""
+        variable.
+
+        The support walks share one visited set, so each node is read once
+        per family: a node accepted for an outer universal is accepted for
+        every inner one, whose set of variables to the left only grows.  So
+        the variables of a list's unread nodes outside ``left`` are all of
+        its support outside ``left``."""
+        support, seen = self.manager.support, set()
         left: set[int] = set()
         for _, v in self.formula.prefix:
             if v in self.lists:
-                extra = self.lists[v].support() - left
+                extra = support(*(line for line, _ in self.lists[v].lines), seen=seen) - left
                 if extra:
                     raise StrategyError(
                         f"guards for {v} depend on non-preceding variables {sorted(extra)}"
@@ -329,9 +336,10 @@ def to_rectangle_list(dl: DecisionList, cut: int) -> RectangleDecisionList:
     values; the cut must be a prefix length of the manager's order, and is
     checked before any line is completed.
 
-    A guard's cover is its line's ``Manager.complete(line).covers(cut,
-    ONE)`` with each state negated: an assignment reaches a state of the
-    line exactly where it reaches that state's complement in the guard.
+    A guard's cover is its line's ``Manager.complete(line, cut).covers(cut,
+    ONE)``, whose layers stop at the cut, with each state negated: an
+    assignment reaches a state of the line exactly where it reaches that
+    state's complement in the guard.
     One negation memo serves the whole list.  For a list of length s whose
     guards have complete width at most w, the result has length at most
     w*(s-1) + 1 and computes the same function.
@@ -344,7 +352,7 @@ def to_rectangle_list(dl: DecisionList, cut: int) -> RectangleDecisionList:
     entries = [
         (r1, negate(state, memo), value)
         for line, value in dl.lines[:-1]
-        for r1, state in mgr.complete(line).covers(cut, mgr.ONE)
+        for r1, state in mgr.complete(line, cut).covers(cut, mgr.ONE)
     ]
     entries.append((mgr.ONE, mgr.ONE, dl.lines[-1][1]))
     return RectangleDecisionList(mgr, (order[:cut], order[cut:]), entries)

@@ -12,7 +12,8 @@ of variables; keep inputs small), strategy verdicts and range sizes
 from ``verify_winning_oracle`` and ``strategy_range_size_oracle``, which
 play one assignment at a time, and strategy files and rectangle lists from
 ``emit_strategy_oracle`` and ``rectangle_list_oracle``, which negate each
-line into its guard and read the guard itself.
+line into its guard and read the guard itself.  Trace verdicts come from
+``check_trace_reference``, which replays every line on its own.
 """
 
 from __future__ import annotations
@@ -21,7 +22,17 @@ import random
 from itertools import product
 from typing import Callable, Iterable, Mapping, Sequence
 
-from qobdd.obdd import Manager, VarOrder, serialize
+from qobdd import proof
+from qobdd.obdd import (
+    DEFAULT_NODE_BUDGET,
+    BlockFormatError,
+    BudgetExceededError,
+    Manager,
+    OrderError,
+    VarOrder,
+    deserialize,
+    serialize,
+)
 from qobdd.pcnf import EXISTS, FORALL, Pcnf, clause
 from qobdd.rectangles import MAX_ORACLE_ROWS, MonoRectangle, RectangleLabError, TruthTable
 from qobdd.strategy import (
@@ -442,3 +453,77 @@ def strategy_range_size_oracle(family: DecisionListFamily) -> int:
         full = family.respond(tau)
         seen.add(tuple(full[u] for u in f.universals))
     return len(seen)
+
+
+# -- traces -------------------------------------------------------------------
+
+
+def check_trace_reference(
+    f: Pcnf, trace: proof.ProofTrace, node_budget: int = DEFAULT_NODE_BUDGET
+) -> tuple[proof.Verdict, Manager | None, dict[int, int]]:
+    """``proof.check_trace`` one line at a time: every reduction line runs
+    its own side test and ``restrict``, and every ``Conj`` its own
+    ``apply``, so no line reads another line's walk.  Returns the verdict,
+    the manager and the replayed functions by line id; a budget hit raises
+    ``BudgetExceededError("line <id>")`` for the line that ran out."""
+    lines = trace.lines
+
+    def reject(line_id, reason):
+        return proof.Verdict(False, line_id, reason), None, {}
+
+    if trace.formula_hash != proof.formula_hash(f):
+        return reject(None, proof.HASH_MISMATCH)
+    if set(trace.order.vars) != set(f.variables):
+        return reject(None, proof.ORDER_MISMATCH)
+    mgr = Manager(trace.order, node_budget=node_budget)
+    funcs: dict[int, int] = {}
+    m = len(f.clauses)
+    last_id = 0
+    for pos, line in enumerate(lines):
+        rule = line.rule
+        if line.id <= last_id:
+            return reject(line.id, proof.BAD_REFERENCE)
+        if (pos < m) != isinstance(rule, proof.Axiom) or (
+            pos < m and rule.clause_index != pos + 1
+        ):
+            return reject(line.id, proof.AXIOM_MISMATCH)
+        if any(j not in funcs for j in trace.referenced(rule)):
+            return reject(line.id, proof.BAD_REFERENCE)
+        if isinstance(rule, (proof.Proj, proof.URed)) and rule.var not in trace.order:
+            return reject(line.id, proof.BAD_REFERENCE)
+        try:
+            if isinstance(rule, proof.Axiom):
+                ref = mgr.clause(f.clauses[rule.clause_index - 1])
+            elif isinstance(rule, proof.Conj):
+                ref = mgr.apply(funcs[rule.left], funcs[rule.right], "and")
+            elif isinstance(rule, proof.Proj):
+                ref = mgr.exists(funcs[rule.premise], rule.var)
+            elif isinstance(rule, proof.URed):
+                if not f.is_universal(rule.var):
+                    return reject(line.id, proof.URED_NOT_UNIVERSAL)
+                positions = [f.prefix_position(v) for v in mgr.support(funcs[rule.premise])]
+                if max(positions, default=None) != f.prefix_position(rule.var):
+                    return reject(line.id, proof.URED_NOT_RIGHTMOST)
+                ref = mgr.restrict(funcs[rule.premise], rule.var, rule.value)
+            elif isinstance(rule, proof.Entail):
+                try:
+                    claimed = deserialize(rule.block, mgr)
+                except (BlockFormatError, OrderError):
+                    return reject(line.id, proof.MALFORMED_BLOCK)
+                conj = mgr.ONE
+                for j in rule.premises:
+                    conj = mgr.apply(conj, funcs[j], "and")
+                if mgr.apply(conj, claimed, "implies") != mgr.ONE:
+                    return reject(line.id, proof.ENTAILMENT_FAILED)
+                ref = claimed
+            else:
+                return reject(line.id, proof.MALFORMED)
+        except BudgetExceededError:
+            raise BudgetExceededError(f"line {line.id}") from None
+        funcs[line.id] = ref
+        last_id = line.id
+    if len(lines) < m:
+        return reject(last_id if lines else None, proof.AXIOM_MISMATCH)
+    if not lines:
+        return reject(None, proof.MALFORMED)
+    return proof.Verdict(True), mgr, funcs

@@ -13,6 +13,7 @@ from qobdd.obdd import (
     ObddError,
     OrderError,
     VarOrder,
+    serialize,
 )
 
 from .helpers import (
@@ -185,6 +186,46 @@ def test_fused_quantifier_matches_three_pass_and_table_oracle():
                     assert len(m) == size
 
 
+def test_forall_split_matches_the_three_calls_and_their_nodes():
+    # a twin manager builds the same functions and takes the three calls;
+    # the split must give the same diagrams and leave the same store size
+    rng = random.Random(181)
+    for nv in (1, 2, 4, 7):
+        order = list(range(1, nv + 1))
+        rng.shuffle(order)
+        m, twin = Manager(VarOrder(order)), Manager(VarOrder(order))
+        tables = [random_table(rng, nv) for _ in range(10)]
+        # functions that skip the middle variable, so x lies outside them
+        rest = [v for v in order if v != order[nv // 2]]
+        skipping = [random_table(rng, len(rest)) for _ in range(2)]
+        for table_vars, table in [(order, t) for t in tables] + [(rest, t) for t in skipping]:
+            f = obdd_from_table(m, table_vars, table)
+            g = obdd_from_table(twin, table_vars, table)
+            for x in order:  # every rank, the first and the last included
+                got = m.forall_split(f, x)
+                want = (twin.restrict(g, x, 0), twin.restrict(g, x, 1), twin.forall(g, x))
+                assert [serialize(m, r) for r in got] == [serialize(twin, r) for r in want]
+                assert len(m) == len(twin)
+                assert got == (m.restrict(f, x, 0), m.restrict(f, x, 1), m.forall(f, x))
+                if x not in m.support(f):
+                    assert got == (f, f, f)
+        for c in (m.ZERO, m.ONE):
+            assert m.forall_split(c, order[0]) == (c, c, c)
+
+
+def test_forall_split_walks_a_deep_order_and_checks_its_arguments():
+    n = 3000
+    m = Manager(VarOrder(range(1, n + 1)))
+    c = m.clause(range(1, n + 1))
+    rest = m.clause(range(1, n))
+    assert m.forall_split(c, n) == (rest, m.ONE, rest)
+    assert m.forall_split(c, 1) == (m.clause(range(2, n + 1)), m.ONE, m.clause(range(2, n + 1)))
+    with pytest.raises(OrderError):
+        m.forall_split(c, n + 1)
+    with pytest.raises(ObddError):
+        m.forall_split(len(m), 1)
+
+
 def test_canonicity_of_construction_paths():
     # same function via Shannon expansion and via minterm disjunction
     rng = random.Random(9)
@@ -234,6 +275,32 @@ def test_covers_reject_cuts_outside_the_order():
     assert co.covers(len(m.order), m.ZERO) == [(m.literal(2), m.ONE)]
     # dropping ONE keeps the ZERO state, reached on the complement
     assert co.covers(len(m.order), m.ONE) == [(m.literal(2, positive=False), m.ZERO)]
+
+
+def test_complete_stops_at_the_depth_a_cover_needs():
+    rng = random.Random(57)
+    for nv in (1, 3, 6):
+        order = list(range(1, nv + 1))
+        rng.shuffle(order)
+        m = Manager(VarOrder(order))
+        for _ in range(6):
+            f = obdd_from_table(m, order, random_table(rng, nv))
+            full = m.complete(f)
+            states = full.layers + [full.sinks]
+            for depth in range(nv + 1):
+                part = m.complete(f, depth)
+                built = part.layers + ([] if part.sinks is None else [part.sinks])
+                assert built == states[: depth + 1]
+                assert part.size == sum(map(len, built))
+                for cut in range(depth + 1):
+                    for drop in (m.ZERO, m.ONE):
+                        assert part.covers(cut, drop) == full.covers(cut, drop)
+                for cut in range(depth + 1, nv + 1):
+                    with pytest.raises(ObddError, match=f"cut {cut} past the {depth + 1} layers"):
+                        part.covers(cut, m.ZERO)
+        for depth in (-1, nv + 1):
+            with pytest.raises(ObddError, match=f"depth {depth} "):
+                m.complete(f, depth)
 
 
 def test_width_of_literal():

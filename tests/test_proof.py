@@ -1,4 +1,5 @@
 import random
+from itertools import count
 
 import pytest
 
@@ -33,7 +34,7 @@ from qobdd.proof import (
 )
 from qobdd.solver import solve
 
-from .helpers import qbf_value, qbf_value_fn, random_pcnf
+from .helpers import check_trace_reference, qbf_value, qbf_value_fn, random_pcnf
 
 
 def contradiction():
@@ -375,3 +376,188 @@ def test_per_line_soundness_on_true_formulas():
                 lambda a: all(mgr.evaluate(r, a) for r in prefix_refs),
             )
             assert value, f"prefix of {k} lines flipped the formula"
+
+
+# -- universal eliminations replayed in one walk ------------------------------
+
+
+def assert_agrees_with_reference(f, trace):
+    """Same verdict as the per-line reference; when accepted, the same
+    function on every line and a store with the same nodes."""
+    want, ref_mgr, ref_funcs = check_trace_reference(f, trace)
+    got = check_trace(f, trace)
+    assert got.verdict == want
+    if want.accepted:
+        assert got.functions.keys() == ref_funcs.keys()
+        for lid, ref in ref_funcs.items():
+            assert obdd.serialize(got.manager, got.functions[lid]) == obdd.serialize(ref_mgr, ref)
+        assert len(got.manager) == len(ref_mgr)
+    return want
+
+
+def renumbered(trace, keyed):
+    """A trace of ``keyed`` (key, rule) pairs, whose rules refer to keys:
+    ids 1.. in list order, every reference mapped along."""
+    ids = {key: i for i, (key, _) in enumerate(keyed, start=1)}
+
+    def mapped(rule):
+        if isinstance(rule, Conj):
+            return Conj(ids[rule.left], ids[rule.right])
+        if isinstance(rule, Proj):
+            return Proj(rule.var, ids[rule.premise])
+        if isinstance(rule, URed):
+            return URed(rule.var, rule.value, ids[rule.premise])
+        return rule
+
+    lines = tuple(ProofLine(ids[key], mapped(rule)) for key, rule in keyed)
+    return ProofTrace(trace.formula_hash, trace.order, lines)
+
+
+def reshuffled_eliminations(rng, f, trace):
+    """The solver's trace with each universal elimination (U x 0 j, U x 1 j,
+    C of the two) rearranged at random: the reductions swapped, the
+    conjunction's operands swapped, other lines between the reductions, a
+    repeated reduction joined again, a reduction to the same constant or
+    on another universal; then conjunctions of random pairs of reductions,
+    of one premise or not."""
+    keyed = [(line.id, line.rule) for line in trace.lines]
+    fresh = count(-1, -1)
+    out: list = []
+    reductions: list[int] = []
+    i = 0
+    while i < len(keyed):
+        key, rule = keyed[i]
+        if not isinstance(rule, URed):
+            out.append(keyed[i])
+            i += 1
+            continue
+        (k0, u0), (k1, u1), (kc, _) = keyed[i : i + 3]
+        if rng.random() < 0.5:
+            (k0, u0), (k1, u1) = (k1, u1), (k0, u0)
+        roll = rng.random()
+        if roll < 0.1:
+            u1 = URed(u1.var, u0.value, u1.premise)  # same constant twice
+        elif roll < 0.2:
+            others = [u for u in f.universals if u != u1.var]
+            if others:
+                u1 = URed(rng.choice(others), u1.value, u1.premise)
+        out.append((k0, u0))
+        for _ in range(rng.randint(0, 2)):
+            a, b = rng.choice(out)[0], rng.choice(out)[0]
+            out.append((next(fresh), Conj(a, b)))
+        out.append((k1, u1))
+        out.append((kc, Conj(k0, k1) if rng.random() < 0.5 else Conj(k1, k0)))
+        if rng.random() < 0.5:
+            again = next(fresh)
+            out += [(again, u0), (next(fresh), Conj(k1, again))]
+            reductions.append(again)
+        reductions += [k0, k1]
+        i += 3
+    for _ in range(rng.randint(0, 4) if reductions else 0):
+        a, b = rng.choice(reductions), rng.choice(reductions)
+        out.append((next(fresh), Conj(a, b)))
+    return renumbered(trace, out)
+
+
+def test_checker_agrees_with_the_per_line_reference():
+    rng = random.Random(1801)
+    seen = {"pairs": 0, "accepted": 0, "rejected": 0}
+    for _ in range(60):
+        f = random_pcnf(rng, max_vars=10, max_clauses=18)
+        order = VarOrder(rng.sample(f.variables, len(f.variables)))
+        trace = solve(f, order).trace
+        assert assert_agrees_with_reference(f, trace).accepted
+        pairs = sum(isinstance(l.rule, URed) for l in trace.lines) // 2
+        seen["pairs"] += pairs
+        for _ in range(3 if pairs else 0):
+            variant = reshuffled_eliminations(rng, f, trace)
+            accepted = assert_agrees_with_reference(f, variant).accepted
+            seen["accepted" if accepted else "rejected"] += 1
+        # a lone reduction, its pair and conjunction cut off, is one restrict
+        for k, line in enumerate(trace.lines):
+            if isinstance(line.rule, URed):
+                lone = ProofTrace(trace.formula_hash, trace.order, trace.lines[: k + 1])
+                assert_agrees_with_reference(f, lone)
+    assert min(seen.values()) >= 10, seen
+
+
+def test_a_solver_trace_replays_each_elimination_in_one_walk(monkeypatch):
+    f = gen_eqprime(4)
+    trace = solve(f, order=order_from_decomposition(eqprime_decomposition(4))).trace
+    calls = {"forall_split": 0}
+
+    def counted(name):
+        method = getattr(Manager, name)
+
+        def wrapper(self, *args):
+            calls[name] = calls.get(name, 0) + 1
+            return method(self, *args)
+
+        return wrapper
+
+    for name in ("forall_split", "restrict", "apply"):
+        monkeypatch.setattr(Manager, name, counted(name))
+    assert check_trace(f, trace, require_refutation=True).refutation
+    ureds = [l.rule for l in trace.lines if isinstance(l.rule, URed)]
+    conjs = sum(isinstance(l.rule, Conj) for l in trace.lines)
+    assert calls["forall_split"] == len(ureds) // 2 == len(f.universals)
+    assert "restrict" not in calls
+    # every other conjunction still goes through apply
+    assert calls["apply"] == conjs - len(ureds) // 2
+
+
+@pytest.mark.parametrize(
+    "joined, fused",
+    [
+        ((4, 5), True),  # the pair, in order
+        ((5, 4), True),  # the pair, swapped
+        ((4, 6), False),  # the same constant twice
+        ((4, 7), False),  # another premise
+        ((4, 8), False),  # another variable
+    ],
+)
+def test_only_a_pair_of_one_premise_and_variable_takes_the_walk(monkeypatch, joined, fused):
+    # x1 is rightmost in lines 1 and 3, x2 in line 2
+    f = Pcnf(
+        ((EXISTS, 3), (FORALL, 1), (FORALL, 2)),
+        (clause([3, 1]), clause([3, 2]), clause([-3, 1])),
+    )
+    lines = (
+        ProofLine(1, Axiom(1)),
+        ProofLine(2, Axiom(2)),
+        ProofLine(3, Axiom(3)),
+        ProofLine(4, URed(1, 0, 1)),
+        ProofLine(5, URed(1, 1, 1)),
+        ProofLine(6, URed(1, 0, 1)),
+        ProofLine(7, URed(1, 1, 3)),
+        ProofLine(8, URed(2, 1, 2)),
+        ProofLine(9, Conj(*joined)),
+    )
+    trace = ProofTrace(formula_hash(f), VarOrder([3, 1, 2]), lines)
+    splits = []
+    original = Manager.forall_split
+    monkeypatch.setattr(Manager, "forall_split", lambda self, *a: splits.append(a) or original(self, *a))
+    assert assert_agrees_with_reference(f, trace).accepted
+    assert bool(splits) == fused
+
+
+def test_budget_inside_the_walk_names_the_pairs_first_reduction_line():
+    f = gen_eqprime(4)
+    trace = solve(f).trace
+    lines = trace.lines
+    found = 0
+    for k, line in enumerate(lines):
+        if not (isinstance(line.rule, URed) and isinstance(lines[k + 1].rule, URed)):
+            continue
+        # a budget the per-line replay fills exactly at the first reduction
+        upto = ProofTrace(trace.formula_hash, trace.order, lines[: k + 1])
+        budget = len(check_trace_reference(f, upto)[1]) - 2
+        with pytest.raises(obdd.BudgetExceededError) as per_line:
+            check_trace_reference(f, trace, node_budget=budget)
+        if str(per_line.value) == f"line {line.id}":
+            continue  # the pair's other diagrams make no node here
+        assert str(per_line.value) in (f"line {lines[k + 1].id}", f"line {lines[k + 2].id}")
+        with pytest.raises(obdd.BudgetExceededError, match=f"^line {line.id}$"):
+            check_trace(f, trace, node_budget=budget)
+        found += 1
+    assert found

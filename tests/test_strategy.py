@@ -154,6 +154,56 @@ def test_family_audit_rejects_dependency_violation():
         DecisionListFamily(f, m, {3: guard_list(m, [(m.ONE, 1)])})
 
 
+def test_family_audit_reads_each_node_once_and_names_the_same_variables(monkeypatch):
+    # guards over random variables, sharing nodes across lists: the audit
+    # must reject exactly where the per-list support says so, naming the
+    # same universal and variables, and read no node twice
+    rng = random.Random(4242)
+    outcomes = set()
+    for _ in range(80):
+        f = random_pcnf(rng, max_vars=8, max_clauses=4)
+        if not f.universals:
+            continue
+        m = Manager(VarOrder(rng.sample(f.variables, len(f.variables))))
+        pool = []
+        for _ in range(4):
+            vs = sorted(rng.sample(f.variables, rng.randint(1, 3)), key=m.order.rank)
+            pool.append(obdd_from_table(m, vs, random_table(rng, len(vs))))
+        lists = {
+            u: guard_list(m, [(rng.choice(pool), rng.getrandbits(1)) for _ in range(2)] + [(m.ONE, 1)])
+            for u in f.universals
+        }
+        want = None
+        left: set[int] = set()
+        for _, v in f.prefix:
+            if v in lists:
+                extra = m.support(*(line for line, _ in lists[v].lines)) - left
+                if extra:
+                    want = f"guards for {v} depend on non-preceding variables {sorted(extra)}"
+                    break
+            left.add(v)
+        reads = []
+        support = Manager.support
+
+        def counting_support(self, *refs, seen=None):
+            before = set(seen)
+            out = support(self, *refs, seen=seen)
+            reads.extend(seen - before)
+            return out
+
+        monkeypatch.setattr(Manager, "support", counting_support)
+        try:
+            DecisionListFamily(f, m, lists)
+            got = None
+        except StrategyError as exc:
+            got = str(exc)
+        monkeypatch.undo()
+        assert got == want
+        assert len(reads) == len(set(reads))
+        outcomes.add(got is None)
+    assert outcomes == {True, False}
+
+
 def test_verify_winning_counterexample_for_constant_strategy():
     f = gen_eqprime(2)
     m = Manager(VarOrder(f.variables))
