@@ -34,6 +34,17 @@ class Graph:
         for u, w in edges:
             self.add_edge(u, w)
 
+    @classmethod
+    def _from_adjacency(cls, adj: dict[int, set[int]]) -> "Graph":
+        """The graph whose vertex v neighbours ``adj[v]``, taken unchecked:
+        the sets must be symmetric and loop-free over the keys, and become
+        the graph's own."""
+        g = cls.__new__(cls)
+        g.vertices = tuple(sorted(adj))
+        g.adj = {v: adj[v] for v in g.vertices}
+        g._edges = {(u, w) for u, nbrs in adj.items() for w in nbrs if u < w}
+        return g
+
     def add_edge(self, u: int, w: int) -> None:
         if u == w:
             raise GraphError(f"loop at vertex {u}")

@@ -13,9 +13,10 @@ with explicit stacks, so a deep variable order never reaches Python's
 recursion limit, and those that build nodes read each node's rank from
 an array kept beside the store.
 Every kernel memoizes per operation (a quantification's cofactor
-conjunctions share its memo, and a caller may share one negation memo
-across several roots): hits come from inside one walk, and a repeat finds
-its nodes in the unique table, so no memo outlives the call that made it.
+conjunctions share its memo, and a caller may share one negation memo, or
+one cover map memo at a fixed cut, across several roots): hits come from
+inside one walk, and a repeat finds its nodes in the unique table, so no
+memo outlives the calls it was passed to.
 References, variables and ``apply`` ops are validated at the public entry
 points only; the kernels and the node constructor they share trust them.
 
@@ -271,6 +272,12 @@ class Manager:
         return self._apply(_op_code(op), f, g, {})
 
     def _apply(self, code: int, f: int, g: int, memo: dict[tuple[int, int], int]) -> int:
+        # a sink operand decides the call in one unary step, before the setup
+        # (most of a quantification's cofactor pairs hold a sink)
+        if f <= 1:
+            return self._unary((code >> (f << 1)) & 3, g, memo)
+        if g <= 1:
+            return self._unary(((code >> g) & 1) | ((code >> (1 + g)) & 2), f, memo)
         var, lo, hi, rank = self._var, self._lo, self._hi, self._rank
         mk, unary = self._mk, self._unary
         symmetric = _is_symmetric(code)
@@ -637,9 +644,10 @@ class Manager:
         to the next layer unchanged, so the states are refs of this store
         and the result has at most (|X|+1) * size(f) of them.  It serves
         ``CompleteObdd.covers``, which at a cut of ``cut`` variables reads
-        only the layers 0..cut, so ``complete(f, cut)`` is all it needs;
-        the default ``depth`` is the whole order, sinks included.  The width
-        alone comes from ``shape`` without a layered copy.
+        the states of layer ``cut`` and their order, so ``complete(f, cut)``
+        is all it needs; the default ``depth`` is the whole order, sinks
+        included.  The width alone comes from ``shape`` without a layered
+        copy.
         """
         self._check_ref(f)
         n = len(self.order)
@@ -682,6 +690,8 @@ class CompleteObdd:
     ``width`` is the largest layer and ``size`` counts the states.  Built
     through a shorter prefix (``Manager.complete(f, depth)``), it holds the
     layers 0..depth, ``sinks`` is None, and both count only those layers.
+    ``covers`` takes the cut layer's states, in order, from the layers and
+    sweeps the reduced nodes above the cut in the store.
     """
 
     def __init__(
@@ -703,7 +713,9 @@ class CompleteObdd:
     def root(self) -> int:
         return self.layers[0][0] if self.layers else self.sinks[0]
 
-    def covers(self, cut: int, drop: int) -> list[tuple[int, int]]:
+    def covers(
+        self, cut: int, drop: int, memo: dict[int, dict[int, int]] | None = None
+    ) -> list[tuple[int, int]]:
         """Rectangle cover along the prefix cut of ``cut`` variables.
 
         One ``(r1, r2)`` pair per state of the cut layer (the sinks when
@@ -717,10 +729,20 @@ class CompleteObdd:
         swapped.  Their number is at most the width.  Degenerate cuts (0 or
         all variables) give one-sided pairs.  A cut outside 0..|X|, or past
         the layers built, raises ``ObddError``.
+
+        The r1s come from one bottom-up sweep over the store nodes above
+        the cut: each node t gets the sparse map ``{s: r1}`` over the cut
+        states s it reaches, r1 accepting the assignments to the variables
+        from t's rank to the cut that lead from t to s, each entry one
+        ``_mk`` over the children's entries (ZERO where a child misses s).
+        A node at or past the cut is its own state, ``{s: ONE}``, and the
+        sink ``drop`` reaches nothing, ``{}``.  A node's map depends only on
+        the node, the cut and ``drop``, so ``memo`` (node -> map) may be
+        shared by every call with the same cut and ``drop``, which then
+        sweeps a node shared by several roots once.
         """
         mgr = self.manager
-        order = mgr.order.vars
-        if not 0 <= cut <= len(order):
+        if not 0 <= cut <= len(mgr.order):
             raise ObddError(f"cut {cut} not a prefix length of the order")
         if cut < len(self.layers):
             states = self.layers[cut]
@@ -728,27 +750,30 @@ class CompleteObdd:
             states = self.sinks
         else:
             raise ObddError(f"cut {cut} past the {len(self.layers)} layers built")
-        var, lo, hi, mk = mgr._var, mgr._lo, mgr._hi, mgr._mk
-        # the states that test each layer's variable, from the cut back to
-        # the root; every other state passes its layer and keeps its reach
-        sweep = []
-        for i in range(cut - 1, -1, -1):
-            v = order[i]
-            nodes = [(t, lo[t], hi[t]) for t in self.layers[i] if t > 1 and var[t] == v]
-            sweep.append((v, i, nodes))
-        rects = []
-        for s in states:
-            if s == drop:
-                continue  # contributes nothing to the disjunction
-            # reach[t]: over the variables before t's layer, whether they
-            # lead to the cut state s
-            reach = dict.fromkeys(states, mgr.ZERO)
-            reach[s] = mgr.ONE
-            for v, rank, nodes in sweep:
-                for t, t0, t1 in nodes:
-                    reach[t] = mk(v, rank, reach[t0], reach[t1])
-            rects.append((reach[self.root], s))
-        return rects
+        if memo is None:
+            memo = {}
+        var, lo, hi, rank, mk = mgr._var, mgr._lo, mgr._hi, mgr._rank, mgr._mk
+        # post-order with an explicit stack, as in ``_negate``: ~t on the
+        # stack joins the maps of t's children
+        stack = [self.root]
+        while stack:
+            t = stack.pop()
+            if t < 0:
+                t = ~t
+                v, r = var[t], rank[t]
+                m0, m1 = memo[lo[t]], memo[hi[t]]
+                reach = {s: mk(v, r, a, m1.get(s, 0)) for s, a in m0.items()}
+                for s, b in m1.items():
+                    if s not in m0:
+                        reach[s] = mk(v, r, 0, b)
+                memo[t] = reach
+            elif t not in memo:
+                if rank[t] >= cut:
+                    memo[t] = {} if t == drop else {t: 1}
+                else:
+                    stack += (~t, hi[t], lo[t])
+        reach = memo[self.root]
+        return [(reach[s], s) for s in states if s != drop]
 
 
 # -- serialization -----------------------------------------------------------

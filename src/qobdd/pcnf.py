@@ -207,11 +207,16 @@ def emit_qdimacs(f: Pcnf) -> str:
 
 
 def primal_graph(f: Pcnf) -> Graph:
-    """Graph on the matrix variables linking co-clausal pairs."""
-    edges: set[tuple[int, int]] = set()
+    """Graph on the matrix variables linking co-clausal pairs, built in one
+    pass over the clauses; a canonical clause names each variable once."""
+    adj: dict[int, set[int]] = {}
     for c in f.clauses:
-        vs = sorted({abs(l) for l in c})
-        for i, u in enumerate(vs):
-            for w in vs[i + 1 :]:
-                edges.add((u, w))
-    return Graph(sorted(f.matrix_variables()), sorted(edges))
+        vs = [abs(l) for l in c]
+        for v in vs:
+            nbrs = adj.get(v)
+            if nbrs is None:
+                adj[v] = nbrs = set()
+            nbrs.update(vs)
+    for v, nbrs in adj.items():
+        nbrs.discard(v)
+    return Graph._from_adjacency(adj)

@@ -29,9 +29,11 @@ The second half of this module converts a decision list into a rectangle
 decision list along a cut of the manager's order: one record holding the
 partition (X1, X2) = (first ``cut`` variables, the rest) and first-match
 ``(r1, r2, value)`` entries, where r1 reads only X1 and r2 only X2.  Each
-guard contributes the cover ``CompleteObdd.covers`` reads off its line's
-layered diagram, so only ``obdd`` knows the layered format.  The two-player
-conjunction protocol is the list's one evaluator.
+guard contributes the cover ``CompleteObdd.covers`` reads off its line: the
+cut states come from the line's layered diagram, so only ``obdd`` knows the
+layered format, and every r1 from one bottom-up sweep of sparse maps over
+the store nodes above the cut, the maps shared by the whole list.  The
+two-player conjunction protocol is the list's one evaluator.
 """
 
 from __future__ import annotations
@@ -337,22 +339,23 @@ def to_rectangle_list(dl: DecisionList, cut: int) -> RectangleDecisionList:
     checked before any line is completed.
 
     A guard's cover is its line's ``Manager.complete(line, cut).covers(cut,
-    ONE)``, whose layers stop at the cut, with each state negated: an
-    assignment reaches a state of the line exactly where it reaches that
-    state's complement in the guard.
-    One negation memo serves the whole list.  For a list of length s whose
-    guards have complete width at most w, the result has length at most
-    w*(s-1) + 1 and computes the same function.
+    ONE, reach)``, whose layers stop at the cut, with each state negated:
+    an assignment reaches a state of the line exactly where it reaches that
+    state's complement in the guard.  One map memo ``reach`` and one
+    negation memo serve the whole list, so a node shared by several lines
+    is swept and negated once.  For a list of length s whose guards have
+    complete width at most w, the result has length at most w*(s-1) + 1
+    and computes the same function.
     """
     mgr = dl.manager
     order = mgr.order.vars
     if not 0 <= cut <= len(order):
         raise StrategyError(f"cut {cut} not a prefix length of the order")
-    negate, memo = mgr.negate, {}
+    negate, memo, reach = mgr.negate, {}, {}
     entries = [
         (r1, negate(state, memo), value)
         for line, value in dl.lines[:-1]
-        for r1, state in mgr.complete(line, cut).covers(cut, mgr.ONE)
+        for r1, state in mgr.complete(line, cut).covers(cut, mgr.ONE, reach)
     ]
     entries.append((mgr.ONE, mgr.ONE, dl.lines[-1][1]))
     return RectangleDecisionList(mgr, (order[:cut], order[cut:]), entries)
@@ -373,14 +376,15 @@ def and_protocol_run(
 
     Each round the left player sends r1(a1) and the right player r2(a2) for
     the current rectangle; the first round whose conjunction is 1 fixes the
-    output.  The round count is the index of the first firing rectangle.
+    output.  The round count is the index of the first firing rectangle;
+    a round whose r1 is 0 is decided without r2.
     """
     x1_vars, x2_vars = rdl.partition
-    if not set(x1_vars) <= set(a1) or not set(x2_vars) <= set(a2):
+    if not (all(map(a1.__contains__, x1_vars)) and all(map(a2.__contains__, x2_vars))):
         raise StrategyError("assignments do not cover their partition sides")
     evaluate = rdl.manager.evaluate
     for rounds, (r1, r2, value) in enumerate(rdl.entries, start=1):
-        if evaluate(r1, a1) & evaluate(r2, a2):
+        if evaluate(r1, a1) and evaluate(r2, a2):
             return ProtocolRun(value, rounds)
     raise AssertionError("unreachable: terminal rectangle is full")
 

@@ -12,8 +12,10 @@ of variables; keep inputs small), strategy verdicts and range sizes
 from ``verify_winning_oracle`` and ``strategy_range_size_oracle``, which
 play one assignment at a time, and strategy files and rectangle lists from
 ``emit_strategy_oracle`` and ``rectangle_list_oracle``, which negate each
-line into its guard and read the guard itself.  Trace verdicts come from
-``check_trace_reference``, which replays every line on its own.
+line into its guard and read the guard itself, its covers from
+``covers_oracle``, one sweep of the layered copy per cut state.  Trace
+verdicts come from ``check_trace_reference``, which replays every line on
+its own.
 """
 
 from __future__ import annotations
@@ -27,7 +29,9 @@ from qobdd.obdd import (
     DEFAULT_NODE_BUDGET,
     BlockFormatError,
     BudgetExceededError,
+    CompleteObdd,
     Manager,
+    ObddError,
     OrderError,
     VarOrder,
     deserialize,
@@ -399,15 +403,49 @@ def emit_strategy_oracle(family: DecisionListFamily) -> str:
     return "\n".join(out) + "\n"
 
 
+def covers_oracle(co: CompleteObdd, cut: int, drop: int) -> list[tuple[int, int]]:
+    """``CompleteObdd.covers`` by one sweep of the layered copy per cut
+    state s: from the cut back to the root, each state that tests its
+    layer's variable gets the function of the variables before its layer
+    that leads it to s, every other state passing its layer unchanged."""
+    m = co.manager
+    order = m.order.vars
+    if not 0 <= cut <= len(order):
+        raise ObddError(f"cut {cut} not a prefix length of the order")
+    if cut < len(co.layers):
+        states = co.layers[cut]
+    elif co.sinks is not None:
+        states = co.sinks
+    else:
+        raise ObddError(f"cut {cut} past the {len(co.layers)} layers built")
+    sweep = []
+    for i in range(cut - 1, -1, -1):
+        v = order[i]
+        tests = [(t, m._lo[t], m._hi[t]) for t in co.layers[i] if t > 1 and m._var[t] == v]
+        sweep.append((v, i, tests))
+    rects = []
+    for s in states:
+        if s == drop:
+            continue
+        reach = dict.fromkeys(states, m.ZERO)
+        reach[s] = m.ONE
+        for v, rank, tests in sweep:
+            for t, t0, t1 in tests:
+                reach[t] = m.node(v, reach[t0], reach[t1])
+        rects.append((reach[co.root], s))
+    return rects
+
+
 def rectangle_list_oracle(dl: DecisionList, cut: int) -> list[tuple[int, int, int]]:
     """``strategy.to_rectangle_list`` entries from the negated guards: each
-    guard's cover, dropping its ZERO states, then the full rectangle."""
+    guard's cover by ``covers_oracle``, dropping its ZERO states, then the
+    full rectangle."""
     m = dl.manager
     guards = oracle_guards(dl)
     entries = [
         (r1, r2, value)
         for guard, value in guards[:-1]
-        for r1, r2 in m.complete(guard).covers(cut, m.ZERO)
+        for r1, r2 in covers_oracle(m.complete(guard), cut, m.ZERO)
     ]
     return entries + [(m.ONE, m.ONE, guards[-1][1])]
 

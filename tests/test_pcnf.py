@@ -116,6 +116,29 @@ def test_primal_graph_eqprime2_edge_count():
     assert len(g.edges()) == 8
 
 
+def test_primal_graph_equals_the_edge_by_edge_construction():
+    # the one-pass adjacency against the sorted edge set re-added through
+    # the checked Graph.add_edge, on random formulas and the families
+    from qobdd.families import gen_eqprime, gen_ipg_qbf, gen_quparity
+    from qobdd.graphs import Graph, random_dregular
+
+    rng = random.Random(29)
+    formulas = [random_pcnf(rng) for _ in range(60)]
+    formulas += [gen_eqprime(5), gen_quparity(7), gen_ipg_qbf(random_dregular(10, 3, seed=1))]
+    for f in formulas:
+        edges = set()
+        for c in f.clauses:
+            vs = sorted({abs(l) for l in c})
+            for i, u in enumerate(vs):
+                for w in vs[i + 1 :]:
+                    edges.add((u, w))
+        want = Graph(sorted(f.matrix_variables()), sorted(edges))
+        got = primal_graph(f)
+        assert got == want
+        assert got.adj == want.adj and list(got.adj) == list(want.adj)
+        assert got.edges() == want.edges()
+
+
 def test_rightmost_is_the_innermost_prefix_position():
     rng = random.Random(23)
     for _ in range(40):

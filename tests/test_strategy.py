@@ -25,6 +25,7 @@ from qobdd.rectangles import eval_ipg
 from qobdd.solver import solve
 from qobdd.strategy import (
     _CHUNK_PLAYS,
+    DecisionList,
     DecisionListFamily,
     RectangleDecisionList,
     StrategyError,
@@ -39,6 +40,7 @@ from qobdd.strategy import (
 
 from .helpers import (
     assignments,
+    covers_oracle,
     emit_strategy_oracle,
     flipped_entry,
     guard_list,
@@ -662,6 +664,9 @@ def test_and_protocol_partition_mismatch():
     rdl = to_rectangle_list(guard_list(m, [(m.ONE, 0)]), 1)
     with pytest.raises(StrategyError):
         and_protocol_run(rdl, {}, {2: 0})
+    with pytest.raises(StrategyError):
+        and_protocol_run(rdl, {1: 0}, {1: 0})
+    assert and_protocol_run(rdl, {1: 0}, {2: 0}).value == 0
 
 
 def test_reference_lists_match_the_negated_guard_oracle():
@@ -681,6 +686,54 @@ def test_reference_lists_match_the_negated_guard_oracle():
         for dl in fam.lists.values():
             assert dl.entries == oracle_guards(dl)
             for cut in range(len(fam.manager.order) + 1):
+                assert to_rectangle_list(dl, cut).entries == rectangle_list_oracle(dl, cut)
+
+
+def test_covers_match_the_per_state_sweep_and_build_its_nodes():
+    # random functions and extracted lists, at every cut and with either
+    # sink dropped, one map memo shared by all the lines: the same pairs in
+    # the same order, from exactly the nodes the per-state sweep builds (a
+    # twin store, made the same way, takes the oracle alone); then the
+    # rectangle lists equal their oracle
+    rng = random.Random(73)
+    makers = []  # each makes the same decision lists in a fresh store
+    for nv in (1, 3, 5, 7):
+        order = list(range(1, nv + 1))
+        rng.shuffle(order)
+        tables = [random_table(rng, nv) for _ in range(4)]
+
+        def make(order=order, tables=tables):
+            m = Manager(VarOrder(order))
+            lines = [(obdd_from_table(m, order, t), i & 1) for i, t in enumerate(tables)]
+            return m, [DecisionList(m, lines + [(m.ZERO, 1)])]
+
+        makers.append(make)
+    while len(makers) < 12:
+        f = random_pcnf(rng, max_vars=9)
+        res = solve(f)
+        if res.value is False:
+
+            def make(f=f, trace=res.trace):
+                fam = extract(f, trace)
+                return fam.manager, list(fam.lists.values())
+
+            makers.append(make)
+    for make in makers:
+        (a, lists), (b, _) = make(), make()
+        assert len(a) == len(b)
+        lines = [line for dl in lists for line, _ in dl.lines]
+        for cut in range(len(a.order) + 1):
+            for drop in (a.ZERO, a.ONE):
+                memo: dict = {}
+                got = [a.complete(r, cut).covers(cut, drop, memo) for r in lines]
+                built = len(a)
+                assert got == [covers_oracle(a.complete(r), cut, drop) for r in lines]
+                assert len(a) == built
+                for r in lines:
+                    covers_oracle(b.complete(r), cut, drop)
+                assert len(b) == built
+        for dl in lists:
+            for cut in range(len(a.order) + 1):
                 assert to_rectangle_list(dl, cut).entries == rectangle_list_oracle(dl, cut)
 
 
