@@ -3,10 +3,11 @@
 Exit codes are fixed for scripting: 0 success; 1 bad arguments or option
 files (``--order given:``, ``--partition``); 2 any malformed or rejected
 input file (formula, trace, strategy, proof, edge list; rejected trace,
-losing strategy); 3 expectation mismatch; 4 the node budget ran out.
+losing strategy); 3 expectation mismatch; 4 the budget ran out (nodes,
+or for ``rect analyze`` the rows the rectangle oracle scans).
 Nothing recurses once per layer of the order, so deep orders need no
 exit code of their own.  ``main`` is the one place that maps errors to
-these codes: ``UsageError`` to 1, the node budget's
+these codes: ``UsageError`` to 1, the budget's
 ``BudgetExceededError`` to 4, and every other ``QobddError``, the base of
 the library's errors, to 2.  With a fixed seed every run is reproducible;
 timing fields are only emitted on request so that outputs are
@@ -96,7 +97,8 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0, help="seed for all randomness")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET,
-                   help="node budget per manager")
+                   help="node budget per manager; for rect analyze, the "
+                   "rows the rectangle oracle may scan")
     p.add_argument("--threads", type=int, default=1,
                    help="worker processes for bench")
     p.add_argument("--timings", action="store_true",
@@ -345,7 +347,7 @@ def _resolve_partition(spec: str, g, seed: int):
 def cmd_rect(args) -> int:
     g = graphs.parse_edge_list(_read(args.graph))
     part = _resolve_partition(args.partition, g, args.seed)
-    report = rectangles.check_rectanglesmall(g, part)
+    report = rectangles.check_rectanglesmall(g, part, args.budget)
     text = json.dumps(report, indent=2) + "\n"
     if args.report:
         _write(args.report, text)

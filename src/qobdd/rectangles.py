@@ -10,6 +10,17 @@ when its columns times that many rows cannot beat the best size, and a
 candidate is rejected as non-canonical at the first row before i outside
 A that holds its columns, before the rest of its closure is scanned.  A
 10-vertex graph under a 5|5 split (a 32 x 32 table) takes about 25 ms.
+The search is exponential (maximum edge biclique is NP-complete), so it
+counts the rows its branches scan and raises ``BudgetExceededError``
+past a budget.
+
+``ip_truth_table`` builds the inner product's table from bit masks.  Over
+a split (X1, X2) the inner product is IP(G[X1]) xor IP(G[X2]) xor the
+cross edges' terms x_u x_w.  As a column mask, x_w for an X2 vertex w is
+the set of X2 assignments that set w, so IP(G[X2]) is one mask and the
+cross terms of row i are the XOR of the masks of the X2 vertices with an
+odd number of X1 neighbours set in i; the row is complemented where
+IP(G[X1]) is 1 on i.
 
 ``induced_matching`` follows the greedy procedure that repeatedly picks a
 cross edge and deletes both closed neighborhoods, so the picked edges are
@@ -27,9 +38,10 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from .graphs import Graph
-from .obdd import QobddError
+from .obdd import DEFAULT_NODE_BUDGET, BudgetExceededError, QobddError
 
 MAX_ORACLE_ROWS = 64
+MAX_TABLE_SIDE = 16
 
 
 class RectangleLabError(QobddError):
@@ -77,9 +89,8 @@ class TruthTable:
         x1_vars: Sequence[int],
         x2_vars: Sequence[int],
     ) -> "TruthTable":
-        if len(x1_vars) > 16 or len(x2_vars) > 16:
-            raise RectangleLabError("table sides limited to 16 variables")
         x1, x2 = tuple(x1_vars), tuple(x2_vars)
+        _check_table_sides(x1, x2)
         rows = []
         for i in range(1 << len(x1)):
             a = {v: (i >> k) & 1 for k, v in enumerate(x1)}
@@ -92,11 +103,56 @@ class TruthTable:
         return cls(x1, x2, tuple(rows))
 
 
+def _check_table_sides(x1: Sequence[int], x2: Sequence[int]) -> None:
+    if len(x1) > MAX_TABLE_SIDE or len(x2) > MAX_TABLE_SIDE:
+        raise RectangleLabError(f"table sides limited to {MAX_TABLE_SIDE} variables")
+
+
 def ip_truth_table(g: Graph, partition: tuple[Sequence[int], Sequence[int]]) -> TruthTable:
+    """The inner product's table over ``partition``, built from bit masks.
+
+    Equal to ``TruthTable.from_function`` over ``eval_ipg``, with the same
+    errors (a vertex listed twice on a side takes its last position, as in
+    that dict).  Row i extends the row of i without its lowest bit k: it
+    adds the cross mask of the X1 vertex at bit k, and is complemented when
+    that vertex has an odd number of X1 neighbours set in the smaller row.
+    """
     x1, x2 = partition
     if set(x1) | set(x2) != set(g.vertices) or set(x1) & set(x2):
         raise RectangleLabError("partition must split the vertex set")
-    return TruthTable.from_function(lambda a: eval_ipg(g, a), tuple(x1), tuple(x2))
+    x1, x2 = tuple(x1), tuple(x2)
+    _check_table_sides(x1, x2)
+    pos1 = {v: k for k, v in enumerate(x1)}
+    pos2 = {v: k for k, v in enumerate(x2)}
+    ncols = 1 << len(x2)
+    full = (1 << ncols) - 1
+    col = {}  # X2 vertex -> mask of the columns that set it
+    for w, k in pos2.items():
+        run = 1 << k  # columns alternate runs of this length with w unset, set
+        # full // (2^(2 run) - 1) has a 1 at the start of every pair of runs
+        col[w] = full // ((1 << 2 * run) - 1) * (((1 << run) - 1) << run)
+    base = 0  # IP(G[X2]) over the columns: row 0
+    cross = [0] * len(x1)  # per X1 bit: XOR of its X2 neighbours' masks
+    inner = [0] * len(x1)  # per X1 bit: its X1 neighbours' bits
+    for u, w in g.edges():
+        if u in pos2 and w in pos2:
+            base ^= col[u] & col[w]
+        elif u in pos1 and w in pos1:
+            inner[pos1[u]] |= 1 << pos1[w]
+            inner[pos1[w]] |= 1 << pos1[u]
+        else:
+            if u in pos2:
+                u, w = w, u
+            cross[pos1[u]] ^= col[w]
+    rows = [base]
+    for i in range(1, 1 << len(x1)):
+        k = (i & -i).bit_length() - 1
+        rest = i ^ (1 << k)
+        row = rows[rest] ^ cross[k]
+        if (inner[k] & rest).bit_count() & 1:
+            row ^= full
+        rows.append(row)
+    return TruthTable(x1, x2, tuple(rows))
 
 
 def _check_oracle_rows(shorter: int) -> None:
@@ -114,7 +170,7 @@ class MonoRectangle:
     col_indices: tuple[int, ...]
 
 
-def max_mono_rectangle(tt: TruthTable) -> MonoRectangle:
+def max_mono_rectangle(tt: TruthTable, budget: int = DEFAULT_NODE_BUDGET) -> MonoRectangle:
     """Exact maximum |A| * |B| over rectangles constant on the table.
 
     Works on whichever axis is shorter and enumerates closed row sets per
@@ -126,6 +182,11 @@ def max_mono_rectangle(tt: TruthTable) -> MonoRectangle:
     that hold c2.  The witness changes only on a strictly larger size, so
     the first witness of maximum size in this order is returned.
     Empty-by-construction rectangles count as size 0.
+
+    A branch grown from row ``start`` scans rows start..nrows - 1; past
+    ``budget`` scanned rows over both colors the search raises
+    ``BudgetExceededError``.  A scanned row costs at most one pass over
+    the (at most 64) rows, so the budget bounds the running time.
     """
     nrows, ncols = tt.nrows, tt.ncols
     _check_oracle_rows(min(nrows, ncols))
@@ -141,6 +202,7 @@ def max_mono_rectangle(tt: TruthTable) -> MonoRectangle:
     full_cols = (1 << ncols) - 1
     best = 0
     best_wit: tuple[int, int, int] | None = None  # (color, row mask, col mask)
+    scanned = 0
 
     for color in (0, 1):
         masks = [r ^ full_cols if color == 0 else r for r in rows]
@@ -153,6 +215,12 @@ def max_mono_rectangle(tt: TruthTable) -> MonoRectangle:
                 best_wit = (color, amask, colmask)
 
         def grow(amask: int, colmask: int, start: int) -> None:
+            nonlocal scanned
+            scanned += nrows - start
+            if scanned > budget:
+                raise BudgetExceededError(
+                    f"rectangle oracle budget of {budget} scanned rows exceeded"
+                )
             room = amask.bit_count() + nrows
             for i in range(start, nrows):
                 if amask >> i & 1:
@@ -239,19 +307,22 @@ def induced_matching(
 
 
 def check_rectanglesmall(
-    g: Graph, partition: tuple[Sequence[int], Sequence[int]]
+    g: Graph,
+    partition: tuple[Sequence[int], Sequence[int]],
+    budget: int = DEFAULT_NODE_BUDGET,
 ) -> dict:
     """Compare the oracle's maximum rectangle against the 2^(n-m) bound.
 
     A split whose shorter side has more than ``MAX_ORACLE_ROWS`` rows is
     refused before its truth table is built, with the oracle's error.
+    ``budget`` is the oracle's, in scanned rows.
     """
     n = len(g.vertices)
     matching = induced_matching(g, partition)
     m = len(matching)
     _check_oracle_rows(1 << min(len(partition[0]), len(partition[1])))
     tt = ip_truth_table(g, partition)
-    result = max_mono_rectangle(tt)
+    result = max_mono_rectangle(tt, budget)
     bound = 1 << (n - m)
     protocol_rounds_floor = None
     if result.size > 0:

@@ -5,6 +5,8 @@ truth tables come from exhaustive evaluation, widths from cofactor
 counting, separation widths and min-degree orders from rescanning every
 prefix or every remaining vertex, rectangle maxima from double-subset
 enumeration (sizes) or a full closure scan per candidate (witnesses),
+inner-product tables from ``cellwise_ip_truth_table``, one ``eval_ipg``
+call per cell,
 PCNF truth values from the game-tree recursions
 ``qbf_value`` and ``qbf_value_fn`` here, which work on the clause list or
 a matrix predicate and never build a diagram (exponential in the number
@@ -25,6 +27,7 @@ from itertools import product
 from typing import Callable, Iterable, Mapping, Sequence
 
 from qobdd import proof
+from qobdd.graphs import Graph
 from qobdd.obdd import (
     DEFAULT_NODE_BUDGET,
     BlockFormatError,
@@ -38,7 +41,13 @@ from qobdd.obdd import (
     serialize,
 )
 from qobdd.pcnf import EXISTS, FORALL, Pcnf, clause
-from qobdd.rectangles import MAX_ORACLE_ROWS, MonoRectangle, RectangleLabError, TruthTable
+from qobdd.rectangles import (
+    MAX_ORACLE_ROWS,
+    MonoRectangle,
+    RectangleLabError,
+    TruthTable,
+    eval_ipg,
+)
 from qobdd.strategy import (
     EXHAUSTIVE_PLAYS,
     DecisionList,
@@ -199,6 +208,17 @@ def naive_max_mono(rows: tuple[int, ...], ncols: int) -> int:
                 if size > best:
                     best = size
     return best
+
+
+def cellwise_ip_truth_table(
+    g: Graph, partition: tuple[Sequence[int], Sequence[int]]
+) -> TruthTable:
+    """Reference inner-product table: ``eval_ipg`` on every cell, after the
+    partition check that ``rectangles.ip_truth_table`` makes first."""
+    x1, x2 = partition
+    if set(x1) | set(x2) != set(g.vertices) or set(x1) & set(x2):
+        raise RectangleLabError("partition must split the vertex set")
+    return TruthTable.from_function(lambda a: eval_ipg(g, a), x1, x2)
 
 
 def closure_scan_max_mono(tt: TruthTable) -> MonoRectangle:

@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 from qobdd import rectangles
@@ -10,6 +11,7 @@ from qobdd.cli import (
     EXIT_USAGE,
     main,
 )
+from qobdd.graphs import emit_edge_list, random_dregular
 from qobdd.pcnf import EXISTS, FORALL, Pcnf, clause, parse_qdimacs
 from qobdd.proof import check_trace
 from qobdd.solver import prefix_order, solve
@@ -396,6 +398,24 @@ def test_rect_analyze_refuses_an_oversized_split_at_once(tmp_path, capsys, monke
     )
     assert (code, out) == (EXIT_CHECK, "")
     assert err == "check failed: oracle limited to 64 rows on the shorter side\n"
+
+
+def test_rect_analyze_stops_the_oracle_at_the_budget(tmp_path, capsys):
+    # a 6|14 split of a 20-vertex 3-regular graph: a 64 x 16384 table,
+    # built from bit masks in milliseconds, then an oracle search that
+    # scans rows far past the budget
+    graph = tmp_path / "r20.edges"
+    graph.write_text(emit_edge_list(random_dregular(20, 3, seed=1)))
+    partition = tmp_path / "r20.part"
+    partition.write_text("1 2 3 4 5 6\n" + " ".join(map(str, range(7, 21))) + "\n")
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "--budget", "1000", "rect", "analyze",
+        "--graph", str(graph), "--partition", str(partition),
+    )
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (EXIT_BUDGET, "")
+    assert err == "BUDGET rectangle oracle budget of 1000 scanned rows exceeded\n"
 
 
 def test_malformed_input_files_exit_2(tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from qobdd import rectangles
 from qobdd.graphs import Graph, random_dregular
+from qobdd.obdd import BudgetExceededError
 from qobdd.rectangles import (
     GI_FORMS,
     Matching,
@@ -18,7 +19,12 @@ from qobdd.rectangles import (
     max_mono_rectangle,
 )
 
-from .helpers import assignments, closure_scan_max_mono, naive_max_mono
+from .helpers import (
+    assignments,
+    cellwise_ip_truth_table,
+    closure_scan_max_mono,
+    naive_max_mono,
+)
 
 
 def matching_graph(n):
@@ -62,6 +68,78 @@ def test_truth_table_shape_and_limit():
         TruthTable.from_function(lambda a: 0, range(1, 18), [20])
     with pytest.raises(RectangleLabError):
         ip_truth_table(g, ([1, 2], [2, 3, 4]))  # not a partition
+    big = Graph(range(1, 19))
+    with pytest.raises(RectangleLabError, match="table sides limited to 16 variables"):
+        ip_truth_table(big, (range(1, 18), [18]))
+    with pytest.raises(RectangleLabError, match="partition must split"):
+        ip_truth_table(big, (range(1, 18), [17, 18]))  # checked before the sides
+
+
+def gnp(rng, nv, p):
+    verts = range(1, nv + 1)
+    return Graph(verts, [(u, w) for u in verts for w in verts if u < w and rng.random() < p])
+
+
+def ip_table_cases():
+    """Seeded graphs and splits: 3-regular and G(n, p) graphs (edgeless and
+    complete among them), unsorted, unbalanced and one-sided splits, a few
+    vertices listed twice, and sides of up to 16 variables."""
+    rng = random.Random(2026)
+    cases = []
+    for nv in range(0, 12):
+        for p in (0.0, 0.2, 0.5, 0.8, 1.0):
+            cases += [gnp(rng, nv, p) for _ in range(5)]
+        if nv >= 4 and nv % 2 == 0:
+            cases += [random_dregular(nv, 3, seed=rng.getrandbits(16)) for _ in range(10)]
+    out = []
+    for g in cases:
+        verts = list(g.vertices)
+        rng.shuffle(verts)
+        k = rng.randint(0, len(verts))
+        x1, x2 = verts[:k], verts[k:]
+        if x1 and rng.random() < 0.1:
+            x1.append(x1[0])
+        out.append((g, (x1, x2)))
+    cube = random_dregular(16, 3, seed=5)
+    verts = list(cube.vertices)
+    rng.shuffle(verts)
+    return out + [(cube, (verts, [])), (cube, ([], verts))]
+
+
+def test_ip_truth_table_matches_the_cellwise_table():
+    cases = ip_table_cases()
+    assert len(cases) >= 300
+    for g, part in cases:
+        assert ip_truth_table(g, part) == cellwise_ip_truth_table(g, part), (g.edges(), part)
+
+
+def test_check_rectanglesmall_reports_match_the_cellwise_table(monkeypatch):
+    rng = random.Random(78)
+    cases = []
+    for nv in (6, 8, 10):
+        for seed in range(3):
+            for g in (random_dregular(nv, 3, seed=200 * nv + seed), gnp(rng, nv, 0.4)):
+                verts = list(g.vertices)
+                rng.shuffle(verts)
+                for k in (nv // 2, nv // 2 - 2):  # balanced and unbalanced, unsorted
+                    cases.append((g, (verts[:k], verts[k:])))
+    reports = [check_rectanglesmall(g, part) for g, part in cases]
+    monkeypatch.setattr(rectangles, "ip_truth_table", cellwise_ip_truth_table)
+    assert reports == [check_rectanglesmall(g, part) for g, part in cases]
+
+
+def test_max_mono_rectangle_stops_at_its_budget():
+    # one branch per color, each from row 0, scans both rows of the 2 x 2
+    # table: four scanned rows in all
+    tt = ip_truth_table(matching_graph(1), pair_split(1))
+    with pytest.raises(BudgetExceededError, match="^rectangle oracle budget of 3 scanned rows exceeded$"):
+        max_mono_rectangle(tt, 3)
+    assert max_mono_rectangle(tt, 4) == max_mono_rectangle(tt)
+    g = random_dregular(10, 3, seed=1)
+    part = ([1, 2, 3, 4, 5], [6, 7, 8, 9, 10])
+    with pytest.raises(BudgetExceededError, match="budget of 100 scanned rows"):
+        check_rectanglesmall(g, part, budget=100)
+    assert check_rectanglesmall(g, part, budget=10**5) == check_rectanglesmall(g, part)
 
 
 def test_max_mono_ip_one_pair():
@@ -172,7 +250,9 @@ def test_check_rectanglesmall_reports_match_the_closure_scan(monkeypatch):
             for k in (nv // 2, nv // 2 - 2):  # balanced and unbalanced
                 cases.append((g, (sorted(verts[:k]), sorted(verts[k:]))))
     reports = [check_rectanglesmall(g, part) for g, part in cases]
-    monkeypatch.setattr(rectangles, "max_mono_rectangle", closure_scan_max_mono)
+    monkeypatch.setattr(
+        rectangles, "max_mono_rectangle", lambda tt, budget: closure_scan_max_mono(tt)
+    )
     assert reports == [check_rectanglesmall(g, part) for g, part in cases]
 
 
