@@ -16,7 +16,6 @@ from .families import (
 from .graphs import (
     Graph,
     PathDecomposition,
-    expansion,
     order_from_decomposition,
     path_decomposition,
     random_dregular,

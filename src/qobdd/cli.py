@@ -339,7 +339,7 @@ def _resolve_partition(spec: str, g, seed: int):
             x1, x2 = ([int(t) for t in ln.split()] for ln in lines)
         except ValueError:
             raise UsageError("partition file holds a non-integer vertex id") from None
-        if set(x1) | set(x2) != set(verts) or set(x1) & set(x2):
+        if sorted(x1 + x2) != sorted(verts):  # each vertex exactly once
             raise UsageError("partition file must split the graph's vertices")
     return x1, x2
 

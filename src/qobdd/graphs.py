@@ -13,7 +13,6 @@ import heapq
 import random
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
 from typing import Iterable, Sequence
 
@@ -251,32 +250,3 @@ def random_dregular(n: int, degree: int, seed: int = 0) -> Graph:
         return Graph(range(1, n + 1), pairs)
     raise GraphError("pairing model failed to produce a simple graph")
 
-
-def expansion(g: Graph) -> Fraction:
-    """Exact vertex expansion: min |N(S)| / |S| over S with |S| <= |V|/2.
-
-    N(S) is the open neighborhood (vertices outside S adjacent to S).
-    Exhaustive over all subsets, so only feasible for small graphs; raises
-    ``GraphError`` above 20 vertices.
-    """
-    n = len(g.vertices)
-    if n == 0:
-        raise GraphError("expansion of the empty graph is undefined")
-    if n > 20:
-        raise GraphError("exhaustive expansion limited to 20 vertices")
-    verts = g.vertices
-    best: Fraction | None = None
-    for mask in range(1, 1 << n):
-        size = mask.bit_count()
-        if 2 * size > n:
-            continue
-        subset = {verts[i] for i in range(n) if mask >> i & 1}
-        nbhd = set()
-        for v in subset:
-            nbhd.update(g.adj[v])
-        nbhd -= subset
-        ratio = Fraction(len(nbhd), size)
-        if best is None or ratio < best:
-            best = ratio
-    assert best is not None
-    return best

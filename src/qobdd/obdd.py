@@ -24,9 +24,10 @@ A manager and its references belong to one logical thread at a time; hand a
 manager off between threads if you like, but never share one concurrently.
 
 Every module of the package imports this one, so it also holds what they
-share: ``QobddError``, the base of every error the library raises, and
+share: ``QobddError``, the base of every error the library raises,
 ``DEFAULT_NODE_BUDGET``, the node budget of every manager unless the
-caller gives one.
+caller gives one, and ``transpose``, the bit-matrix transposition that
+strategy verification and the rectangle oracle both call.
 """
 
 from __future__ import annotations
@@ -62,6 +63,15 @@ class BlockFormatError(ObddError):
     def __init__(self, message: str, truncated: bool = False):
         super().__init__(message)
         self.truncated = truncated
+
+
+def transpose(words: Sequence[int], width: int) -> list[int]:
+    """The columns of a bit matrix given by rows: bit j of ``out[i]`` is
+    bit i of ``words[j]``, for each i below ``width``; every word must be
+    below 2**width.  Each word is written as a fixed-width binary string,
+    last word first, so column i is every width-th character."""
+    text = "".join([format(w, f"0{width}b") for w in reversed(words)])
+    return [int(text[width - 1 - i :: width], 2) for i in range(width)]
 
 
 class VarOrder:

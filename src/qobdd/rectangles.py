@@ -38,7 +38,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from .graphs import Graph
-from .obdd import DEFAULT_NODE_BUDGET, BudgetExceededError, QobddError
+from .obdd import DEFAULT_NODE_BUDGET, BudgetExceededError, QobddError, transpose
 
 MAX_ORACLE_ROWS = 64
 MAX_TABLE_SIDE = 16
@@ -194,10 +194,7 @@ def max_mono_rectangle(tt: TruthTable, budget: int = DEFAULT_NODE_BUDGET) -> Mon
     rows = tt.rows
     if nrows > ncols:
         transposed = True
-        rows = tuple(
-            sum(((tt.rows[i] >> j) & 1) << i for i in range(nrows))
-            for j in range(ncols)
-        )
+        rows = transpose(tt.rows, ncols)
         nrows, ncols = ncols, nrows
     full_cols = (1 << ncols) - 1
     best = 0

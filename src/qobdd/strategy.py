@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from . import obdd
-from .obdd import BlockFormatError, Manager, Row, VarOrder
+from .obdd import BlockFormatError, Manager, Row, VarOrder, transpose
 from .pcnf import FORALL, Pcnf
 from .proof import CheckResult, ProofTrace, URed, check_trace
 
@@ -74,22 +74,11 @@ class DecisionList:
     def __len__(self) -> int:
         return len(self.lines)
 
-    @property
-    def entries(self) -> list[tuple[int, int]]:
-        """(guard, value) pairs, each guard its line negated; this builds
-        the guards' nodes, so no hot path reads it."""
-        negate, memo = self.manager.negate, {}
-        return [(negate(line, memo), value) for line, value in self.lines]
-
     def evaluate(self, assignment: Mapping[int, int]) -> int:
         for line, value in self.lines:
             if not self.manager.evaluate(line, assignment):
                 return value
         raise AssertionError("unreachable: terminal line is constant false")
-
-    def support(self) -> set[int]:
-        """Variables the guards read: the lines' support."""
-        return self.manager.support(*(line for line, _ in self.lines))
 
     def width_bound(self) -> int:
         """Largest complete width over the guards, read off their lines."""
@@ -222,7 +211,7 @@ def verify_winning(
         else:
             plays = [rng.getrandbits(width) for _ in range(size)]
         full = (1 << size) - 1
-        columns = _transpose(plays, evars)
+        columns = dict(zip(evars, transpose(plays, width)))
         _respond_bits(family, columns, full)
         sat = full
         for c in f.clauses:
@@ -261,31 +250,21 @@ def _respond_bits(family: DecisionListFamily, columns: dict[int, int], full: int
         columns[u] = resp
 
 
-def _transpose(plays: Sequence[int], evars: Sequence[int]) -> dict[int, int]:
-    """Per-variable columns of a chunk: bit j of ``columns[evars[i]]`` is
-    bit i of ``plays[j]``.  Each play is written as a fixed-width binary
-    string, last play first, so column i is every width-th character."""
-    width = len(evars)
-    text = "".join([format(p, f"0{width}b") for p in reversed(plays)])
-    return {v: int(text[width - 1 - i :: width], 2) for i, v in enumerate(evars)}
-
-
 def strategy_range_size(family: DecisionListFamily) -> int:
     """Number of distinct universal response vectors across existential plays.
 
     Responses only depend on existential variables appearing in some guard,
     so enumeration runs over that subset, of at most ``RANGE_LIMIT``; the
-    others are never read.  The plays go in chunks of ``_CHUNK_PLAYS``, one
-    bit per play, answered as in ``verify_winning``, and each play's
-    response vector is one int, bit i the i-th universal's response, read
-    across the universals' columns by ``_transpose``.  The family was
-    audited when built.
+    others are never read.  The subset comes from one support walk over
+    every list's lines with one visited set, as in the family audit.  The
+    plays go in chunks of ``_CHUNK_PLAYS``, one bit per play, answered as
+    in ``verify_winning``, and each play's response vector is one int, bit
+    i the i-th universal's response, read across the universals' columns
+    by ``obdd.transpose``.  The family was audited when built.
     """
     f = family.formula
-    existential = set(f.existentials)
-    relevant = sorted(
-        {v for dl in family.lists.values() for v in dl.support() if v in existential}
-    )
+    lines = [line for dl in family.lists.values() for line, _ in dl.lines]
+    relevant = sorted(family.manager.support(*lines) & set(f.existentials))
     if len(relevant) > RANGE_LIMIT:
         raise StrategyError(
             f"{len(relevant)} relevant existentials exceed limit {RANGE_LIMIT}"
@@ -297,12 +276,11 @@ def strategy_range_size(family: DecisionListFamily) -> int:
     seen: set[int] = set()
     for start in range(0, total, _CHUNK_PLAYS):
         size = min(_CHUNK_PLAYS, total - start)
-        columns = _transpose(range(start, start + size), relevant)
+        columns = dict(zip(relevant, transpose(range(start, start + size), len(relevant))))
         _respond_bits(family, columns, (1 << size) - 1)
-        # transposed back: the universals' columns are the "plays", and
+        # transposed back: the universals' columns are the rows, and
         # play j's column is its response vector
-        vectors = _transpose([columns[u] for u in universals], range(size))
-        seen.update(vectors.values())
+        seen.update(transpose([columns[u] for u in universals], size))
     return len(seen)
 
 

@@ -397,7 +397,7 @@ def flipped_entry(
 ) -> DecisionListFamily:
     """The family with one random entry's value flipped."""
     u = rng.choice(family.formula.universals)
-    entries = family.lists[u].entries
+    entries = oracle_guards(family.lists[u])
     i = rng.randrange(len(entries))
     guard, value = entries[i]
     entries[i] = (guard, 1 - value)

@@ -369,11 +369,14 @@ def test_usage_errors(tmp_path, capsys):
     code, _, err = run(capsys, "--budget", "-1", "solve", str(qdimacs))
     assert code == EXIT_USAGE and "--budget" in err
     assert run(capsys, "--budget", "0", "solve", str(qdimacs))[0] == EXIT_BUDGET
-    # a partition file must hold integer ids that split the graph
+    # a partition file must hold integer ids that split the graph, each once
     graph = tmp_path / "m2.edges"
     graph.write_text("1 2\n3 4\n")
     partition = tmp_path / "part.txt"
-    for text in ("1 3\n2 x\n", "1 3\n2\n", "1 3\n2 4 5\n", "1 3\n3 2 4\n", "1 3 2 4\n"):
+    for text in (
+        "1 3\n2 x\n", "1 3\n2\n", "1 3\n2 4 5\n", "1 3\n3 2 4\n", "1 3 2 4\n",
+        "1 1 3\n2 4\n",  # a vertex listed twice doubles every rectangle
+    ):
         partition.write_text(text)
         code, _, err = run(
             capsys, "rect", "analyze", "--graph", str(graph), "--partition", str(partition)

@@ -180,6 +180,10 @@ def files(tmp_path_factory):
         "trace": trace,
         "strategy": strat,
         "edges": "1 2\n3 4\n5 6\n",
+        "partition": "1 3 5\n2 4 6\n",
+        # a two-variable QU-resolution refutation and its formula
+        "pairs": "p cnf 2 4\na 1 0\ne 2 0\n1 2 0\n1 -2 0\n-1 2 0\n-1 -2 0\n",
+        "qures": "1 A 1 2 0\n2 A 1 -2 0\n3 R 1 2 2\n4 U 3 1\n",
     }
     for name, text in texts.items():
         (root / name).write_text(text)
@@ -194,6 +198,10 @@ CLI_CASES = {
     "gen-ipg": ("edges", ["gen", "ipg", "{input}", "-o", "{out}"]),
     "rect-analyze": ("edges", ["rect", "analyze", "--graph", "{input}",
                                "--partition", "pairs", "--report", "{out}"]),
+    "rect-partition": ("partition", ["rect", "analyze", "--graph", "{edges}",
+                                     "--partition", "{input}", "--report", "{out}"]),
+    "solve": ("formula", ["solve", "{input}", "--proof", "{out}"]),
+    "translate": ("qures", ["translate", "{pairs}", "{input}", "-o", "{out}"]),
 }
 
 

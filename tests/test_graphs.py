@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -11,7 +10,6 @@ from qobdd.graphs import (
     _bfs_order,
     _min_degree_order,
     _separation_width,
-    expansion,
     narrow_order,
     order_from_decomposition,
     parse_edge_list,
@@ -147,22 +145,3 @@ def test_random_dregular_odd_product_rejected():
     with pytest.raises(GraphError):
         random_dregular(4, 4, seed=0)
 
-
-def test_expansion_single_edge():
-    assert expansion(Graph([1, 2], [(1, 2)])) == 1
-
-
-def test_expansion_four_cycle():
-    g = Graph([1, 2, 3, 4], [(1, 2), (2, 3), (3, 4), (1, 4)])
-    assert expansion(g) == Fraction(1)
-
-
-def test_expansion_k4():
-    g = Graph([1, 2, 3, 4], [(i, j) for i in range(1, 5) for j in range(i + 1, 5)])
-    assert expansion(g) >= 1
-
-
-def test_expansion_limit():
-    g = random_dregular(22, 3, seed=1)
-    with pytest.raises(GraphError):
-        expansion(g)

@@ -442,6 +442,15 @@ def test_evaluate_bits_walks_a_deep_order_and_names_a_missing_column():
         m.evaluate_bits(len(m), columns, {m.ZERO: 0, m.ONE: 0b11})
 
 
+def test_transpose_reads_the_columns_of_a_bit_matrix():
+    rng = random.Random(11)
+    for width in range(9):
+        words = [rng.getrandbits(width) for _ in range(rng.randint(1, 70))]
+        assert obdd.transpose(words, width) == [
+            sum((w >> i & 1) << j for j, w in enumerate(words)) for i in range(width)
+        ]
+
+
 def test_audit_and_store_invariants():
     rng = random.Random(2)
     m = Manager(VarOrder(range(1, 9)))
