@@ -8,7 +8,9 @@ reference equality.  The two terminals are ``Manager.ZERO`` and
 
 The kernels (apply, negate, restrict, the one-pass quantifiers,
 ``forall_split``, which makes both cofactors of a universal and their
-conjunction in one walk, and the bit-parallel ``evaluate_bits``) walk
+conjunction in one walk, ``and_exists``, which projects a variable out of
+a conjunction in the walk that conjoins, and the bit-parallel
+``evaluate_bits``) walk
 with explicit stacks, so a deep variable order never reaches Python's
 recursion limit, and those that build nodes read each node's rank from
 an array kept beside the store.
@@ -263,10 +265,10 @@ class Manager:
     #
     # Each kernel walks with an explicit stack, so no order is too deep for
     # it.  A stack entry is either a subproblem or the step that joins the
-    # two results on top of ``out`` into one node: in ``_apply`` a pair
-    # (f, g) or a triple (key, var, rank), in ``_negate``,
-    # ``_rebuild_above`` and ``forall_split`` a ref f >= 0 or its
-    # complement ~f.  The lo subproblem is pushed last, so it is finished
+    # two results on top of ``out`` into one node: in ``_apply`` and
+    # ``and_exists`` a pair (f, g) or a triple (key, var, rank), in
+    # ``_negate``, ``_rebuild_above`` and ``forall_split`` a ref f >= 0 or
+    # its complement ~f.  The lo subproblem is pushed last, so it is finished
     # before the hi one starts and nodes are created in depth-first,
     # lo-first post-order, as a recursive walk would.
 
@@ -436,6 +438,65 @@ class Manager:
                     out.append(found)
                 else:
                     stack += (~f, hi[f], lo[f])
+        return out[0]
+
+    def and_exists(self, f: int, g: int, var: int) -> int:
+        """``exists var. (f and g)`` in one walk over the pairs of ``f`` and
+        ``g``, without building the conjunction above ``var``'s rank.
+
+        A pair topped above that rank is split on its top variable and
+        rebuilt over its two results; a pair of that rank gives the ``or``
+        of its cofactor pairs' conjunctions, and a pair below it their
+        conjunction.  Only a ZERO operand ends a pair early above the rank,
+        since ONE and g must still be projected.  The conjunctions share one
+        memo and the disjunctions another.  Equal to
+        ``exists(apply(f, g, "and"), var)``: the relational product.
+        """
+        self._check_ref(f)
+        self._check_ref(g)
+        at = self.order.rank(var)
+        var_, lo, hi, rank, mk, apply = self._var, self._lo, self._hi, self._rank, self._mk, self._apply
+        conj, disj, conj_memo, disj_memo = OPS["and"], OPS["or"], {}, {}
+        memo: dict[tuple[int, int], int] = {}
+        out: list[int] = []
+        stack: list[tuple] = [(f, g)]
+        while stack:
+            task = stack.pop()
+            if len(task) == 3:
+                key, v, r = task
+                h = out.pop()
+                res = mk(v, r, out.pop(), h)
+                memo[key] = res
+                out.append(res)
+                continue
+            f, g = task
+            if f > g:
+                f, g = g, f  # so a sink operand is f
+            if f == 0:
+                out.append(0)
+                continue
+            rf, rg = rank[f], rank[g]
+            r = rf if rf <= rg else rg
+            if r > at:
+                out.append(g if f == 1 else apply(conj, f, g, conj_memo))
+                continue
+            key = (f, g)
+            found = memo.get(key)
+            if found is not None:
+                out.append(found)
+                continue
+            f0, f1 = (lo[f], hi[f]) if rf == r else (f, f)
+            g0, g1 = (lo[g], hi[g]) if rg == r else (g, g)
+            if r == at:
+                res = apply(conj, f0, g0, conj_memo)
+                if res != 1:
+                    res = apply(disj, res, apply(conj, f1, g1, conj_memo), disj_memo)
+                memo[key] = res
+                out.append(res)
+                continue
+            stack.append((key, var_[f] if rf == r else var_[g], r))
+            stack.append((f1, g1))
+            stack.append((f0, g0))
         return out[0]
 
     def _rebuild_above(self, f: int, at: int, at_rank: Callable[[int], int]) -> int:

@@ -14,11 +14,19 @@ never trusts the producer's diagrams.  Rules:
   (the only rule whose conclusion is not determined by its premises).
 
 A trace refutes its formula when the last line denotes the constant 0.
+
+The checker replays some lines together, as the solver made them: a
+universal's two reductions and their conjunction in one walk, and a
+conjunction read by nothing but one projection (an existential bucket's
+``C j k`` then ``P x l``) in one ``Manager.and_exists`` walk that never
+builds the conjunction above x.  Such a fused ``C`` line has no entry in
+the accepted result's functions; every other line has its own.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from dataclasses import dataclass
 from typing import Union
 
@@ -152,12 +160,19 @@ def check_trace(
     line joins them, are replayed at the pair's first reduction line: its
     side test and one ``Manager.forall_split`` walk give both reductions and
     their conjunction, which the pair's other lines and that ``Conj`` read.
-    Every other line is replayed on its own.
+    A ``Conj`` line that joins no such pair, and whose only referrer is a
+    ``Proj`` line on it projecting a variable of the order, is fused: at
+    its own line one ``Manager.and_exists`` walk gives the projection of
+    the conjunction, held until that ``Proj`` line reads it, and
+    ``functions`` has no entry for it (``strategy.extract`` reads only the
+    reduction lines).  Every other line is replayed on its own.  Verdicts
+    and reason codes are those of a replay of every line on its own.
 
     A budget hit is never a verdict: running out of ``node_budget`` raises
     ``obdd.BudgetExceededError("line <id>")``, naming the line whose replay
-    ran out (for a joined pair, its first reduction line).  ``solver.solve``
-    raises the same error without a line.
+    ran out (for a joined pair, its first reduction line; for a fused
+    conjunction, its ``Conj`` line).  ``solver.solve`` raises the same error
+    without a line.
     """
 
     def reject(line_id: int | None, reason: str) -> CheckResult:
@@ -169,7 +184,8 @@ def check_trace(
         return reject(None, ORDER_MISMATCH)
     mgr = Manager(trace.order, node_budget=node_budget)
     funcs: dict[int, int] = {}
-    joined = _joined_reductions(trace)
+    joined, fused = _replay_hints(trace)
+    held: dict[int, int] = {}  # fused Conj line -> its projection, until read
     splits: dict[tuple[int, int], tuple[int, int, int]] = {}  # of joined pairs
     reductions: dict[int, URed] = {}  # replayed reduction lines by id
     m = len(f.clauses)
@@ -186,17 +202,24 @@ def check_trace(
             elif isinstance(rule, Axiom):
                 return reject(line.id, AXIOM_MISMATCH)
             for j in trace.referenced(rule):
-                if j not in funcs:
+                if j not in funcs and j not in held:
                     return reject(line.id, BAD_REFERENCE)
             if isinstance(rule, (Proj, URed)) and rule.var not in trace.order:
                 return reject(line.id, BAD_REFERENCE)
             if isinstance(rule, Axiom):
                 ref = mgr.clause(f.clauses[rule.clause_index - 1])
             elif isinstance(rule, Conj):
-                split = splits.get(_pair(reductions.get(rule.left), reductions.get(rule.right)))
-                ref = split[2] if split else mgr.apply(funcs[rule.left], funcs[rule.right], "and")
+                var = fused.get(line.id)
+                if var is not None:
+                    ref = mgr.and_exists(funcs[rule.left], funcs[rule.right], var)
+                else:
+                    split = splits.get(_pair(reductions.get(rule.left), reductions.get(rule.right)))
+                    ref = split[2] if split else mgr.apply(funcs[rule.left], funcs[rule.right], "and")
             elif isinstance(rule, Proj):
-                ref = mgr.exists(funcs[rule.premise], rule.var)
+                if rule.premise in held:
+                    ref = held.pop(rule.premise)
+                else:
+                    ref = mgr.exists(funcs[rule.premise], rule.var)
             elif isinstance(rule, URed):
                 key = (rule.premise, rule.var)
                 if key not in splits:
@@ -226,7 +249,10 @@ def check_trace(
                 ref = claimed
             else:
                 return reject(line.id, MALFORMED)
-            funcs[line.id] = ref
+            if line.id in fused:
+                held[line.id] = ref
+            else:
+                funcs[line.id] = ref
             last_id = line.id
     except BudgetExceededError:
         raise BudgetExceededError(f"line {line.id}") from None
@@ -248,17 +274,34 @@ def _pair(a: URed | None, b: URed | None) -> tuple[int, int] | None:
     return None
 
 
-def _joined_reductions(trace: ProofTrace) -> set[tuple[int, int]]:
-    """The ``_pair`` of each ``Conj`` line's operands, where they are one.
-    Only a hint for the replay, which pairs the lines it accepted again."""
-    ureds = {line.id: line.rule for line in trace.lines if isinstance(line.rule, URed)}
-    pairs = {
-        _pair(ureds.get(line.rule.left), ureds.get(line.rule.right))
-        for line in trace.lines
-        if isinstance(line.rule, Conj)
-    }
-    pairs.discard(None)
-    return pairs
+def _replay_hints(trace: ProofTrace) -> tuple[set[tuple[int, int]], dict[int, int]]:
+    """One pass over the trace for the replay's two hints: the ``_pair`` of
+    each ``Conj`` line's operands, where they are one, and the fused
+    ``Conj`` lines, each with the variable its projection takes out.  A
+    ``Conj`` line whose operands are no pair is fused when its only
+    referrer is a ``Proj`` line on it whose variable is in the order.  Only
+    hints: the replay pairs the lines it accepted again, and a fused line's
+    projection reaches nothing but its ``Proj`` line."""
+    ureds: dict[int, URed] = {}
+    joined: set[tuple[int, int]] = set()
+    unpaired: list[int] = []  # Conj lines whose operands are no pair
+    readers: Counter[int] = Counter()  # line id -> references to it
+    projected: dict[int, int] = {}  # premise -> variable of a Proj line on it
+    for line in trace.lines:
+        rule = line.rule
+        readers.update(trace.referenced(rule))
+        if isinstance(rule, URed):
+            ureds[line.id] = rule
+        elif isinstance(rule, Conj):
+            pair = _pair(ureds.get(rule.left), ureds.get(rule.right))
+            if pair:
+                joined.add(pair)
+            else:
+                unpaired.append(line.id)
+        elif isinstance(rule, Proj) and rule.var in trace.order:
+            projected[rule.premise] = rule.var
+    fused = {c: projected[c] for c in unpaired if readers[c] == 1 and c in projected}
+    return joined, fused
 
 
 # -- text format ----------------------------------------------------------

@@ -112,15 +112,14 @@ def ip_truth_table(g: Graph, partition: tuple[Sequence[int], Sequence[int]]) -> 
     """The inner product's table over ``partition``, built from bit masks.
 
     Equal to ``TruthTable.from_function`` over ``eval_ipg``, with the same
-    errors (a vertex listed twice on a side takes its last position, as in
-    that dict).  Row i extends the row of i without its lowest bit k: it
+    errors, after a check that the two sides list each vertex of ``g``
+    exactly once.  Row i extends the row of i without its lowest bit k: it
     adds the cross mask of the X1 vertex at bit k, and is complemented when
     that vertex has an odd number of X1 neighbours set in the smaller row.
     """
-    x1, x2 = partition
-    if set(x1) | set(x2) != set(g.vertices) or set(x1) & set(x2):
+    x1, x2 = tuple(partition[0]), tuple(partition[1])
+    if sorted(x1 + x2) != list(g.vertices):  # each vertex exactly once
         raise RectangleLabError("partition must split the vertex set")
-    x1, x2 = tuple(x1), tuple(x2)
     _check_table_sides(x1, x2)
     pos1 = {v: k for k, v in enumerate(x1)}
     pos2 = {v: k for k, v in enumerate(x2)}

@@ -216,7 +216,11 @@ def cellwise_ip_truth_table(
     """Reference inner-product table: ``eval_ipg`` on every cell, after the
     partition check that ``rectangles.ip_truth_table`` makes first."""
     x1, x2 = partition
-    if set(x1) | set(x2) != set(g.vertices) or set(x1) & set(x2):
+    if (
+        set(x1) | set(x2) != set(g.vertices)
+        or set(x1) & set(x2)
+        or len(x1) + len(x2) != len(g.vertices)
+    ):
         raise RectangleLabError("partition must split the vertex set")
     return TruthTable.from_function(lambda a: eval_ipg(g, a), x1, x2)
 

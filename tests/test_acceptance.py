@@ -54,6 +54,7 @@ from qobdd.strategy import and_protocol_run, extract, strategy_range_size, to_re
 
 from .helpers import (
     assignments,
+    check_trace_reference,
     cofactor_tables,
     obdd_from_table,
     qbf_value,
@@ -406,7 +407,8 @@ def test_criterion_7_p_simulation():
         trace = simulate_qures(f, p)
         chk = check_trace(f, trace, require_refutation=True)
         assert chk.accepted and chk.refutation
-        total = sum(chk.manager.size(chk.functions[l.id]) for l in trace.lines)
+        _, mgr, funcs = check_trace_reference(f, trace)
+        total = sum(mgr.size(funcs[l.id]) for l in trace.lines)
         bound = 10 * len(p.lines) * (len(f.variables) + 2)
         assert total <= bound, (total, bound)
     report(

@@ -293,10 +293,10 @@ def test_verify_labels_a_sampled_verdict(tmp_path, capsys):
 
 def test_extract_keeps_the_node_budget_of_check(tmp_path, capsys):
     # a budget hit names the line whose replay ran out: line 1 is the
-    # first axiom, and 2000 nodes run out while building line 245
+    # first axiom, and 2000 nodes run out while building line 251
     qdimacs, trace, strat = eqprime_files(tmp_path, capsys, 30)
     for argv in (["check", qdimacs, trace], ["extract", qdimacs, trace, "-o", strat]):
-        for budget, line in (("0", 1), ("2000", 245)):
+        for budget, line in (("0", 1), ("2000", 251)):
             code, _, err = run(capsys, "--budget", budget, *argv)
             assert code == EXIT_BUDGET and err == f"BUDGET line {line}\n", argv
 

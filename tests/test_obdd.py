@@ -226,6 +226,44 @@ def test_forall_split_walks_a_deep_order_and_checks_its_arguments():
         m.forall_split(len(m), 1)
 
 
+def test_and_exists_is_the_projection_of_the_conjunction():
+    # one walk over the pairs gives exists x. (a and b), canonical in the
+    # manager, at every rank: operands that skip the middle variable leave
+    # it outside both supports, and sinks and a == b take the same walk
+    rng = random.Random(2204)
+    for nv in (1, 2, 4, 7):
+        order = list(range(1, nv + 1))
+        rng.shuffle(order)
+        m = Manager(VarOrder(order))
+        rest = [v for v in order if v != order[nv // 2]]
+        funcs = [obdd_from_table(m, order, random_table(rng, nv)) for _ in range(5)]
+        funcs += [obdd_from_table(m, rest, random_table(rng, len(rest))) for _ in range(2)]
+        funcs += [m.ZERO, m.ONE]
+        for a in funcs:
+            for b in funcs:
+                for x in order:
+                    assert m.and_exists(a, b, x) == m.exists(m.apply(a, b, "and"), x)
+                    assert m.and_exists(b, a, x) == m.and_exists(a, b, x)
+        m.audit()
+
+
+def test_and_exists_walks_a_deep_order_and_checks_its_arguments():
+    n = 4000
+    m = Manager(VarOrder(range(1, n + 1)))
+    a = m.clause(range(1, n + 1))
+    b = m.clause(range(-n, 0))
+    both = m.apply(a, b, "and")
+    for x in (1, n // 2, n):
+        assert m.and_exists(a, b, x) == m.exists(both, x)
+    # above the last variable the walk splits pairs down the whole chain
+    rest = m.clause(range(1, n))
+    assert m.and_exists(a, rest, n) == rest
+    with pytest.raises(OrderError):
+        m.and_exists(a, b, n + 1)
+    with pytest.raises(ObddError):
+        m.and_exists(a, len(m), 1)
+
+
 def test_canonicity_of_construction_paths():
     # same function via Shannon expansion and via minterm disjunction
     rng = random.Random(9)

@@ -1,11 +1,18 @@
 import random
+from collections import Counter
 from itertools import count
 
 import pytest
 
 from qobdd import obdd
-from qobdd.families import eqprime_decomposition, gen_eqprime, gen_quparity, quparity_decomposition
-from qobdd.graphs import order_from_decomposition
+from qobdd.families import (
+    eqprime_decomposition,
+    gen_eqprime,
+    gen_ipg_qbf,
+    gen_quparity,
+    quparity_decomposition,
+)
+from qobdd.graphs import order_from_decomposition, random_dregular
 from qobdd.obdd import Manager, VarOrder
 from qobdd.pcnf import EXISTS, FORALL, Pcnf, clause
 from qobdd.proof import (
@@ -367,8 +374,9 @@ def test_per_line_soundness_on_true_formulas():
         res = solve(f)
         chk = check_trace(f, res.trace)
         assert chk.accepted and not chk.refutation
-        mgr = chk.manager
-        refs = [chk.functions[l.id] for l in res.trace.lines]
+        # every line's function, fused conjunctions included
+        _, mgr, funcs = check_trace_reference(f, res.trace)
+        refs = [funcs[l.id] for l in res.trace.lines]
         for k in range(1, len(refs) + 1):
             prefix_refs = refs[:k]
             value = qbf_value_fn(
@@ -381,17 +389,47 @@ def test_per_line_soundness_on_true_formulas():
 # -- universal eliminations replayed in one walk ------------------------------
 
 
+def fused_lines(trace):
+    """The ``Conj`` lines of an accepted trace that the checker fuses with
+    their projection: read by one ``Proj`` line alone, on a variable of the
+    order, and not joining two reductions of one premise on one variable
+    to opposite constants."""
+    rules = {line.id: line.rule for line in trace.lines}
+    readers = Counter(j for line in trace.lines for j in trace.referenced(line.rule))
+
+    def joins_a_pair(c):
+        a, b = rules[c.left], rules[c.right]
+        return (
+            isinstance(a, URed)
+            and isinstance(b, URed)
+            and (a.premise, a.var) == (b.premise, b.var)
+            and a.value != b.value
+        )
+
+    return {
+        r.premise
+        for r in rules.values()
+        if isinstance(r, Proj)
+        and r.var in trace.order
+        and readers[r.premise] == 1
+        and isinstance(rules[r.premise], Conj)
+        and not joins_a_pair(rules[r.premise])
+    }
+
+
 def assert_agrees_with_reference(f, trace):
     """Same verdict as the per-line reference; when accepted, the same
-    function on every line and a store with the same nodes."""
+    function on every line but the fused conjunctions, which are the only
+    lines missing, and a store no larger than the reference's."""
     want, ref_mgr, ref_funcs = check_trace_reference(f, trace)
     got = check_trace(f, trace)
     assert got.verdict == want
     if want.accepted:
-        assert got.functions.keys() == ref_funcs.keys()
-        for lid, ref in ref_funcs.items():
-            assert obdd.serialize(got.manager, got.functions[lid]) == obdd.serialize(ref_mgr, ref)
-        assert len(got.manager) == len(ref_mgr)
+        assert got.functions.keys() <= ref_funcs.keys()
+        assert ref_funcs.keys() - got.functions.keys() == fused_lines(trace)
+        for lid, ref in got.functions.items():
+            assert obdd.serialize(got.manager, ref) == obdd.serialize(ref_mgr, ref_funcs[lid])
+        assert len(got.manager) <= len(ref_mgr)
     return want
 
 
@@ -407,6 +445,8 @@ def renumbered(trace, keyed):
             return Proj(rule.var, ids[rule.premise])
         if isinstance(rule, URed):
             return URed(rule.var, rule.value, ids[rule.premise])
+        if isinstance(rule, Entail):
+            return Entail(tuple(ids[j] for j in rule.premises), rule.block)
         return rule
 
     lines = tuple(ProofLine(ids[key], mapped(rule)) for key, rule in keyed)
@@ -495,15 +535,20 @@ def test_a_solver_trace_replays_each_elimination_in_one_walk(monkeypatch):
 
         return wrapper
 
-    for name in ("forall_split", "restrict", "apply"):
+    for name in ("forall_split", "restrict", "apply", "and_exists", "exists"):
         monkeypatch.setattr(Manager, name, counted(name))
     assert check_trace(f, trace, require_refutation=True).refutation
     ureds = [l.rule for l in trace.lines if isinstance(l.rule, URed)]
     conjs = sum(isinstance(l.rule, Conj) for l in trace.lines)
+    projs = sum(isinstance(l.rule, Proj) for l in trace.lines)
+    fused = len(fused_lines(trace))
     assert calls["forall_split"] == len(ureds) // 2 == len(f.universals)
     assert "restrict" not in calls
+    # an existential elimination's conjunction and projection are one walk
+    assert calls["and_exists"] == fused > 0
+    assert calls.get("exists", 0) == projs - fused
     # every other conjunction still goes through apply
-    assert calls["apply"] == conjs - len(ureds) // 2
+    assert calls["apply"] == conjs - len(ureds) // 2 - fused
 
 
 @pytest.mark.parametrize(
@@ -546,18 +591,96 @@ def test_budget_inside_the_walk_names_the_pairs_first_reduction_line():
     trace = solve(f).trace
     lines = trace.lines
     found = 0
+
+    def store(n):
+        # the checker's nodes for the first n lines; the lines before a
+        # pair fuse as they do in the whole trace, since a solver trace
+        # puts each projection right after its conjunction
+        return len(check_trace(f, ProofTrace(trace.formula_hash, trace.order, lines[:n])).manager)
+
     for k, line in enumerate(lines):
         if not (isinstance(line.rule, URed) and isinstance(lines[k + 1].rule, URed)):
             continue
-        # a budget the per-line replay fills exactly at the first reduction
-        upto = ProofTrace(trace.formula_hash, trace.order, lines[: k + 1])
-        budget = len(check_trace_reference(f, upto)[1]) - 2
-        with pytest.raises(obdd.BudgetExceededError) as per_line:
-            check_trace_reference(f, trace, node_budget=budget)
-        if str(per_line.value) == f"line {line.id}":
+        # cut before the pair's conjunction, the first reduction is one
+        # restrict: a budget it fills exactly
+        budget = store(k + 1) - 2
+        if store(k + 3) == store(k + 1):
             continue  # the pair's other diagrams make no node here
-        assert str(per_line.value) in (f"line {lines[k + 1].id}", f"line {lines[k + 2].id}")
         with pytest.raises(obdd.BudgetExceededError, match=f"^line {line.id}$"):
             check_trace(f, trace, node_budget=budget)
         found += 1
     assert found
+
+
+# -- existential eliminations replayed in one walk -----------------------------
+
+
+def projection_mutants(rng, f, trace):
+    """(kind, trace) pairs: the solver's trace with one ``Proj`` line
+    retargeted to another premise, or projecting a variable other than its
+    bucket's pivot or one outside the order; with a second ``Conj`` or an
+    ``E`` line also reading a fused conjunction; and cut after a joined
+    reduction pair's ``Conj``, with a ``Proj`` on it."""
+    keyed = [(line.id, line.rule) for line in trace.lines]
+    rules = dict(keyed)
+    fused = fused_lines(trace)
+    fresh = count(-1, -1)
+    outside = max(f.variables, default=0) + 1
+    for i, (key, rule) in enumerate(keyed):
+        before, after = keyed[:i], keyed[i + 1 :]
+        if isinstance(rule, Proj):
+            others = [k for k, _ in before if k != rule.premise]
+            if others:
+                moved = Proj(rule.var, rng.choice(others))
+                yield "retargeted", before + [(key, moved)] + after
+            pivots = [v for v in f.variables if v != rule.var]
+            if pivots:
+                yield "not-the-pivot", before + [(key, Proj(rng.choice(pivots), rule.premise))] + after
+            yield "outside-the-order", before + [(key, Proj(outside, rule.premise))] + after
+            if rule.premise in fused:
+                c = rule.premise
+                block = obdd.serialize(Manager(trace.order), rng.choice((Manager.ZERO, Manager.ONE)))
+                reader = rng.choice((Conj(c, rng.choice(before)[0]), Entail((c,), block)))
+                at = rng.randint(keyed.index((c, rules[c])) + 1, len(keyed))
+                yield "read-twice", keyed[:at] + [(next(fresh), reader)] + keyed[at:]
+        elif isinstance(rule, Conj) and isinstance(rules[rule.left], URed) and isinstance(rules[rule.right], URed):
+            var = rng.choice(f.variables)
+            yield "projected-pair", before + [(key, rule), (next(fresh), Proj(var, key))]
+
+
+def test_the_fused_replay_agrees_with_the_per_line_reference():
+    rng = random.Random(2207)
+    seen: Counter = Counter()
+    for _ in range(50):
+        f = random_pcnf(rng, max_vars=10, max_clauses=18)
+        for order in (VarOrder(f.variables), VarOrder(rng.sample(f.variables, len(f.variables)))):
+            trace = solve(f, order).trace
+            seen["fused"] += len(fused_lines(trace))
+            assert assert_agrees_with_reference(f, trace).accepted
+            for kind, keyed in projection_mutants(rng, f, trace):
+                variant = renumbered(trace, keyed)
+                seen[kind, assert_agrees_with_reference(f, variant).accepted] += 1
+    for kind in ("retargeted", "not-the-pivot", "read-twice", "projected-pair"):
+        assert seen[kind, True] >= 10, (kind, seen)
+    for kind in ("retargeted", "not-the-pivot", "read-twice"):
+        assert seen[kind, False], (kind, seen)
+    # a variable outside the order is a bad reference, fused or not
+    assert seen["outside-the-order", False] >= 10 and not seen["outside-the-order", True]
+    assert seen["fused"] >= 50, seen
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        gen_quparity(12),
+        gen_ipg_qbf(random_dregular(14, 3, seed=3)),
+    ],
+    ids=["quparity-default-order", "ipg"],
+)
+def test_the_fused_replay_holds_fewer_nodes(f):
+    trace = solve(f).trace
+    got = check_trace(f, trace, require_refutation=True)
+    _, ref_mgr, _ = check_trace_reference(f, trace)
+    assert got.refutation
+    assert fused_lines(trace)
+    assert len(got.manager) < len(ref_mgr)

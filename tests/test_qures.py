@@ -13,6 +13,8 @@ from qobdd.qures import (
 )
 from qobdd.solver import solve
 
+from .helpers import check_trace_reference
+
 
 def all_pairs_formula():
     # forall u exists e: every polarity combination of (u, e)
@@ -94,8 +96,7 @@ def test_resolvent_collapses_pivot_out_of_support():
     result = check_trace(f, t, require_refutation=True)
     assert result.accepted and result.refutation
     # the resolvent line denotes the literal u
-    mgr = result.manager
-    per_line = {l.id: result.functions[l.id] for l in t.lines}
+    _, mgr, per_line = check_trace_reference(f, t)
     assert mgr.literal(2) in per_line.values()
 
 
@@ -107,9 +108,9 @@ def test_node_count_bound():
     for f, text in fixtures:
         p = parse_qures(text)
         t = simulate_qures(f, p)
-        result = check_trace(f, t)
-        mgr = result.manager
-        total = sum(mgr.size(result.functions[l.id]) for l in t.lines)
+        assert check_trace(f, t).accepted
+        _, mgr, funcs = check_trace_reference(f, t)
+        total = sum(mgr.size(funcs[l.id]) for l in t.lines)
         assert total <= 10 * len(p.lines) * (len(f.variables) + 2)
 
 

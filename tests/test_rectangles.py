@@ -75,6 +75,18 @@ def test_truth_table_shape_and_limit():
         ip_truth_table(big, (range(1, 18), [17, 18]))  # checked before the sides
 
 
+def test_a_vertex_listed_twice_is_no_partition():
+    # the same sets as a true split, but a repeated row variable would
+    # double every rectangle: oracle_max 24 against the split's 12
+    prism = Graph(range(1, 7), [(1, 2), (2, 3), (3, 1), (4, 5), (5, 6), (6, 4), (1, 4), (2, 5), (3, 6)])
+    assert check_rectanglesmall(prism, ([1, 2], [3, 4, 5, 6]))["oracle_max"] == 12
+    for twice in (([1, 1, 2], [3, 4, 5, 6]), ([1, 2], [3, 4, 5, 6, 6])):
+        with pytest.raises(RectangleLabError, match="partition must split"):
+            ip_truth_table(prism, twice)
+        with pytest.raises(RectangleLabError, match="partition must split"):
+            check_rectanglesmall(prism, twice)
+
+
 def gnp(rng, nv, p):
     verts = range(1, nv + 1)
     return Graph(verts, [(u, w) for u in verts for w in verts if u < w and rng.random() < p])
@@ -83,7 +95,7 @@ def gnp(rng, nv, p):
 def ip_table_cases():
     """Seeded graphs and splits: 3-regular and G(n, p) graphs (edgeless and
     complete among them), unsorted, unbalanced and one-sided splits, a few
-    vertices listed twice, and sides of up to 16 variables."""
+    with a vertex listed twice (no split), and sides of up to 16 variables."""
     rng = random.Random(2026)
     cases = []
     for nv in range(0, 12):
@@ -109,8 +121,17 @@ def ip_table_cases():
 def test_ip_truth_table_matches_the_cellwise_table():
     cases = ip_table_cases()
     assert len(cases) >= 300
+    twice = 0
     for g, part in cases:
+        if len(part[0]) + len(part[1]) > len(g.vertices):
+            # a vertex listed twice is no split, for both
+            twice += 1
+            for table in (ip_truth_table, cellwise_ip_truth_table):
+                with pytest.raises(RectangleLabError, match="partition must split"):
+                    table(g, part)
+            continue
         assert ip_truth_table(g, part) == cellwise_ip_truth_table(g, part), (g.edges(), part)
+    assert twice
 
 
 def test_check_rectanglesmall_reports_match_the_cellwise_table(monkeypatch):

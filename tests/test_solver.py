@@ -23,7 +23,7 @@ from qobdd.solver import (
     tower,
 )
 
-from .helpers import qbf_value, random_pcnf
+from .helpers import check_trace_reference, qbf_value, random_pcnf
 
 
 def test_default_order_is_the_decomposition_route():
@@ -91,9 +91,8 @@ def test_bucket_placement_read_off_the_trace():
     trues = 0
     for f in formulas:
         res = solve(f)
-        chk = check_trace(f, res.trace)
-        assert chk.accepted
-        mgr, fn = chk.manager, chk.functions
+        assert check_trace(f, res.trace).accepted
+        _, mgr, fn = check_trace_reference(f, res.trace)
         uses: Counter[int] = Counter()
         reductions = set()
         for line in res.trace.lines:
@@ -237,13 +236,12 @@ def test_line_numbers_match_the_checkers_oracles(monkeypatch):
         monkeypatch.setattr(solver, "_eliminate_all", spy)
         res = solve(f, order=order)
         assert [e[1] for e in entries] == [line.id for line in res.trace.lines]
-        chk = check_trace(f, res.trace)
-        assert chk.accepted
-        m = chk.manager
+        assert check_trace(f, res.trace).accepted
+        _, m, funcs = check_trace_reference(f, res.trace)
         got = [(size, width, right) for (_, _, size, right), width in zip(entries, res.stats.widths)]
         want = [
             (m.size(g), m.complete(g).width, f.rightmost(m.support(g)))
-            for g in (chk.functions[line.id] for line in res.trace.lines)
+            for g in (funcs[line.id] for line in res.trace.lines)
         ]
         assert got == want, (f, order)
         assert res.stats.trace_nodes == sum(size for size, _, _ in got)
@@ -277,9 +275,9 @@ def test_line_widths_match_the_checkers_complete_diagrams():
     cases += [(random_pcnf(rng, max_vars=10, max_clauses=18), None) for _ in range(8)]
     for f, order in cases:
         res = solve(f, order=order)
-        chk = check_trace(f, res.trace)
-        assert chk.accepted
-        widths = [chk.manager.complete(chk.functions[line.id]).width for line in res.trace.lines]
+        assert check_trace(f, res.trace).accepted
+        _, m, funcs = check_trace_reference(f, res.trace)
+        widths = [m.complete(funcs[line.id]).width for line in res.trace.lines]
         assert widths == res.stats.widths
 
 
