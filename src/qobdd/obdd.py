@@ -9,11 +9,11 @@ reference equality.  The two terminals are ``Manager.ZERO`` and
 The kernels (apply, negate, restrict, the one-pass quantifiers,
 ``forall_split``, which makes both cofactors of a universal and their
 conjunction in one walk, ``and_exists``, which projects a variable out of
-a conjunction in the walk that conjoins, and the bit-parallel
-``evaluate_bits``) walk
-with explicit stacks, so a deep variable order never reaches Python's
-recursion limit, and those that build nodes read each node's rank from
-an array kept beside the store.
+a conjunction in the walk that conjoins, ``conj_exists``, which builds a
+conjunction and its projection in one walk, and the bit-parallel
+``evaluate_bits``) walk with explicit stacks, so a deep variable order
+never reaches Python's recursion limit, and those that build nodes read
+each node's rank from an array kept beside the store.
 Every kernel memoizes per operation (a quantification's cofactor
 conjunctions share its memo, and a caller may share one negation memo, or
 one cover map memo at a fixed cut, across several roots): hits come from
@@ -265,12 +265,12 @@ class Manager:
     #
     # Each kernel walks with an explicit stack, so no order is too deep for
     # it.  A stack entry is either a subproblem or the step that joins the
-    # two results on top of ``out`` into one node: in ``_apply`` and
-    # ``and_exists`` a pair (f, g) or a triple (key, var, rank), in
-    # ``_negate``, ``_rebuild_above`` and ``forall_split`` a ref f >= 0 or
-    # its complement ~f.  The lo subproblem is pushed last, so it is finished
-    # before the hi one starts and nodes are created in depth-first,
-    # lo-first post-order, as a recursive walk would.
+    # two results on top of ``out`` into one node: in ``_apply``,
+    # ``and_exists`` and ``conj_exists`` a pair (f, g) or a triple (key,
+    # var, rank), in ``_negate``, ``_rebuild_above`` and ``forall_split`` a
+    # ref f >= 0 or its complement ~f.  The lo subproblem is pushed last, so
+    # it is finished before the hi one starts and nodes are created in
+    # depth-first, lo-first post-order, as a recursive walk would.
 
     def apply(self, f: int, g: int, op) -> int:
         """Combine two diagrams with a binary Boolean operation.
@@ -499,6 +499,67 @@ class Manager:
             stack.append((f0, g0))
         return out[0]
 
+    def conj_exists(self, f: int, g: int, var: int) -> tuple[int, int]:
+        """``(f and g, exists var. (f and g))`` in one walk over the pairs of
+        ``f`` and ``g``.
+
+        A pair topped above ``var``'s rank is split on its top variable and
+        rebuilt over its two results twice, as its conjunction and as its
+        projection.  A pair of that rank gives the node over its cofactor
+        pairs' conjunctions c0 and c1 and their ``or`` (c0 itself when
+        c0 == c1), and a pair below it their conjunction, which is its own
+        projection.  The conjunctions share one memo and the disjunctions
+        another.  Equal to ``apply(f, g, "and")`` and ``exists`` of it, and
+        leaves the store with the same nodes.
+        """
+        self._check_ref(f)
+        self._check_ref(g)
+        at = self.order.rank(var)
+        var_, lo, hi, rank, mk, apply = self._var, self._lo, self._hi, self._rank, self._mk, self._apply
+        conj, disj, conj_memo, disj_memo = OPS["and"], OPS["or"], {}, {}
+        memo: dict[tuple[int, int], tuple[int, int]] = {}
+        out: list[tuple[int, int]] = []
+        stack: list[tuple] = [(f, g)]
+        while stack:
+            task = stack.pop()
+            if len(task) == 3:
+                key, v, r = task
+                h, hp = out.pop()
+                l, lp = out.pop()
+                res = (mk(v, r, l, h), mk(v, r, lp, hp))
+                memo[key] = res
+                out.append(res)
+                continue
+            f, g = task
+            if f > g:
+                f, g = g, f  # so a sink operand is f
+            if f == 0:
+                out.append((0, 0))
+                continue
+            rf, rg = rank[f], rank[g]
+            r = rf if rf <= rg else rg
+            if r > at:
+                c = g if f == 1 else apply(conj, f, g, conj_memo)
+                out.append((c, c))
+                continue
+            key = (f, g)
+            found = memo.get(key)
+            if found is not None:
+                out.append(found)
+                continue
+            f0, f1 = (lo[f], hi[f]) if rf == r else (f, f)
+            g0, g1 = (lo[g], hi[g]) if rg == r else (g, g)
+            if r == at:
+                c0, c1 = apply(conj, f0, g0, conj_memo), apply(conj, f1, g1, conj_memo)
+                res = (mk(var, at, c0, c1), c0 if c0 == c1 else apply(disj, c0, c1, disj_memo))
+                memo[key] = res
+                out.append(res)
+                continue
+            stack.append((key, var_[f] if rf == r else var_[g], r))
+            stack.append((f1, g1))
+            stack.append((f0, g0))
+        return out[0]
+
     def _rebuild_above(self, f: int, at: int, at_rank: Callable[[int], int]) -> int:
         # ``f`` with every node of rank ``at`` replaced by ``at_rank(node)``:
         # nodes above rank ``at`` are rebuilt over their new children and
@@ -587,19 +648,21 @@ class Manager:
         gives every layer size that can be the largest, in O(size); the
         width is the largest, layer d + 1 counting only if it is in the
         order.  ``positions[k]`` places the rank-k variable in an outer
-        order, such as a PCNF prefix, and the rightmost position is the
-        largest over the nodes; without ``positions`` it is d.  A constant
-        has size 1, width 1 (0 on an empty order) and position None.
-        Equal to ``size(f)``, ``complete(f).width`` and the largest
-        position over ``support(f)``.
+        order, such as a PCNF prefix, one position per rank, and the
+        rightmost position is the largest over the nodes; without
+        ``positions`` it is d.  A constant has size 1, width 1 (0 on an
+        empty order) and position None.  Equal to ``size(f)``,
+        ``complete(f).width`` and the largest position over ``support(f)``.
         """
         self._check_ref(f)
         n = self._terminal_rank
+        if positions is None:
+            positions = range(n)
+        elif len(positions) != n:
+            raise ObddError(f"{len(positions)} positions for an order of {n} variables")
         if f <= 1:
             return Shape(1, 1 if n else 0, None)
         lo, hi, rank = self._lo, self._hi, self._rank
-        if positions is None:
-            positions = range(n)
         top = deep = rank[f]
         right = positions[top]
         first = {f: top}  # reached node -> first layer (from top) it is a state on

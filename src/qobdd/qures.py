@@ -7,7 +7,7 @@ existential variable to its right).
 
 ``simulate_qures`` turns a valid QU-Resolution refutation into a checkable
 OBDD trace.  Each resolution becomes a conjunction followed by a projection
-of the pivot.  Each reduction becomes a run of constant substitutions: the
+of the pivot, both from one ``Manager.conj_exists`` walk.  Each reduction becomes a run of constant substitutions: the
 substituted constant falsifies the corresponding clause literal, working
 inward from the rightmost remaining variable so the side condition of the
 reduction rule holds at every step.  The translated lines may be logically
@@ -171,7 +171,7 @@ def simulate_qures(
     ``node_budget`` nodes raises ``obdd.BudgetExceededError``.
     """
     derived = validate_qures(f, proof)
-    if derived[proof.lines[-1].id] != ():
+    if not proof.lines or derived[proof.lines[-1].id] != ():
         raise QuResError("proof does not derive the empty clause")
     mgr = Manager(prefix_order(f), node_budget=node_budget)
     lines: list[ProofLine] = []
@@ -195,9 +195,9 @@ def simulate_qures(
             tid[line.id] = axiom_of[r.clause]
         elif isinstance(r, QResolve):
             lj, lk = tid[r.left], tid[r.right]
-            conj = mgr.apply(refs[lj], refs[lk], "and")
+            conj, proj = mgr.conj_exists(refs[lj], refs[lk], r.pivot)
             cid = emit(Conj(lj, lk), conj)
-            tid[line.id] = emit(Proj(r.pivot, cid), mgr.exists(conj, r.pivot))
+            tid[line.id] = emit(Proj(r.pivot, cid), proj)
         else:
             # strip every universal literal at or right of the reduced one,
             # rightmost first, so each substitution is on a rightmost variable

@@ -51,8 +51,11 @@ class RectangleLabError(QobddError):
 def eval_ipg(g: Graph, assignment: Mapping[int, int]) -> int:
     """Graph inner product: parity of edges with both endpoints set to 1."""
     acc = 0
-    for u, w in g.edges():
-        acc ^= assignment[u] & assignment[w]
+    try:
+        for u, w in g.edges():
+            acc ^= assignment[u] & assignment[w]
+    except KeyError as exc:
+        raise RectangleLabError(f"assignment lacks vertex {exc.args[0]}") from None
     return acc
 
 

@@ -10,9 +10,14 @@ Every step is logged as a trace line: conjunctions directly, existential
 elimination as a projection, and universal elimination as two constant
 substitutions joined by a conjunction (for a rightmost variable x,
 forall x. L  =  L[x/0] and L[x/1], so the log stays within the checker's
-rule set).  The three diagrams of a universal elimination come from one
-``Manager.forall_split`` walk over L, and are emitted as those three
-lines.  One ``emit`` in ``solve`` writes every line, axioms included.
+rule set).  An existential bucket of two or more entries takes its last
+conjunction L and the projection exists x. L from one
+``Manager.conj_exists`` walk over the pairs of the last two operands, and
+emits them as the ``C`` line and the ``P`` line; a single-entry bucket
+projects with ``Manager.exists``.  The three diagrams of a universal
+elimination come from one ``Manager.forall_split`` walk over L, and are
+emitted as those three lines.  One ``emit`` in ``solve`` writes every
+line, axioms included.
 An axiom's size, width and rightmost prefix position are read off its
 clause; every other line's come from one ``Manager.shape`` walk, which
 reads a rank-to-prefix-position list built once per solve and keeps no
@@ -178,17 +183,21 @@ def _eliminate_all(f, mgr, axioms, emit, eliminations) -> bool:
             continue
         q, var = f.prefix[pos]
         entries.sort(key=lambda e: (e[2], e[1]))
-        cur = entries[0]
-        for nxt in entries[1:]:
-            cur = emit(Conj(cur[1], nxt[1]), mgr.apply(cur[0], nxt[0], "and"))
-            if cur[0] == mgr.ZERO:
+        cur, proj = entries[0], None
+        for i, nxt in enumerate(entries[1:], start=2):
+            if q == EXISTS and i == len(entries):
+                ref, proj = mgr.conj_exists(cur[0], nxt[0], var)
+            else:
+                ref = mgr.apply(cur[0], nxt[0], "and")
+            cur = emit(Conj(cur[1], nxt[1]), ref)
+            if ref == mgr.ZERO:
                 return False
         ref, lid, _, right = cur
         # every entry here ends at pos, so their conjunction ends at pos or
         # before; it ends at pos exactly when var is still in its support
         if right == pos:
             if q == EXISTS:
-                cur = emit(Proj(var, lid), mgr.exists(ref, var))
+                cur = emit(Proj(var, lid), mgr.exists(ref, var) if proj is None else proj)
             else:
                 r0, r1, both = mgr.forall_split(ref, var)
                 lid0 = emit(URed(var, 0, lid), r0)[1]

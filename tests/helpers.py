@@ -520,6 +520,58 @@ def strategy_range_size_oracle(family: DecisionListFamily) -> int:
 # -- traces -------------------------------------------------------------------
 
 
+def eliminate_all_reference(
+    f: Pcnf, mgr: Manager, axioms, emit, eliminations, buckets: list | None = None
+) -> bool:
+    """``solver._eliminate_all`` with every ``C`` line its own ``apply`` and
+    every existential elimination its own ``exists`` on it, so no bucket's
+    last conjunction shares a walk with its projection.  Takes the same
+    arguments and emits the same lines; ``buckets``, if given, collects
+    ``(quantifier, entries, last conjunction reached)`` for each bucket
+    processed."""
+    bucket_entries: list[list] = [[] for _ in f.prefix]
+    placed: set[int] = set()
+    for entry in axioms:
+        ref, lid, _, pos = entry
+        if ref == mgr.ZERO:
+            emit(proof.Conj(lid, lid), ref)
+            return False
+        if pos is not None and ref not in placed:
+            placed.add(ref)
+            bucket_entries[pos].append(entry)
+    for pos in range(len(f.prefix) - 1, -1, -1):
+        entries = bucket_entries[pos]
+        if not entries:
+            continue
+        q, var = f.prefix[pos]
+        entries.sort(key=lambda e: (e[2], e[1]))
+        if buckets is not None:
+            buckets.append([q, len(entries), len(entries) == 1])
+        cur = entries[0]
+        for i, nxt in enumerate(entries[1:], start=2):
+            if buckets is not None and i == len(entries):
+                buckets[-1][2] = True
+            cur = emit(proof.Conj(cur[1], nxt[1]), mgr.apply(cur[0], nxt[0], "and"))
+            if cur[0] == mgr.ZERO:
+                return False
+        ref, lid, _, right = cur
+        if right == pos:
+            if q == EXISTS:
+                cur = emit(proof.Proj(var, lid), mgr.exists(ref, var))
+            else:
+                lid0 = emit(proof.URed(var, 0, lid), mgr.restrict(ref, var, 0))[1]
+                lid1 = emit(proof.URed(var, 1, lid), mgr.restrict(ref, var, 1))[1]
+                cur = emit(proof.Conj(lid0, lid1), mgr.forall(ref, var))
+        ref, _, _, new_pos = cur
+        eliminations.append(var)
+        if ref == mgr.ZERO:
+            return False
+        if ref == mgr.ONE:
+            continue
+        bucket_entries[new_pos].append(cur)
+    return True
+
+
 def check_trace_reference(
     f: Pcnf, trace: proof.ProofTrace, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> tuple[proof.Verdict, Manager | None, dict[int, int]]:

@@ -8,7 +8,11 @@ import pytest
 
 import qobdd
 from qobdd import solver
+from qobdd.families import gen_eqprime
+from qobdd.graphs import Graph
 from qobdd.obdd import Manager, ObddError, QobddError, VarOrder
+from qobdd.qures import QuResError, QuResProof, simulate_qures
+from qobdd.rectangles import RectangleLabError, eval_ipg
 
 
 def test_every_library_error_derives_from_qobdd_error():
@@ -73,3 +77,26 @@ def test_tower_of_a_negative_base_is_a_qobdd_error():
     for q in (1, 2):
         with pytest.raises(QobddError, match="a must be >= 0"):
             solver.tower(-3, q)
+
+
+def test_shape_names_a_position_list_of_the_wrong_length():
+    mgr = Manager(VarOrder([1, 2]))
+    f = mgr.apply(mgr.literal(1), mgr.literal(2), "and")
+    for positions in ([], [0], [0, 1, 2]):
+        with pytest.raises(ObddError, match=f"{len(positions)} positions for an order of 2"):
+            mgr.shape(f, positions)
+    assert mgr.shape(f, [1, 0]).rightmost == 1
+
+
+def test_eval_ipg_names_the_unassigned_vertex():
+    g = Graph([1, 2, 3], [(1, 2), (2, 3)])
+    with pytest.raises(RectangleLabError, match="assignment lacks vertex 1"):
+        eval_ipg(g, {})
+    with pytest.raises(RectangleLabError, match="assignment lacks vertex 3"):
+        eval_ipg(g, {1: 1, 2: 1})
+    assert eval_ipg(g, {1: 1, 2: 1, 3: 0}) == 1
+
+
+def test_simulating_an_empty_qures_proof_is_a_qures_error():
+    with pytest.raises(QuResError, match="proof does not derive the empty clause"):
+        simulate_qures(gen_eqprime(2), QuResProof(()))

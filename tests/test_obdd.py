@@ -264,6 +264,57 @@ def test_and_exists_walks_a_deep_order_and_checks_its_arguments():
         m.and_exists(a, len(m), 1)
 
 
+def test_conj_exists_matches_the_two_calls_and_their_nodes():
+    # a twin manager builds the same functions and takes apply, then
+    # exists; the one walk must give the same two diagrams and leave the
+    # same store size, at every rank, for sinks, a == b and both argument
+    # orders, and with x outside both supports (the projection is then the
+    # conjunction)
+    rng = random.Random(2301)
+    for nv in (1, 2, 4, 7):
+        order = list(range(1, nv + 1))
+        rng.shuffle(order)
+        m, twin = Manager(VarOrder(order)), Manager(VarOrder(order))
+        rest = [v for v in order if v != order[nv // 2]]
+        tables = [(order, random_table(rng, nv)) for _ in range(5)]
+        tables += [(rest, random_table(rng, len(rest))) for _ in range(2)]
+        pairs = [(obdd_from_table(m, vs, t), obdd_from_table(twin, vs, t)) for vs, t in tables]
+        pairs += [(m.ZERO, twin.ZERO), (m.ONE, twin.ONE)]
+        for a, ta in pairs:
+            for b, tb in pairs:
+                for x in order:
+                    got = m.conj_exists(a, b, x)
+                    both = twin.apply(ta, tb, "and")
+                    want = (both, twin.exists(both, x))
+                    assert [serialize(m, r) for r in got] == [serialize(twin, r) for r in want]
+                    assert len(m) == len(twin)
+                    assert got == (m.apply(a, b, "and"), m.exists(got[0], x))
+                    assert m.conj_exists(b, a, x) == got
+                    if x not in m.support(a, b):
+                        assert got[1] == got[0]
+        m.audit()
+        twin.audit()
+
+
+def test_conj_exists_walks_a_deep_order_and_checks_its_arguments():
+    n = 4000
+    m = Manager(VarOrder(range(1, n + 1)))
+    a = m.clause(range(1, n + 1))
+    b = m.clause(range(-n, 0))
+    both = m.apply(a, b, "and")
+    for x in (1, n // 2, n):
+        assert m.conj_exists(a, b, x) == (both, m.exists(both, x))
+    # above the last variable the walk splits pairs down the whole chain
+    rest = m.clause(range(1, n))
+    assert m.conj_exists(a, rest, n) == (rest, rest)
+    with pytest.raises(OrderError):
+        m.conj_exists(a, b, n + 1)
+    with pytest.raises(ObddError):
+        m.conj_exists(a, len(m), 1)
+    with pytest.raises(ObddError):
+        m.conj_exists(-1, b, 1)
+
+
 def test_canonicity_of_construction_paths():
     # same function via Shannon expansion and via minterm disjunction
     rng = random.Random(9)

@@ -23,7 +23,7 @@ from qobdd.solver import (
     tower,
 )
 
-from .helpers import check_trace_reference, qbf_value, random_pcnf
+from .helpers import check_trace_reference, eliminate_all_reference, qbf_value, random_pcnf
 
 
 def test_default_order_is_the_decomposition_route():
@@ -262,6 +262,61 @@ def test_line_numbers_match_the_checkers_oracles(monkeypatch):
     assert checked(f, None)[1:] == [(1, 1, None)] * 2
     # with no variables the empty order has no layer, so no width
     assert checked(Pcnf((), ((),)), None) == [(1, 0, None)] * 2
+
+
+def _pcnf_cases(seed, count):
+    # seeded random formulas, each under its prefix order and a shuffled one
+    rng = random.Random(seed)
+    for _ in range(count):
+        f = random_pcnf(rng, max_vars=10, max_clauses=18)
+        shuffled = list(f.variables)
+        rng.shuffle(shuffled)
+        yield f, prefix_order(f)
+        yield f, VarOrder(shuffled)
+
+
+def test_fused_elimination_matches_the_reference_eliminator(monkeypatch):
+    # each existential bucket's last conjunction and its projection come
+    # from one walk; the trace and the stats must equal those of separate
+    # apply and exists calls
+    cases = list(_pcnf_cases(2302, 150))
+    cases += [(gen(6), None) for gen in (gen_eqprime, gen_quparity)]
+    got = [solve(f, order=order) for f, order in cases]
+    monkeypatch.setattr(solver, "_eliminate_all", eliminate_all_reference)
+    for (f, order), res in zip(cases, got):
+        want = solve(f, order=order)
+        assert res.trace == want.trace, (f, order)
+        assert res.stats.as_dict(False) == want.stats.as_dict(False)
+        assert res.stats.widths == want.stats.widths
+
+
+def test_fused_elimination_runs_once_per_existential_bucket(monkeypatch):
+    # conj_exists serves every existential bucket whose last conjunction is
+    # reached, once, and exists only the single-entry ones; the reference
+    # eliminator, which takes apply and exists, records the buckets
+    eliminate_all = solver._eliminate_all
+    calls: Counter[str] = Counter()
+    for name in ("conj_exists", "exists"):
+        def counted(self, *args, _kernel=getattr(Manager, name), _name=name):
+            calls[_name] += 1
+            return _kernel(self, *args)
+
+        monkeypatch.setattr(Manager, name, counted)
+    fused = 0
+    for f, order in _pcnf_cases(2303, 60):
+        buckets: list = []
+        monkeypatch.setattr(
+            solver, "_eliminate_all", lambda *args: eliminate_all_reference(*args, buckets)
+        )
+        want = solve(f, order=order)
+        monkeypatch.setattr(solver, "_eliminate_all", eliminate_all)
+        calls.clear()
+        assert solve(f, order=order).trace == want.trace
+        existential = [(k, reached) for q, k, reached in buckets if q == EXISTS]
+        assert calls["conj_exists"] == sum(k >= 2 and reached for k, reached in existential)
+        assert calls["exists"] == sum(k == 1 for k, _ in existential)
+        fused += calls["conj_exists"]
+    assert fused
 
 
 def test_line_widths_match_the_checkers_complete_diagrams():
