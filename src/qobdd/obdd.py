@@ -6,14 +6,15 @@ Boolean function is unique within its manager: structural equality is
 reference equality.  The two terminals are ``Manager.ZERO`` and
 ``Manager.ONE``.
 
-The kernels (apply, negate, restrict, the one-pass quantifiers,
-``forall_split``, which makes both cofactors of a universal and their
-conjunction in one walk, ``and_exists``, which projects a variable out of
-a conjunction in the walk that conjoins, ``conj_exists``, which builds a
-conjunction and its projection in one walk, and the bit-parallel
-``evaluate_bits``) walk with explicit stacks, so a deep variable order
-never reaches Python's recursion limit, and those that build nodes read
-each node's rank from an array kept beside the store.
+The kernels (apply, negate, restrict, the one-pass quantifiers, the
+bit-parallel ``evaluate_bits``, ``forall_split``, both cofactors of a
+universal and their conjunction, ``and_exists``, the relational product
+that the checker and the translator project with, and ``conj_exists``, a
+conjunction and its projection for the solver, which measures the
+conjunction) walk with explicit stacks, so a deep variable order never
+reaches Python's recursion limit, and those that build nodes read each
+node's rank from an array kept beside the store.  The rightmost position
+of ``shape`` is the one prefix rule of universal reduction.
 Every kernel memoizes per operation (a quantification's cofactor
 conjunctions share its memo, and a caller may share one negation memo, or
 one cover map memo at a fixed cut, across several roots): hits come from

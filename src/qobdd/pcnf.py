@@ -83,11 +83,6 @@ class Pcnf:
     def is_universal(self, var: int) -> bool:
         return self.quantifier(var) == FORALL
 
-    def rightmost(self, variables: Iterable[int]) -> int | None:
-        """Prefix position of the innermost of ``variables``, None if empty:
-        universal reduction may only substitute for the variable there."""
-        return max(map(self.prefix_position, variables), default=None)
-
     def blocks(self) -> list[tuple[str, list[int]]]:
         out: list[tuple[str, list[int]]] = []
         for q, v in self.prefix:

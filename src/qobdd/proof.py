@@ -20,7 +20,8 @@ universal's two reductions and their conjunction in one walk, and a
 conjunction read by nothing but one projection (an existential bucket's
 ``C j k`` then ``P x l``) in one ``Manager.and_exists`` walk that never
 builds the conjunction above x.  Such a fused ``C`` line has no entry in
-the accepted result's functions; every other line has its own.
+the accepted result's functions; every other line has its own.  A
+reduction's side test reads the rightmost position off ``Manager.shape``.
 """
 
 from __future__ import annotations
@@ -166,7 +167,8 @@ def check_trace(
     the conjunction, held until that ``Proj`` line reads it, and
     ``functions`` has no entry for it (``strategy.extract`` reads only the
     reduction lines).  Every other line is replayed on its own.  Verdicts
-    and reason codes are those of a replay of every line on its own.
+    and reason codes are those of a replay of every line on its own; a
+    reduction to a constant other than 0 or 1 is ``malformed``.
 
     A budget hit is never a verdict: running out of ``node_budget`` raises
     ``obdd.BudgetExceededError("line <id>")``, naming the line whose replay
@@ -183,6 +185,7 @@ def check_trace(
     if set(trace.order.vars) != set(f.variables):
         return reject(None, ORDER_MISMATCH)
     mgr = Manager(trace.order, node_budget=node_budget)
+    positions = [f.prefix_position(v) for v in trace.order.vars]  # by rank
     funcs: dict[int, int] = {}
     joined, fused = _replay_hints(trace)
     held: dict[int, int] = {}  # fused Conj line -> its projection, until read
@@ -206,6 +209,8 @@ def check_trace(
                     return reject(line.id, BAD_REFERENCE)
             if isinstance(rule, (Proj, URed)) and rule.var not in trace.order:
                 return reject(line.id, BAD_REFERENCE)
+            if isinstance(rule, URed) and rule.value not in (0, 1):
+                return reject(line.id, MALFORMED)
             if isinstance(rule, Axiom):
                 ref = mgr.clause(f.clauses[rule.clause_index - 1])
             elif isinstance(rule, Conj):
@@ -226,8 +231,8 @@ def check_trace(
                     if not f.is_universal(rule.var):
                         return reject(line.id, URED_NOT_UNIVERSAL)
                     # also rejects a premise whose support misses rule.var
-                    support = mgr.support(funcs[rule.premise])
-                    if f.rightmost(support) != f.prefix_position(rule.var):
+                    right = mgr.shape(funcs[rule.premise], positions).rightmost
+                    if right != f.prefix_position(rule.var):
                         return reject(line.id, URED_NOT_RIGHTMOST)
                     if key in joined:
                         splits[key] = mgr.forall_split(funcs[rule.premise], rule.var)

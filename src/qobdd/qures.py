@@ -6,13 +6,15 @@ reduction (dropping a universal literal from a clause that has no
 existential variable to its right).
 
 ``simulate_qures`` turns a valid QU-Resolution refutation into a checkable
-OBDD trace.  Each resolution becomes a conjunction followed by a projection
-of the pivot, both from one ``Manager.conj_exists`` walk.  Each reduction becomes a run of constant substitutions: the
-substituted constant falsifies the corresponding clause literal, working
-inward from the rightmost remaining variable so the side condition of the
-reduction rule holds at every step.  The translated lines may be logically
-stronger than their clauses (never weaker), which preserves the final
-empty line.
+OBDD trace over the prefix order.  Each resolution becomes a conjunction
+and a projection of the pivot, from one ``Manager.and_exists`` walk that
+never builds the conjunction, which nothing else reads.  Each reduction
+becomes a run of constant substitutions: the substituted constant
+falsifies the corresponding clause literal, working inward from the
+rightmost remaining variable (``Manager.shape``) so the side condition of
+the reduction rule holds at every step.  The translated lines may be
+logically stronger than their clauses (never weaker), which preserves the
+final empty line.
 """
 
 from __future__ import annotations
@@ -175,7 +177,7 @@ def simulate_qures(
         raise QuResError("proof does not derive the empty clause")
     mgr = Manager(prefix_order(f), node_budget=node_budget)
     lines: list[ProofLine] = []
-    refs: dict[int, int] = {}
+    refs: dict[int, int | None] = {}  # None for a conjunction never built
 
     def emit(rule, ref) -> int:
         lid = len(lines) + 1
@@ -195,9 +197,8 @@ def simulate_qures(
             tid[line.id] = axiom_of[r.clause]
         elif isinstance(r, QResolve):
             lj, lk = tid[r.left], tid[r.right]
-            conj, proj = mgr.conj_exists(refs[lj], refs[lk], r.pivot)
-            cid = emit(Conj(lj, lk), conj)
-            tid[line.id] = emit(Proj(r.pivot, cid), proj)
+            cid = emit(Conj(lj, lk), None)
+            tid[line.id] = emit(Proj(r.pivot, cid), mgr.and_exists(refs[lj], refs[lk], r.pivot))
         else:
             # strip every universal literal at or right of the reduced one,
             # rightmost first, so each substitution is on a rightmost variable
@@ -205,10 +206,7 @@ def simulate_qures(
             upos = f.prefix_position(abs(r.literal))
             cur_id = tid[r.premise]
             cur = refs[cur_id]
-            while True:
-                right = f.rightmost(mgr.support(cur))
-                if right is None or right < upos:
-                    break
+            while (right := mgr.shape(cur).rightmost) is not None and right >= upos:
                 v = f.prefix[right][1]
                 if v in premise_clause:
                     c_val = 0
@@ -219,7 +217,7 @@ def simulate_qures(
                         "derived line mentions a variable outside its clause",
                         line.id,
                     )
-                cur = mgr.restrict(refs[cur_id], v, c_val)
+                cur = mgr.restrict(cur, v, c_val)
                 cur_id = emit(URed(v, c_val, cur_id), cur)
             tid[line.id] = cur_id
 

@@ -11,17 +11,16 @@ elimination as a projection, and universal elimination as two constant
 substitutions joined by a conjunction (for a rightmost variable x,
 forall x. L  =  L[x/0] and L[x/1], so the log stays within the checker's
 rule set).  An existential bucket of two or more entries takes its last
-conjunction L and the projection exists x. L from one
-``Manager.conj_exists`` walk over the pairs of the last two operands, and
-emits them as the ``C`` line and the ``P`` line; a single-entry bucket
-projects with ``Manager.exists``.  The three diagrams of a universal
-elimination come from one ``Manager.forall_split`` walk over L, and are
-emitted as those three lines.  One ``emit`` in ``solve`` writes every
-line, axioms included.
+conjunction L, which ``SolveStats`` measures, and exists x. L from one
+``Manager.conj_exists`` walk, and emits them as the ``C`` and ``P`` lines;
+a single-entry bucket projects with ``Manager.exists``.  A universal's
+three lines come from one ``Manager.forall_split`` walk over L.  One
+``emit`` in ``solve`` writes every line, axioms included.
 An axiom's size, width and rightmost prefix position are read off its
 clause; every other line's come from one ``Manager.shape`` walk, which
 reads a rank-to-prefix-position list built once per solve and keeps no
 support set, so bookkeeping costs the line's size, not the variable count.
+The checker and the translator read reduction's side condition off it too.
 """
 
 from __future__ import annotations

@@ -605,6 +605,8 @@ def check_trace_reference(
             return reject(line.id, proof.BAD_REFERENCE)
         if isinstance(rule, (proof.Proj, proof.URed)) and rule.var not in trace.order:
             return reject(line.id, proof.BAD_REFERENCE)
+        if isinstance(rule, proof.URed) and rule.value not in (0, 1):
+            return reject(line.id, proof.MALFORMED)
         try:
             if isinstance(rule, proof.Axiom):
                 ref = mgr.clause(f.clauses[rule.clause_index - 1])

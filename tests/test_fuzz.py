@@ -402,7 +402,6 @@ def _api_cases():
             lambda: Pcnf((("x", 1),), ()).audit(),
             lambda: Pcnf(((EXISTS, 0),), ()).audit(),
             lambda: f.prefix_position(99),
-            lambda: f.rightmost([99]),
         ],
         "QobddError": [lambda: QobddError("message")],
         "VarOrder": [

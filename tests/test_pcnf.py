@@ -137,15 +137,3 @@ def test_primal_graph_equals_the_edge_by_edge_construction():
         assert got == want
         assert got.adj == want.adj and list(got.adj) == list(want.adj)
         assert got.edges() == want.edges()
-
-
-def test_rightmost_is_the_innermost_prefix_position():
-    rng = random.Random(23)
-    for _ in range(40):
-        f = random_pcnf(rng)
-        for _ in range(5):
-            support = set(rng.sample(f.variables, rng.randint(1, len(f.variables))))
-            assert f.rightmost(support) == max(f.prefix_position(v) for v in support)
-        assert f.rightmost(set()) is None
-        with pytest.raises(PcnfError):
-            f.rightmost({len(f.variables) + 1})

@@ -34,6 +34,7 @@ from qobdd.proof import (
     ProofTrace,
     TraceParseError,
     URed,
+    Verdict,
     check_trace,
     emit_trace,
     formula_hash,
@@ -142,6 +143,34 @@ def test_ured_valid_on_rightmost():
     )
     result = check_trace(f, t, require_refutation=True)
     assert result.accepted and result.refutation
+
+
+@pytest.mark.parametrize("value", [2, -1])
+def test_a_reduction_to_a_non_constant_is_malformed_at_its_line(value):
+    # a U line built in code can hold any int; parse_trace reads only 0 and
+    # 1, and both checkers reject any other value at its line, before its
+    # replay: in a joined pair (before or after its partner, where the pair's
+    # walk would hand out its conjunction) and alone (where restrict refuses)
+    f = gen_eqprime(2)
+    trace = solve(f).trace
+    idx = next(i for i, line in enumerate(trace.lines) if isinstance(line.rule, URed))
+    assert trace.lines[idx + 2].rule == Conj(trace.lines[idx].id, trace.lines[idx + 1].id)
+
+    def bad(i):
+        line = trace.lines[i]
+        return ProofLine(line.id, URed(line.rule.var, value, line.rule.premise))
+
+    for t, at in (
+        (replace_line(trace, idx, bad(idx)), idx),
+        (replace_line(trace, idx + 1, bad(idx + 1)), idx + 1),
+        (ProofTrace(trace.formula_hash, trace.order, trace.lines[:idx] + (bad(idx),)), idx),
+    ):
+        want = Verdict(False, trace.lines[at].id, MALFORMED)
+        assert check_trace(f, t).verdict == want
+        assert check_trace_reference(f, t)[0] == want
+        with pytest.raises(TraceParseError) as err:
+            parse_trace(emit_trace(t))
+        assert err.value.reason == MALFORMED
 
 
 def test_projection_of_absent_variable_is_noop():

@@ -2,8 +2,9 @@ import re
 
 import pytest
 
+from qobdd.obdd import Manager
 from qobdd.pcnf import EXISTS, FORALL, Pcnf, clause
-from qobdd.proof import check_trace
+from qobdd.proof import Conj, Proj, URed, check_trace
 from qobdd.qures import (
     QuResError,
     emit_qures,
@@ -68,31 +69,73 @@ def test_reduction_fixture_translates():
     assert check_trace(f, t, require_refutation=True).refutation
 
 
+# exists x forall u exists t: pivot on t, then reduce u, then resolve x
+THREE_BLOCK = Pcnf(
+    ((EXISTS, 1), (FORALL, 2), (EXISTS, 3)),
+    (clause([1, 2, -3]), clause([-1, -2, -3]), clause([3])),
+)
+THREE_BLOCK_PROOF = (
+    "1 A 1 2 -3 0\n"
+    "2 A -1 -2 -3 0\n"
+    "3 A 3 0\n"
+    "4 R 3 1 3\n"  # (3) with (1 2 -3) -> (1 2)
+    "5 U 4 2\n"  # -> (1)
+    "6 R 3 2 3\n"  # (3) with (-1 -2 -3) -> (-1 -2)
+    "7 U 6 -2\n"  # -> (-1)
+    "8 R 5 7 1\n"
+)
+
+# (x|u) and (~x|u) conjoin to exactly (u); projection is a no-op
+COLLAPSE = Pcnf(((EXISTS, 1), (FORALL, 2)), (clause([1, 2]), clause([-1, 2])))
+COLLAPSE_PROOF = "1 A 1 2 0\n2 A -1 2 0\n3 R 1 2 1\n4 U 3 2\n"
+
+# exists x forall u v: reducing u from (u|v) strips v first, then u
+TWO_UNIVERSALS = Pcnf(((EXISTS, 1), (FORALL, 2), (FORALL, 3)), (clause([1, 2, 3]), clause([-1, 2, 3])))
+TWO_UNIVERSALS_PROOF = "1 A 1 2 3 0\n2 A -1 2 3 0\n3 R 1 2 1\n4 U 3 2\n5 U 4 3\n"
+
+
+def fixtures():
+    return [
+        (all_pairs_formula(), UNIVERSAL_PIVOT_PROOF),
+        (all_pairs_formula(), REDUCTION_PROOF),
+        (THREE_BLOCK, THREE_BLOCK_PROOF),
+        (COLLAPSE, COLLAPSE_PROOF),
+        (TWO_UNIVERSALS, TWO_UNIVERSALS_PROOF),
+    ]
+
+
 def test_three_block_fixture_translates():
-    # exists x forall u exists t: pivot on t, then reduce u, then resolve x
-    f = Pcnf(
-        ((EXISTS, 1), (FORALL, 2), (EXISTS, 3)),
-        (clause([1, 2, -3]), clause([-1, -2, -3]), clause([3])),
-    )
-    p = parse_qures(
-        "1 A 1 2 -3 0\n"
-        "2 A -1 -2 -3 0\n"
-        "3 A 3 0\n"
-        "4 R 3 1 3\n"  # (3) with (1 2 -3) -> (1 2)
-        "5 U 4 2\n"  # -> (1)
-        "6 R 3 2 3\n"  # (3) with (-1 -2 -3) -> (-1 -2)
-        "7 U 6 -2\n"  # -> (-1)
-        "8 R 5 7 1\n"
-    )
-    t = simulate_qures(f, p)
+    t = simulate_qures(THREE_BLOCK, parse_qures(THREE_BLOCK_PROOF))
+    assert check_trace(THREE_BLOCK, t, require_refutation=True).refutation
+
+
+def test_two_universal_literals_are_stripped_rightmost_first():
+    f = TWO_UNIVERSALS
+    t = simulate_qures(f, parse_qures(TWO_UNIVERSALS_PROOF))
+    assert [line.rule for line in t.lines[2:]] == [
+        Conj(1, 2),
+        Proj(1, 3),
+        URed(3, 0, 4),
+        URed(2, 0, 5),
+    ]
     assert check_trace(f, t, require_refutation=True).refutation
 
 
+def test_translation_reads_no_support(monkeypatch):
+    # each reduction run reads its rightmost variable off Manager.shape, and
+    # the translated traces check, all with no support set built or scanned
+    def refuse(*args, **kwargs):
+        raise AssertionError("translation read a support set")
+
+    monkeypatch.setattr(Manager, "support", refuse)
+    for f, text in fixtures():
+        t = simulate_qures(f, parse_qures(text))
+        assert check_trace(f, t, require_refutation=True).refutation
+
+
 def test_resolvent_collapses_pivot_out_of_support():
-    # (x|u) and (~x|u) conjoin to exactly (u); projection is a no-op
-    f = Pcnf(((EXISTS, 1), (FORALL, 2)), (clause([1, 2]), clause([-1, 2])))
-    p = parse_qures("1 A 1 2 0\n2 A -1 2 0\n3 R 1 2 1\n4 U 3 2\n")
-    t = simulate_qures(f, p)
+    f = COLLAPSE
+    t = simulate_qures(f, parse_qures(COLLAPSE_PROOF))
     result = check_trace(f, t, require_refutation=True)
     assert result.accepted and result.refutation
     # the resolvent line denotes the literal u
@@ -101,11 +144,7 @@ def test_resolvent_collapses_pivot_out_of_support():
 
 
 def test_node_count_bound():
-    fixtures = [
-        (all_pairs_formula(), UNIVERSAL_PIVOT_PROOF),
-        (all_pairs_formula(), REDUCTION_PROOF),
-    ]
-    for f, text in fixtures:
+    for f, text in fixtures():
         p = parse_qures(text)
         t = simulate_qures(f, p)
         assert check_trace(f, t).accepted

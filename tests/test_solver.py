@@ -101,7 +101,8 @@ def test_bucket_placement_read_off_the_trace():
                 uses.update((r.left, r.right))
             elif isinstance(r, Proj):
                 uses[r.premise] += 1
-                assert f.prefix[f.rightmost(mgr.support(fn[r.premise]))][1] == r.var
+                support = mgr.support(fn[r.premise])
+                assert max(f.prefix_position(v) for v in support) == f.prefix_position(r.var)
             elif isinstance(r, URed) and (r.var, r.premise) not in reductions:
                 reductions.add((r.var, r.premise))
                 uses[r.premise] += 1
@@ -203,22 +204,26 @@ def test_solve_never_completes_a_diagram(monkeypatch):
 
 def test_solve_reads_no_support(monkeypatch):
     # bucket positions come from the walk's rank-to-position list and, for
-    # axioms, from the clause; no support set is built or scanned
-    def refuse(*args):
-        raise AssertionError("solve read a support set")
+    # axioms, from the clause, and the checker's side test of each reduction
+    # reads the same walk; no support set is built or scanned
+    def refuse(*args, **kwargs):
+        raise AssertionError("a support set was read")
 
     monkeypatch.setattr(Manager, "support", refuse)
-    monkeypatch.setattr(Pcnf, "rightmost", refuse)
     for gen, dec in ((gen_quparity, quparity_decomposition), (gen_eqprime, eqprime_decomposition)):
         f = gen(6)
         for order in (order_from_decomposition(dec(6)), default_order(f)):
-            assert solve(f, order=order).value is False
+            res = solve(f, order=order)
+            assert res.value is False
+            assert any(isinstance(line.rule, URed) for line in res.trace.lines)
+            assert check_trace(f, res.trace, require_refutation=True).refutation
 
 
 def test_line_numbers_match_the_checkers_oracles(monkeypatch):
     # every line's size, width and bucket position, read off the clause for
     # an axiom and from one walk otherwise, against the checker's fresh
-    # manager: Manager.size, the complete width and Pcnf.rightmost
+    # manager: Manager.size, the complete width and the largest prefix
+    # position over the support
     eliminate_all = solver._eliminate_all
 
     def checked(f, order):
@@ -239,10 +244,10 @@ def test_line_numbers_match_the_checkers_oracles(monkeypatch):
         assert check_trace(f, res.trace).accepted
         _, m, funcs = check_trace_reference(f, res.trace)
         got = [(size, width, right) for (_, _, size, right), width in zip(entries, res.stats.widths)]
-        want = [
-            (m.size(g), m.complete(g).width, f.rightmost(m.support(g)))
-            for g in (funcs[line.id] for line in res.trace.lines)
-        ]
+        want = []
+        for g in (funcs[line.id] for line in res.trace.lines):
+            right = max((f.prefix_position(v) for v in m.support(g)), default=None)
+            want.append((m.size(g), m.complete(g).width, right))
         assert got == want, (f, order)
         assert res.stats.trace_nodes == sum(size for size, _, _ in got)
         return got
