@@ -927,19 +927,18 @@ class CompleteObdd:
 
 def serialize(manager: Manager, f: int, negated: bool = False) -> str:
     """The block of ``f``; with ``negated``, the block of its complement,
-    which is ``f``'s with the sinks swapped, row for row."""
+    which is ``f``'s with the sinks swapped, row for row.  Each node's
+    block index is made a string once, for its own row and its parents'."""
     manager._check_ref(f)
     var, lo, hi = manager._var, manager._lo, manager._hi
-    index: dict[int, int] = {}
-    lines: list[str] = []
-    for ref in manager._postorder(f):
-        idx = len(index)
-        index[ref] = idx
-        if ref <= 1:
-            lines.append(f"{idx} T{ref ^ negated} - -")
-        else:
-            lines.append(f"{idx} {var[ref]} {index[lo[ref]]} {index[hi[ref]]}")
-    return "\n".join([f"obdd {len(lines)}"] + lines)
+    nodes = manager._postorder(f)
+    index = dict(zip(nodes, map(str, range(len(nodes)))))
+    rows = [
+        f"{index[r]} {var[r]} {index[lo[r]]} {index[hi[r]]}" if r > 1
+        else f"{index[r]} T{r ^ negated} - -"
+        for r in nodes
+    ]
+    return f"obdd {len(rows)}\n" + "\n".join(rows)
 
 
 Row = tuple[int | None, int | None, int | None]
@@ -949,26 +948,29 @@ class TextReader:
     """Line reader shared by the block, trace and strategy text formats.
 
     Blank lines and ``c `` comment lines are skipped everywhere, inside
-    blocks too; every other line is handed out stripped.  Reading past the
+    blocks too; every other line is kept stripped in ``lines``, and ``pos``
+    is the index of the next one to read.  A reader may take its lines
+    from ``lines`` itself and move ``pos`` past them.  Reading past the
     last line raises a ``BlockFormatError`` marked ``truncated``.
     """
 
     def __init__(self, text: str):
-        stripped = (raw.strip() for raw in text.splitlines())
-        self._lines = [ln for ln in stripped if ln and not ln.startswith("c ")]
-        self._pos = 0
+        self.lines = list(filter(None, map(str.strip, text.splitlines())))
+        if "c " in text:  # else no stripped line can start with it
+            self.lines = [ln for ln in self.lines if not ln.startswith("c ")]
+        self.pos = 0
 
     def at_end(self) -> bool:
-        return self._pos == len(self._lines)
+        return self.pos == len(self.lines)
 
     def line(self) -> str:
-        if self.at_end():
+        if self.pos == len(self.lines):
             raise BlockFormatError("unexpected end of input", truncated=True)
-        self._pos += 1
-        return self._lines[self._pos - 1]
+        self.pos += 1
+        return self.lines[self.pos - 1]
 
-    def block_lines(self) -> list[str]:
-        """The next block, header first, framed but with its rows unparsed."""
+    def _rows(self) -> list[str]:
+        """The next block's row lines, one slice, after its header."""
         head = self.line()
         parts = head.split()
         if len(parts) != 2 or parts[0] != "obdd" or not parts[1].isdecimal():
@@ -976,38 +978,69 @@ class TextReader:
         k = int(parts[1])
         if k < 1:
             raise BlockFormatError(f"block declares {k} nodes")
-        return [f"obdd {k}"] + [self.line() for _ in range(k)]
+        start = self.pos
+        if len(self.lines) - start < k:
+            raise BlockFormatError("unexpected end of input", truncated=True)
+        self.pos = start + k
+        return self.lines[start : start + k]
+
+    def block_lines(self) -> list[str]:
+        """The next block, header first, framed but with its rows unparsed."""
+        rows = self._rows()
+        return [f"obdd {len(rows)}"] + rows
 
     def block(self) -> list[Row]:
         """Raw (var, lo, hi) rows of the next block; sinks are (None, None, bit)."""
         rows: list[Row] = []
-        for i, ln in enumerate(self.block_lines()[1:]):
-            parts = ln.split()
-            if len(parts) != 4 or parts[0] != str(i):
+        append = rows.append
+        for i, ln in enumerate(self._rows()):
+            try:
+                n, v, a, b = ln.split()
+            except ValueError:
+                raise BlockFormatError(f"bad block line {i}: {ln!r}") from None
+            if n != str(i):
                 raise BlockFormatError(f"bad block line {i}: {ln!r}")
-            if parts[1] in ("T0", "T1"):
-                if parts[2:] != ["-", "-"]:
+            if v in ("T0", "T1"):
+                if a != "-" or b != "-":
                     raise BlockFormatError(f"sink with children: {ln!r}")
-                rows.append((None, None, int(parts[1][1])))
+                append((None, None, int(v[1])))
                 continue
             try:
-                var, lo, hi = int(parts[1]), int(parts[2]), int(parts[3])
+                var, lo, hi = int(v), int(a), int(b)
             except ValueError:
                 raise BlockFormatError(f"bad block line {i}: {ln!r}") from None
             if not (0 <= lo < i and 0 <= hi < i):
                 raise BlockFormatError(f"children must precede parents: {ln!r}")
-            rows.append((var, lo, hi))
+            append((var, lo, hi))
         return rows
 
 
 def build_rows(rows: list[Row], manager: Manager) -> int:
-    """Rebuild parsed block rows in ``manager``; returns the root reference."""
+    """Rebuild parsed block rows in ``manager``; returns the root reference.
+
+    Each row gets the checks of ``Manager.node``, read off the order's
+    positions and the store's ranks directly: equal children collapse to
+    that child, and otherwise the row's variable must be in the order, else
+    ``OrderError("variable <v> not in order")``, and rank above both
+    children, else ``OrderError("... does not precede its children")``.
+    """
+    position, rank, mk = manager.order.position, manager._rank, manager._mk
     refs: list[int] = []
+    append = refs.append
     for var, lo, hi in rows:
         if var is None:
-            refs.append(manager.const(hi))
-        else:
-            refs.append(manager.node(var, refs[lo], refs[hi]))
+            append(manager.const(hi))
+            continue
+        lo, hi = refs[lo], refs[hi]
+        if lo == hi:
+            append(lo)
+            continue
+        r = position.get(var)
+        if r is None:
+            raise OrderError(f"variable {var} not in order")
+        if rank[lo] <= r or rank[hi] <= r:
+            raise OrderError(f"variable {var} (rank {r}) does not precede its children")
+        append(mk(var, r, lo, hi))
     return refs[-1]
 
 

@@ -39,7 +39,7 @@ def clause(literals: Iterable[int]) -> Clause:
     for l in lits:
         if -l in lits:
             raise PcnfError(f"tautological clause on variable {abs(l)}")
-    return tuple(sorted(lits, key=lambda l: (abs(l), l < 0)))
+    return tuple(sorted(lits, key=abs))
 
 
 @dataclass(frozen=True)
@@ -164,7 +164,7 @@ def parse_qdimacs(text: str) -> Pcnf:
         clause_lines += 1
         if tokens[-1] != "0":
             raise QdimacsError("clause not 0-terminated", lineno)
-        lits: list[int] = []
+        lits: set[int] = set()
         for tok in tokens[:-1]:
             try:
                 l = int(tok)
@@ -174,9 +174,11 @@ def parse_qdimacs(text: str) -> Pcnf:
                 raise QdimacsError("0 inside clause", lineno)
             if not 1 <= abs(l) <= header[0]:
                 raise QdimacsError(f"variable {abs(l)} out of range", lineno)
-            lits.append(l)
-        if not any(-l in lits for l in lits):
-            clauses.append(clause(lits))
+            lits.add(l)
+        # canonical as ``clause`` makes it, once: a set with no variable
+        # on both polarities, sorted by variable
+        if len(set(map(abs, lits))) == len(lits):
+            clauses.append(tuple(sorted(lits, key=abs)))
     if header is None:
         raise QdimacsError("missing header")
     if clause_lines != header[1]:
@@ -185,9 +187,10 @@ def parse_qdimacs(text: str) -> Pcnf:
         )
     free = sorted({abs(l) for c in clauses for l in c} - quantified)
     full_prefix = [(EXISTS, v) for v in free] + prefix
-    f = Pcnf(tuple(full_prefix), tuple(clauses))
-    f.audit()
-    return f
+    # what ``Pcnf.audit`` checks holds by construction: quantifiers and
+    # ids were read and checked above, each clause made canonical once,
+    # and every matrix variable is quantified or in the free block
+    return Pcnf(tuple(full_prefix), tuple(clauses))
 
 
 def emit_qdimacs(f: Pcnf) -> str:

@@ -27,7 +27,6 @@ reduction's side test reads the rightmost position off ``Manager.shape``.
 from __future__ import annotations
 
 import hashlib
-from collections import Counter
 from dataclasses import dataclass
 from typing import Union
 
@@ -290,22 +289,34 @@ def _replay_hints(trace: ProofTrace) -> tuple[set[tuple[int, int]], dict[int, in
     ureds: dict[int, URed] = {}
     joined: set[tuple[int, int]] = set()
     unpaired: list[int] = []  # Conj lines whose operands are no pair
-    readers: Counter[int] = Counter()  # line id -> references to it
+    readers: dict[int, int] = {}  # line id -> references to it
     projected: dict[int, int] = {}  # premise -> variable of a Proj line on it
+    in_order = trace.order.position
     for line in trace.lines:
         rule = line.rule
-        readers.update(trace.referenced(rule))
-        if isinstance(rule, URed):
-            ureds[line.id] = rule
-        elif isinstance(rule, Conj):
-            pair = _pair(ureds.get(rule.left), ureds.get(rule.right))
+        kind = type(rule)
+        if kind is Axiom:
+            continue
+        if kind is Conj:
+            a, b = rule.left, rule.right
+            readers[a] = readers.get(a, 0) + 1
+            readers[b] = readers.get(b, 0) + 1
+            pair = _pair(ureds.get(a), ureds.get(b))
             if pair:
                 joined.add(pair)
             else:
                 unpaired.append(line.id)
-        elif isinstance(rule, Proj) and rule.var in trace.order:
-            projected[rule.premise] = rule.var
-    fused = {c: projected[c] for c in unpaired if readers[c] == 1 and c in projected}
+        elif kind is Proj or kind is URed:
+            a = rule.premise
+            readers[a] = readers.get(a, 0) + 1
+            if kind is URed:
+                ureds[line.id] = rule
+            elif rule.var in in_order:
+                projected[a] = rule.var
+        else:  # an entailment, or a rule the replay rejects
+            for a in trace.referenced(rule):
+                readers[a] = readers.get(a, 0) + 1
+    fused = {c: projected[c] for c in unpaired if readers.get(c) == 1 and c in projected}
     return joined, fused
 
 
@@ -325,6 +336,8 @@ def _replay_hints(trace: ProofTrace) -> tuple[set[tuple[int, int]], dict[int, in
 
 
 def emit_trace(trace: ProofTrace) -> str:
+    """The trace's text; a reduction to a value other than 0 or 1, which
+    ``parse_trace`` would refuse, raises ``TraceError`` naming its line."""
     out = [f"p qobdd-trace {len(trace.order)} {len(trace.lines)}"]
     out.append(f"h {trace.formula_hash}")
     out.append("o " + " ".join(str(v) for v in trace.order.vars))
@@ -337,6 +350,8 @@ def emit_trace(trace: ProofTrace) -> str:
         elif isinstance(r, Proj):
             out.append(f"{line.id} P {r.var} {r.premise}")
         elif isinstance(r, URed):
+            if r.value not in (0, 1):
+                raise TraceError(f"line {line.id}: reduction to {r.value!r}, not to 0 or 1")
             out.append(f"{line.id} U {r.var} {r.value} {r.premise}")
         elif isinstance(r, Entail):
             out.append(f"{line.id} E " + " ".join(str(j) for j in r.premises) + " 0")
@@ -361,7 +376,7 @@ def parse_trace(text: str) -> ProofTrace:
         if len(oline) != nvars + 1 or oline[0] != "o":
             raise TraceParseError("bad order line")
         order = VarOrder(int(v) for v in oline[1:])
-        proof_lines = tuple(_parse_line(reader) for _ in range(nlines))
+        proof_lines = _parse_lines(reader, nlines)
         if not reader.at_end():
             raise TraceParseError("trailing content after declared lines")
     except BlockFormatError as exc:
@@ -372,25 +387,38 @@ def parse_trace(text: str) -> ProofTrace:
     return ProofTrace(hline[1], order, proof_lines)
 
 
-def _parse_line(reader: obdd.TextReader) -> ProofLine:
-    text = reader.line()
-    parts = text.split()
-    try:
-        lid, args = int(parts[0]), [int(p) for p in parts[2:]]
-    except ValueError:
-        raise TraceParseError(f"bad trace line {text!r}") from None
-    tag = parts[1] if len(parts) > 1 else None
-    rule: Rule
-    if tag == "A" and len(args) == 1:
-        rule = Axiom(args[0])
-    elif tag == "C" and len(args) == 2:
-        rule = Conj(args[0], args[1])
-    elif tag == "P" and len(args) == 2:
-        rule = Proj(args[0], args[1])
-    elif tag == "U" and len(args) == 3 and args[1] in (0, 1):
-        rule = URed(args[0], args[1], args[2])
-    elif tag == "E" and args and parts[-1] == "0":
-        rule = Entail(tuple(args[:-1]), "\n".join(reader.block_lines()))
-    else:
-        raise TraceParseError(f"bad trace line {text!r}")
-    return ProofLine(lid, rule)
+def _parse_lines(reader: obdd.TextReader, count: int) -> tuple[ProofLine, ...]:
+    """The next ``count`` trace lines, read from ``reader.lines`` in one
+    loop; an ``E`` line's block is framed by the reader."""
+    lines, pos = reader.lines, reader.pos
+    out: list[ProofLine] = []
+    for _ in range(count):
+        if pos == len(lines):
+            raise BlockFormatError("unexpected end of input", truncated=True)
+        text = lines[pos]
+        pos += 1
+        parts = text.split()
+        try:
+            lid, args = int(parts[0]), [int(p) for p in parts[2:]]
+        except ValueError:
+            raise TraceParseError(f"bad trace line {text!r}") from None
+        tag = parts[1] if len(parts) > 1 else None
+        n = len(args)
+        rule: Rule
+        if tag == "C" and n == 2:
+            rule = Conj(args[0], args[1])
+        elif tag == "A" and n == 1:
+            rule = Axiom(args[0])
+        elif tag == "P" and n == 2:
+            rule = Proj(args[0], args[1])
+        elif tag == "U" and n == 3 and args[1] in (0, 1):
+            rule = URed(args[0], args[1], args[2])
+        elif tag == "E" and args and parts[-1] == "0":
+            reader.pos = pos
+            rule = Entail(tuple(args[:-1]), "\n".join(reader.block_lines()))
+            pos = reader.pos
+        else:
+            raise TraceParseError(f"bad trace line {text!r}")
+        out.append(ProofLine(lid, rule))
+    reader.pos = pos
+    return tuple(out)

@@ -397,9 +397,16 @@ def _infer_order(blocks: list[list[Row]], extra_vars: Iterable[int]) -> VarOrder
     for rows in blocks:
         for var, lo, hi in rows:
             if var is not None:
+                kids = succ.get(var)
+                if kids is None:
+                    succ[var] = kids = set()
                 # children precede parents, so their variables are known
-                kids = {rows[c][0] for c in (lo, hi)} - {None}
-                succ.setdefault(var, set()).update(kids)
+                w = rows[lo][0]
+                if w is not None:
+                    kids.add(w)
+                w = rows[hi][0]
+                if w is not None:
+                    kids.add(w)
     indeg = {v: 0 for v in succ}
     for kids in succ.values():
         for w in kids:
@@ -458,8 +465,5 @@ def _parse_entry(reader: obdd.TextReader) -> tuple[int, list[Row]]:
     parts = reader.line().split()
     if len(parts) != 2 or parts[0] != "entry" or parts[1] not in ("0", "1"):
         raise StrategyError("expected `entry <0|1>`")
-    rows = [
-        (var, lo, hi) if var is not None else (None, None, 1 - hi)
-        for var, lo, hi in reader.block()
-    ]
+    rows = [row if row[0] is not None else (None, None, 1 - row[2]) for row in reader.block()]
     return int(parts[1]), rows

@@ -17,16 +17,21 @@ play one assignment at a time, and strategy files and rectangle lists from
 line into its guard and read the guard itself, its covers from
 ``covers_oracle``, one sweep of the layered copy per cut state.  Trace
 verdicts come from ``check_trace_reference``, which replays every line on
-its own.
+its own.  Strategy files and blocks are also read by
+``parse_strategy_reference`` and ``deserialize_reference``, which take a
+block's rows one ``TextReader.line()`` call at a time, rebuild each row
+through the public ``Manager.node`` and infer a strategy's order from
+per-row sets of child variables.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
 from itertools import product
 from typing import Callable, Iterable, Mapping, Sequence
 
-from qobdd import proof
+from qobdd import obdd, proof
 from qobdd.graphs import Graph
 from qobdd.obdd import (
     DEFAULT_NODE_BUDGET,
@@ -52,6 +57,7 @@ from qobdd.strategy import (
     EXHAUSTIVE_PLAYS,
     DecisionList,
     DecisionListFamily,
+    StrategyError,
     WinningVerdict,
 )
 
@@ -425,6 +431,146 @@ def emit_strategy_oracle(family: DecisionListFamily) -> str:
         for guard, value in oracle_guards(dl):
             out += [f"entry {value}", serialize(family.manager, guard)]
     return "\n".join(out) + "\n"
+
+
+def block_reference(reader: obdd.TextReader) -> list[obdd.Row]:
+    """``TextReader.block`` one ``line()`` call per row: the header, then
+    each row read and checked on its own."""
+    head = reader.line()
+    parts = head.split()
+    if len(parts) != 2 or parts[0] != "obdd" or not parts[1].isdecimal():
+        raise BlockFormatError(f"bad block header: {head!r}")
+    k = int(parts[1])
+    if k < 1:
+        raise BlockFormatError(f"block declares {k} nodes")
+    lines = [reader.line() for _ in range(k)]
+    rows: list[obdd.Row] = []
+    for i, ln in enumerate(lines):
+        parts = ln.split()
+        if len(parts) != 4 or parts[0] != str(i):
+            raise BlockFormatError(f"bad block line {i}: {ln!r}")
+        if parts[1] in ("T0", "T1"):
+            if parts[2:] != ["-", "-"]:
+                raise BlockFormatError(f"sink with children: {ln!r}")
+            rows.append((None, None, int(parts[1][1])))
+            continue
+        try:
+            var, lo, hi = int(parts[1]), int(parts[2]), int(parts[3])
+        except ValueError:
+            raise BlockFormatError(f"bad block line {i}: {ln!r}") from None
+        if not (0 <= lo < i and 0 <= hi < i):
+            raise BlockFormatError(f"children must precede parents: {ln!r}")
+        rows.append((var, lo, hi))
+    return rows
+
+
+def build_rows_reference(rows: list[obdd.Row], manager: Manager) -> int:
+    """``obdd.build_rows`` through the public ``Manager.node``, row by row."""
+    refs: list[int] = []
+    for var, lo, hi in rows:
+        if var is None:
+            refs.append(manager.const(hi))
+        else:
+            refs.append(manager.node(var, refs[lo], refs[hi]))
+    return refs[-1]
+
+
+def deserialize_reference(text: str, manager: Manager) -> int:
+    """``obdd.deserialize`` from ``block_reference`` and
+    ``build_rows_reference``."""
+    reader = obdd.TextReader(text)
+    rows = block_reference(reader)
+    if not reader.at_end():
+        raise BlockFormatError("trailing content after block")
+    return build_rows_reference(rows, manager)
+
+
+def infer_order_reference(blocks: list[list[obdd.Row]], extra_vars) -> VarOrder:
+    """The strategy reader's order inference, one set of child variables
+    and one set difference per row."""
+    succ: dict[int, set[int]] = {v: set() for v in extra_vars}
+    for rows in blocks:
+        for var, lo, hi in rows:
+            if var is not None:
+                kids = {rows[c][0] for c in (lo, hi)} - {None}
+                succ.setdefault(var, set()).update(kids)
+    indeg = {v: 0 for v in succ}
+    for kids in succ.values():
+        for w in kids:
+            indeg[w] += 1
+    ready = [v for v, d in indeg.items() if d == 0]
+    heapq.heapify(ready)
+    out: list[int] = []
+    while ready:
+        v = heapq.heappop(ready)
+        out.append(v)
+        for w in succ[v]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                heapq.heappush(ready, w)
+    if len(out) != len(succ):
+        raise StrategyError("strategy guards admit no common variable order")
+    return VarOrder(out)
+
+
+def parse_strategy_reference(
+    text: str, f: Pcnf, node_budget: int = DEFAULT_NODE_BUDGET
+) -> DecisionListFamily:
+    """``strategy.parse_strategy`` from ``block_reference``,
+    ``infer_order_reference`` and ``build_rows_reference``: the same
+    family, or the same error."""
+    reader = obdd.TextReader(text)
+    raw: dict[int, list[tuple[int, list[obdd.Row]]]] = {}
+
+    def entry() -> tuple[int, list[obdd.Row]]:
+        parts = reader.line().split()
+        if len(parts) != 2 or parts[0] != "entry" or parts[1] not in ("0", "1"):
+            raise StrategyError("expected `entry <0|1>`")
+        rows = [
+            (var, lo, hi) if var is not None else (None, None, 1 - hi)
+            for var, lo, hi in block_reference(reader)
+        ]
+        return int(parts[1]), rows
+
+    try:
+        if reader.line() != "p qobdd-strategy":
+            raise StrategyError("bad strategy header")
+        while not reader.at_end():
+            head = reader.line()
+            parts = head.split()
+            if len(parts) != 3 or parts[0] != "u":
+                raise StrategyError(f"expected `u <var> <s>`, got {head!r}")
+            var, count = int(parts[1]), int(parts[2])
+            if var in raw:
+                raise StrategyError(f"universal {var} listed twice")
+            raw[var] = [entry() for _ in range(count)]
+    except (BlockFormatError, ValueError) as exc:
+        raise StrategyError(f"bad strategy file: {exc}") from None
+    if set(raw) != set(f.universals):
+        raise StrategyError("strategy file does not cover the universal variables")
+    blocks = [rows for entries in raw.values() for _, rows in entries]
+    mgr = Manager(infer_order_reference(blocks, f.variables), node_budget=node_budget)
+    lists = {
+        var: DecisionList(mgr, [(build_rows_reference(rows, mgr), v) for v, rows in entries])
+        for var, entries in raw.items()
+    }
+    return DecisionListFamily(f, mgr, lists)
+
+
+def family_nodes(family: DecisionListFamily) -> tuple:
+    """A family's manager node for node (order, ``_var``, ``_lo``,
+    ``_hi``) and every list's (line ref, value) entries."""
+    m = family.manager
+    lists = {u: dl.lines for u, dl in family.lists.items()}
+    return m.order.vars, m._var, m._lo, m._hi, lists
+
+
+def outcome(fn: Callable, *args) -> tuple:
+    """``("ok", result)`` or ``(exception type, message)`` of one call."""
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the outcome is compared, not handled
+        return type(exc), str(exc)
 
 
 def covers_oracle(co: CompleteObdd, cut: int, drop: int) -> list[tuple[int, int]]:

@@ -70,6 +70,8 @@ from qobdd.qures import QAxiom, QReduce, QResolve, QuResLine, QuResProof
 from qobdd.solver import solve
 from qobdd.strategy import StrategyError, emit_strategy, extract, parse_strategy
 
+from .helpers import deserialize_reference, family_nodes, outcome, parse_strategy_reference
+
 TOKENS = ("0", "1", "-1", "2", "7", "x", "c", "-", "+1", "²",
           "obdd", "entry", "u", "T0", "T1", "E", "U")
 EDITS = ("replace", "delete", "insert", "drop-line", "copy-line")
@@ -155,22 +157,34 @@ def test_entailment_trace_mutants_parse_or_reject(text):
     check_trace(F1, trace)  # returns a verdict, never raises
 
 
+def _read_strategy(read, text):
+    return family_nodes(read(text, F4))
+
+
+def _read_block(read, text):
+    mgr = Manager(ORDER)
+    return read(text, mgr), mgr._var, mgr._lo, mgr._hi
+
+
+# the block and strategy readers must also end as the per-row reference
+# readers of tests/helpers.py do: the same store node for node, or an
+# error of the same type with the same message
+
+
 @FUZZ
 @given(mutants(STRATEGY4))
 def test_strategy_mutants_raise_only_strategy_errors(text):
-    try:
-        parse_strategy(text, F4)
-    except StrategyError:
-        pass
+    got = outcome(_read_strategy, parse_strategy, text)
+    assert got[0] == "ok" or issubclass(got[0], StrategyError), got
+    assert got == outcome(_read_strategy, parse_strategy_reference, text)
 
 
 @FUZZ
 @given(mutants(BLOCK))
 def test_block_mutants_raise_only_block_or_order_errors(text):
-    try:
-        obdd.deserialize(text, Manager(ORDER))
-    except (BlockFormatError, OrderError):
-        pass
+    got = outcome(_read_block, obdd.deserialize, text)
+    assert got[0] == "ok" or issubclass(got[0], (BlockFormatError, OrderError)), got
+    assert got == outcome(_read_block, deserialize_reference, text)
 
 
 # -- regressions -------------------------------------------------------------

@@ -496,6 +496,28 @@ def test_deserialize_rejects_order_mismatch():
         obdd.deserialize(blk, m2)
 
 
+def test_deserialize_checks_each_row_as_manager_node_does():
+    # rows are rebuilt without Manager.node, so its checks are pinned here
+    m = Manager(VarOrder([1, 2, 3]))
+    with pytest.raises(OrderError) as err:
+        obdd.deserialize("obdd 3\n0 T0 - -\n1 T1 - -\n2 9 0 1", m)
+    assert str(err.value) == "variable 9 not in order"
+    # 3 ranks below 2, so a node on 3 cannot sit above one on 2
+    with pytest.raises(OrderError) as err:
+        obdd.deserialize("obdd 4\n0 T0 - -\n1 T1 - -\n2 2 0 1\n3 3 0 2", m)
+    assert str(err.value) == "variable 3 (rank 2) does not precede its children"
+    with pytest.raises(OrderError) as err:
+        obdd.deserialize("obdd 4\n0 T0 - -\n1 T1 - -\n2 2 0 1\n3 2 2 1", m)
+    assert str(err.value) == "variable 2 (rank 1) does not precede its children"
+    # equal children collapse to that child, before the order is consulted
+    x2 = m.literal(2)
+    before = len(m)
+    assert obdd.deserialize("obdd 4\n0 T0 - -\n1 T1 - -\n2 2 0 1\n3 1 2 2", m) == x2
+    assert obdd.deserialize("obdd 4\n0 T0 - -\n1 T1 - -\n2 2 0 1\n3 9 2 2", m) == x2
+    assert obdd.deserialize("obdd 3\n0 T0 - -\n1 T0 - -\n2 9 0 1", m) == m.ZERO
+    assert len(m) == before
+
+
 def test_evaluate_bits_matches_evaluate_play_by_play():
     rng = random.Random(15)
     m = mgr(6)

@@ -58,6 +58,27 @@ def test_tautological_clause_is_dropped_but_counted():
         parse_qdimacs("p cnf 2 1\ne 1 2 0\n1 -1 2 0\n2 0\n")
 
 
+def test_parsed_clauses_are_canonical_once_and_pass_the_audit():
+    # parse_qdimacs canonicalizes each clause once and runs no audit: its
+    # output must be what clause() and Pcnf.audit accept
+    rng = random.Random(31)
+    for _ in range(50):
+        f = random_pcnf(rng, 12, 20)
+        lines = emit_qdimacs(f).splitlines()
+        # shuffle and repeat the literals of every clause line
+        k = next(i for i, ln in enumerate(lines[1:], 1) if ln.split()[0] not in "ea")
+        for i in range(k, len(lines)):
+            lits = lines[i].split()[:-1] * 2
+            rng.shuffle(lits)
+            lines[i] = " ".join(lits + ["0"])
+        g = parse_qdimacs("\n".join(lines) + "\n")
+        g.audit()
+        assert g == f
+        assert all(c == clause(c) for c in g.clauses)
+    g = parse_qdimacs("p cnf 3 2\ne 1 2 3 0\n-3 1 -2 1 0\n2 -2 3 0\n")
+    assert g.clauses == ((1, -2, -3),)
+
+
 def test_clause_canonicalization():
     assert clause([3, -1, 3]) == (-1, 3)
     with pytest.raises(PcnfError):

@@ -32,6 +32,7 @@ from qobdd.proof import (
     Proj,
     ProofLine,
     ProofTrace,
+    TraceError,
     TraceParseError,
     URed,
     Verdict,
@@ -150,7 +151,9 @@ def test_a_reduction_to_a_non_constant_is_malformed_at_its_line(value):
     # a U line built in code can hold any int; parse_trace reads only 0 and
     # 1, and both checkers reject any other value at its line, before its
     # replay: in a joined pair (before or after its partner, where the pair's
-    # walk would hand out its conjunction) and alone (where restrict refuses)
+    # walk would hand out its conjunction) and alone (where restrict refuses).
+    # emit_trace refuses to write such a line, naming it, and the text it
+    # would have written is malformed to parse_trace
     f = gen_eqprime(2)
     trace = solve(f).trace
     idx = next(i for i, line in enumerate(trace.lines) if isinstance(line.rule, URed))
@@ -165,11 +168,20 @@ def test_a_reduction_to_a_non_constant_is_malformed_at_its_line(value):
         (replace_line(trace, idx + 1, bad(idx + 1)), idx + 1),
         (ProofTrace(trace.formula_hash, trace.order, trace.lines[:idx] + (bad(idx),)), idx),
     ):
-        want = Verdict(False, trace.lines[at].id, MALFORMED)
+        line = trace.lines[at]
+        want = Verdict(False, line.id, MALFORMED)
         assert check_trace(f, t).verdict == want
         assert check_trace_reference(f, t)[0] == want
+        with pytest.raises(TraceError) as err:
+            emit_trace(t)
+        assert type(err.value) is TraceError
+        assert str(err.value) == f"line {line.id}: reduction to {value}, not to 0 or 1"
+        u = line.rule
+        good = f"\n{line.id} U {u.var} {u.value} {u.premise}\n"
+        text = emit_trace(trace)
+        assert good in text
         with pytest.raises(TraceParseError) as err:
-            parse_trace(emit_trace(t))
+            parse_trace(text.replace(good, f"\n{line.id} U {u.var} {value} {u.premise}\n"))
         assert err.value.reason == MALFORMED
 
 

@@ -42,10 +42,13 @@ from .helpers import (
     assignments,
     covers_oracle,
     emit_strategy_oracle,
+    family_nodes,
     flipped_entry,
     guard_list,
     obdd_from_table,
     oracle_guards,
+    outcome,
+    parse_strategy_reference,
     random_family,
     random_pcnf,
     random_table,
@@ -816,3 +819,64 @@ def test_strategy_file_rejects_a_universal_listed_twice():
     entry = "entry 1\nobdd 1\n0 T1 - -\n"
     with pytest.raises(StrategyError):
         parse_strategy(f"p qobdd-strategy\nu 3 1\n{entry}u 3 1\n{entry}u 4 1\n{entry}", f)
+
+
+def _strategy_files():
+    """(name, formula, strategy text) of the golden instances that are
+    false, the acceptance families at n = 2..10 and 24 under their
+    decomposition orders, and false random formulas."""
+    from .test_golden import _instances
+
+    for name, f, order in _instances():
+        res = solve(f, order=order)
+        if res.value is False:
+            yield name, f, emit_strategy(extract(f, res.trace))
+    for gen, dec in ((gen_eqprime, eqprime_decomposition), (gen_quparity, quparity_decomposition)):
+        for n in [*range(2, 11), 24]:
+            f, trace = solve_family(gen, dec, n)
+            yield f"{gen.__name__}({n})", f, emit_strategy(extract(f, trace))
+    rng = random.Random(2510)
+    found = 0
+    while found < 12:
+        f = random_pcnf(rng, 10, 18)
+        res = solve(f)
+        if res.value is False:
+            found += 1
+            yield f"random{found}", f, emit_strategy(extract(f, res.trace))
+
+
+def test_strategy_reader_matches_the_per_row_reference_node_for_node():
+    # the reader takes each block as one slice and rebuilds rows with local
+    # order checks; the reference reads row by row through Manager.node and
+    # infers the order from per-row sets; both must build the same store
+    names = []
+    for name, f, text in _strategy_files():
+        got, want = parse_strategy(text, f), parse_strategy_reference(text, f)
+        assert family_nodes(got) == family_nodes(want), name
+        assert emit_strategy(got) == text, name
+        names.append(name)
+    assert len(names) >= 35
+
+
+def test_strategy_reader_and_reference_fail_alike_on_bad_files():
+    f = gen_eqprime(2)
+    entry = "entry 1\nobdd 1\n0 T1 - -\n"
+    cases = [
+        "not a strategy\n",
+        "p qobdd-strategy\nu 3 1\nentry 1\n",  # missing block
+        "p qobdd-strategy\nu 3 1\nentry 1\nobdd 3\n0 T0 - -\n",  # truncated block
+        f"p qobdd-strategy\nu 3 1\n{entry}u 3 1\n{entry}u 4 1\n{entry}",
+        f"p qobdd-strategy\nu 3 1\n{entry}",  # universal 4 missing
+        # a variable above itself, then 1 above 2 in one entry and 2 above 1
+        # in the other: no common order either way
+        "p qobdd-strategy\nu 3 1\nentry 1\nobdd 4\n0 T0 - -\n1 T1 - -\n2 3 0 1\n3 3 0 2\n"
+        f"u 4 1\n{entry}",
+        f"p qobdd-strategy\nu 3 1\n{entry}u 4 2\nentry 1\nobdd 4\n0 T0 - -\n1 T1 - -\n2 1 0 1\n"
+        f"3 2 0 2\nentry 0\nobdd 4\n0 T0 - -\n1 T1 - -\n2 2 0 1\n3 1 0 2\n",
+        f"p qobdd-strategy\nu 3 1\nentry 1\nobdd 2\n0 T0 - -\n1 x 0 0\nu 4 1\n{entry}",
+        f"p qobdd-strategy\nu 3 1\nentry 1\nobdd 2\n0 T0 - -\n1 T1 0 -\nu 4 1\n{entry}",
+    ]
+    for text in cases:
+        got = outcome(parse_strategy, text, f)
+        assert got[0] is StrategyError, (text, got)
+        assert got == outcome(parse_strategy_reference, text, f), text
