@@ -26,13 +26,11 @@ from .proof import ProofTrace, check_trace, emit_trace, formula_hash, parse_trac
 from .qures import QuResProof, parse_qures, simulate_qures
 from .rectangles import (
     check_rectanglesmall,
-    eval_ipg,
-    gi_decomposition,
     induced_matching,
     ip_truth_table,
     max_mono_rectangle,
 )
-from .solver import SolveResult, default_order, prefix_order, solve, tower
+from .solver import SolveResult, default_order, prefix_order, solve
 from .strategy import (
     DecisionList,
     DecisionListFamily,

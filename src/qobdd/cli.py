@@ -298,7 +298,7 @@ def cmd_bench(args) -> int:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_bench_one_star, jobs))
+            rows = list(pool.map(_bench_one, *zip(*jobs)))
     else:
         rows = [_bench_one(*job) for job in jobs]
     cols = BENCH_COLUMNS + (["wall_time_ms"] if args.timings else [])
@@ -309,10 +309,6 @@ def cmd_bench(args) -> int:
         for r in rows:
             print("\t".join(str(r[k]) for k in cols))
     return EXIT_OK
-
-
-def _bench_one_star(job):
-    return _bench_one(*job)
 
 
 def _resolve_partition(spec: str, g, seed: int):

@@ -59,9 +59,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
-    def __len__(self) -> int:
-        return len(self.vertices)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Graph)
@@ -91,10 +88,6 @@ def parse_edge_list(text: str) -> Graph:
         vertices.update((u, w))
         edges.append((u, w))
     return Graph(vertices, edges)
-
-
-def emit_edge_list(g: Graph) -> str:
-    return "\n".join(f"{u} {w}" for u, w in g.edges()) + "\n"
 
 
 @dataclass(frozen=True)

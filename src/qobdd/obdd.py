@@ -235,11 +235,6 @@ class Manager:
         self._unique[key] = ref
         return ref
 
-    def literal(self, var: int, positive: bool = True) -> int:
-        if positive:
-            return self.node(var, self.ZERO, self.ONE)
-        return self.node(var, self.ONE, self.ZERO)
-
     def clause(self, literals: Iterable[int]) -> int:
         """OBDD of a disjunction of signed DIMACS-style literals."""
         lits = set(literals)
@@ -652,8 +647,8 @@ class Manager:
         order, such as a PCNF prefix, one position per rank, and the
         rightmost position is the largest over the nodes; without
         ``positions`` it is d.  A constant has size 1, width 1 (0 on an
-        empty order) and position None.  Equal to ``size(f)``,
-        ``complete(f).width`` and the largest position over ``support(f)``.
+        empty order) and position None.  Equal to ``size(f)``, the largest
+        layer of ``complete(f)`` and the largest position over ``support(f)``.
         """
         self._check_ref(f)
         n = self._terminal_rank
@@ -822,9 +817,9 @@ class CompleteObdd:
     ``cut`` variables are ``layers[cut]``, or ``sinks`` when the cut is the
     whole order.  A state's successors are its own ``lo``/``hi`` in the
     store when it tests the layer's variable, and itself otherwise.
-    ``width`` is the largest layer and ``size`` counts the states.  Built
-    through a shorter prefix (``Manager.complete(f, depth)``), it holds the
-    layers 0..depth, ``sinks`` is None, and both count only those layers.
+    ``size`` counts the states.  Built through a shorter prefix
+    (``Manager.complete(f, depth)``), it holds the layers 0..depth,
+    ``sinks`` is None, and ``size`` counts only those layers.
     ``covers`` takes the cut layer's states, in order, from the layers and
     sweeps the reduced nodes above the cut in the store.
     """
@@ -835,10 +830,6 @@ class CompleteObdd:
         self.manager = manager
         self.layers = layers
         self.sinks = sinks
-
-    @property
-    def width(self) -> int:
-        return max(map(len, self.layers), default=0)
 
     @property
     def size(self) -> int:

@@ -369,6 +369,8 @@ def parse_trace(text: str) -> ProofTrace:
         if len(head) != 4 or head[:2] != ["p", "qobdd-trace"]:
             raise TraceParseError(f"bad trace header {' '.join(head)!r}")
         nvars, nlines = int(head[2]), int(head[3])
+        if nvars < 0 or nlines < 0:
+            raise TraceParseError(f"bad trace header {' '.join(head)!r}")
         hline = reader.line().split()
         if len(hline) != 2 or hline[0] != "h":
             raise TraceParseError("missing formula hash line")

@@ -100,19 +100,6 @@ def parse_qures(text: str) -> QuResProof:
     return QuResProof(tuple(out))
 
 
-def emit_qures(proof: QuResProof) -> str:
-    out = []
-    for line in proof.lines:
-        r = line.rule
-        if isinstance(r, QAxiom):
-            out.append(f"{line.id} A " + " ".join(str(l) for l in r.clause) + " 0")
-        elif isinstance(r, QResolve):
-            out.append(f"{line.id} R {r.left} {r.right} {r.pivot}")
-        else:
-            out.append(f"{line.id} U {r.premise} {r.literal}")
-    return "\n".join(out) + "\n"
-
-
 def validate_qures(f: Pcnf, proof: QuResProof) -> dict[int, Clause]:
     """Check well-formedness and return the clause derived on each line."""
     derived: dict[int, Clause] = {}

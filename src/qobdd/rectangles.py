@@ -34,8 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Sequence
 
 from .graphs import Graph
 from .obdd import DEFAULT_NODE_BUDGET, BudgetExceededError, QobddError, transpose
@@ -46,17 +45,6 @@ MAX_TABLE_SIDE = 16
 
 class RectangleLabError(QobddError):
     pass
-
-
-def eval_ipg(g: Graph, assignment: Mapping[int, int]) -> int:
-    """Graph inner product: parity of edges with both endpoints set to 1."""
-    acc = 0
-    try:
-        for u, w in g.edges():
-            acc ^= assignment[u] & assignment[w]
-    except KeyError as exc:
-        raise RectangleLabError(f"assignment lacks vertex {exc.args[0]}") from None
-    return acc
 
 
 @dataclass(frozen=True)
@@ -80,50 +68,21 @@ class TruthTable:
     def ncols(self) -> int:
         return 1 << len(self.x2_vars)
 
-    @property
-    def balance(self) -> Fraction:
-        total = len(self.x1_vars) + len(self.x2_vars)
-        return Fraction(min(len(self.x1_vars), len(self.x2_vars)), total)
-
-    @classmethod
-    def from_function(
-        cls,
-        fn: Callable[[Mapping[int, int]], int],
-        x1_vars: Sequence[int],
-        x2_vars: Sequence[int],
-    ) -> "TruthTable":
-        x1, x2 = tuple(x1_vars), tuple(x2_vars)
-        _check_table_sides(x1, x2)
-        rows = []
-        for i in range(1 << len(x1)):
-            a = {v: (i >> k) & 1 for k, v in enumerate(x1)}
-            row = 0
-            for j in range(1 << len(x2)):
-                a.update({v: (j >> k) & 1 for k, v in enumerate(x2)})
-                if fn(a):
-                    row |= 1 << j
-            rows.append(row)
-        return cls(x1, x2, tuple(rows))
-
-
-def _check_table_sides(x1: Sequence[int], x2: Sequence[int]) -> None:
-    if len(x1) > MAX_TABLE_SIDE or len(x2) > MAX_TABLE_SIDE:
-        raise RectangleLabError(f"table sides limited to {MAX_TABLE_SIDE} variables")
-
 
 def ip_truth_table(g: Graph, partition: tuple[Sequence[int], Sequence[int]]) -> TruthTable:
     """The inner product's table over ``partition``, built from bit masks.
 
-    Equal to ``TruthTable.from_function`` over ``eval_ipg``, with the same
-    errors, after a check that the two sides list each vertex of ``g``
-    exactly once.  Row i extends the row of i without its lowest bit k: it
-    adds the cross mask of the X1 vertex at bit k, and is complemented when
-    that vertex has an odd number of X1 neighbours set in the smaller row.
+    Equal to evaluating the inner product cell by cell, after a check that
+    the two sides list each vertex of ``g`` exactly once.  Row i extends
+    the row of i without its lowest bit k: it adds the cross mask of the X1
+    vertex at bit k, and is complemented when that vertex has an odd
+    number of X1 neighbours set in the smaller row.
     """
     x1, x2 = tuple(partition[0]), tuple(partition[1])
     if sorted(x1 + x2) != list(g.vertices):  # each vertex exactly once
         raise RectangleLabError("partition must split the vertex set")
-    _check_table_sides(x1, x2)
+    if len(x1) > MAX_TABLE_SIDE or len(x2) > MAX_TABLE_SIDE:
+        raise RectangleLabError(f"table sides limited to {MAX_TABLE_SIDE} variables")
     pos1 = {v: k for k, v in enumerate(x1)}
     pos2 = {v: k for k, v in enumerate(x2)}
     ncols = 1 << len(x2)
@@ -260,11 +219,8 @@ class Matching:
     def __len__(self) -> int:
         return len(self.edges)
 
-    def endpoints(self) -> set[int]:
-        return {v for e in self.edges for v in e}
-
     def validate_induced(self, g: Graph) -> None:
-        eps = self.endpoints()
+        eps = {v for e in self.edges for v in e}
         if len(eps) != 2 * len(self.edges):
             raise RectangleLabError("matching edges share endpoints")
         chosen = {(min(e), max(e)) for e in self.edges}
@@ -317,9 +273,12 @@ def check_rectanglesmall(
     ``budget`` is the oracle's, in scanned rows.
     """
     n = len(g.vertices)
+    if n == 0:
+        raise RectangleLabError("graph has no vertices")
     matching = induced_matching(g, partition)
     m = len(matching)
-    _check_oracle_rows(1 << min(len(partition[0]), len(partition[1])))
+    shorter = min(len(partition[0]), len(partition[1]))
+    _check_oracle_rows(1 << shorter)
     tt = ip_truth_table(g, partition)
     result = max_mono_rectangle(tt, budget)
     bound = 1 << (n - m)
@@ -340,38 +299,8 @@ def check_rectanglesmall(
             "rows": list(result.row_indices),
             "cols": list(result.col_indices),
         },
-        "balance": float(tt.balance),
-        "balanced": min(len(tt.x1_vars), len(tt.x2_vars)) >= n // 2,
+        "balance": shorter / n,
+        "balanced": shorter >= n // 2,
         "protocol_rounds_floor": protocol_rounds_floor,
     }
 
-
-GI_FORMS = ("x&y", "x&~y", "~x&y", "x|y")
-
-
-def gi_decomposition(
-    g: Graph,
-    partition: tuple[Sequence[int], Sequence[int]],
-    residual: Mapping[int, int],
-) -> list[tuple[tuple[int, int], str]]:
-    """Per-matching-edge residual form of the inner product's edge terms.
-
-    After fixing every non-matched vertex, the contribution of a matched
-    pair (x, y) collapses to one of four two-variable functions, selected
-    by the parities of the 1-assigned neighbors on each side.  The
-    ``residual`` assignment must cover all non-matched vertices.
-    """
-    matching = induced_matching(g, partition)
-    eps = matching.endpoints()
-    rest = set(g.vertices) - eps
-    missing = rest - set(residual)
-    if missing:
-        raise RectangleLabError(
-            f"residual assignment misses vertices {sorted(missing)}"
-        )
-    out = []
-    for x, y in matching.edges:
-        px = sum(residual[w] for w in g.adj[x] if w != y) & 1
-        py = sum(residual[w] for w in g.adj[y] if w != x) & 1
-        out.append(((x, y), GI_FORMS[px | py << 1]))
-    return out

@@ -30,26 +30,9 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .graphs import narrow_order
-from .obdd import DEFAULT_NODE_BUDGET, Manager, OrderError, QobddError, Shape, VarOrder
+from .obdd import DEFAULT_NODE_BUDGET, Manager, OrderError, Shape, VarOrder
 from .pcnf import EXISTS, Clause, Pcnf, primal_graph
 from .proof import Axiom, Conj, Proj, ProofLine, ProofTrace, URed, formula_hash
-
-
-def tower(a: int, q: int) -> int | None:
-    """Iterated exponential: tower(a, 1) = a, tower(a, q+1) = 2**tower(a, q).
-
-    Returns None once the value no longer fits in 64 bits.
-    """
-    if q < 1:
-        raise QobddError("q must be >= 1")
-    if a < 0:
-        raise QobddError("a must be >= 0")
-    val = a
-    for _ in range(q - 1):
-        if val > 64:
-            return None
-        val = 2**val
-    return val if val.bit_length() <= 64 else None
 
 
 @dataclass

@@ -22,6 +22,12 @@ its own.  Strategy files and blocks are also read by
 block's rows one ``TextReader.line()`` call at a time, rebuild each row
 through the public ``Manager.node`` and infer a strategy's order from
 per-row sets of child variables.
+
+Oracles and writers that only tests call live here too: the graph inner
+product ``eval_ipg``, the cell-by-cell table ``truth_table_from_function``,
+the largest layer of a layered copy ``layer_width``, and ``emit_qures``
+and ``emit_edge_list``, which write what ``qures.parse_qures`` and
+``graphs.parse_edge_list`` read.
 """
 
 from __future__ import annotations
@@ -46,13 +52,8 @@ from qobdd.obdd import (
     serialize,
 )
 from qobdd.pcnf import EXISTS, FORALL, Pcnf, clause
-from qobdd.rectangles import (
-    MAX_ORACLE_ROWS,
-    MonoRectangle,
-    RectangleLabError,
-    TruthTable,
-    eval_ipg,
-)
+from qobdd.qures import QAxiom, QResolve, QuResProof
+from qobdd.rectangles import MAX_ORACLE_ROWS, MonoRectangle, RectangleLabError, TruthTable
 from qobdd.strategy import (
     EXHAUSTIVE_PLAYS,
     DecisionList,
@@ -131,6 +132,11 @@ def cofactor_counts(mgr: Manager, ref: int) -> list[int]:
     """Distinct-subfunction count per layer (prefix lengths 0..|X|-1), the
     complete-OBDD widths, from ``cofactor_tables``."""
     return [len(tables) for tables in cofactor_tables(mgr, ref)[:-1]]
+
+
+def layer_width(co: CompleteObdd) -> int:
+    """Width of a complete diagram: its largest layer, sinks not counted."""
+    return max(map(len, co.layers), default=0)
 
 
 def separation_width_oracle(g, order) -> int:
@@ -216,6 +222,36 @@ def naive_max_mono(rows: tuple[int, ...], ncols: int) -> int:
     return best
 
 
+def eval_ipg(g: Graph, assignment: Mapping[int, int]) -> int:
+    """Graph inner product: parity of edges with both endpoints set to 1."""
+    acc = 0
+    try:
+        for u, w in g.edges():
+            acc ^= assignment[u] & assignment[w]
+    except KeyError as exc:
+        raise RectangleLabError(f"assignment lacks vertex {exc.args[0]}") from None
+    return acc
+
+
+def truth_table_from_function(
+    fn: Callable[[Mapping[int, int]], int], x1_vars: Sequence[int], x2_vars: Sequence[int]
+) -> TruthTable:
+    """``fn`` on every cell of the split: bit j of row i is fn of the i-th
+    X1 and the j-th X2 assignment, each side's first variable the least
+    significant bit, as in ``TruthTable``."""
+    x1, x2 = tuple(x1_vars), tuple(x2_vars)
+    rows = []
+    for i in range(1 << len(x1)):
+        a = {v: (i >> k) & 1 for k, v in enumerate(x1)}
+        row = 0
+        for j in range(1 << len(x2)):
+            a.update({v: (j >> k) & 1 for k, v in enumerate(x2)})
+            if fn(a):
+                row |= 1 << j
+        rows.append(row)
+    return TruthTable(x1, x2, tuple(rows))
+
+
 def cellwise_ip_truth_table(
     g: Graph, partition: tuple[Sequence[int], Sequence[int]]
 ) -> TruthTable:
@@ -228,7 +264,7 @@ def cellwise_ip_truth_table(
         or len(x1) + len(x2) != len(g.vertices)
     ):
         raise RectangleLabError("partition must split the vertex set")
-    return TruthTable.from_function(lambda a: eval_ipg(g, a), x1, x2)
+    return truth_table_from_function(lambda a: eval_ipg(g, a), x1, x2)
 
 
 def closure_scan_max_mono(tt: TruthTable) -> MonoRectangle:
@@ -789,3 +825,22 @@ def check_trace_reference(
     if not lines:
         return reject(None, proof.MALFORMED)
     return proof.Verdict(True), mgr, funcs
+
+
+def emit_qures(proof: QuResProof) -> str:
+    """A QU-resolution proof in the text format ``qures.parse_qures`` reads."""
+    out = []
+    for line in proof.lines:
+        r = line.rule
+        if isinstance(r, QAxiom):
+            out.append(f"{line.id} A " + " ".join(str(l) for l in r.clause) + " 0")
+        elif isinstance(r, QResolve):
+            out.append(f"{line.id} R {r.left} {r.right} {r.pivot}")
+        else:
+            out.append(f"{line.id} U {r.premise} {r.literal}")
+    return "\n".join(out) + "\n"
+
+
+def emit_edge_list(g: Graph) -> str:
+    """``g`` in the edge-list format ``graphs.parse_edge_list`` reads."""
+    return "\n".join(f"{u} {w}" for u, w in g.edges()) + "\n"

@@ -11,11 +11,13 @@ from qobdd.cli import (
     EXIT_USAGE,
     main,
 )
-from qobdd.graphs import emit_edge_list, random_dregular
+from qobdd.graphs import random_dregular
 from qobdd.pcnf import EXISTS, FORALL, Pcnf, clause, parse_qdimacs
 from qobdd.proof import check_trace
 from qobdd.solver import prefix_order, solve
 from qobdd.strategy import extract, to_rectangle_list, verify_winning
+
+from .helpers import emit_edge_list
 
 
 def run(capsys, *argv):
@@ -254,8 +256,8 @@ def test_bench_workers_capped_at_job_count(monkeypatch, capsys):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, jobs):
-            return [fn(job) for job in jobs]
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     code, out, _ = run(
@@ -428,6 +430,11 @@ def test_malformed_input_files_exit_2(tmp_path, capsys):
     assert code == EXIT_CHECK and "line 2" in err
     code, _, err = run(capsys, "rect", "analyze", "--graph", str(graph), "--partition", "pairs")
     assert code == EXIT_CHECK and "line 2" in err
+    # an edge list without edges names no vertex: no report, but a formula
+    graph.write_text("# no edges\n")
+    code, out, err = run(capsys, "rect", "analyze", "--graph", str(graph), "--partition", "pairs")
+    assert (code, out, err) == (EXIT_CHECK, "", "check failed: graph has no vertices\n")
+    assert run(capsys, "gen", "ipg", str(graph))[0] == EXIT_OK
     qdimacs = tmp_path / "eq2.qdimacs"
     run(capsys, "gen", "eqprime", "2", "-o", str(qdimacs))
     strat = tmp_path / "bad.strategy"

@@ -7,12 +7,13 @@ import pkgutil
 import pytest
 
 import qobdd
-from qobdd import solver
 from qobdd.families import gen_eqprime
 from qobdd.graphs import Graph
 from qobdd.obdd import Manager, ObddError, QobddError, VarOrder
 from qobdd.qures import QuResError, QuResProof, simulate_qures
-from qobdd.rectangles import RectangleLabError, eval_ipg
+from qobdd.rectangles import RectangleLabError
+
+from .helpers import eval_ipg
 
 
 def test_every_library_error_derives_from_qobdd_error():
@@ -32,7 +33,7 @@ def test_every_library_error_derives_from_qobdd_error():
 
 def test_bad_binary_op_is_an_obdd_error():
     mgr = Manager(VarOrder([1]))
-    x = mgr.literal(1)
+    x = mgr.clause([1])
     with pytest.raises(ObddError, match="unknown binary op 'bogus'"):
         mgr.apply(x, mgr.ONE, "bogus")
     for code in (-1, 16):
@@ -46,7 +47,7 @@ def test_bad_binary_op_is_an_obdd_error():
 
 def test_restrict_bit_other_than_0_or_1_is_an_obdd_error():
     mgr = Manager(VarOrder([1]))
-    x = mgr.literal(1)
+    x = mgr.clause([1])
     for bit in (2, -1, "0", "1", None):
         with pytest.raises(ObddError, match="restrict bit must be 0 or 1"):
             mgr.restrict(x, 1, bit)
@@ -62,26 +63,15 @@ def test_literal_zero_in_a_clause_is_an_obdd_error():
 
 def test_evaluate_names_the_unassigned_variable():
     mgr = Manager(VarOrder([1, 2]))
-    f = mgr.apply(mgr.literal(1), mgr.literal(2), "and")
+    f = mgr.apply(mgr.clause([1]), mgr.clause([2]), "and")
     with pytest.raises(ObddError, match="assignment lacks variable 2"):
         mgr.evaluate(f, {1: 1})
     assert mgr.evaluate(f, {1: 0}) == mgr.ZERO  # variable 2 is not on this path
 
 
-def test_tower_of_height_zero_is_a_qobdd_error():
-    with pytest.raises(QobddError, match="q must be >= 1"):
-        solver.tower(2, 0)
-
-
-def test_tower_of_a_negative_base_is_a_qobdd_error():
-    for q in (1, 2):
-        with pytest.raises(QobddError, match="a must be >= 0"):
-            solver.tower(-3, q)
-
-
 def test_shape_names_a_position_list_of_the_wrong_length():
     mgr = Manager(VarOrder([1, 2]))
-    f = mgr.apply(mgr.literal(1), mgr.literal(2), "and")
+    f = mgr.apply(mgr.clause([1]), mgr.clause([2]), "and")
     for positions in ([], [0], [0, 1, 2]):
         with pytest.raises(ObddError, match=f"{len(positions)} positions for an order of 2"):
             mgr.shape(f, positions)

@@ -12,9 +12,8 @@ from qobdd.families import (
 )
 from qobdd.graphs import Graph, random_dregular
 from qobdd.pcnf import EXISTS, FORALL, parse_qdimacs, emit_qdimacs, primal_graph
-from qobdd.rectangles import eval_ipg
 
-from .helpers import assignments, qbf_value
+from .helpers import assignments, eval_ipg, qbf_value
 
 
 def test_quparity_counts():

@@ -28,10 +28,8 @@ from qobdd import (
     check_rectanglesmall,
     default_order,
     eqprime_decomposition,
-    eval_ipg,
     gen_ipg_qbf,
     gen_quparity,
-    gi_decomposition,
     induced_matching,
     ip_truth_table,
     max_mono_rectangle,
@@ -46,7 +44,6 @@ from qobdd import (
     simulate_qures,
     strategy_range_size,
     to_rectangle_list,
-    tower,
     verify_winning,
 )
 from qobdd import cli, obdd
@@ -333,7 +330,7 @@ def _api_cases():
         ],
         "Manager": [
             lambda: Manager(VarOrder([1, 1])),
-            lambda: Manager(VarOrder([1]), node_budget=-1).literal(1),
+            lambda: Manager(VarOrder([1]), node_budget=-1).clause([1]),
         ],
         "Manager.apply": [
             lambda: m.apply(m.ZERO, n, "and"),
@@ -385,7 +382,6 @@ def _api_cases():
             lambda: m.forall_split(m.ONE, 99),
             lambda: m.forall_split(n, x),
         ],
-        "Manager.literal": [lambda: m.literal(99)],
         "Manager.negate": [lambda: m.negate(n), lambda: m.negate(-1)],
         "Manager.node": [
             lambda: m.node(x, m.ZERO, n),
@@ -431,6 +427,7 @@ def _api_cases():
             lambda: check_rectanglesmall(g, ([1, 3, 5], [2, 4, 6, 9])),
             lambda: check_rectanglesmall(g, ([1, 2, 3], [1, 2, 3])),
             lambda: check_rectanglesmall(g, split, budget=0),
+            lambda: check_rectanglesmall(Graph([]), ([], [])),
         ],
         "check_trace": [
             lambda: check_trace(f, bad_trace),
@@ -444,7 +441,6 @@ def _api_cases():
         "emit_qdimacs": [lambda: emit_qdimacs(unquantified), lambda: emit_qdimacs(twice)],
         "emit_trace": [lambda: emit_trace(bad_trace)],
         "eqprime_decomposition": [lambda: eqprime_decomposition(1), lambda: eqprime_decomposition(-2)],
-        "eval_ipg": [lambda: eval_ipg(g, {}), lambda: eval_ipg(g, {1: 1, 2: 1})],
         "extract": [
             lambda: extract(f, bad_trace),
             lambda: extract(f, true_trace),
@@ -454,11 +450,6 @@ def _api_cases():
         "gen_eqprime": [lambda: gen_eqprime(1), lambda: gen_eqprime(-1)],
         "gen_ipg_qbf": [lambda: gen_ipg_qbf(Graph([2, 3], [(2, 3)])), lambda: gen_ipg_qbf(Graph([]))],
         "gen_quparity": [lambda: gen_quparity(1), lambda: gen_quparity(0)],
-        "gi_decomposition": [
-            lambda: gi_decomposition(g, split, {}),
-            lambda: gi_decomposition(g, ([1, 3, 99], [2, 4, 6]), {}),
-            lambda: gi_decomposition(g, split, {99: 1}),
-        ],
         "induced_matching": [
             lambda: induced_matching(g, ([1, 99], [2])),
             lambda: induced_matching(g, ([1, 2], [1, 2])),
@@ -501,7 +492,6 @@ def _api_cases():
         ],
         "strategy_range_size": [lambda: strategy_range_size(wide_family)],
         "to_rectangle_list": [lambda: to_rectangle_list(dl, -1), lambda: to_rectangle_list(dl, 99)],
-        "tower": [lambda: tower(2, 0), lambda: tower(-1, 2)],
         "verify_winning": [
             lambda: verify_winning(f, family, samples=0),
             lambda: verify_winning(gen_eqprime(3), family),

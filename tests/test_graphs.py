@@ -13,13 +13,12 @@ from qobdd.graphs import (
     narrow_order,
     order_from_decomposition,
     parse_edge_list,
-    emit_edge_list,
     path_decomposition,
     random_dregular,
 )
 from qobdd.obdd import Manager
 
-from .helpers import min_degree_order_oracle, separation_width_oracle
+from .helpers import emit_edge_list, layer_width, min_degree_order_oracle, separation_width_oracle
 
 
 def test_graph_simple_invariants():
@@ -129,7 +128,7 @@ def test_clause_diagrams_have_width_two():
     # any single clause is a chain under any order
     m = Manager(order_from_decomposition(path_decomposition(Graph([1, 2, 3], [(1, 2), (1, 3), (2, 3)]))))
     ref = m.clause([1, -2, 3])
-    assert m.complete(ref).width <= 2
+    assert layer_width(m.complete(ref)) <= 2
 
 
 def test_random_dregular_is_regular_and_seeded():

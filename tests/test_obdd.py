@@ -21,6 +21,7 @@ from .helpers import (
     cofactor_counts,
     cofactor_tables,
     cube,
+    layer_width,
     obdd_from_table,
     random_table,
     truth_table_of,
@@ -44,24 +45,24 @@ def test_sinks():
 def test_node_basics():
     m = mgr()
     lit = m.node(1, m.ZERO, m.ONE)
-    assert lit == m.literal(1)
-    other = m.literal(2)
+    assert lit == m.clause([1])
+    other = m.clause([2])
     assert m.node(1, other, other) == other  # redundant test collapses
     assert m.node(1, m.ZERO, m.ONE) == lit  # same args, identical reference
 
 
 def test_node_order_violation():
     m = mgr()
-    inner = m.literal(1)
+    inner = m.clause([1])
     with pytest.raises(OrderError):
         m.node(2, inner, m.ZERO)
     with pytest.raises(OrderError):
-        m.node(1, m.literal(1), m.ZERO)
+        m.node(1, m.clause([1]), m.ZERO)
 
 
 def test_apply_and_identity():
     m = mgr()
-    x, y = m.literal(1), m.literal(2)
+    x, y = m.clause([1]), m.clause([2])
     f = m.apply(x, y, "and")
     assert truth_table_of(m, f, [1, 2]) == (0, 0, 0, 1)
     assert m.apply(f, m.ONE, "and") == f
@@ -89,7 +90,7 @@ def test_apply_all_ops_against_tables(op):
 def test_negate_basics():
     m = mgr()
     assert m.negate(m.ZERO) == m.ONE
-    f = m.apply(m.literal(1), m.literal(3), "xor")
+    f = m.apply(m.clause([1]), m.clause([3]), "xor")
     assert m.negate(m.negate(f)) == f  # involution, same reference
 
 
@@ -107,9 +108,9 @@ def test_negate_preserves_size():
 
 def test_restrict_trivial():
     m = mgr()
-    x = m.literal(1)
+    x = m.clause([1])
     assert m.restrict(x, 1, 1) == m.ONE
-    f = m.apply(m.literal(1), m.literal(2), "and")
+    f = m.apply(m.clause([1]), m.clause([2]), "and")
     assert m.restrict(f, 1, 0) == m.ZERO
     assert m.restrict(f, 3, 1) == f  # absent variable
 
@@ -131,10 +132,10 @@ def test_restrict_support_and_semantics(data):
 
 def test_quantification_trivial():
     m = mgr()
-    f = m.apply(m.literal(1), m.literal(2), "and")
-    assert m.exists(f, 1) == m.literal(2)
-    g = m.apply(m.literal(1), m.literal(2), "or")
-    assert m.forall(g, 1) == m.literal(2)
+    f = m.apply(m.clause([1]), m.clause([2]), "and")
+    assert m.exists(f, 1) == m.clause([2])
+    g = m.apply(m.clause([1]), m.clause([2]), "or")
+    assert m.forall(g, 1) == m.clause([2])
 
 
 def test_quantification_against_projection_oracle():
@@ -159,7 +160,7 @@ def test_fused_quantifier_matches_three_pass_and_table_oracle():
         order = list(range(1, nv + 1))
         rng.shuffle(order)
         m = Manager(VarOrder(order))
-        funcs = [m.ZERO, m.ONE, m.literal(order[0]), m.literal(order[-1], positive=False)]
+        funcs = [m.ZERO, m.ONE, m.clause([order[0]]), m.clause([-order[-1]])]
         # a function that does not depend on the middle variable
         rest = [v for v in order if v != order[nv // 2]]
         funcs.append(obdd_from_table(m, rest, random_table(rng, len(rest))))
@@ -332,7 +333,7 @@ def test_canonicity_of_construction_paths():
 def test_complete_of_sink():
     m = Manager(VarOrder([1, 2]))
     co = m.complete(m.ONE)
-    assert co.width == 1
+    assert layer_width(co) == 1
     assert co.layers == [[m.ONE], [m.ONE]]
     assert co.size == 3  # two chain nodes plus the sink
 
@@ -357,13 +358,13 @@ def test_complete_size_bound_and_semantics():
 
 def test_covers_reject_cuts_outside_the_order():
     m = mgr(3)
-    co = m.complete(m.literal(2))
+    co = m.complete(m.clause([2]))
     for cut in (-1, len(m.order) + 1):
         with pytest.raises(ObddError, match=f"cut {cut} "):
             co.covers(cut, m.ZERO)
-    assert co.covers(len(m.order), m.ZERO) == [(m.literal(2), m.ONE)]
+    assert co.covers(len(m.order), m.ZERO) == [(m.clause([2]), m.ONE)]
     # dropping ONE keeps the ZERO state, reached on the complement
-    assert co.covers(len(m.order), m.ONE) == [(m.literal(2, positive=False), m.ZERO)]
+    assert co.covers(len(m.order), m.ONE) == [(m.clause([-2]), m.ZERO)]
 
 
 def test_complete_stops_at_the_depth_a_cover_needs():
@@ -394,14 +395,14 @@ def test_complete_stops_at_the_depth_a_cover_needs():
 
 def test_width_of_literal():
     m = Manager(VarOrder([1]))
-    assert m.complete(m.literal(1)).width == 1
+    assert layer_width(m.complete(m.clause([1]))) == 1
 
 
 def test_width_matches_cofactor_oracle():
     # graph inner product on two pairs, pair-interleaved order
     m = Manager(VarOrder([1, 2, 3, 4]))
-    p1 = m.apply(m.literal(1), m.literal(2), "and")
-    p2 = m.apply(m.literal(3), m.literal(4), "and")
+    p1 = m.apply(m.clause([1]), m.clause([2]), "and")
+    p2 = m.apply(m.clause([3]), m.clause([4]), "and")
     ip = m.apply(p1, p2, "xor")
     co = m.complete(ip)
     assert list(map(len, co.layers)) == cofactor_counts(m, ip)
@@ -421,13 +422,13 @@ def test_shape_matches_complete_and_cofactor_oracle():
         order = list(range(1, nv + 1))
         rng.shuffle(order)
         m = Manager(VarOrder(order))
-        funcs = [m.ZERO, m.ONE, m.literal(order[-1]), m.literal(order[0], positive=False)]
+        funcs = [m.ZERO, m.ONE, m.clause([order[-1]]), m.clause([-order[0]])]
         funcs += [obdd_from_table(m, order, random_table(rng, nv)) for _ in range(12)]
         positions = list(range(nv))
         rng.shuffle(positions)
         for f in funcs:
             shape = m.shape(f)
-            assert shape.width == m.complete(f).width == max(cofactor_counts(m, f))
+            assert shape.width == layer_width(m.complete(f)) == max(cofactor_counts(m, f))
             assert shape.size == m.size(f)
             ranks = [m.order.rank(v) for v in m.support(f)]
             assert shape.rightmost == max(ranks, default=None)
@@ -439,12 +440,12 @@ def test_shape_of_the_empty_order():
     m = Manager(VarOrder([]))
     for f in (m.ZERO, m.ONE):
         assert m.shape(f) == (1, 0, None)
-        assert m.complete(f).width == 0
+        assert layer_width(m.complete(f)) == 0
 
 
 def test_serialize_roundtrip_trivial():
     m = mgr()
-    for f in (m.ZERO, m.ONE, m.literal(2), m.literal(3, positive=False)):
+    for f in (m.ZERO, m.ONE, m.clause([2]), m.clause([-3])):
         blk = obdd.serialize(m, f)
         m2 = Manager(VarOrder(range(1, 5)))
         g = obdd.deserialize(blk, m2)
@@ -466,8 +467,8 @@ def test_serialize_roundtrip_random():
 def test_serialize_pins_the_block_layout():
     # children before parents, lo subtree first, a shared node listed once
     m = Manager(VarOrder([1, 2, 3]))
-    x3 = m.literal(3)
-    f = m.node(1, x3, m.apply(m.literal(2), x3, "and"))
+    x3 = m.clause([3])
+    f = m.node(1, x3, m.apply(m.clause([2]), x3, "and"))
     assert obdd.serialize(m, f) == (
         "obdd 5\n0 T0 - -\n1 T1 - -\n2 3 0 1\n3 2 0 2\n4 1 2 3"
     )
@@ -489,7 +490,7 @@ def test_deserialize_rejects_malformed():
 
 def test_deserialize_rejects_order_mismatch():
     m1 = Manager(VarOrder([1, 2]))
-    f = m1.apply(m1.literal(1), m1.literal(2), "or")
+    f = m1.apply(m1.clause([1]), m1.clause([2]), "or")
     blk = obdd.serialize(m1, f)
     m2 = Manager(VarOrder([2, 1]))
     with pytest.raises(OrderError):
@@ -510,7 +511,7 @@ def test_deserialize_checks_each_row_as_manager_node_does():
         obdd.deserialize("obdd 4\n0 T0 - -\n1 T1 - -\n2 2 0 1\n3 2 2 1", m)
     assert str(err.value) == "variable 2 (rank 1) does not precede its children"
     # equal children collapse to that child, before the order is consulted
-    x2 = m.literal(2)
+    x2 = m.clause([2])
     before = len(m)
     assert obdd.deserialize("obdd 4\n0 T0 - -\n1 T1 - -\n2 2 0 1\n3 1 2 2", m) == x2
     assert obdd.deserialize("obdd 4\n0 T0 - -\n1 T1 - -\n2 2 0 1\n3 9 2 2", m) == x2
@@ -523,7 +524,7 @@ def test_evaluate_bits_matches_evaluate_play_by_play():
     m = mgr(6)
     variables = range(1, 7)
     roots = [obdd_from_table(m, variables, random_table(rng, 6)) for _ in range(6)]
-    roots += [m.ZERO, m.ONE, m.literal(3)]
+    roots += [m.ZERO, m.ONE, m.clause([3])]
     plays = [{v: rng.getrandbits(1) for v in variables} for _ in range(100)]
     columns = {v: sum(p[v] << j for j, p in enumerate(plays)) for v in variables}
     # one memo shared by every root, as verify_winning shares it per chunk
@@ -594,10 +595,10 @@ def test_repeated_operations_are_canonical():
     # no memo outlives a call: a repeat, or a negation sharing a memo with
     # another, returns the same reference and makes no node
     m = mgr()
-    f = m.apply(m.literal(1), m.literal(2), "xor")
+    f = m.apply(m.clause([1]), m.clause([2]), "xor")
     g = m.negate(f)
     size = len(m)
-    assert m.apply(m.literal(1), m.literal(2), "xor") == f
+    assert m.apply(m.clause([1]), m.clause([2]), "xor") == f
     assert m.negate(f) == g
     memo: dict[int, int] = {}
     assert [m.negate(r, memo) for r in (f, g, f)] == [g, f, g]

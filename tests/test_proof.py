@@ -200,7 +200,7 @@ def test_projection_of_absent_variable_is_noop():
 def test_entailment_accepted_and_rejected():
     f = Pcnf(((EXISTS, 1), (EXISTS, 2)), (clause([1]), clause([2])))
     mgr = Manager(VarOrder([1, 2]))
-    good = obdd.serialize(mgr, mgr.apply(mgr.literal(1), mgr.literal(2), "or"))
+    good = obdd.serialize(mgr, mgr.apply(mgr.clause([1]), mgr.clause([2]), "or"))
     bad = obdd.serialize(mgr, mgr.ZERO)
     base = (ProofLine(1, Axiom(1)), ProofLine(2, Axiom(2)))
     ok = ProofTrace(
@@ -228,7 +228,7 @@ def test_roundtrip_text_format():
     # entailment blocks survive the round trip
     f2 = Pcnf(((EXISTS, 1), (EXISTS, 2)), (clause([1]), clause([2])))
     mgr = Manager(VarOrder([1, 2]))
-    blk = obdd.serialize(mgr, mgr.literal(1))
+    blk = obdd.serialize(mgr, mgr.clause([1]))
     t2 = ProofTrace(
         formula_hash(f2),
         VarOrder([1, 2]),
@@ -252,6 +252,17 @@ def test_truncated_file_rejected():
     assert err.value.reason == TRUNCATED
     with pytest.raises(TraceParseError):
         parse_trace(text + "1 A 1\n")  # trailing garbage
+
+
+def test_a_negative_count_in_the_header_is_malformed():
+    # cut after its order line, a trace of -3 lines must not reach the
+    # checker as a trace of none
+    lines = emit_trace(trivial_refutation(contradiction())).splitlines()
+    for header in ("p qobdd-trace 1 -3", "p qobdd-trace -1 3"):
+        for body in (lines[1:], lines[1:3]):
+            with pytest.raises(TraceParseError, match=f"bad trace header '{header}'") as err:
+                parse_trace("\n".join([header, *body]) + "\n")
+            assert err.value.reason == MALFORMED
 
 
 # -- mutation harness: each reason fires on each family --------------------

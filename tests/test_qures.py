@@ -7,14 +7,13 @@ from qobdd.pcnf import EXISTS, FORALL, Pcnf, clause
 from qobdd.proof import Conj, Proj, URed, check_trace
 from qobdd.qures import (
     QuResError,
-    emit_qures,
     parse_qures,
     simulate_qures,
     validate_qures,
 )
 from qobdd.solver import solve
 
-from .helpers import check_trace_reference
+from .helpers import check_trace_reference, emit_qures
 
 
 def all_pairs_formula():
@@ -140,7 +139,7 @@ def test_resolvent_collapses_pivot_out_of_support():
     assert result.accepted and result.refutation
     # the resolvent line denotes the literal u
     _, mgr, per_line = check_trace_reference(f, t)
-    assert mgr.literal(2) in per_line.values()
+    assert mgr.clause([2]) in per_line.values()
 
 
 def test_node_count_bound():

@@ -7,13 +7,10 @@ from qobdd import rectangles
 from qobdd.graphs import Graph, random_dregular
 from qobdd.obdd import BudgetExceededError
 from qobdd.rectangles import (
-    GI_FORMS,
     Matching,
     RectangleLabError,
     TruthTable,
     check_rectanglesmall,
-    eval_ipg,
-    gi_decomposition,
     induced_matching,
     ip_truth_table,
     max_mono_rectangle,
@@ -23,7 +20,9 @@ from .helpers import (
     assignments,
     cellwise_ip_truth_table,
     closure_scan_max_mono,
+    eval_ipg,
     naive_max_mono,
+    truth_table_from_function,
 )
 
 
@@ -64,8 +63,6 @@ def test_truth_table_shape_and_limit():
     g = matching_graph(2)
     tt = ip_truth_table(g, pair_split(2))
     assert tt.nrows == 4 and tt.ncols == 4
-    with pytest.raises(RectangleLabError):
-        TruthTable.from_function(lambda a: 0, range(1, 18), [20])
     with pytest.raises(RectangleLabError):
         ip_truth_table(g, ([1, 2], [2, 3, 4]))  # not a partition
     big = Graph(range(1, 19))
@@ -316,7 +313,7 @@ def test_four_form_mixes_bound():
     # parity of any mix of the four pair forms keeps rectangles at 2^n
     for n in (1, 2, 3):
         x1, x2 = pair_split(n)
-        for mix in product(GI_FORMS, repeat=n):
+        for mix in product(("x&y", "x&~y", "~x&y", "x|y"), repeat=n):
 
             def fn(a, mix=mix):
                 acc = 0
@@ -324,7 +321,7 @@ def test_four_form_mixes_bound():
                     acc ^= form_value(form, a[2 * i - 1], a[2 * i])
                 return acc
 
-            tt = TruthTable.from_function(fn, x1, x2)
+            tt = truth_table_from_function(fn, x1, x2)
             assert max_mono_rectangle(tt).size <= 2**n
 
 
@@ -403,63 +400,3 @@ def test_check_rectanglesmall_random_graphs():
         part = (sorted(verts[:half]), sorted(verts[half:]))
         rep = check_rectanglesmall(g, part)
         assert rep["ok"], rep
-
-
-def test_gi_decomposition_isolated_edge():
-    g = Graph([1, 2], [(1, 2)])
-    out = gi_decomposition(g, ([1], [2]), {})
-    assert out == [((1, 2), "x&y")]
-
-
-def test_gi_decomposition_parity_one_zero():
-    # path 1-2-3 with matched edge (2,3): neighbor 1 feeds x's parity
-    g = Graph([1, 2, 3], [(1, 2), (2, 3)])
-    out = gi_decomposition(g, ([1, 2], [3]), {1: 1})
-    assert out == [((2, 3), "x&~y")]
-    out0 = gi_decomposition(g, ([1, 2], [3]), {1: 0})
-    assert out0 == [((2, 3), "x&y")]
-
-
-def test_gi_decomposition_both_parities_one():
-    # path 1-2-3-4, matched edge (2,3), residual {1: 1, 4: 1}
-    g = Graph([1, 2, 3, 4], [(1, 2), (2, 3), (3, 4)])
-    out = gi_decomposition(g, ([1, 2], [3, 4]), {1: 1, 4: 1})
-    assert out == [((2, 3), "x|y")]
-
-
-def test_gi_decomposition_matches_direct_tables():
-    rng = random.Random(3)
-    for _ in range(25):
-        nv = rng.randint(3, 8)
-        verts = list(range(1, nv + 1))
-        edges = [
-            (u, w)
-            for i, u in enumerate(verts)
-            for w in verts[i + 1 :]
-            if rng.random() < 0.45
-        ]
-        g = Graph(verts, edges)
-        rng.shuffle(verts)
-        half = nv // 2
-        part = (sorted(verts[:half]), sorted(verts[half:]))
-        matching = induced_matching(g, part)
-        if not matching.edges:
-            continue
-        rest = sorted(set(g.vertices) - matching.endpoints())
-        residual = {v: rng.randint(0, 1) for v in rest}
-        forms = dict(gi_decomposition(g, part, residual))
-        for (x, y), form in forms.items():
-            for ax, ay in product((0, 1), repeat=2):
-                full = {**residual, x: ax, y: ay}
-                # g_i is the parity of active edges touching the pair
-                direct = 0
-                for u, w in g.edges():
-                    if x in (u, w) or y in (u, w):
-                        direct ^= full[u] & full[w]
-                assert direct == form_value(form, ax, ay)
-
-
-def test_gi_decomposition_requires_residual_cover():
-    g = Graph([1, 2, 3], [(1, 2), (2, 3)])
-    with pytest.raises(RectangleLabError):
-        gi_decomposition(g, ([1, 2], [3]), {})

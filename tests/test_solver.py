@@ -12,18 +12,18 @@ from qobdd.families import (
     quparity_decomposition,
 )
 from qobdd.graphs import order_from_decomposition, path_decomposition, random_dregular
-from qobdd.obdd import BudgetExceededError, Manager, OrderError, QobddError, VarOrder
+from qobdd.obdd import BudgetExceededError, Manager, OrderError, VarOrder
 from qobdd.pcnf import EXISTS, FORALL, Pcnf, clause, primal_graph
 from qobdd.proof import Conj, Proj, URed, check_trace
-from qobdd.solver import (
-    default_order,
-    extend_order,
-    prefix_order,
-    solve,
-    tower,
-)
+from qobdd.solver import default_order, extend_order, prefix_order, solve
 
-from .helpers import check_trace_reference, eliminate_all_reference, qbf_value, random_pcnf
+from .helpers import (
+    check_trace_reference,
+    eliminate_all_reference,
+    layer_width,
+    qbf_value,
+    random_pcnf,
+)
 
 
 def test_default_order_is_the_decomposition_route():
@@ -247,7 +247,7 @@ def test_line_numbers_match_the_checkers_oracles(monkeypatch):
         want = []
         for g in (funcs[line.id] for line in res.trace.lines):
             right = max((f.prefix_position(v) for v in m.support(g)), default=None)
-            want.append((m.size(g), m.complete(g).width, right))
+            want.append((m.size(g), layer_width(m.complete(g)), right))
         assert got == want, (f, order)
         assert res.stats.trace_nodes == sum(size for size, _, _ in got)
         return got
@@ -337,7 +337,7 @@ def test_line_widths_match_the_checkers_complete_diagrams():
         res = solve(f, order=order)
         assert check_trace(f, res.trace).accepted
         _, m, funcs = check_trace_reference(f, res.trace)
-        widths = [m.complete(funcs[line.id]).width for line in res.trace.lines]
+        widths = [layer_width(m.complete(funcs[line.id])) for line in res.trace.lines]
         assert widths == res.stats.widths
 
 
@@ -355,21 +355,10 @@ def test_quparity_widths_within_pinned_constant():
         assert res.stats.max_width <= 5, (n, res.stats.max_width)
 
 
-def test_tower():
-    assert tower(3, 1) == 3
-    assert tower(2, 2) == 4
-    assert tower(2, 3) == 16
-    assert tower(2, 4) == 65536
-    assert tower(4, 2) == 16
-    assert tower(2, 5) is None  # 2**65536 does not fit
-    with pytest.raises(QobddError, match="q must be >= 1"):
-        tower(2, 0)
-
-
 def test_width_within_tower_bound_when_finite():
-    # pathwidth 4, three blocks: bound tower(4, 4) is astronomically large,
-    # so only sanity-check the helper against a tiny synthetic case
+    # the paper's width bound is the tower of height q + 1 over the
+    # pathwidth k; at k = 1 and q = 2 blocks it is 2 ** 2 ** 1 = 4, while
+    # larger cases are astronomically large
     f = Pcnf(((EXISTS, 1), (FORALL, 2)), (clause([1, 2]),))
     res = solve(f, order=prefix_order(f))
-    bound = tower(1, 3)  # pathwidth 1, q = 2 blocks -> tower(k, q+1)
-    assert bound is not None and res.stats.max_width <= bound
+    assert res.stats.max_width <= 4

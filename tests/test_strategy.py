@@ -21,7 +21,6 @@ from qobdd.proof import (
     check_trace,
     formula_hash,
 )
-from qobdd.rectangles import eval_ipg
 from qobdd.solver import solve
 from qobdd.strategy import (
     _CHUNK_PLAYS,
@@ -42,9 +41,11 @@ from .helpers import (
     assignments,
     covers_oracle,
     emit_strategy_oracle,
+    eval_ipg,
     family_nodes,
     flipped_entry,
     guard_list,
+    layer_width,
     obdd_from_table,
     oracle_guards,
     outcome,
@@ -140,21 +141,21 @@ def test_decision_list_evaluate_terminal_only_and_two_entry():
     m = Manager(VarOrder([1]))
     const = guard_list(m, [(m.ONE, 1)])
     assert const.evaluate({}) == 1
-    two = guard_list(m, [(m.literal(1), 0), (m.ONE, 1)])
+    two = guard_list(m, [(m.clause([1]), 0), (m.ONE, 1)])
     # held as lines: an entry fires where its line is 0
-    assert two.lines == [(m.literal(1, positive=False), 0), (m.ZERO, 1)]
-    assert oracle_guards(two) == [(m.literal(1), 0), (m.ONE, 1)]
+    assert two.lines == [(m.clause([-1]), 0), (m.ZERO, 1)]
+    assert oracle_guards(two) == [(m.clause([1]), 0), (m.ONE, 1)]
     assert two.evaluate({1: 1}) == 0
     assert two.evaluate({1: 0}) == 1
     with pytest.raises(StrategyError):
-        guard_list(m, [(m.literal(1), 0)])  # missing terminal
+        guard_list(m, [(m.clause([1]), 0)])  # missing terminal
 
 
 def test_family_audit_rejects_dependency_violation():
     f = Pcnf(((FORALL, 1), (EXISTS, 2)), (clause([1, 2]), clause([1, -2])))
     m = Manager(VarOrder([1, 2]))
     with pytest.raises(StrategyError, match=r"non-preceding variables \[2\]"):
-        DecisionListFamily(f, m, {1: guard_list(m, [(m.literal(2), 0), (m.ONE, 1)])})
+        DecisionListFamily(f, m, {1: guard_list(m, [(m.clause([2]), 0), (m.ONE, 1)])})
     with pytest.raises(StrategyError, match=r"unquantified variables \[3\]"):
         DecisionListFamily(f, m, {3: guard_list(m, [(m.ONE, 1)])})
 
@@ -443,8 +444,8 @@ def test_extraction_from_entailment_refutation():
         (clause([1, 2]), clause([1, -2]), clause([-1, 2]), clause([-1, -2])),
     )
     mgr = Manager(VarOrder([1, 2]))
-    u_block = obdd_mod.serialize(mgr, mgr.literal(1))
-    nu_block = obdd_mod.serialize(mgr, mgr.literal(1, positive=False))
+    u_block = obdd_mod.serialize(mgr, mgr.clause([1]))
+    nu_block = obdd_mod.serialize(mgr, mgr.clause([-1]))
     from qobdd.proof import Entail, Conj
 
     t = ProofTrace(
@@ -471,8 +472,8 @@ def test_extraction_from_entailment_refutation():
 
 def ip2_manager():
     m = Manager(VarOrder([1, 2, 3, 4]))  # order x1 y1 x2 y2
-    p1 = m.apply(m.literal(1), m.literal(2), "and")
-    p2 = m.apply(m.literal(3), m.literal(4), "and")
+    p1 = m.apply(m.clause([1]), m.clause([2]), "and")
+    p2 = m.apply(m.clause([3]), m.clause([4]), "and")
     return m, m.apply(p1, p2, "xor")
 
 
@@ -507,7 +508,7 @@ def test_rectangle_count_bounded_by_width():
         co = m.complete(f)
         cut = rng.randint(0, 8)
         rects = co.covers(cut, m.ZERO)
-        assert len(rects) <= co.width
+        assert len(rects) <= layer_width(co)
         union = m.ZERO
         for r1, r2 in rects:
             union = m.apply(union, m.apply(r1, r2, "and"), "or")
