@@ -370,6 +370,8 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if args.budget < 0:
             raise UsageError("--budget must be at least 0")
+        if args.threads < 1:
+            raise UsageError("--threads must be at least 1")
         return COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

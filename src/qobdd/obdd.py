@@ -6,14 +6,15 @@ Boolean function is unique within its manager: structural equality is
 reference equality.  The two terminals are ``Manager.ZERO`` and
 ``Manager.ONE``.
 
-The kernels (apply, negate, restrict, the one-pass quantifiers, the
-bit-parallel ``evaluate_bits``, ``forall_split``, both cofactors of a
-universal and their conjunction, ``and_exists``, the relational product
-that the checker and the translator project with, and ``conj_exists``, a
-conjunction and its projection for the solver, which measures the
-conjunction) walk with explicit stacks, so a deep variable order never
-reaches Python's recursion limit, and those that build nodes read each
-node's rank from an array kept beside the store.  The rightmost position
+The kernels (apply, negate, the bit-parallel ``evaluate_bits``,
+``and_exists``, the relational product exists x. (f and g),
+``forall_split``, both cofactors of a universal and their conjunction, and
+``conj_exists``, a conjunction and its projection for the solver, which
+measures the conjunction) walk with explicit stacks, so a deep variable
+order never reaches Python's recursion limit, and those that build nodes
+read each node's rank from an array kept beside the store.  ``exists`` is
+the relational product with ONE, ``restrict`` the one with x's literal,
+and ``forall`` the third part of ``forall_split``.  The rightmost position
 of ``shape`` is the one prefix rule of universal reduction.
 Every kernel memoizes per operation (a quantification's cofactor
 conjunctions share its memo, and a caller may share one negation memo, or
@@ -36,7 +37,7 @@ strategy verification and the rectangle oracle both call.
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 DEFAULT_NODE_BUDGET = 10**7
 
@@ -263,10 +264,10 @@ class Manager:
     # it.  A stack entry is either a subproblem or the step that joins the
     # two results on top of ``out`` into one node: in ``_apply``,
     # ``and_exists`` and ``conj_exists`` a pair (f, g) or a triple (key,
-    # var, rank), in ``_negate``, ``_rebuild_above`` and ``forall_split`` a
-    # ref f >= 0 or its complement ~f.  The lo subproblem is pushed last, so
-    # it is finished before the hi one starts and nodes are created in
-    # depth-first, lo-first post-order, as a recursive walk would.
+    # var, rank), in ``_negate`` and ``forall_split`` a ref f >= 0 or its
+    # complement ~f.  The lo subproblem is pushed last, so it is finished
+    # before the hi one starts and nodes are created in depth-first,
+    # lo-first post-order, as a recursive walk would.
 
     def apply(self, f: int, g: int, op) -> int:
         """Combine two diagrams with a binary Boolean operation.
@@ -373,26 +374,23 @@ class Manager:
         return out[0]
 
     def restrict(self, f: int, var: int, bit: int) -> int:
-        """Fix ``var`` to ``bit``; the variable is absent from the result."""
+        """Fix ``var`` to ``bit``; the variable is absent from the result.
+        The relational product with ``var``'s literal of polarity ``bit``,
+        which is the one node this may add beyond ``f``'s rebuilt nodes."""
         self._check_ref(f)
         if bit not in (0, 1):
             raise ObddError(f"restrict bit must be 0 or 1, not {bit!r}")
-        child = self._hi if bit else self._lo
-        return self._rebuild_above(f, self.order.rank(var), child.__getitem__)
+        at = self.order.rank(var)
+        literal = self._mk(var, at, 0, 1) if bit else self._mk(var, at, 1, 0)
+        return self.and_exists(f, literal, var)
 
     def exists(self, f: int, var: int) -> int:
-        """Existential projection of ``var``, in one pass over ``f``."""
-        self._check_ref(f)
-        return self._quantify(OPS["or"], f, self.order.rank(var))
+        """Existential projection of ``var``: the relational product with ONE."""
+        return self.and_exists(f, self.ONE, var)
 
     def forall(self, f: int, var: int) -> int:
-        """Universal projection of ``var``, in one pass over ``f``."""
-        self._check_ref(f)
-        return self._quantify(OPS["and"], f, self.order.rank(var))
-
-    def _quantify(self, code: int, f: int, at: int) -> int:
-        lo, hi, apply, memo = self._lo, self._hi, self._apply, {}
-        return self._rebuild_above(f, at, lambda r: apply(code, lo[r], hi[r], memo))
+        """Universal projection of ``var``: the third part of ``forall_split``."""
+        return self.forall_split(f, var)[2]
 
     def forall_split(self, f: int, var: int) -> tuple[int, int, int]:
         """``(f[var/0], f[var/1], forall var. f)`` in one walk over ``f``.
@@ -401,8 +399,9 @@ class Manager:
         Shannon cofactors and their conjunction), so each such node is
         rebuilt three ways at once; a node of ``var``'s rank gives its lo,
         its hi and their conjunction, the conjunctions sharing one memo.
-        Equal to ``restrict(f, var, 0)``, ``restrict(f, var, 1)`` and
-        ``forall(f, var)``, and leaves the store with the same nodes.
+        Equal to ``restrict(f, var, 0)``, ``restrict(f, var, 1)`` and the
+        conjunction of the two, and leaves the store with the same nodes,
+        except for the literals of ``var`` that ``restrict`` builds.
         """
         self._check_ref(f)
         at = self.order.rank(var)
@@ -445,8 +444,8 @@ class Manager:
         of its cofactor pairs' conjunctions, and a pair below it their
         conjunction.  Only a ZERO operand ends a pair early above the rank,
         since ONE and g must still be projected.  The conjunctions share one
-        memo and the disjunctions another.  Equal to
-        ``exists(apply(f, g, "and"), var)``: the relational product.
+        memo and the disjunctions another.  Equal to the ``or`` of the
+        conjunction's two cofactors at ``var``: the relational product.
         """
         self._check_ref(f)
         self._check_ref(g)
@@ -554,36 +553,6 @@ class Manager:
             stack.append((key, var_[f] if rf == r else var_[g], r))
             stack.append((f1, g1))
             stack.append((f0, g0))
-        return out[0]
-
-    def _rebuild_above(self, f: int, at: int, at_rank: Callable[[int], int]) -> int:
-        # ``f`` with every node of rank ``at`` replaced by ``at_rank(node)``:
-        # nodes above rank ``at`` are rebuilt over their new children and
-        # those below it are kept.
-        var, lo, hi, rank, mk = self._var, self._lo, self._hi, self._rank, self._mk
-        memo: dict[int, int] = {}
-        out: list[int] = []
-        stack = [f]
-        while stack:
-            f = stack.pop()
-            if f < 0:
-                f = ~f
-                h = out.pop()
-                res = mk(var[f], rank[f], out.pop(), h)
-                memo[f] = res
-                out.append(res)
-                continue
-            rf = rank[f]
-            if rf > at:
-                out.append(f)
-            elif rf == at:
-                out.append(at_rank(f))
-            else:
-                found = memo.get(f)
-                if found is not None:
-                    out.append(found)
-                else:
-                    stack += (~f, hi[f], lo[f])
         return out[0]
 
     # -- inspection ----------------------------------------------------------

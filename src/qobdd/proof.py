@@ -262,11 +262,9 @@ def check_trace(
         raise BudgetExceededError(f"line {line.id}") from None
     if len(trace.lines) < m:
         # every derivation opens with one axiom per matrix clause
-        return reject(last_id if trace.lines else None, AXIOM_MISMATCH)
-    if not trace.lines:
-        return reject(None, MALFORMED)
+        return reject(last_id or None, AXIOM_MISMATCH)
     if require_refutation and ref != mgr.ZERO:
-        return reject(last_id, NOT_REFUTATION)
+        return reject(last_id or None, NOT_REFUTATION)
     return CheckResult(Verdict(True), mgr, funcs, ref)
 
 

@@ -821,9 +821,7 @@ def check_trace_reference(
         funcs[line.id] = ref
         last_id = line.id
     if len(lines) < m:
-        return reject(last_id if lines else None, proof.AXIOM_MISMATCH)
-    if not lines:
-        return reject(None, proof.MALFORMED)
+        return reject(last_id or None, proof.AXIOM_MISMATCH)
     return proof.Verdict(True), mgr, funcs
 
 

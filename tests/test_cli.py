@@ -303,6 +303,18 @@ def test_extract_keeps_the_node_budget_of_check(tmp_path, capsys):
             assert code == EXIT_BUDGET and err == f"BUDGET line {line}\n", argv
 
 
+def test_clause_free_formula_derives_and_refutes_nothing(tmp_path, capsys):
+    # solve writes a trace of no lines, a derivation of ONE: check accepts
+    # it as a derivation and rejects it as a refutation, naming no line
+    qdimacs, trace = tmp_path / "empty.qdimacs", str(tmp_path / "empty.trace")
+    qdimacs.write_text("p cnf 2 0\ne 1 2 0\n")
+    assert run(capsys, "solve", str(qdimacs), "--proof", trace) == (EXIT_OK, "TRUE\n", "")
+    code, out, _ = run(capsys, "check", str(qdimacs), trace, "--allow-derivation")
+    assert (code, out) == (EXIT_OK, "ACCEPTED derivation\n")
+    code, out, err = run(capsys, "check", str(qdimacs), trace)
+    assert (code, out, err) == (EXIT_CHECK, "", "check failed: not-a-refutation\n")
+
+
 def test_whole_trace_rejections_name_no_line(tmp_path, capsys):
     qdimacs, trace, _ = eqprime_files(tmp_path, capsys, 3)
     other = str(tmp_path / "eq4.qdimacs")
@@ -371,6 +383,10 @@ def test_usage_errors(tmp_path, capsys):
     code, _, err = run(capsys, "--budget", "-1", "solve", str(qdimacs))
     assert code == EXIT_USAGE and "--budget" in err
     assert run(capsys, "--budget", "0", "solve", str(qdimacs))[0] == EXIT_BUDGET
+    # so is a worker count below 1, which would otherwise run serially
+    for threads in ("0", "-3"):
+        code, out, err = run(capsys, "--threads", threads, "bench", "--family", "eqprime", "--n", "2")
+        assert (code, out, err) == (EXIT_USAGE, "", "usage error: --threads must be at least 1\n")
     # a partition file must hold integer ids that split the graph, each once
     graph = tmp_path / "m2.edges"
     graph.write_text("1 2\n3 4\n")

@@ -188,8 +188,10 @@ def test_fused_quantifier_matches_three_pass_and_table_oracle():
 
 
 def test_forall_split_matches_the_three_calls_and_their_nodes():
-    # a twin manager builds the same functions and takes the three calls;
-    # the split must give the same diagrams and leave the same store size
+    # a twin manager builds the same functions and takes the two
+    # restrictions and their conjunction; the split must give the same
+    # diagrams and leave the same store size.  ``restrict`` builds x's two
+    # literals in the twin, so ``m`` builds them too.
     rng = random.Random(181)
     for nv in (1, 2, 4, 7):
         order = list(range(1, nv + 1))
@@ -203,8 +205,11 @@ def test_forall_split_matches_the_three_calls_and_their_nodes():
             f = obdd_from_table(m, table_vars, table)
             g = obdd_from_table(twin, table_vars, table)
             for x in order:  # every rank, the first and the last included
+                m.clause([x])
+                m.clause([-x])
                 got = m.forall_split(f, x)
-                want = (twin.restrict(g, x, 0), twin.restrict(g, x, 1), twin.forall(g, x))
+                r0, r1 = twin.restrict(g, x, 0), twin.restrict(g, x, 1)
+                want = (r0, r1, twin.apply(r0, r1, "and"))
                 assert [serialize(m, r) for r in got] == [serialize(twin, r) for r in want]
                 assert len(m) == len(twin)
                 assert got == (m.restrict(f, x, 0), m.restrict(f, x, 1), m.forall(f, x))
@@ -242,9 +247,16 @@ def test_and_exists_is_the_projection_of_the_conjunction():
         funcs += [m.ZERO, m.ONE]
         for a in funcs:
             for b in funcs:
+                both = truth_table_of(m, m.apply(a, b, "and"), order)
                 for x in order:
-                    assert m.and_exists(a, b, x) == m.exists(m.apply(a, b, "and"), x)
-                    assert m.and_exists(b, a, x) == m.and_exists(a, b, x)
+                    got = m.and_exists(a, b, x)
+                    assert got == m.exists(m.apply(a, b, "and"), x)
+                    assert m.and_exists(b, a, x) == got
+                    x_bit = 1 << (nv - 1 - order.index(x))
+                    want = tuple(
+                        both[i & ~x_bit] | both[i | x_bit] for i in range(len(both))
+                    )
+                    assert truth_table_of(m, got, order) == want
         m.audit()
 
 
@@ -255,7 +267,8 @@ def test_and_exists_walks_a_deep_order_and_checks_its_arguments():
     b = m.clause(range(-n, 0))
     both = m.apply(a, b, "and")
     for x in (1, n // 2, n):
-        assert m.and_exists(a, b, x) == m.exists(both, x)
+        # a and b: not all variables equal, which x can always make true
+        assert m.and_exists(a, b, x) == m.exists(both, x) == m.ONE
     # above the last variable the walk splits pairs down the whole chain
     rest = m.clause(range(1, n))
     assert m.and_exists(a, rest, n) == rest

@@ -82,10 +82,13 @@ def test_derivation_ending_in_literal_is_not_refutation():
     assert derived.accepted and not derived.refutation
     rejected = check_trace(f, t, require_refutation=True)
     assert rejected.verdict.reason == NOT_REFUTATION
-    # an empty matrix still needs a line to derive anything
+    # an empty matrix has the empty derivation, of ONE: no refutation
     empty = Pcnf(((EXISTS, 1),), ())
-    verdict = check_trace(empty, ProofTrace(formula_hash(empty), VarOrder([1]), ())).verdict
-    assert (verdict.accepted, verdict.line, verdict.reason) == (False, None, MALFORMED)
+    t = ProofTrace(formula_hash(empty), VarOrder([1]), ())
+    derived = check_trace(empty, t)
+    assert derived.accepted and not derived.refutation
+    verdict = check_trace(empty, t, require_refutation=True).verdict
+    assert (verdict.accepted, verdict.line, verdict.reason) == (False, None, NOT_REFUTATION)
 
 
 def test_ured_requires_rightmost():
