@@ -291,6 +291,8 @@ BENCH_COLUMNS = ["family", "n", "order", "value", "max_width",
 def cmd_bench(args) -> int:
     ns = _parse_range(args.n)
     policies = [p.strip() for p in args.orders.split(",") if p.strip()]
+    if not policies:
+        raise UsageError("--orders names no order policy")
     jobs = [(args.family, n, pol, args.budget) for n in ns for pol in policies]
     # a pool forks all its workers at the first submit: never more than jobs
     workers = min(args.threads, len(jobs))

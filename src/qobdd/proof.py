@@ -1,7 +1,7 @@
 """Derivation traces over OBDD lines, and an independent replay checker.
 
 A trace is pure syntax: rule applications referring to earlier line ids.
-The checker rebuilds every line in a fresh manager, so accepting a trace
+The checker rebuilds the lines in a fresh manager, so accepting a trace
 never trusts the producer's diagrams.  Rules:
 
 * ``A i``     -- axiom, the OBDD of matrix clause i (lines 1..m, in order);
@@ -15,13 +15,13 @@ never trusts the producer's diagrams.  Rules:
 
 A trace refutes its formula when the last line denotes the constant 0.
 
-The checker replays some lines together, as the solver made them: a
-universal's two reductions and their conjunction in one walk, and a
-conjunction read by nothing but one projection (an existential bucket's
-``C j k`` then ``P x l``) in one ``Manager.and_exists`` walk that never
-builds the conjunction above x.  Such a fused ``C`` line has no entry in
-the accepted result's functions; every other line has its own.  A
-reduction's side test reads the rightmost position off ``Manager.shape``.
+The checker reads the trace once, with one rule: a ``C`` or ``U`` line's
+diagram is built when a later line first reads it.  So a projection of a
+conjunction (an existential bucket's ``C j k`` then ``P x l``) is one
+``Manager.and_exists`` walk that never builds the conjunction above x, and
+a conjunction of a universal's two reductions is one
+``Manager.forall_split`` walk.  A reduction's side test reads the
+rightmost position off ``Manager.shape``.
 """
 
 from __future__ import annotations
@@ -152,28 +152,27 @@ def check_trace(
     node_budget: int = obdd.DEFAULT_NODE_BUDGET,
     require_refutation: bool = False,
 ) -> CheckResult:
-    """Replay a trace against its formula in a fresh manager.
+    """Replay a trace against its formula in a fresh manager, in one pass.
 
     Returns an accepting result carrying the replayed line functions, or a
-    rejection naming the offending line and a reason code.  Two reductions
-    of one premise on one variable to opposite constants, when some ``Conj``
-    line joins them, are replayed at the pair's first reduction line: its
-    side test and one ``Manager.forall_split`` walk give both reductions and
-    their conjunction, which the pair's other lines and that ``Conj`` read.
-    A ``Conj`` line that joins no such pair, and whose only referrer is a
-    ``Proj`` line on it projecting a variable of the order, is fused: at
-    its own line one ``Manager.and_exists`` walk gives the projection of
-    the conjunction, held until that ``Proj`` line reads it, and
-    ``functions`` has no entry for it (``strategy.extract`` reads only the
-    reduction lines).  Every other line is replayed on its own.  Verdicts
-    and reason codes are those of a replay of every line on its own; a
-    reduction to a constant other than 0 or 1 is ``malformed``.
+    rejection naming the offending line and a reason code.  Each line is
+    checked at its place, but a ``Conj`` or ``URed`` line's diagram is
+    built when a later line first reads it; at the end the last line and
+    every reduction line (``strategy.extract`` reads them) are built.  A
+    ``Proj`` line on an unbuilt conjunction takes ``Manager.and_exists``
+    over its operands; a ``Conj`` line on two unbuilt reductions of one
+    diagram on one variable to opposite constants takes all three results
+    from one ``Manager.forall_split`` walk; any other reader builds the line
+    with ``apply`` or ``restrict``.  So ``functions`` has no entry for a
+    non-last ``Conj`` line that only ``Proj`` lines read, or no line.
+    Verdicts and reason codes are those of a replay of every line on its
+    own; a reduction to a constant other than 0 or 1 is ``malformed``.
 
     A budget hit is never a verdict: running out of ``node_budget`` raises
-    ``obdd.BudgetExceededError("line <id>")``, naming the line whose replay
-    ran out (for a joined pair, its first reduction line; for a fused
-    conjunction, its ``Conj`` line).  ``solver.solve`` raises the same error
-    without a line.
+    ``obdd.BudgetExceededError("line <id>")``, naming the line whose
+    diagram was being built (for an ``and_exists`` walk the conjunction,
+    for a ``forall_split`` walk the pair's first reduction line).
+    ``solver.solve`` raises the same error without a line.
     """
 
     def reject(line_id: int | None, reason: str) -> CheckResult:
@@ -186,15 +185,25 @@ def check_trace(
     mgr = Manager(trace.order, node_budget=node_budget)
     positions = [f.prefix_position(v) for v in trace.order.vars]  # by rank
     funcs: dict[int, int] = {}
-    joined, fused = _replay_hints(trace)
-    held: dict[int, int] = {}  # fused Conj line -> its projection, until read
-    splits: dict[tuple[int, int], tuple[int, int, int]] = {}  # of joined pairs
-    reductions: dict[int, URed] = {}  # replayed reduction lines by id
+    # line id -> (left ref, right ref) of a Conj, (premise ref, var, value) of a URed
+    unbuilt: dict[int, tuple[int, ...]] = {}
+    tested: set[tuple[int, int]] = set()  # (premise ref, var) past the side test
+
+    def read(j: int) -> int:
+        # line j's diagram, built now if no line has read it yet
+        nonlocal at
+        args = unbuilt.pop(j, None)
+        if args is not None:
+            outer, at = at, j
+            funcs[j] = mgr.restrict(*args) if len(args) == 3 else mgr.apply(*args, "and")
+            at = outer
+        return funcs[j]
+
     m = len(f.clauses)
     last_id = 0
-    ref = mgr.ONE
     try:
         for pos, line in enumerate(trace.lines):
+            at = line.id  # the line whose diagram is being built
             if line.id <= last_id:
                 return reject(line.id, BAD_REFERENCE)
             rule = line.rule
@@ -204,118 +213,70 @@ def check_trace(
             elif isinstance(rule, Axiom):
                 return reject(line.id, AXIOM_MISMATCH)
             for j in trace.referenced(rule):
-                if j not in funcs and j not in held:
+                if j not in funcs and j not in unbuilt:
                     return reject(line.id, BAD_REFERENCE)
             if isinstance(rule, (Proj, URed)) and rule.var not in trace.order:
                 return reject(line.id, BAD_REFERENCE)
             if isinstance(rule, URed) and rule.value not in (0, 1):
                 return reject(line.id, MALFORMED)
             if isinstance(rule, Axiom):
-                ref = mgr.clause(f.clauses[rule.clause_index - 1])
+                funcs[line.id] = mgr.clause(f.clauses[rule.clause_index - 1])
             elif isinstance(rule, Conj):
-                var = fused.get(line.id)
-                if var is not None:
-                    ref = mgr.and_exists(funcs[rule.left], funcs[rule.right], var)
+                a, b = rule.left, rule.right
+                if a > b:  # operands are built in line order
+                    a, b = b, a
+                u, v = unbuilt.get(a, ()), unbuilt.get(b, ())
+                if len(u) == len(v) == 3 and u[:2] == v[:2] and u[2] != v[2]:
+                    at = a
+                    split = mgr.forall_split(u[0], u[1])
+                    del unbuilt[a], unbuilt[b]
+                    funcs[a], funcs[b] = split[u[2]], split[v[2]]
+                    funcs[line.id] = split[2]
                 else:
-                    split = splits.get(_pair(reductions.get(rule.left), reductions.get(rule.right)))
-                    ref = split[2] if split else mgr.apply(funcs[rule.left], funcs[rule.right], "and")
+                    unbuilt[line.id] = (read(a), read(b))
             elif isinstance(rule, Proj):
-                if rule.premise in held:
-                    ref = held.pop(rule.premise)
+                args = unbuilt.get(rule.premise, ())
+                if len(args) == 2:
+                    at = rule.premise
+                    funcs[line.id] = mgr.and_exists(args[0], args[1], rule.var)
                 else:
-                    ref = mgr.exists(funcs[rule.premise], rule.var)
+                    funcs[line.id] = mgr.exists(read(rule.premise), rule.var)
             elif isinstance(rule, URed):
-                key = (rule.premise, rule.var)
-                if key not in splits:
+                premise = read(rule.premise)
+                if (premise, rule.var) not in tested:
                     if not f.is_universal(rule.var):
                         return reject(line.id, URED_NOT_UNIVERSAL)
                     # also rejects a premise whose support misses rule.var
-                    right = mgr.shape(funcs[rule.premise], positions).rightmost
-                    if right != f.prefix_position(rule.var):
+                    if mgr.shape(premise, positions).rightmost != f.prefix_position(rule.var):
                         return reject(line.id, URED_NOT_RIGHTMOST)
-                    if key in joined:
-                        splits[key] = mgr.forall_split(funcs[rule.premise], rule.var)
-                if key in splits:
-                    ref = splits[key][rule.value]
-                else:
-                    ref = mgr.restrict(funcs[rule.premise], rule.var, rule.value)
-                reductions[line.id] = rule
+                    tested.add((premise, rule.var))
+                unbuilt[line.id] = (premise, rule.var, rule.value)
             elif isinstance(rule, Entail):
+                premises = [read(j) for j in rule.premises]
                 try:
                     claimed = obdd.deserialize(rule.block, mgr)
                 except (BlockFormatError, OrderError):
                     return reject(line.id, MALFORMED_BLOCK)
                 conj = mgr.ONE
-                for j in rule.premises:
-                    conj = mgr.apply(conj, funcs[j], "and")
+                for ref in premises:
+                    conj = mgr.apply(conj, ref, "and")
                 if mgr.apply(conj, claimed, "implies") != mgr.ONE:
                     return reject(line.id, ENTAILMENT_FAILED)
-                ref = claimed
+                funcs[line.id] = claimed
             else:
                 return reject(line.id, MALFORMED)
-            if line.id in fused:
-                held[line.id] = ref
-            else:
-                funcs[line.id] = ref
             last_id = line.id
+        for j in [j for j, args in unbuilt.items() if len(args) == 3]:
+            read(j)
+        ref = read(last_id) if last_id else mgr.ONE
     except BudgetExceededError:
-        raise BudgetExceededError(f"line {line.id}") from None
+        raise BudgetExceededError(f"line {at}") from None
     if len(trace.lines) < m:
         # every derivation opens with one axiom per matrix clause
         return reject(last_id or None, AXIOM_MISMATCH)
     if require_refutation and ref != mgr.ZERO:
         return reject(last_id or None, NOT_REFUTATION)
     return CheckResult(Verdict(True), mgr, funcs, ref)
-
-
-def _pair(a: URed | None, b: URed | None) -> tuple[int, int] | None:
-    """(premise, var) if ``a`` and ``b`` reduce one premise on one variable
-    to opposite constants, whose conjunction is the universal projection."""
-    if a and b and (a.premise, a.var) == (b.premise, b.var) and a.value != b.value:
-        return (a.premise, a.var)
-    return None
-
-
-def _replay_hints(trace: ProofTrace) -> tuple[set[tuple[int, int]], dict[int, int]]:
-    """One pass over the trace for the replay's two hints: the ``_pair`` of
-    each ``Conj`` line's operands, where they are one, and the fused
-    ``Conj`` lines, each with the variable its projection takes out.  A
-    ``Conj`` line whose operands are no pair is fused when its only
-    referrer is a ``Proj`` line on it whose variable is in the order.  Only
-    hints: the replay pairs the lines it accepted again, and a fused line's
-    projection reaches nothing but its ``Proj`` line."""
-    ureds: dict[int, URed] = {}
-    joined: set[tuple[int, int]] = set()
-    unpaired: list[int] = []  # Conj lines whose operands are no pair
-    readers: dict[int, int] = {}  # line id -> references to it
-    projected: dict[int, int] = {}  # premise -> variable of a Proj line on it
-    in_order = trace.order.position
-    for line in trace.lines:
-        rule = line.rule
-        kind = type(rule)
-        if kind is Axiom:
-            continue
-        if kind is Conj:
-            a, b = rule.left, rule.right
-            readers[a] = readers.get(a, 0) + 1
-            readers[b] = readers.get(b, 0) + 1
-            pair = _pair(ureds.get(a), ureds.get(b))
-            if pair:
-                joined.add(pair)
-            else:
-                unpaired.append(line.id)
-        elif kind is Proj or kind is URed:
-            a = rule.premise
-            readers[a] = readers.get(a, 0) + 1
-            if kind is URed:
-                ureds[line.id] = rule
-            elif rule.var in in_order:
-                projected[a] = rule.var
-        else:  # an entailment, or a rule the replay rejects
-            for a in trace.referenced(rule):
-                readers[a] = readers.get(a, 0) + 1
-    fused = {c: projected[c] for c in unpaired if readers.get(c) == 1 and c in projected}
-    return joined, fused
 
 
 # -- text format ----------------------------------------------------------

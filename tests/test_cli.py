@@ -387,6 +387,10 @@ def test_usage_errors(tmp_path, capsys):
     for threads in ("0", "-3"):
         code, out, err = run(capsys, "--threads", threads, "bench", "--family", "eqprime", "--n", "2")
         assert (code, out, err) == (EXIT_USAGE, "", "usage error: --threads must be at least 1\n")
+    # an order list with no policy in it would run nothing and exit 0
+    for orders in ("", ",", " , "):
+        code, out, err = run(capsys, "bench", "--family", "eqprime", "--n", "2", "--orders", orders)
+        assert (code, out, err) == (EXIT_USAGE, "", "usage error: --orders names no order policy\n")
     # a partition file must hold integer ids that split the graph, each once
     graph = tmp_path / "m2.edges"
     graph.write_text("1 2\n3 4\n")

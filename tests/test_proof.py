@@ -472,16 +472,32 @@ def fused_lines(trace):
     }
 
 
+def unread_lines(trace):
+    """The non-last ``Conj`` lines of a trace that only ``Proj`` lines
+    read, or no line: the only lines the checker may leave unbuilt."""
+    readers = {line.id: [] for line in trace.lines}
+    for line in trace.lines:
+        for j in trace.referenced(line.rule):
+            readers[j].append(line.rule)
+    return {
+        line.id
+        for line in trace.lines[:-1]
+        if isinstance(line.rule, Conj) and all(isinstance(r, Proj) for r in readers[line.id])
+    }
+
+
 def assert_agrees_with_reference(f, trace):
     """Same verdict as the per-line reference; when accepted, the same
-    function on every line but the fused conjunctions, which are the only
-    lines missing, and a store no larger than the reference's."""
+    function on every line present, every fused conjunction missing and
+    no line missing that a line other than a projection reads, and a
+    store no larger than the reference's."""
     want, ref_mgr, ref_funcs = check_trace_reference(f, trace)
     got = check_trace(f, trace)
     assert got.verdict == want
     if want.accepted:
         assert got.functions.keys() <= ref_funcs.keys()
-        assert ref_funcs.keys() - got.functions.keys() == fused_lines(trace)
+        missing = ref_funcs.keys() - got.functions.keys()
+        assert fused_lines(trace) <= missing <= unread_lines(trace)
         for lid, ref in got.functions.items():
             assert obdd.serialize(got.manager, ref) == obdd.serialize(ref_mgr, ref_funcs[lid])
         assert len(got.manager) <= len(ref_mgr)
@@ -739,3 +755,101 @@ def test_the_fused_replay_holds_fewer_nodes(f):
     assert got.refutation
     assert fused_lines(trace)
     assert len(got.manager) < len(ref_mgr)
+
+
+# -- budget hits name the line being built ------------------------------------
+
+# For each solver refutation below: the final store size, and the line each
+# budget from 0 up names, as (first budget, line) runs; None where the
+# check passes.  Computed with the checker of commit 71dd75b, which
+# pre-scanned the trace and built every line at its own place.
+BUDGET_RUNS = {
+    "quparity-default-order": (
+        400,
+        [
+            (0, 1), (5, 2), (7, 3), (12, 4), (14, 5), (18, 6), (20, 7), (24, 8),
+            (26, 9), (31, 10), (35, 11), (40, 12), (44, 13), (46, 14), (48, 15),
+            (50, 16), (52, 17), (57, 18), (61, 19), (66, 20), (70, 21), (72, 22),
+            (74, 23), (76, 24), (78, 25), (83, 26), (87, 27), (92, 28), (96, 29),
+            (98, 30), (100, 31), (102, 32), (104, 33), (109, 34), (113, 35), (118, 36),
+            (122, 37), (124, 38), (126, 39), (128, 40), (130, 41), (135, 42), (139, 43),
+            (144, 44), (148, 45), (150, 46), (152, 47), (154, 48), (156, 49), (161, 50),
+            (165, 51), (170, 52), (174, 53), (176, 54), (178, 55), (180, 56), (182, 57),
+            (184, 58), (186, 59), (187, 62), (191, 63), (195, 64), (199, 65), (203, 67),
+            (208, 69), (211, 70), (215, 71), (219, 72), (220, 73), (222, 74), (224, 75),
+            (226, 76), (233, 78), (236, 79), (240, 80), (244, 81), (245, 82), (247, 83),
+            (249, 84), (251, 85), (260, 87), (263, 88), (267, 89), (271, 90), (272, 91),
+            (274, 92), (276, 93), (278, 94), (289, 96), (292, 97), (296, 98), (300, 99),
+            (301, 100), (303, 101), (305, 102), (307, 103), (320, 105), (323, 106),
+            (327, 107), (331, 108), (332, 109), (334, 110), (336, 111), (338, 112),
+            (355, 114), (356, 115), (358, 116), (360, 117), (363, 118), (365, 119),
+            (368, 120), (370, 121), (379, 123), (394, 126), (398, None),
+        ],
+    ),
+    "eqprime": (
+        238,
+        [
+            (0, 1), (3, 2), (5, 3), (8, 4), (11, 5), (14, 6), (17, 7), (20, 8), (23, 9),
+            (26, 10), (29, 11), (32, 12), (35, 13), (37, 14), (40, 15), (43, 16),
+            (46, 17), (49, 18), (51, 19), (53, 21), (55, 23), (57, 25), (59, 27),
+            (60, 29), (62, 30), (67, 32), (69, 33), (76, 35), (78, 36), (84, 38),
+            (86, 39), (91, 41), (93, 42), (97, 44), (98, 45), (101, 47), (145, 50),
+            (180, 53), (206, 56), (223, 59), (234, 62), (236, None),
+        ],
+    ),
+    "ipg": (
+        909,
+        [
+            (0, 1), (2, 2), (3, 3), (6, 4), (8, 5), (9, 6), (12, 7), (14, 8), (15, 9),
+            (18, 10), (20, 11), (21, 12), (24, 13), (26, 14), (27, 15), (30, 16),
+            (32, 17), (33, 18), (36, 19), (38, 20), (39, 21), (42, 22), (44, 23),
+            (45, 24), (48, 25), (50, 26), (51, 27), (54, 28), (56, 29), (58, 30),
+            (61, 31), (63, 32), (65, 33), (68, 34), (70, 35), (72, 36), (75, 37),
+            (78, 38), (80, 39), (83, 40), (85, 41), (88, 42), (90, 43), (93, 44),
+            (95, 45), (98, 46), (100, 47), (103, 48), (105, 49), (108, 50), (110, 51),
+            (113, 52), (115, 53), (117, 54), (119, 55), (121, 56), (123, 57), (126, 58),
+            (129, 59), (131, 60), (133, 61), (136, 62), (138, 63), (141, 64), (143, 65),
+            (145, 66), (147, 67), (149, 68), (151, 69), (154, 70), (157, 71), (159, 72),
+            (161, 73), (164, 74), (167, 75), (169, 76), (171, 77), (174, 78), (177, 79),
+            (179, 80), (181, 81), (183, 82), (184, 83), (186, 84), (189, 85), (192, 86),
+            (194, 87), (197, 89), (199, 90), (200, 91), (202, 92), (207, 94), (209, 95),
+            (210, 96), (212, 97), (219, 99), (220, 100), (222, 101), (224, 102),
+            (237, 104), (238, 105), (240, 106), (242, 107), (255, 109), (256, 110),
+            (258, 111), (260, 112), (275, 114), (276, 115), (278, 116), (280, 117),
+            (297, 119), (298, 120), (300, 121), (302, 122), (321, 124), (322, 125),
+            (324, 126), (326, 127), (345, 129), (346, 130), (348, 131), (350, 132),
+            (371, 134), (373, 135), (374, 136), (387, 138), (388, 139), (390, 140),
+            (415, 142), (416, 143), (418, 144), (459, 146), (460, 147), (462, 148),
+            (513, 150), (514, 151), (516, 152), (539, 154), (540, 155), (542, 156),
+            (577, 158), (578, 159), (580, 160), (631, 162), (632, 163), (634, 164),
+            (687, 166), (688, 167), (690, 168), (743, 170), (744, 171), (746, 172),
+            (765, 174), (766, 175), (768, 176), (833, 178), (834, 179), (836, 180),
+            (907, None),
+        ],
+    ),
+}
+
+
+BUDGET_INSTANCES = {
+    "quparity-default-order": lambda: gen_quparity(8),
+    "eqprime": lambda: gen_eqprime(6),
+    "ipg": lambda: gen_ipg_qbf(random_dregular(8, 3, seed=1)),
+}
+
+
+@pytest.mark.parametrize("name", list(BUDGET_RUNS))
+def test_every_budget_names_the_line_it_named_before(name):
+    f = BUDGET_INSTANCES[name]()
+    size, want = BUDGET_RUNS[name]
+    trace = solve(f).trace
+    assert len(check_trace(f, trace, require_refutation=True).manager) == size
+    runs = []
+    for budget in range(size + 1):
+        try:
+            check_trace(f, trace, node_budget=budget)
+            named = None
+        except obdd.BudgetExceededError as exc:
+            named = int(str(exc).removeprefix("line "))
+        if not runs or runs[-1][1] != named:
+            runs.append((budget, named))
+    assert runs == want
