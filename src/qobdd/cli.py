@@ -78,16 +78,13 @@ def _resolve_order(f: Pcnf, spec: str) -> VarOrder:
     raise UsageError(f"unknown order policy {spec!r}")
 
 
-FAMILIES = {  # generator and hand-written decomposition of each sized family
-    "quparity": (families.gen_quparity, families.quparity_decomposition),
-    "eqprime": (families.gen_eqprime, families.eqprime_decomposition),
-}
+FAMILIES = {"quparity": families.gen_quparity, "eqprime": families.gen_eqprime}
 
 
 def _gen_family(family: str, n: int) -> Pcnf:
     """A sized family instance; a size the family refuses is a bad argument."""
     try:
-        return FAMILIES[family][0](n)
+        return FAMILIES[family](n)
     except families.FamilyError as exc:
         raise UsageError(str(exc)) from None
 
@@ -143,8 +140,7 @@ def build_parser() -> _Parser:
     b.add_argument("--family", choices=list(FAMILIES), required=True)
     b.add_argument("--n", required=True, help="range as lo:hi[:step]")
     b.add_argument("--orders", default="pathwidth",
-                   help="comma-separated policies as in solve --order, but "
-                   "pathwidth is the family's hand-written decomposition")
+                   help="comma-separated policies as in solve --order")
 
     r = sub.add_parser("rect", help="rectangle bound analysis")
     rsub = r.add_subparsers(dest="rect_command", required=True)
@@ -275,12 +271,7 @@ def _parse_range(spec: str) -> list[int]:
 
 def _bench_one(family: str, n: int, policy: str, budget: int) -> dict:
     f = _gen_family(family, n)
-    if policy == "pathwidth":
-        decomp = FAMILIES[family][1](n)
-        order = solver.extend_order(f, graphs.order_from_decomposition(decomp).vars)
-    else:
-        order = _resolve_order(f, policy)
-    result = solver.solve(f, order=order, node_budget=budget)
+    result = solver.solve(f, order=_resolve_order(f, policy), node_budget=budget)
     return {"family": family, "n": n, "order": policy, **result.stats.as_dict()}
 
 

@@ -206,10 +206,11 @@ def emit_qdimacs(f: Pcnf) -> str:
 
 def primal_graph(f: Pcnf) -> Graph:
     """Graph on the matrix variables linking co-clausal pairs, built in one
-    pass over the clauses; a canonical clause names each variable once."""
+    pass over the distinct clause scopes (clauses that differ only in signs,
+    as a gadget's do, link the same pairs); a canonical clause names each
+    variable once."""
     adj: dict[int, set[int]] = {}
-    for c in f.clauses:
-        vs = [abs(l) for l in c]
+    for vs in {tuple(map(abs, c)) for c in f.clauses}:
         for v in vs:
             nbrs = adj.get(v)
             if nbrs is None:

@@ -3,8 +3,11 @@
 Everything here is deliberately independent of the code paths it checks:
 truth tables come from exhaustive evaluation, widths from cofactor
 counting, separation widths and min-degree orders from rescanning every
-prefix or every remaining vertex, rectangle maxima from double-subset
-enumeration (sizes) or a full closure scan per candidate (witnesses),
+prefix or every remaining vertex, the three-candidate order rule that
+predates universal-first orders from ``narrow_order_oracle``, primal
+graphs from ``primal_graph_oracle``, one clause at a time, rectangle
+maxima from double-subset enumeration (sizes) or a full closure scan per
+candidate (witnesses),
 inner-product tables from ``cellwise_ip_truth_table``, one ``eval_ipg``
 call per cell,
 PCNF truth values from the game-tree recursions
@@ -38,7 +41,7 @@ from itertools import product
 from typing import Callable, Iterable, Mapping, Sequence
 
 from qobdd import obdd, proof
-from qobdd.graphs import Graph
+from qobdd.graphs import Graph, _bfs_order
 from qobdd.obdd import (
     DEFAULT_NODE_BUDGET,
     BlockFormatError,
@@ -171,6 +174,27 @@ def min_degree_order_oracle(g) -> list[int]:
             adj[a].update(nbrs - {a})
         remaining.remove(v)
     return order
+
+
+def narrow_order_oracle(g) -> list[int]:
+    """The three-candidate rule ``graphs.narrow_order`` applied before its
+    universal-first candidate: the first of the identity, breadth-first and
+    min-degree orders of smallest width, widths by rescanning."""
+    candidates = [list(g.vertices), _bfs_order(g), min_degree_order_oracle(g)]
+    widths = [separation_width_oracle(g, order) for order in candidates]
+    return candidates[widths.index(min(widths))]
+
+
+def primal_graph_oracle(f: Pcnf) -> Graph:
+    """The primal graph built clause by clause: every pair of each clause's
+    variables added as an edge through the checked ``Graph`` constructor."""
+    edges = set()
+    for c in f.clauses:
+        vs = sorted({abs(l) for l in c})
+        for i, u in enumerate(vs):
+            for w in vs[i + 1 :]:
+                edges.add((u, w))
+    return Graph(sorted(f.matrix_variables()), sorted(edges))
 
 
 def random_pcnf(rng: random.Random, max_vars=14, max_clauses=30) -> Pcnf:

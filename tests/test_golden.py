@@ -15,7 +15,7 @@ import pytest
 
 from qobdd.families import eqprime_decomposition, gen_eqprime, gen_ipg_qbf, gen_quparity
 from qobdd.graphs import order_from_decomposition, random_dregular
-from qobdd.obdd import serialize
+from qobdd.obdd import VarOrder, serialize
 from qobdd.pcnf import EXISTS, FORALL, Pcnf, clause
 from qobdd.proof import emit_trace
 from qobdd.solver import solve
@@ -36,6 +36,9 @@ WITH_EMPTY = Pcnf(((EXISTS, 1), (FORALL, 2)), (clause([1, 2]), (), clause([-1]),
 def _instances():
     yield "eqprime6-family", gen_eqprime(6), order_from_decomposition(eqprime_decomposition(6))
     yield "quparity6-default", gen_quparity(6), None
+    # the breadth-first order the default picked before universal vertices
+    # went first, pinned so that its outputs stay covered
+    yield "quparity6-bfs", gen_quparity(6), VarOrder((1, 2, 7, 8, 9, 3, 4, 5, 6, 10, 11, 12, 13))
     yield "ipg10", gen_ipg_qbf(random_dregular(10, 3, seed=2)), None
     yield "repeated", REPEATED, None
     yield "empty", WITH_EMPTY, None
@@ -81,6 +84,13 @@ GOLDEN = {  # name: (value, trace, strategy, stats, rectangles)
         "c0d0184960f9b4776bbc07d1eefd1d1dd8fd4de2df3d1dc7685882299095c72e",
     ),
     "quparity6-default": (
+        False,
+        "54dba5c3184737a9f0b765b5f5a3d013ac57e92074f04735bb6e971317336452",
+        "8ca4da93961cb4a52abd39407a8bc872d64043ecf8cf9dbba43bdf3bcecfb601",
+        "bd580cba62b64c61d6a8ec70f44e76a9965e399c5e73cc0a259acd4803e98393",
+        "f15b9c9b19c29e61a6777835636f98522ec52f4ad5bddb4baf575816d1362e2a",
+    ),
+    "quparity6-bfs": (
         False,
         "6ad34639b17260f40f136ece8facbc5a4500f993f95c0d26a232b256817c2af5",
         "fdb9bac6619771c74af464976e0df9dfd1d8730702432307b598e1c3009b67ac",

@@ -18,7 +18,13 @@ from qobdd.graphs import (
 )
 from qobdd.obdd import Manager
 
-from .helpers import emit_edge_list, layer_width, min_degree_order_oracle, separation_width_oracle
+from .helpers import (
+    emit_edge_list,
+    layer_width,
+    min_degree_order_oracle,
+    narrow_order_oracle,
+    separation_width_oracle,
+)
 
 
 def test_graph_simple_invariants():
@@ -64,12 +70,37 @@ def _oracle_graphs():
         p = rng.random()
         ids = rng.sample(range(1, 40), n)
         yield Graph(ids, [(u, w) for u in ids for w in ids if u < w and rng.random() < p])
+    yield from _planted_universal_graphs(random.Random(13), 40)
+
+
+def _planted_universal_graphs(rng, count):
+    """Random graphs plus 0-3 planted vertices adjacent to every other one,
+    at random ids among the rest."""
+    for _ in range(count):
+        n = rng.randint(1, 14)
+        ids = rng.sample(range(1, 40), n + 3)
+        rest, planted = ids[:n], ids[n : n + rng.randint(0, 3)]
+        p = rng.random()
+        edges = [(u, w) for u in rest for w in rest if u < w and rng.random() < p]
+        edges += [(u, w) for u in planted for w in rest + planted if u < w or w not in planted]
+        yield Graph(rest + planted, edges)
+
+
+def _universal(g):
+    return [v for v in g.vertices if g.degree(v) == len(g.vertices) - 1]
 
 
 def test_candidate_orders_and_widths_match_rescan_oracles():
+    fourth = 0
     for g in _oracle_graphs():
         assert _min_degree_order(g) == min_degree_order_oracle(g)
         candidates = [list(g.vertices), _bfs_order(g), _min_degree_order(g)]
+        universal = _universal(g)
+        if 0 < len(universal) < len(g.vertices):
+            # universal vertices first, then the min-degree order without them
+            rest = [v for v in min_degree_order_oracle(g) if v not in universal]
+            candidates.append(universal + rest)
+            fourth += 1
         widths = []
         for order in candidates:
             assert sorted(order) == list(g.vertices)
@@ -87,6 +118,30 @@ def test_candidate_orders_and_widths_match_rescan_oracles():
         pd = path_decomposition(g)
         pd.validate(g)
         assert pd.width == min(widths)
+    assert fourth >= 20, fourth
+
+
+def test_universal_vertices_first_never_widen_and_cost_their_count():
+    # against the three-candidate rule: an order changes only on graphs with
+    # universal vertices, and then only to a narrower one; and any order of
+    # G - U after U is |U| wider than it is on G - U
+    kept = narrower = 0
+    for g in _planted_universal_graphs(random.Random(41), 300):
+        got, old = narrow_order(g), narrow_order_oracle(g)
+        universal = _universal(g)
+        if not 0 < len(universal) < len(g.vertices):
+            assert got == old
+            kept += 1
+            continue
+        width, old_width = _separation_width(g, got), separation_width_oracle(g, old)
+        assert width <= old_width
+        narrower += width < old_width
+        assert got == old or width < old_width  # the first narrowest still wins
+        rest = [v for v in g.vertices if v not in universal]
+        h = Graph(rest, [(u, w) for u, w in g.edges() if u in rest and w in rest])
+        for order in (rest, _min_degree_order(h), narrow_order(h), rest[::-1]):
+            assert _separation_width(g, universal + order) == len(universal) + _separation_width(h, order)
+    assert kept >= 50 and narrower >= 10, (kept, narrower)
 
 
 def test_decomposition_validation_catches_violations():

@@ -14,7 +14,7 @@ from qobdd.pcnf import (
     primal_graph,
 )
 
-from .helpers import random_pcnf
+from .helpers import primal_graph_oracle, random_pcnf
 
 
 def test_parse_single_unit():
@@ -138,22 +138,20 @@ def test_primal_graph_eqprime2_edge_count():
 
 
 def test_primal_graph_equals_the_edge_by_edge_construction():
-    # the one-pass adjacency against the sorted edge set re-added through
-    # the checked Graph.add_edge, on random formulas and the families
+    # the build over distinct clause scopes against the clause-by-clause
+    # oracle, on random formulas, both families, IPGs, a formula with an
+    # empty clause and one without clauses
     from qobdd.families import gen_eqprime, gen_ipg_qbf, gen_quparity
-    from qobdd.graphs import Graph, random_dregular
+    from qobdd.graphs import random_dregular
 
     rng = random.Random(29)
     formulas = [random_pcnf(rng) for _ in range(60)]
-    formulas += [gen_eqprime(5), gen_quparity(7), gen_ipg_qbf(random_dregular(10, 3, seed=1))]
+    formulas += [gen_eqprime(n) for n in (2, 5, 9)] + [gen_quparity(n) for n in (2, 7, 12)]
+    formulas += [gen_ipg_qbf(random_dregular(n, 3, seed=s)) for n, s in ((6, 0), (10, 1), (14, 2))]
+    formulas.append(Pcnf(((EXISTS, 1), (FORALL, 2), (EXISTS, 3)), (clause([1, 2]), (), clause([-1, -2]))))
+    formulas.append(Pcnf(((EXISTS, 1), (FORALL, 2)), ()))
     for f in formulas:
-        edges = set()
-        for c in f.clauses:
-            vs = sorted({abs(l) for l in c})
-            for i, u in enumerate(vs):
-                for w in vs[i + 1 :]:
-                    edges.add((u, w))
-        want = Graph(sorted(f.matrix_variables()), sorted(edges))
+        want = primal_graph_oracle(f)
         got = primal_graph(f)
         assert got == want
         assert got.adj == want.adj and list(got.adj) == list(want.adj)

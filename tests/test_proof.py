@@ -764,7 +764,7 @@ def test_the_fused_replay_holds_fewer_nodes(f):
 # check passes.  Computed with the checker of commit 71dd75b, which
 # pre-scanned the trace and built every line at its own place.
 BUDGET_RUNS = {
-    "quparity-default-order": (
+    "quparity-bfs-order": (
         400,
         [
             (0, 1), (5, 2), (7, 3), (12, 4), (14, 5), (18, 6), (20, 7), (24, 8),
@@ -830,18 +830,23 @@ BUDGET_RUNS = {
 }
 
 
-BUDGET_INSTANCES = {
-    "quparity-default-order": lambda: gen_quparity(8),
-    "eqprime": lambda: gen_eqprime(6),
-    "ipg": lambda: gen_ipg_qbf(random_dregular(8, 3, seed=1)),
+BUDGET_INSTANCES = {  # formula and order; None is the default order
+    # the breadth-first order the default picked before universal vertices
+    # went first, given here so that the pinned table still applies
+    "quparity-bfs-order": lambda: (
+        gen_quparity(8),
+        VarOrder((1, 2, 9, 10, 11, 3, 4, 5, 6, 7, 8, 12, 13, 14, 15, 16, 17)),
+    ),
+    "eqprime": lambda: (gen_eqprime(6), None),
+    "ipg": lambda: (gen_ipg_qbf(random_dregular(8, 3, seed=1)), None),
 }
 
 
 @pytest.mark.parametrize("name", list(BUDGET_RUNS))
 def test_every_budget_names_the_line_it_named_before(name):
-    f = BUDGET_INSTANCES[name]()
+    f, order = BUDGET_INSTANCES[name]()
     size, want = BUDGET_RUNS[name]
-    trace = solve(f).trace
+    trace = solve(f, order=order).trace
     assert len(check_trace(f, trace, require_refutation=True).manager) == size
     runs = []
     for budget in range(size + 1):
