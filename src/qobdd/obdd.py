@@ -78,6 +78,11 @@ def transpose(words: Sequence[int], width: int) -> list[int]:
     return [int(text[width - 1 - i :: width], 2) for i in range(width)]
 
 
+def _variable_type_error(var: object) -> OrderError:
+    """Variables are ints, and a bool, which would pass for 0 or 1, is not one."""
+    return OrderError(f"variable must be an int, not {type(var).__name__}")
+
+
 class VarOrder:
     """An ordering pi of integer variable ids; rank 0 is tested first."""
 
@@ -90,6 +95,8 @@ class VarOrder:
             raise OrderError("duplicate variable in order")
 
     def rank(self, var: int) -> int:
+        if type(var) is not int:
+            raise _variable_type_error(var)
         try:
             return self.position[var]
         except KeyError:
@@ -206,6 +213,8 @@ class Manager:
         """Canonical node for (var, lo, hi); collapses redundant tests."""
         self._check_ref(lo)
         self._check_ref(hi)
+        if type(var) is not int:
+            raise _variable_type_error(var)
         if lo == hi:
             return lo
         rank = self.order.rank(var)
@@ -237,26 +246,47 @@ class Manager:
         return ref
 
     def clause(self, literals: Iterable[int]) -> int:
-        """OBDD of a disjunction of signed DIMACS-style literals."""
-        lits = set(literals)
+        """OBDD of a disjunction of signed DIMACS-style literals.
+
+        Built from one list of (rank, literal) pairs sorted deepest first:
+        equal ranks are adjacent in it, so a repeated literal and a variable
+        of both signs (the clause is ONE) are read off before any node is
+        made, and the chain is built bottom-up.  A literal is a nonzero
+        ``int`` (a bool is not one) on a variable of the order.
+        """
+        lits = literals if type(literals) is tuple else tuple(literals)
         if 0 in lits:
             raise ObddError("0 is not a literal")
         position = self.order.position
         try:
-            ranked = sorted([(position[abs(l)], l) for l in lits], reverse=True)
-        except KeyError as exc:
-            raise OrderError(f"variable {exc.args[0]} not in order") from None
-        # the literals are distinct, so equal adjacent ranks are x and not x
-        for i in range(1, len(ranked)):
-            if ranked[i][0] == ranked[i - 1][0]:
-                return self.ONE
-        acc = self.ZERO
+            ranked = [(position[l if l > 0 else -l], l) for l in lits if type(l) is int]
+        except KeyError:
+            raise self._clause_error(lits) from None
+        if len(ranked) != len(lits):
+            raise self._clause_error(lits)
+        ranked.sort(reverse=True)
+        prev, last = -1, 0
         for rank, lit in ranked:
-            if lit > 0:
-                acc = self._mk(lit, rank, acc, self.ONE)
-            else:
-                acc = self._mk(-lit, rank, self.ONE, acc)
+            if rank == prev and lit != last:
+                return self.ONE
+            prev, last = rank, lit
+        acc, prev, mk = self.ZERO, -1, self._mk
+        for rank, lit in ranked:
+            if rank != prev:  # else a repeat of the literal just built
+                acc = mk(lit, rank, acc, 1) if lit > 0 else mk(-lit, rank, 1, acc)
+                prev = rank
         return acc
+
+    def _clause_error(self, lits: tuple) -> ObddError:
+        """The error of a clause with a literal that is not an int or not on
+        a variable of the order: the first such literal of ``lits``, or the
+        first variable off the order in set iteration order."""
+        for l in lits:
+            if type(l) is not int:
+                return ObddError(f"literal must be an int, not {type(l).__name__}")
+        position = self.order.position
+        missing = next(abs(l) for l in set(lits) if abs(l) not in position)
+        return OrderError(f"variable {missing} not in order")
 
     # -- boolean combination -----------------------------------------------
     #
@@ -1001,6 +1031,41 @@ def build_rows(rows: list[Row], manager: Manager) -> int:
         if rank[lo] <= r or rank[hi] <= r:
             raise OrderError(f"variable {var} (rank {r}) does not precede its children")
         append(mk(var, r, lo, hi))
+    return refs[-1]
+
+
+def build_ordered_rows(rows: list[Row], manager: Manager) -> int:
+    """``build_rows`` for rows known to fit the manager's order, as rows do
+    in an order inferred from them (``strategy.parse_strategy``): every
+    row's variable is in the order and ranks above its children.  So no row
+    is checked, and ``Manager._mk`` runs inline; the store gets the same
+    nodes, and a budget hit the same error, as through ``build_rows``."""
+    position, budget = manager.order.position, manager.node_budget
+    var_, lo_, hi_, rank, unique = (
+        manager._var, manager._lo, manager._hi, manager._rank, manager._unique
+    )
+    refs: list[int] = []
+    append = refs.append
+    for var, lo, hi in rows:
+        if var is None:
+            append(manager.const(hi))
+            continue
+        lo, hi = refs[lo], refs[hi]
+        if lo == hi:
+            append(lo)
+            continue
+        key = (var, lo, hi)
+        ref = unique.get(key)
+        if ref is None:
+            ref = len(var_)
+            if ref - 2 >= budget:
+                raise BudgetExceededError(f"node budget {budget} exceeded")
+            var_.append(var)
+            lo_.append(lo)
+            hi_.append(hi)
+            rank.append(position[var])
+            unique[key] = ref
+        append(ref)
     return refs[-1]
 
 

@@ -2,11 +2,14 @@
 
 Variables are positive ints, literals signed ints.  Clauses are canonical
 tuples: deduplicated, sorted by variable id, never tautological.  All types
-here are immutable values and can be shared freely across threads.
+here are immutable values and can be shared freely across threads (a
+formula's digest is cached on first use, but every thread that computes it
+writes the same string).
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -48,11 +51,14 @@ class Pcnf:
 
     ``prefix`` is one (quantifier, variable) pair per variable, outermost
     first.  Block structure is derived: maximal runs of one quantifier.
+    ``digest()`` is computed once per formula object and kept; the write is
+    idempotent, so a formula stays safe to share across threads.
     """
 
     prefix: tuple[tuple[str, int], ...]
     clauses: tuple[Clause, ...]
     _pos: dict = field(init=False, repr=False, compare=False, hash=False)
+    _digest: str | None = field(default=None, init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         object.__setattr__(
@@ -82,6 +88,15 @@ class Pcnf:
 
     def is_universal(self, var: int) -> bool:
         return self.quantifier(var) == FORALL
+
+    def digest(self) -> str:
+        """SHA-256 hex digest of ``emit_qdimacs(self)``, the formula hash
+        of its traces; computed on the first call and kept."""
+        d = self._digest
+        if d is None:
+            d = hashlib.sha256(emit_qdimacs(self).encode()).hexdigest()
+            object.__setattr__(self, "_digest", d)
+        return d
 
     def blocks(self) -> list[tuple[str, list[int]]]:
         out: list[tuple[str, list[int]]] = []

@@ -21,18 +21,21 @@ conjunction (an existential bucket's ``C j k`` then ``P x l``) is one
 ``Manager.and_exists`` walk that never builds the conjunction above x, and
 a conjunction of a universal's two reductions is one
 ``Manager.forall_split`` walk.  A reduction's side test reads the
-rightmost position off ``Manager.shape``.
+rightmost position off ``Manager.shape``.  The trace header's formula hash
+is compared with ``formula_hash(f)``, the SHA-256 of ``f``'s canonical
+QDIMACS, which ``Pcnf.digest`` computes once per formula object: a solve,
+its check and every later check of that object share one digest.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
-from typing import Union
+from operator import attrgetter
+from typing import Callable, Union
 
 from . import obdd
 from .obdd import BlockFormatError, BudgetExceededError, Manager, OrderError, VarOrder
-from .pcnf import Pcnf, emit_qdimacs
+from .pcnf import Pcnf
 
 # rejection reason codes
 HASH_MISMATCH = "formula-hash-mismatch"
@@ -58,43 +61,103 @@ class TraceParseError(TraceError):
         self.reason = reason
 
 
-@dataclass(frozen=True)
-class Axiom:
+class _Record:
+    """Base of ``ProofLine`` and the rule records: immutable values, equal
+    when of one type with equal fields (``Conj(1, 2) != Proj(1, 2)``),
+    hashed by their fields.
+
+    A frozen dataclass sets each field through ``object.__setattr__``; a
+    record's ``__init__`` assigns each field once to a private slot, which
+    builds it in a third to a half of the time.  The field's name is a
+    read-only property over its slot, made here for each subclass from its
+    ``__slots__``; this module's own loops read the slots.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+    _key: Callable[[_Record], object]  # the field values, read off a record
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(slot[1:] for slot in cls.__slots__)
+        for name, slot in zip(cls._fields, cls.__slots__):
+            setattr(cls, name, property(attrgetter(slot)))
+        cls._key = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            key = self._key
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class Axiom(_Record):
+    __slots__ = ("_clause_index",)
     clause_index: int  # 1-based index into the matrix
 
+    def __init__(self, clause_index: int):
+        self._clause_index = clause_index
 
-@dataclass(frozen=True)
-class Conj:
+
+class Conj(_Record):
+    __slots__ = ("_left", "_right")
     left: int
     right: int
 
+    def __init__(self, left: int, right: int):
+        self._left = left
+        self._right = right
 
-@dataclass(frozen=True)
-class Proj:
+
+class Proj(_Record):
+    __slots__ = ("_var", "_premise")
     var: int
     premise: int
 
+    def __init__(self, var: int, premise: int):
+        self._var = var
+        self._premise = premise
 
-@dataclass(frozen=True)
-class URed:
+
+class URed(_Record):
+    __slots__ = ("_var", "_value", "_premise")
     var: int
     value: int
     premise: int
 
+    def __init__(self, var: int, value: int, premise: int):
+        self._var = var
+        self._value = value
+        self._premise = premise
 
-@dataclass(frozen=True)
-class Entail:
+
+class Entail(_Record):
+    __slots__ = ("_premises", "_block")
     premises: tuple[int, ...]
     block: str
+
+    def __init__(self, premises: tuple[int, ...], block: str):
+        self._premises = premises
+        self._block = block
 
 
 Rule = Union[Axiom, Conj, Proj, URed, Entail]
 
 
-@dataclass(frozen=True)
-class ProofLine:
+class ProofLine(_Record):
+    __slots__ = ("_id", "_rule")
     id: int
     rule: Rule
+
+    def __init__(self, id: int, rule: Rule):
+        self._id = id
+        self._rule = rule
 
 
 @dataclass(frozen=True)
@@ -112,9 +175,19 @@ class ProofTrace:
             return rule.premises
         return ()
 
+    def reductions(self) -> list[tuple[int, int, int]]:
+        """(line id, variable, value) of each reduction line, in line order."""
+        return [
+            (line._id, rule._var, rule._value)
+            for line in self.lines
+            if type(rule := line._rule) is URed
+        ]
+
 
 def formula_hash(f: Pcnf) -> str:
-    return hashlib.sha256(emit_qdimacs(f).encode()).hexdigest()
+    """The SHA-256 of ``f``'s canonical QDIMACS, computed once per formula
+    object (``Pcnf.digest``)."""
+    return f.digest()
 
 
 # -- verdicts ------------------------------------------------------------
@@ -173,6 +246,11 @@ def check_trace(
     diagram was being built (for an ``and_exists`` walk the conjunction,
     for a ``forall_split`` walk the pair's first reduction line).
     ``solver.solve`` raises the same error without a line.
+
+    The loop branches once per line on the rule's type and keeps its
+    state in plain locals; the formula's digest is computed once per
+    formula object (``formula_hash``), so a check after a solve of the same
+    ``f`` does not hash it again.
     """
 
     def reject(line_id: int | None, reason: str) -> CheckResult:
@@ -180,95 +258,121 @@ def check_trace(
 
     if trace.formula_hash != formula_hash(f):
         return reject(None, HASH_MISMATCH)
-    if set(trace.order.vars) != set(f.variables):
+    order = trace.order
+    if set(order.vars) != set(f.variables):
         return reject(None, ORDER_MISMATCH)
-    mgr = Manager(trace.order, node_budget=node_budget)
-    positions = [f.prefix_position(v) for v in trace.order.vars]  # by rank
+    mgr = Manager(order, node_budget=node_budget)
+    clause, apply, restrict = mgr.clause, mgr.apply, mgr.restrict
+    in_order = order.position
+    positions = [f.prefix_position(v) for v in order.vars]  # by rank
     funcs: dict[int, int] = {}
-    # line id -> (left ref, right ref) of a Conj, (premise ref, var, value) of a URed
+    # line id -> (left ref, right ref) of a Conj, (premise ref, var, value)
+    # of a URed, until a line reads it: then its diagram moves to funcs
     unbuilt: dict[int, tuple[int, ...]] = {}
     tested: set[tuple[int, int]] = set()  # (premise ref, var) past the side test
-
-    def read(j: int) -> int:
-        # line j's diagram, built now if no line has read it yet
-        nonlocal at
-        args = unbuilt.pop(j, None)
-        if args is not None:
-            outer, at = at, j
-            funcs[j] = mgr.restrict(*args) if len(args) == 3 else mgr.apply(*args, "and")
-            at = outer
-        return funcs[j]
-
-    m = len(f.clauses)
-    last_id = 0
+    clauses = f.clauses
+    m = len(clauses)
+    last_id = at = 0  # at: the line whose diagram is being built
     try:
         for pos, line in enumerate(trace.lines):
-            at = line.id  # the line whose diagram is being built
-            if line.id <= last_id:
-                return reject(line.id, BAD_REFERENCE)
-            rule = line.rule
+            lid, rule = line._id, line._rule
+            if lid <= last_id:
+                return reject(lid, BAD_REFERENCE)
+            at, kind = lid, type(rule)
             if pos < m:
-                if not isinstance(rule, Axiom) or rule.clause_index != pos + 1:
-                    return reject(line.id, AXIOM_MISMATCH)
-            elif isinstance(rule, Axiom):
-                return reject(line.id, AXIOM_MISMATCH)
-            for j in trace.referenced(rule):
-                if j not in funcs and j not in unbuilt:
-                    return reject(line.id, BAD_REFERENCE)
-            if isinstance(rule, (Proj, URed)) and rule.var not in trace.order:
-                return reject(line.id, BAD_REFERENCE)
-            if isinstance(rule, URed) and rule.value not in (0, 1):
-                return reject(line.id, MALFORMED)
-            if isinstance(rule, Axiom):
-                funcs[line.id] = mgr.clause(f.clauses[rule.clause_index - 1])
-            elif isinstance(rule, Conj):
-                a, b = rule.left, rule.right
+                if kind is not Axiom or rule._clause_index != pos + 1:
+                    return reject(lid, AXIOM_MISMATCH)
+                funcs[lid] = clause(clauses[pos])
+            elif kind is Conj:
+                a, b = rule._left, rule._right
                 if a > b:  # operands are built in line order
                     a, b = b, a
-                u, v = unbuilt.get(a, ()), unbuilt.get(b, ())
-                if len(u) == len(v) == 3 and u[:2] == v[:2] and u[2] != v[2]:
+                u, v = unbuilt.get(a), unbuilt.get(b)
+                if (u is None and a not in funcs) or (v is None and b not in funcs):
+                    return reject(lid, BAD_REFERENCE)
+                if u and v and len(u) == len(v) == 3 and u[:2] == v[:2] and u[2] != v[2]:
+                    # two unbuilt reductions of one diagram on one variable
+                    # to opposite constants: both, and this line, in one walk
                     at = a
                     split = mgr.forall_split(u[0], u[1])
                     del unbuilt[a], unbuilt[b]
                     funcs[a], funcs[b] = split[u[2]], split[v[2]]
-                    funcs[line.id] = split[2]
+                    funcs[lid] = split[2]
                 else:
-                    unbuilt[line.id] = (read(a), read(b))
-            elif isinstance(rule, Proj):
-                args = unbuilt.get(rule.premise, ())
-                if len(args) == 2:
-                    at = rule.premise
-                    funcs[line.id] = mgr.and_exists(args[0], args[1], rule.var)
+                    for j in (a, b):
+                        args = unbuilt.pop(j, None)
+                        if args is not None:
+                            at = j
+                            funcs[j] = restrict(*args) if len(args) == 3 else apply(*args, "and")
+                    unbuilt[lid] = (funcs[a], funcs[b])
+            elif kind is Proj:
+                j, x = rule._premise, rule._var
+                args = unbuilt.get(j)
+                if (args is None and j not in funcs) or x not in in_order:
+                    return reject(lid, BAD_REFERENCE)
+                if args is not None and len(args) == 2:
+                    at = j
+                    funcs[lid] = mgr.and_exists(args[0], args[1], x)
                 else:
-                    funcs[line.id] = mgr.exists(read(rule.premise), rule.var)
-            elif isinstance(rule, URed):
-                premise = read(rule.premise)
-                if (premise, rule.var) not in tested:
-                    if not f.is_universal(rule.var):
-                        return reject(line.id, URED_NOT_UNIVERSAL)
-                    # also rejects a premise whose support misses rule.var
-                    if mgr.shape(premise, positions).rightmost != f.prefix_position(rule.var):
-                        return reject(line.id, URED_NOT_RIGHTMOST)
-                    tested.add((premise, rule.var))
-                unbuilt[line.id] = (premise, rule.var, rule.value)
-            elif isinstance(rule, Entail):
-                premises = [read(j) for j in rule.premises]
+                    if args is not None:
+                        del unbuilt[j]
+                        at = j
+                        funcs[j] = restrict(*args)
+                        at = lid
+                    funcs[lid] = mgr.exists(funcs[j], x)
+            elif kind is URed:
+                j, x, c = rule._premise, rule._var, rule._value
+                args = unbuilt.get(j)
+                if (args is None and j not in funcs) or x not in in_order:
+                    return reject(lid, BAD_REFERENCE)
+                if c not in (0, 1):
+                    return reject(lid, MALFORMED)
+                if args is not None:
+                    del unbuilt[j]
+                    at = j
+                    funcs[j] = restrict(*args) if len(args) == 3 else apply(*args, "and")
+                premise = funcs[j]
+                if (premise, x) not in tested:
+                    if not f.is_universal(x):
+                        return reject(lid, URED_NOT_UNIVERSAL)
+                    # also rejects a premise whose support misses x
+                    if mgr.shape(premise, positions).rightmost != f.prefix_position(x):
+                        return reject(lid, URED_NOT_RIGHTMOST)
+                    tested.add((premise, x))
+                unbuilt[lid] = (premise, x, c)
+            elif kind is Entail:
+                if any(j not in funcs and j not in unbuilt for j in rule._premises):
+                    return reject(lid, BAD_REFERENCE)
+                premises = []
+                for j in rule._premises:
+                    args = unbuilt.pop(j, None)
+                    if args is not None:
+                        at = j
+                        funcs[j] = restrict(*args) if len(args) == 3 else apply(*args, "and")
+                    premises.append(funcs[j])
+                at = lid
                 try:
-                    claimed = obdd.deserialize(rule.block, mgr)
+                    claimed = obdd.deserialize(rule._block, mgr)
                 except (BlockFormatError, OrderError):
-                    return reject(line.id, MALFORMED_BLOCK)
+                    return reject(lid, MALFORMED_BLOCK)
                 conj = mgr.ONE
                 for ref in premises:
-                    conj = mgr.apply(conj, ref, "and")
-                if mgr.apply(conj, claimed, "implies") != mgr.ONE:
-                    return reject(line.id, ENTAILMENT_FAILED)
-                funcs[line.id] = claimed
+                    conj = apply(conj, ref, "and")
+                if apply(conj, claimed, "implies") != mgr.ONE:
+                    return reject(lid, ENTAILMENT_FAILED)
+                funcs[lid] = claimed
+            elif kind is Axiom:
+                return reject(lid, AXIOM_MISMATCH)
             else:
-                return reject(line.id, MALFORMED)
-            last_id = line.id
-        for j in [j for j, args in unbuilt.items() if len(args) == 3]:
-            read(j)
-        ref = read(last_id) if last_id else mgr.ONE
+                return reject(lid, MALFORMED)
+            last_id = lid
+        # every reduction line (strategy.extract reads them), then the last
+        # line, which the loop put into unbuilt last
+        for j in [j for j, args in unbuilt.items() if len(args) == 3 or j == last_id]:
+            args = unbuilt.pop(j)
+            at = j
+            funcs[j] = restrict(*args) if len(args) == 3 else apply(*args, "and")
+        ref = funcs[last_id] if last_id else mgr.ONE
     except BudgetExceededError:
         raise BudgetExceededError(f"line {at}") from None
     if len(trace.lines) < m:
@@ -301,20 +405,21 @@ def emit_trace(trace: ProofTrace) -> str:
     out.append(f"h {trace.formula_hash}")
     out.append("o " + " ".join(str(v) for v in trace.order.vars))
     for line in trace.lines:
-        r = line.rule
-        if isinstance(r, Axiom):
-            out.append(f"{line.id} A {r.clause_index}")
-        elif isinstance(r, Conj):
-            out.append(f"{line.id} C {r.left} {r.right}")
-        elif isinstance(r, Proj):
-            out.append(f"{line.id} P {r.var} {r.premise}")
-        elif isinstance(r, URed):
-            if r.value not in (0, 1):
-                raise TraceError(f"line {line.id}: reduction to {r.value!r}, not to 0 or 1")
-            out.append(f"{line.id} U {r.var} {r.value} {r.premise}")
-        elif isinstance(r, Entail):
-            out.append(f"{line.id} E " + " ".join(str(j) for j in r.premises) + " 0")
-            out.append(r.block)
+        lid, r = line._id, line._rule
+        kind = type(r)
+        if kind is Axiom:
+            out.append(f"{lid} A {r._clause_index}")
+        elif kind is Conj:
+            out.append(f"{lid} C {r._left} {r._right}")
+        elif kind is Proj:
+            out.append(f"{lid} P {r._var} {r._premise}")
+        elif kind is URed:
+            if r._value not in (0, 1):
+                raise TraceError(f"line {lid}: reduction to {r._value!r}, not to 0 or 1")
+            out.append(f"{lid} U {r._var} {r._value} {r._premise}")
+        elif kind is Entail:
+            out.append(f"{lid} E " + " ".join(str(j) for j in r._premises) + " 0")
+            out.append(r._block)
         else:
             raise TraceError(f"unknown rule {r!r}")
     return "\n".join(out) + "\n"

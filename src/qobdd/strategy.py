@@ -46,7 +46,7 @@ from typing import Iterable, Mapping, Sequence
 from . import obdd
 from .obdd import BlockFormatError, Manager, Row, VarOrder, transpose
 from .pcnf import FORALL, Pcnf
-from .proof import CheckResult, ProofTrace, URed, check_trace
+from .proof import CheckResult, ProofTrace, check_trace
 
 
 class StrategyError(obdd.QobddError):
@@ -149,9 +149,8 @@ def extract(
     mgr = check.manager
     assert mgr is not None and check.functions is not None
     pairs: dict[int, list[tuple[int, int]]] = {u: [] for u in f.universals}
-    for line in trace.lines:
-        if isinstance(line.rule, URed):
-            pairs[line.rule.var].append((check.functions[line.id], line.rule.value))
+    for lid, var, value in trace.reductions():
+        pairs[var].append((check.functions[lid], value))
     lists = {
         u: DecisionList(mgr, entries + [(mgr.ZERO, 1)])
         for u, entries in pairs.items()
@@ -431,7 +430,8 @@ def parse_strategy(
 ) -> DecisionListFamily:
     """Read a strategy file into an audited family over one manager; its
     guards may build at most ``node_budget`` nodes, else
-    ``obdd.BudgetExceededError``."""
+    ``obdd.BudgetExceededError``.  The manager's order is inferred from the
+    guards' rows, so they fit it by construction and are built unchecked."""
     reader = obdd.TextReader(text)
     raw: dict[int, list[tuple[int, list[Row]]]] = {}
     try:
@@ -453,7 +453,7 @@ def parse_strategy(
     blocks = [rows for entries in raw.values() for _, rows in entries]
     mgr = Manager(_infer_order(blocks, f.variables), node_budget=node_budget)
     lists = {
-        var: DecisionList(mgr, [(obdd.build_rows(rows, mgr), v) for v, rows in entries])
+        var: DecisionList(mgr, [(obdd.build_ordered_rows(rows, mgr), v) for v, rows in entries])
         for var, entries in raw.items()
     }
     return DecisionListFamily(f, mgr, lists)

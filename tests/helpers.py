@@ -26,6 +26,9 @@ block's rows one ``TextReader.line()`` call at a time, rebuild each row
 through the public ``Manager.node`` and infer a strategy's order from
 per-row sets of child variables.
 
+Clause diagrams are built by ``clause_reference``, the set-based
+algorithm that ``Manager.clause`` replaced.
+
 Oracles and writers that only tests call live here too: the graph inner
 product ``eval_ipg``, the cell-by-cell table ``truth_table_from_function``,
 the largest layer of a layered copy ``layer_width``, and ``emit_qures``
@@ -522,6 +525,31 @@ def block_reference(reader: obdd.TextReader) -> list[obdd.Row]:
             raise BlockFormatError(f"children must precede parents: {ln!r}")
         rows.append((var, lo, hi))
     return rows
+
+
+def clause_reference(mgr: Manager, literals: Iterable[int]) -> int:
+    """``Manager.clause`` by the set-based algorithm it replaced: the
+    literals deduplicated through a set, ranked, sorted deepest first,
+    scanned for equal adjacent ranks (x and not x), then chained with
+    ``Manager._mk``; an unknown variable is named in set iteration order."""
+    lits = set(literals)
+    if 0 in lits:
+        raise ObddError("0 is not a literal")
+    position = mgr.order.position
+    try:
+        ranked = sorted([(position[abs(l)], l) for l in lits], reverse=True)
+    except KeyError as exc:
+        raise OrderError(f"variable {exc.args[0]} not in order") from None
+    for i in range(1, len(ranked)):
+        if ranked[i][0] == ranked[i - 1][0]:
+            return mgr.ONE
+    acc = mgr.ZERO
+    for rank, lit in ranked:
+        if lit > 0:
+            acc = mgr._mk(lit, rank, acc, mgr.ONE)
+        else:
+            acc = mgr._mk(-lit, rank, mgr.ONE, acc)
+    return acc
 
 
 def build_rows_reference(rows: list[obdd.Row], manager: Manager) -> int:

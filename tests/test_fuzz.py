@@ -347,6 +347,9 @@ def _api_cases():
             lambda: m.clause([99]),
             lambda: m.clause([0]),
             lambda: Manager(VarOrder([])).clause([1]),
+            lambda: m.clause([True]),
+            lambda: m.clause([float(x), -x]),
+            lambda: m.clause([str(x)]),
         ],
         "Manager.complete": [
             lambda: m.complete(n),
@@ -388,11 +391,15 @@ def _api_cases():
             lambda: m.node(x, m.ZERO, -1),
             lambda: m.node(99, m.ZERO, m.ONE),
             lambda: m.node(m.order.vars[-1], line, m.ONE),
+            lambda: m.node(True, m.ZERO, m.ONE),
+            lambda: m.node(float(x), m.ZERO, m.ONE),
         ],
         "Manager.restrict": [
             lambda: m.restrict(m.ONE, 99, 0),
             lambda: m.restrict(m.ONE, x, 2),
             lambda: m.restrict(n, x, 0),
+            lambda: m.restrict(line, True, 0),
+            lambda: m.restrict(line, float(x), 1),
         ],
         "Manager.shape": [
             lambda: m.shape(n),

@@ -18,11 +18,13 @@ from qobdd.obdd import (
 
 from .helpers import (
     assignments,
+    clause_reference,
     cofactor_counts,
     cofactor_tables,
     cube,
     layer_width,
     obdd_from_table,
+    outcome,
     random_table,
     truth_table_of,
 )
@@ -58,6 +60,74 @@ def test_node_order_violation():
         m.node(2, inner, m.ZERO)
     with pytest.raises(OrderError):
         m.node(1, m.clause([1]), m.ZERO)
+
+
+# an order that is not the identity, so ranks differ from variable ids;
+# literals up to 7 also name the unknown variables 6 and 7
+CLAUSE_ORDER = VarOrder([4, 2, 5, 1, 3])
+LITERAL_FORMS = {
+    "list": list,
+    "tuple": tuple,
+    "generator": lambda lits: (l for l in lits),
+}
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.lists(st.integers(-7, 7), max_size=8),
+            st.sampled_from(sorted(LITERAL_FORMS)),
+        ),
+        min_size=1,
+        max_size=6,
+    )
+)
+def test_clause_matches_the_set_based_reference(calls):
+    # duplicates, both signs of a variable, 0, unknown variables and empty
+    # clauses, passed as lists, tuples or generators, several to one store:
+    # the same refs, the same store node for node, or the same error
+    got, want = Manager(CLAUSE_ORDER), Manager(CLAUSE_ORDER)
+    for lits, form in calls:
+        make = LITERAL_FORMS[form]
+        assert outcome(got.clause, make(lits)) == outcome(clause_reference, want, make(lits))
+        assert (got._var, got._lo, got._hi, got._rank) == (want._var, want._lo, want._hi, want._rank)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m: m.clause([True]),
+        lambda m: m.clause([2.0, -1]),
+        lambda m: m.clause([1, "2"]),
+        lambda m: m.node(True, m.ZERO, m.ONE),
+        lambda m: m.node(2.0, m.ZERO, m.ZERO),
+        lambda m: m.restrict(m.clause([1, 2]), True, 0),
+        lambda m: m.restrict(m.clause([1, 2]), 2.0, 1),
+    ],
+)
+def test_a_literal_or_variable_that_is_not_an_int_is_refused_before_any_node(call):
+    # True and 2.0 look up as the variables 1 and 2 in the order's dict, and
+    # were stored as such: serialize then wrote a block deserialize refuses
+    m = mgr()
+    m.clause([1, 2])
+    before = len(m)
+    with pytest.raises(ObddError, match="must be an int, not"):
+        call(m)
+    assert len(m) == before
+    assert m.clause([1]) == m.node(1, m.ZERO, m.ONE)
+    assert all(type(v) is int for v in m._var[2:])
+
+
+def test_clause_errors_keep_their_precedence():
+    m = mgr()
+    with pytest.raises(ObddError, match="^0 is not a literal$"):
+        m.clause([True, 99, 0])
+    with pytest.raises(ObddError, match="^literal must be an int, not bool$"):
+        m.clause([99, True])
+    with pytest.raises(OrderError, match="^variable 99 not in order$"):
+        m.clause([1, -1, 99])
+    assert len(m) == 2
 
 
 def test_apply_and_identity():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 from itertools import count
@@ -14,7 +15,7 @@ from qobdd.families import (
 )
 from qobdd.graphs import order_from_decomposition, random_dregular
 from qobdd.obdd import Manager, VarOrder
-from qobdd.pcnf import EXISTS, FORALL, Pcnf, clause
+from qobdd.pcnf import EXISTS, FORALL, Pcnf, clause, emit_qdimacs
 from qobdd.proof import (
     AXIOM_MISMATCH,
     BAD_REFERENCE,
@@ -243,6 +244,83 @@ def test_roundtrip_text_format():
     )
     assert parse_trace(emit_trace(t2)) == t2
     assert check_trace(f2, parse_trace(emit_trace(t2))).accepted
+
+
+RECORDS = [
+    Axiom(3),
+    Conj(1, 2),
+    Proj(1, 2),
+    URed(4, 1, 2),
+    Entail((1, 2), "obdd 1\n0 T0 - -"),
+    ProofLine(5, Conj(1, 2)),
+]
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_records_are_immutable_values_compared_by_type_and_fields(record):
+    cls = type(record)
+    fields = [getattr(record, name) for name in cls._fields]
+    twin = cls(*fields)  # positional, in field order
+    assert twin == record and hash(twin) == hash(record) and twin is not record
+    assert repr(record) == f"{cls.__name__}(" + ", ".join(
+        f"{name}={value!r}" for name, value in zip(cls._fields, fields)
+    ) + ")"
+    for name in cls._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    with pytest.raises(AttributeError):
+        record.extra = 0
+    assert [getattr(record, name) for name in cls._fields] == fields
+    # type-aware: equal fields under another record type are another value
+    assert all(other != record for other in RECORDS if type(other) is not cls)
+    assert record != tuple(fields)
+
+
+def test_records_keep_their_field_names():
+    assert (Axiom._fields, Conj._fields, Proj._fields, URed._fields, Entail._fields) == (
+        ("clause_index",),
+        ("left", "right"),
+        ("var", "premise"),
+        ("var", "value", "premise"),
+        ("premises", "block"),
+    )
+    assert ProofLine._fields == ("id", "rule")
+    assert Conj(1, 2) != Proj(1, 2) and len({Conj(1, 2), Proj(1, 2), Conj(1, 2)}) == 2
+    assert ProofLine(1, Conj(1, 2)) != ProofLine(1, Proj(1, 2))
+
+
+def test_the_formula_digest_is_the_hash_of_the_qdimacs_computed_once():
+    f = gen_eqprime(3)
+    want = hashlib.sha256(emit_qdimacs(f).encode()).hexdigest()
+    assert f._digest is None
+    assert formula_hash(f) == want == f.digest()
+    assert f._digest == want
+    assert formula_hash(f) == want  # later calls read the kept digest
+    # an equal formula built separately has its own digest, the same one
+    g = gen_eqprime(3)
+    assert g == f and g._digest is None and formula_hash(g) == want
+
+
+def test_the_kept_digest_takes_no_part_in_equality_hash_or_repr():
+    f, g = gen_eqprime(3), gen_eqprime(3)
+    formula_hash(f)
+    assert f._digest is not None and g._digest is None
+    assert f == g and hash(f) == hash(g) and repr(f) == repr(g)
+    assert "_digest" not in repr(f)
+
+
+def test_a_trace_with_another_hash_is_rejected_after_solve_kept_the_digest():
+    f = gen_eqprime(3)
+    trace = solve(f).trace
+    assert f._digest == trace.formula_hash  # solve computed and kept it
+    h = trace.formula_hash
+    flipped = h[:-1] + ("0" if h[-1] != "0" else "1")
+    bad = ProofTrace(flipped, trace.order, trace.lines)
+    assert check_trace(f, bad).verdict == Verdict(False, None, HASH_MISMATCH)
+    assert check_trace(f, parse_trace(emit_trace(bad))).verdict.reason == HASH_MISMATCH
+    assert check_trace(f, trace).accepted
 
 
 def test_truncated_file_rejected():

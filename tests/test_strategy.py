@@ -11,7 +11,7 @@ from qobdd.families import (
     quparity_decomposition,
 )
 from qobdd.graphs import Graph, order_from_decomposition, random_dregular
-from qobdd.obdd import Manager, VarOrder
+from qobdd.obdd import BudgetExceededError, Manager, VarOrder
 from qobdd.pcnf import EXISTS, FORALL, Pcnf, clause
 from qobdd.proof import (
     Axiom,
@@ -881,3 +881,21 @@ def test_strategy_reader_and_reference_fail_alike_on_bad_files():
         got = outcome(parse_strategy, text, f)
         assert got[0] is StrategyError, (text, got)
         assert got == outcome(parse_strategy_reference, text, f), text
+
+
+def test_strategy_reader_and_reference_run_out_of_budget_alike():
+    # the reader builds rows unchecked with Manager._mk inline; at every
+    # budget it builds what the reference builds, or fails with its error
+    f, trace = solve_family(gen_eqprime, eqprime_decomposition, 4)
+    text = emit_strategy(extract(f, trace))
+    inner = len(parse_strategy(text, f).manager) - 2
+
+    def read(reader, budget):
+        return family_nodes(reader(text, f, node_budget=budget))
+
+    runs = []
+    for budget in range(inner + 1):
+        got = outcome(read, parse_strategy, budget)
+        assert got == outcome(read, parse_strategy_reference, budget), budget
+        runs.append(got[0])
+    assert runs == [BudgetExceededError] * inner + ["ok"]
