@@ -4,12 +4,13 @@ Exit codes are fixed for scripting: 0 success; 1 bad arguments or option
 files (``--order given:``, ``--partition``); 2 any malformed or rejected
 input file (formula, trace, strategy, proof, edge list; rejected trace,
 losing strategy); 3 expectation mismatch; 4 the budget ran out (nodes,
-or for ``rect analyze`` the rows the rectangle oracle scans).
+or for ``rect analyze`` the rows the rectangle oracle scans), or memory
+did, which prints the one line ``BUDGET memory`` and no traceback.
 Nothing recurses once per layer of the order, so deep orders need no
 exit code of their own.  ``main`` is the one place that maps errors to
-these codes: ``UsageError`` to 1, the budget's
-``BudgetExceededError`` to 4, and every other ``QobddError``, the base of
-the library's errors, to 2.  With a fixed seed every run is reproducible;
+these codes: ``UsageError`` to 1, the budget's ``BudgetExceededError``
+and ``MemoryError`` to 4, and every other ``QobddError``, the base of the
+library's errors, to 2.  With a fixed seed every run is reproducible;
 timing fields are only emitted on request so that outputs are
 byte-identical across runs.
 """
@@ -378,6 +379,12 @@ def main(argv: list[str] | None = None) -> int:
     except QobddError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return EXIT_CHECK
+    except MemoryError:
+        pass
+    # only a MemoryError gets here; the traceback, and with it the frames
+    # holding the diagrams, is gone once the handler ends
+    sys.stderr.write("BUDGET memory\n")
+    return EXIT_BUDGET
 
 
 def console_main() -> None:

@@ -9,6 +9,10 @@ every other vertex) first, which by that equality loses nothing, as
 pw(G) = pw(G - U) + |U|.
 ``path_decomposition`` validates those bags: vertex coverage, contiguous
 occurrence, edge coverage.
+
+A ``Graph`` holds its adjacency sets and nothing else: ``edges()``,
+equality and validation derive the edges from them, so building a graph
+from a formula's primal adjacency costs no second pass over its edges.
 """
 
 from __future__ import annotations
@@ -28,12 +32,11 @@ class GraphError(QobddError):
 
 
 class Graph:
-    """Undirected simple graph over integer vertices."""
+    """Undirected simple graph over integer vertices, held as adjacency sets."""
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[tuple[int, int]] = ()):
         self.vertices = tuple(sorted(set(vertices)))
         self.adj: dict[int, set[int]] = {v: set() for v in self.vertices}
-        self._edges: set[tuple[int, int]] = set()
         for u, w in edges:
             self.add_edge(u, w)
 
@@ -45,7 +48,6 @@ class Graph:
         g = cls.__new__(cls)
         g.vertices = tuple(sorted(adj))
         g.adj = {v: adj[v] for v in g.vertices}
-        g._edges = {(u, w) for u, nbrs in adj.items() for w in nbrs if u < w}
         return g
 
     def add_edge(self, u: int, w: int) -> None:
@@ -55,10 +57,10 @@ class Graph:
             raise GraphError(f"edge ({u},{w}) uses unknown vertex")
         self.adj[u].add(w)
         self.adj[w].add(u)
-        self._edges.add((min(u, w), max(u, w)))
 
     def edges(self) -> list[tuple[int, int]]:
-        return sorted(self._edges)
+        """Each edge once as (smaller, larger), in ascending order."""
+        return [(u, w) for u in self.vertices for w in sorted(self.adj[u]) if u < w]
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -67,11 +69,11 @@ class Graph:
         return (
             isinstance(other, Graph)
             and self.vertices == other.vertices
-            and self._edges == other._edges
+            and self.adj == other.adj
         )
 
     def __repr__(self) -> str:
-        return f"Graph({len(self.vertices)} vertices, {len(self._edges)} edges)"
+        return f"Graph({len(self.vertices)} vertices, {len(self.edges())} edges)"
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -128,7 +130,10 @@ class PathDecomposition:
         if split:
             raise GraphError(f"vertex {min(split)} occurs non-contiguously")
         uncovered = [
-            (u, w) for u, w in g._edges if max(first[u], first[w]) > min(last[u], last[w])
+            (u, w)
+            for u, nbrs in g.adj.items()
+            for w in nbrs
+            if u < w and max(first[u], first[w]) > min(last[u], last[w])
         ]
         if uncovered:
             u, w = min(uncovered)
@@ -137,14 +142,14 @@ class PathDecomposition:
 
 def _last_bags(g: Graph, order: Sequence[int]) -> list[int]:
     # order[i] lives in bags i through max(i, its last neighbour's position)
-    pos = {v: i for i, v in enumerate(order)}
-    return [max([i, *(pos[w] for w in g.adj[v])]) for i, v in enumerate(order)]
+    at = dict(zip(order, range(len(order)))).__getitem__
+    adj = g.adj
+    return [max([i, *map(at, adj[v])]) for i, v in enumerate(order)]
 
 
 def _separation_width(g: Graph, order: Sequence[int]) -> int:
-    live = [0] * (len(order) + 1)  # difference array of the bag sizes
-    for i, last in enumerate(_last_bags(g, order)):
-        live[i] += 1
+    live = [1] * len(order) + [0]  # difference array of the bag sizes
+    for last in _last_bags(g, order):
         live[last + 1] -= 1
     return max(accumulate(live[:-1]), default=0) - 1
 
@@ -166,27 +171,32 @@ def _bags_from_order(g: Graph, order: Sequence[int]) -> PathDecomposition:
 def _min_degree_order(g: Graph) -> list[int]:
     # eliminate on a shrinking copy, connecting each vertex's neighborhood;
     # the heap holds each remaining vertex's (degree, id), stale ones skipped
-    adj = {v: set(g.adj[v]) for v in g.vertices}
-    heap = [(len(adj[v]), v) for v in g.vertices]
+    adj = {v: set(nbrs) for v, nbrs in g.adj.items()}
+    heap = [(len(nbrs), v) for v, nbrs in adj.items()]
     heapq.heapify(heap)
+    pop, push = heapq.heappop, heapq.heappush
     order = []
     while heap:
-        deg, v = heapq.heappop(heap)
-        if v not in adj or deg != len(adj[v]):
+        deg, v = pop(heap)
+        nbrs = adj.get(v)
+        if nbrs is None or deg != len(nbrs):
             continue
         order.append(v)
-        nbrs = adj.pop(v)
+        del adj[v]
         for a in nbrs:
-            adj[a].discard(v)
-            adj[a].update(nbrs - {a})
-            heapq.heappush(heap, (len(adj[a]), a))
+            rest = adj[a]
+            rest |= nbrs
+            rest.discard(a)
+            rest.discard(v)
+            push(heap, (len(rest), a))
     return order
 
 
 def _bfs_order(g: Graph) -> list[int]:
+    adj = g.adj
     order: list[int] = []
     seen: set[int] = set()
-    for start in sorted(g.vertices, key=lambda v: (g.degree(v), v)):
+    for start in sorted(g.vertices, key=lambda v: (len(adj[v]), v)):
         if start in seen:
             continue
         queue = deque([start])
@@ -194,7 +204,7 @@ def _bfs_order(g: Graph) -> list[int]:
         while queue:
             v = queue.popleft()
             order.append(v)
-            for w in sorted(g.adj[v]):
+            for w in sorted(adj[v]):
                 if w not in seen:
                     seen.add(w)
                     queue.append(w)

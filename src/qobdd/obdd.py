@@ -90,6 +90,8 @@ class VarOrder:
 
     def __init__(self, variables: Iterable[int]):
         self.vars = tuple(variables)
+        if {*map(type, self.vars)} - {int}:
+            raise _variable_type_error(next(v for v in self.vars if type(v) is not int))
         self.position = {v: i for i, v in enumerate(self.vars)}
         if len(self.position) != len(self.vars):
             raise OrderError("duplicate variable in order")

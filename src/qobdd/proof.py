@@ -29,7 +29,7 @@ its check and every later check of that object share one digest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Callable, Union
 
@@ -175,14 +175,6 @@ class ProofTrace:
             return rule.premises
         return ()
 
-    def reductions(self) -> list[tuple[int, int, int]]:
-        """(line id, variable, value) of each reduction line, in line order."""
-        return [
-            (line._id, rule._var, rule._value)
-            for line in self.lines
-            if type(rule := line._rule) is URed
-        ]
-
 
 def formula_hash(f: Pcnf) -> str:
     """The SHA-256 of ``f``'s canonical QDIMACS, computed once per formula
@@ -209,6 +201,8 @@ class CheckResult:
     manager: Manager | None = None
     functions: dict[int, int] | None = None  # line id -> node ref
     last_ref: int | None = None
+    # (line id, variable, value) of each reduction line, in line order
+    reductions: list[tuple[int, int, int]] = field(default_factory=list)
 
     @property
     def accepted(self) -> bool:
@@ -231,7 +225,9 @@ def check_trace(
     rejection naming the offending line and a reason code.  Each line is
     checked at its place, but a ``Conj`` or ``URed`` line's diagram is
     built when a later line first reads it; at the end the last line and
-    every reduction line (``strategy.extract`` reads them) are built.  A
+    every reduction line are built.  ``strategy.extract`` reads the
+    reduction lines from ``reductions``, (line id, variable, value) of
+    each in line order, collected as the pass accepts them.  A
     ``Proj`` line on an unbuilt conjunction takes ``Manager.and_exists``
     over its operands; a ``Conj`` line on two unbuilt reductions of one
     diagram on one variable to opposite constants takes all three results
@@ -269,6 +265,7 @@ def check_trace(
     # line id -> (left ref, right ref) of a Conj, (premise ref, var, value)
     # of a URed, until a line reads it: then its diagram moves to funcs
     unbuilt: dict[int, tuple[int, ...]] = {}
+    reductions: list[tuple[int, int, int]] = []
     tested: set[tuple[int, int]] = set()  # (premise ref, var) past the side test
     clauses = f.clauses
     m = len(clauses)
@@ -340,6 +337,7 @@ def check_trace(
                         return reject(lid, URED_NOT_RIGHTMOST)
                     tested.add((premise, x))
                 unbuilt[lid] = (premise, x, c)
+                reductions.append((lid, x, c))
             elif kind is Entail:
                 if any(j not in funcs and j not in unbuilt for j in rule._premises):
                     return reject(lid, BAD_REFERENCE)
@@ -380,7 +378,7 @@ def check_trace(
         return reject(last_id or None, AXIOM_MISMATCH)
     if require_refutation and ref != mgr.ZERO:
         return reject(last_id or None, NOT_REFUTATION)
-    return CheckResult(Verdict(True), mgr, funcs, ref)
+    return CheckResult(Verdict(True), mgr, funcs, ref, reductions)
 
 
 # -- text format ----------------------------------------------------------

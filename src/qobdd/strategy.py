@@ -149,7 +149,7 @@ def extract(
     mgr = check.manager
     assert mgr is not None and check.functions is not None
     pairs: dict[int, list[tuple[int, int]]] = {u: [] for u in f.universals}
-    for lid, var, value in trace.reductions():
+    for lid, var, value in check.reductions:
         pairs[var].append((check.functions[lid], value))
     lists = {
         u: DecisionList(mgr, entries + [(mgr.ZERO, 1)])

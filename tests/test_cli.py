@@ -1,6 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
+
+import pytest
 
 from qobdd import rectangles
 from qobdd.cli import (
@@ -11,8 +16,9 @@ from qobdd.cli import (
     EXIT_USAGE,
     main,
 )
+from qobdd.families import gen_eqprime
 from qobdd.graphs import random_dregular
-from qobdd.pcnf import EXISTS, FORALL, Pcnf, clause, parse_qdimacs
+from qobdd.pcnf import EXISTS, FORALL, Pcnf, clause, emit_qdimacs, parse_qdimacs
 from qobdd.proof import check_trace
 from qobdd.solver import prefix_order, solve
 from qobdd.strategy import extract, to_rectangle_list, verify_winning
@@ -189,6 +195,33 @@ def test_translate_and_verify_keep_the_node_budget(tmp_path, capsys):
     for flag in ([], ["--json"]):
         code, out, err = run(capsys, "--budget", "0", *flag, "verify", qdimacs, strat)
         assert (code, out, err) == (EXIT_BUDGET, "", "BUDGET node budget 0 exceeded\n")
+
+
+def test_running_out_of_memory_is_a_budget_exit_without_a_traceback(tmp_path):
+    # eqprime(400) under the default node budget needs more than the
+    # 150,000 KiB of address space the child allows itself (`ulimit -v`)
+    pytest.importorskip("resource")
+    qdimacs = tmp_path / "eq400.qdimacs"
+    qdimacs.write_text(emit_qdimacs(gen_eqprime(400)))
+    child = (
+        "import resource, sys\n"
+        "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (150_000 * 1024, hard))\n"
+        "from qobdd.cli import main\n"
+        "sys.exit(main(['solve', sys.argv[1]]))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-c", child, str(qdimacs)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (EXIT_BUDGET, "", "BUDGET memory\n")
+    assert "Traceback" not in done.stderr
 
 
 def test_verify_counterexample(tmp_path, capsys):

@@ -280,11 +280,21 @@ def test_cli_mutated_inputs_end_in_an_exit_code(case, files):
 # arguments of the right types but invalid values: variables outside the
 # order or the prefix, references outside the store, partitions that do
 # not split the vertex set, assignments that miss a vertex, counts out of
-# range.  A call may return, or raise an error of the library.
+# range.  Each case states what the call must do: raise an error of the
+# library (``raises``), or return, as a checker's verdict or a formula's
+# text does (``returns``).  No call may raise anything else.
 
 # exported records whose constructors check nothing; the functions that
 # read them are called with invalid ones
 RECORDS = {"ProofTrace", "QuResProof", "SolveResult"}
+
+
+def raises(call):
+    return True, call
+
+
+def returns(call):
+    return False, call
 
 
 def _api_cases():
@@ -312,197 +322,232 @@ def _api_cases():
     wide_family = DecisionListFamily(wide, wm, {22: wide_list})
     return {
         "DecisionList": [
-            lambda: DecisionList(m, []),
-            lambda: DecisionList(m, [(n, 1)]),
-            lambda: DecisionList(m, [(n, 1), (m.ZERO, 0)]).evaluate({}),
-            lambda: DecisionList(m, [(line, 1), (m.ZERO, 0)]).evaluate({}),
+            raises(lambda: DecisionList(m, [])),
+            raises(lambda: DecisionList(m, [(n, 1)])),
+            raises(lambda: DecisionList(m, [(n, 1), (m.ZERO, 0)]).evaluate({})),
+            raises(lambda: DecisionList(m, [(line, 1), (m.ZERO, 0)]).evaluate({})),
         ],
         "DecisionListFamily": [
-            lambda: DecisionListFamily(f, m, {}),
-            lambda: DecisionListFamily(f, m, {**family.lists, 99: dl}),
-            lambda: DecisionListFamily(f, m, {u: DecisionList(m, [(n, 1), (m.ZERO, 0)])}),
-            lambda: DecisionListFamily(f, m, {v: dl for v in f.variables}),
+            raises(lambda: DecisionListFamily(f, m, {})),
+            raises(lambda: DecisionListFamily(f, m, {**family.lists, 99: dl})),
+            raises(lambda: DecisionListFamily(f, m, {u: DecisionList(m, [(n, 1), (m.ZERO, 0)])})),
+            raises(lambda: DecisionListFamily(f, m, {v: dl for v in f.variables})),
         ],
         "Graph": [
-            lambda: Graph([1, 2], [(1, 3)]),
-            lambda: Graph([1, 2], [(2, 2)]),
-            lambda: Graph([], [(1, 2)]),
+            raises(lambda: Graph([1, 2], [(1, 3)])),
+            raises(lambda: Graph([1, 2], [(2, 2)])),
+            raises(lambda: Graph([], [(1, 2)])),
         ],
         "Manager": [
-            lambda: Manager(VarOrder([1, 1])),
-            lambda: Manager(VarOrder([1]), node_budget=-1).clause([1]),
+            raises(lambda: Manager(VarOrder([1, 1]))),
+            raises(lambda: Manager(VarOrder([1]), node_budget=-1).clause([1])),
         ],
         "Manager.apply": [
-            lambda: m.apply(m.ZERO, n, "and"),
-            lambda: m.apply(-1, m.ONE, "or"),
-            lambda: m.apply(m.ZERO, m.ONE, "nand!"),
-            lambda: m.apply(m.ZERO, m.ONE, 16),
+            raises(lambda: m.apply(m.ZERO, n, "and")),
+            raises(lambda: m.apply(-1, m.ONE, "or")),
+            raises(lambda: m.apply(m.ZERO, m.ONE, "nand!")),
+            raises(lambda: m.apply(m.ZERO, m.ONE, 16)),
         ],
         "Manager.and_exists": [
-            lambda: m.and_exists(m.ONE, n, x),
-            lambda: m.and_exists(m.ONE, m.ONE, 99),
+            raises(lambda: m.and_exists(m.ONE, n, x)),
+            raises(lambda: m.and_exists(m.ONE, m.ONE, 99)),
         ],
-        "Manager.audit": [lambda: m.audit()],
+        "Manager.audit": [returns(lambda: m.audit())],
         "Manager.clause": [
-            lambda: m.clause([99]),
-            lambda: m.clause([0]),
-            lambda: Manager(VarOrder([])).clause([1]),
-            lambda: m.clause([True]),
-            lambda: m.clause([float(x), -x]),
-            lambda: m.clause([str(x)]),
+            raises(lambda: m.clause([99])),
+            raises(lambda: m.clause([0])),
+            raises(lambda: Manager(VarOrder([])).clause([1])),
+            raises(lambda: m.clause([True])),
+            raises(lambda: m.clause([float(x), -x])),
+            raises(lambda: m.clause([str(x)])),
         ],
         "Manager.complete": [
-            lambda: m.complete(n),
-            lambda: m.complete(line, len(m.order) + 1),
-            lambda: m.complete(line, -1),
-            lambda: m.complete(line).covers(len(m.order) + 1, m.ZERO),
-            lambda: m.complete(line, 1).covers(2, m.ZERO),
+            raises(lambda: m.complete(n)),
+            raises(lambda: m.complete(line, len(m.order) + 1)),
+            raises(lambda: m.complete(line, -1)),
+            raises(lambda: m.complete(line).covers(len(m.order) + 1, m.ZERO)),
+            raises(lambda: m.complete(line, 1).covers(2, m.ZERO)),
         ],
         "Manager.conj_exists": [
-            lambda: m.conj_exists(m.ONE, n, x),
-            lambda: m.conj_exists(-1, m.ONE, x),
-            lambda: m.conj_exists(m.ONE, m.ONE, 99),
+            raises(lambda: m.conj_exists(m.ONE, n, x)),
+            raises(lambda: m.conj_exists(-1, m.ONE, x)),
+            raises(lambda: m.conj_exists(m.ONE, m.ONE, 99)),
         ],
-        "Manager.const": [lambda: m.const(2)],
+        "Manager.const": [returns(lambda: m.const(2))],
         "Manager.evaluate": [
-            lambda: m.evaluate(line, {}),
-            lambda: m.evaluate(n, {}),
+            raises(lambda: m.evaluate(line, {})),
+            raises(lambda: m.evaluate(n, {})),
         ],
         "Manager.evaluate_bits": [
-            lambda: m.evaluate_bits(line, {}, {}),
-            lambda: m.evaluate_bits(line, {}, {m.ZERO: 0, m.ONE: 1}),
-            lambda: m.evaluate_bits(n, {}, {m.ZERO: 0, m.ONE: 1}),
+            raises(lambda: m.evaluate_bits(line, {}, {})),
+            raises(lambda: m.evaluate_bits(line, {}, {m.ZERO: 0, m.ONE: 1})),
+            raises(lambda: m.evaluate_bits(n, {}, {m.ZERO: 0, m.ONE: 1})),
         ],
         "Manager.exists": [
-            lambda: m.exists(m.ONE, 99),
-            lambda: m.exists(n, x),
+            raises(lambda: m.exists(m.ONE, 99)),
+            raises(lambda: m.exists(n, x)),
         ],
         "Manager.forall": [
-            lambda: m.forall(m.ONE, 99),
-            lambda: m.forall(n, x),
+            raises(lambda: m.forall(m.ONE, 99)),
+            raises(lambda: m.forall(n, x)),
         ],
         "Manager.forall_split": [
-            lambda: m.forall_split(m.ONE, 99),
-            lambda: m.forall_split(n, x),
+            raises(lambda: m.forall_split(m.ONE, 99)),
+            raises(lambda: m.forall_split(n, x)),
         ],
-        "Manager.negate": [lambda: m.negate(n), lambda: m.negate(-1)],
+        "Manager.negate": [raises(lambda: m.negate(n)), raises(lambda: m.negate(-1))],
         "Manager.node": [
-            lambda: m.node(x, m.ZERO, n),
-            lambda: m.node(x, m.ZERO, -1),
-            lambda: m.node(99, m.ZERO, m.ONE),
-            lambda: m.node(m.order.vars[-1], line, m.ONE),
-            lambda: m.node(True, m.ZERO, m.ONE),
-            lambda: m.node(float(x), m.ZERO, m.ONE),
+            raises(lambda: m.node(x, m.ZERO, n)),
+            raises(lambda: m.node(x, m.ZERO, -1)),
+            raises(lambda: m.node(99, m.ZERO, m.ONE)),
+            raises(lambda: m.node(m.order.vars[-1], line, m.ONE)),
+            raises(lambda: m.node(True, m.ZERO, m.ONE)),
+            raises(lambda: m.node(float(x), m.ZERO, m.ONE)),
         ],
         "Manager.restrict": [
-            lambda: m.restrict(m.ONE, 99, 0),
-            lambda: m.restrict(m.ONE, x, 2),
-            lambda: m.restrict(n, x, 0),
-            lambda: m.restrict(line, True, 0),
-            lambda: m.restrict(line, float(x), 1),
+            raises(lambda: m.restrict(m.ONE, 99, 0)),
+            raises(lambda: m.restrict(m.ONE, x, 2)),
+            raises(lambda: m.restrict(n, x, 0)),
+            raises(lambda: m.restrict(line, True, 0)),
+            raises(lambda: m.restrict(line, float(x), 1)),
         ],
         "Manager.shape": [
-            lambda: m.shape(n),
-            lambda: m.shape(line, []),
-            lambda: m.shape(line, [0]),
-            lambda: m.shape(m.ONE, [0]),
+            raises(lambda: m.shape(n)),
+            raises(lambda: m.shape(line, [])),
+            raises(lambda: m.shape(line, [0])),
+            raises(lambda: m.shape(m.ONE, [0])),
         ],
-        "Manager.size": [lambda: m.size(n)],
-        "Manager.support": [lambda: m.support(m.ONE, n)],
+        "Manager.size": [raises(lambda: m.size(n))],
+        "Manager.support": [raises(lambda: m.support(m.ONE, n))],
         "PathDecomposition": [
-            lambda: PathDecomposition((frozenset({1}),)).validate(g),
-            lambda: PathDecomposition(tuple(map(frozenset, ({1}, {2}, {1})))).validate(g),
+            raises(lambda: PathDecomposition((frozenset({1}),)).validate(g)),
+            raises(lambda: PathDecomposition(tuple(map(frozenset, ({1}, {2}, {1})))).validate(g)),
         ],
         "Pcnf": [
-            lambda: twice.audit(),
-            lambda: unquantified.audit(),
-            lambda: Pcnf((("x", 1),), ()).audit(),
-            lambda: Pcnf(((EXISTS, 0),), ()).audit(),
-            lambda: f.prefix_position(99),
+            raises(lambda: twice.audit()),
+            raises(lambda: unquantified.audit()),
+            raises(lambda: Pcnf((("x", 1),), ()).audit()),
+            raises(lambda: Pcnf(((EXISTS, 0),), ()).audit()),
+            raises(lambda: f.prefix_position(99)),
         ],
-        "QobddError": [lambda: QobddError("message")],
+        "QobddError": [returns(lambda: QobddError("message"))],
         "VarOrder": [
-            lambda: VarOrder([2, 1, 2]),
-            lambda: VarOrder([1]).rank(2),
+            raises(lambda: VarOrder([2, 1, 2])),
+            raises(lambda: VarOrder([1]).rank(2)),
+            raises(lambda: VarOrder([True, 2])),
+            raises(lambda: VarOrder([2.0, 1])),
         ],
         "and_protocol_run": [
-            lambda: and_protocol_run(rdl, {}, {}),
-            lambda: and_protocol_run(rdl, {x: 0}, {}),
+            raises(lambda: and_protocol_run(rdl, {}, {})),
+            raises(lambda: and_protocol_run(rdl, {x: 0}, {})),
         ],
         "check_rectanglesmall": [
-            lambda: check_rectanglesmall(g, ([1, 3, 5], [2, 4])),
-            lambda: check_rectanglesmall(g, ([1, 3, 5], [2, 4, 6, 9])),
-            lambda: check_rectanglesmall(g, ([1, 2, 3], [1, 2, 3])),
-            lambda: check_rectanglesmall(g, split, budget=0),
-            lambda: check_rectanglesmall(Graph([]), ([], [])),
+            raises(lambda: check_rectanglesmall(g, ([1, 3, 5], [2, 4]))),
+            raises(lambda: check_rectanglesmall(g, ([1, 3, 5], [2, 4, 6, 9]))),
+            raises(lambda: check_rectanglesmall(g, ([1, 2, 3], [1, 2, 3]))),
+            raises(lambda: check_rectanglesmall(g, split, budget=0)),
+            raises(lambda: check_rectanglesmall(Graph([]), ([], []))),
         ],
         "check_trace": [
-            lambda: check_trace(f, bad_trace),
-            lambda: check_trace(f, ProofTrace(trace.formula_hash, VarOrder([x]), trace.lines)),
-            lambda: check_trace(unquantified, trace),
-            lambda: check_trace(f, trace, node_budget=0),
-            lambda: check_trace(f, true_trace, require_refutation=True),
+            returns(lambda: check_trace(f, bad_trace)),
+            returns(
+                lambda: check_trace(f, ProofTrace(trace.formula_hash, VarOrder([x]), trace.lines))
+            ),
+            returns(lambda: check_trace(unquantified, trace)),
+            raises(lambda: check_trace(f, trace, node_budget=0)),
+            returns(lambda: check_trace(f, true_trace, require_refutation=True)),
         ],
-        "clause": [lambda: clause([0]), lambda: clause([1, -1])],
-        "default_order": [lambda: default_order(unquantified), lambda: default_order(twice)],
-        "emit_qdimacs": [lambda: emit_qdimacs(unquantified), lambda: emit_qdimacs(twice)],
-        "emit_trace": [lambda: emit_trace(bad_trace)],
-        "eqprime_decomposition": [lambda: eqprime_decomposition(1), lambda: eqprime_decomposition(-2)],
+        "clause": [raises(lambda: clause([0])), raises(lambda: clause([1, -1]))],
+        "default_order": [
+            returns(lambda: default_order(unquantified)),
+            returns(lambda: default_order(twice)),
+        ],
+        "emit_qdimacs": [
+            returns(lambda: emit_qdimacs(unquantified)),
+            returns(lambda: emit_qdimacs(twice)),
+        ],
+        "emit_trace": [returns(lambda: emit_trace(bad_trace))],
+        "eqprime_decomposition": [
+            raises(lambda: eqprime_decomposition(1)),
+            raises(lambda: eqprime_decomposition(-2)),
+        ],
         "extract": [
-            lambda: extract(f, bad_trace),
-            lambda: extract(f, true_trace),
-            lambda: extract(unquantified, trace),
+            raises(lambda: extract(f, bad_trace)),
+            raises(lambda: extract(f, true_trace)),
+            raises(lambda: extract(unquantified, trace)),
         ],
-        "formula_hash": [lambda: formula_hash(unquantified)],
-        "gen_eqprime": [lambda: gen_eqprime(1), lambda: gen_eqprime(-1)],
-        "gen_ipg_qbf": [lambda: gen_ipg_qbf(Graph([2, 3], [(2, 3)])), lambda: gen_ipg_qbf(Graph([]))],
-        "gen_quparity": [lambda: gen_quparity(1), lambda: gen_quparity(0)],
+        "formula_hash": [returns(lambda: formula_hash(unquantified))],
+        "gen_eqprime": [raises(lambda: gen_eqprime(1)), raises(lambda: gen_eqprime(-1))],
+        "gen_ipg_qbf": [
+            raises(lambda: gen_ipg_qbf(Graph([2, 3], [(2, 3)]))),
+            returns(lambda: gen_ipg_qbf(Graph([]))),
+        ],
+        "gen_quparity": [raises(lambda: gen_quparity(1)), raises(lambda: gen_quparity(0))],
         "induced_matching": [
-            lambda: induced_matching(g, ([1, 99], [2])),
-            lambda: induced_matching(g, ([1, 2], [1, 2])),
+            returns(lambda: induced_matching(g, ([1, 99], [2]))),
+            returns(lambda: induced_matching(g, ([1, 2], [1, 2]))),
         ],
         "ip_truth_table": [
-            lambda: ip_truth_table(g, ([1, 3, 5], [2, 4])),
-            lambda: ip_truth_table(g, ([1, 3, 5, 7], [2, 4, 6])),
-            lambda: ip_truth_table(g, ([1, 1, 3, 5], [2, 4, 6])),
+            raises(lambda: ip_truth_table(g, ([1, 3, 5], [2, 4]))),
+            raises(lambda: ip_truth_table(g, ([1, 3, 5, 7], [2, 4, 6]))),
+            raises(lambda: ip_truth_table(g, ([1, 1, 3, 5], [2, 4, 6]))),
         ],
         "max_mono_rectangle": [
-            lambda: max_mono_rectangle(ip_truth_table(g, split), budget=0),
-            lambda: max_mono_rectangle(ip_truth_table(g, split), budget=-1),
+            raises(lambda: max_mono_rectangle(ip_truth_table(g, split), budget=0)),
+            raises(lambda: max_mono_rectangle(ip_truth_table(g, split), budget=-1)),
         ],
-        "order_from_decomposition": [lambda: order_from_decomposition(PathDecomposition(()))],
-        "parse_qdimacs": [lambda: parse_qdimacs("p cnf 1 1\na 2 0\n1 0\n"), lambda: parse_qdimacs("")],
-        "parse_qures": [lambda: parse_qures("1 R 2 3 1\n"), lambda: parse_qures("")],
-        "parse_trace": [lambda: parse_trace(""), lambda: parse_trace(emit_trace(trace)[:-20])],
-        "path_decomposition": [lambda: path_decomposition(Graph([]))],
-        "prefix_order": [lambda: prefix_order(twice)],
-        "primal_graph": [lambda: primal_graph(unquantified), lambda: primal_graph(twice)],
-        "quparity_decomposition": [lambda: quparity_decomposition(1)],
+        "order_from_decomposition": [
+            returns(lambda: order_from_decomposition(PathDecomposition(()))),
+        ],
+        "parse_qdimacs": [
+            raises(lambda: parse_qdimacs("p cnf 1 1\na 2 0\n1 0\n")),
+            raises(lambda: parse_qdimacs("")),
+        ],
+        "parse_qures": [
+            returns(lambda: parse_qures("1 R 2 3 1\n")),
+            raises(lambda: parse_qures("")),
+        ],
+        "parse_trace": [
+            raises(lambda: parse_trace("")),
+            raises(lambda: parse_trace(emit_trace(trace)[:-20])),
+        ],
+        "path_decomposition": [returns(lambda: path_decomposition(Graph([])))],
+        "prefix_order": [raises(lambda: prefix_order(twice))],
+        "primal_graph": [
+            returns(lambda: primal_graph(unquantified)),
+            returns(lambda: primal_graph(twice)),
+        ],
+        "quparity_decomposition": [raises(lambda: quparity_decomposition(1))],
         "random_dregular": [
-            lambda: random_dregular(0, 3),
-            lambda: random_dregular(5, 3),
-            lambda: random_dregular(3, 3),
-            lambda: random_dregular(4, -1),
+            raises(lambda: random_dregular(0, 3)),
+            raises(lambda: random_dregular(5, 3)),
+            raises(lambda: random_dregular(3, 3)),
+            raises(lambda: random_dregular(4, -1)),
         ],
         "simulate_qures": [
-            lambda: simulate_qures(f, QuResProof(())),
-            lambda: simulate_qures(f, QuResProof((QuResLine(1, QResolve(2, 3, 1)),))),
-            lambda: simulate_qures(f, QuResProof((QuResLine(1, QAxiom((99,))),))),
-            lambda: simulate_qures(f, QuResProof((QuResLine(1, QReduce(1, 99)),))),
-            lambda: simulate_qures(unquantified, QuResProof((QuResLine(1, QAxiom((1, 2))),))),
+            raises(lambda: simulate_qures(f, QuResProof(()))),
+            raises(lambda: simulate_qures(f, QuResProof((QuResLine(1, QResolve(2, 3, 1)),)))),
+            raises(lambda: simulate_qures(f, QuResProof((QuResLine(1, QAxiom((99,))),)))),
+            raises(lambda: simulate_qures(f, QuResProof((QuResLine(1, QReduce(1, 99)),)))),
+            raises(
+                lambda: simulate_qures(unquantified, QuResProof((QuResLine(1, QAxiom((1, 2))),)))
+            ),
         ],
         "solve": [
-            lambda: solve(f, order=VarOrder([x])),
-            lambda: solve(unquantified),
-            lambda: solve(twice),
-            lambda: solve(f, node_budget=0),
+            raises(lambda: solve(f, order=VarOrder([x]))),
+            raises(lambda: solve(unquantified)),
+            returns(lambda: solve(twice)),
+            raises(lambda: solve(f, node_budget=0)),
         ],
-        "strategy_range_size": [lambda: strategy_range_size(wide_family)],
-        "to_rectangle_list": [lambda: to_rectangle_list(dl, -1), lambda: to_rectangle_list(dl, 99)],
+        "strategy_range_size": [raises(lambda: strategy_range_size(wide_family))],
+        "to_rectangle_list": [
+            raises(lambda: to_rectangle_list(dl, -1)),
+            raises(lambda: to_rectangle_list(dl, 99)),
+        ],
         "verify_winning": [
-            lambda: verify_winning(f, family, samples=0),
-            lambda: verify_winning(gen_eqprime(3), family),
-            lambda: verify_winning(unquantified, family),
+            raises(lambda: verify_winning(f, family, samples=0)),
+            raises(lambda: verify_winning(gen_eqprime(3), family)),
+            raises(lambda: verify_winning(unquantified, family)),
         ],
     }
 
@@ -526,8 +571,9 @@ def test_every_exported_callable_and_manager_method_is_fuzzed():
 
 @pytest.mark.parametrize("name", sorted(API_CASES))
 def test_exported_callables_raise_only_library_errors(name):
-    for case in API_CASES[name]:
-        try:
-            case()
-        except QobddError:
-            pass
+    for must_raise, call in API_CASES[name]:
+        if must_raise:
+            with pytest.raises(QobddError):
+                call()
+        else:
+            call()

@@ -18,7 +18,7 @@ from qobdd.graphs import order_from_decomposition, random_dregular
 from qobdd.obdd import VarOrder, serialize
 from qobdd.pcnf import EXISTS, FORALL, Pcnf, clause
 from qobdd.proof import emit_trace
-from qobdd.solver import solve
+from qobdd.solver import default_order, solve
 from qobdd.strategy import emit_strategy, extract, to_rectangle_list
 
 from .helpers import random_pcnf
@@ -169,3 +169,29 @@ INSTANCES = {name: (f, order) for name, f, order in _instances()}
 @pytest.mark.parametrize("name", INSTANCES)
 def test_golden_outputs(name):
     assert _digests(*INSTANCES[name]) == GOLDEN[name]
+
+
+def _order_corpus():
+    """quparity and eqprime at n = 2..101, 500 random formulas, and the
+    inner-product formulas of 16 random 3-regular graphs per even vertex
+    count 6..24."""
+    for n in range(2, 102):
+        yield gen_quparity(n)
+        yield gen_eqprime(n)
+    rng = random.Random(5)
+    for _ in range(500):
+        yield random_pcnf(rng)
+    for v in range(6, 25, 2):
+        for s in range(16):
+            yield gen_ipg_qbf(random_dregular(v, 3, seed=s))
+
+
+def test_default_orders_are_pinned():
+    # one line per formula, the variables of its default order; a faster
+    # order search must pick the same orders, not just equally narrow ones
+    digest = hashlib.sha256()
+    for f in _order_corpus():
+        digest.update((" ".join(map(str, default_order(f).vars)) + "\n").encode())
+    assert digest.hexdigest() == (
+        "399cd5faa598cb9d69bc366e30210ea8358f42dea971ba5357f697e10b2b2dcc"
+    )

@@ -119,6 +119,16 @@ def test_a_literal_or_variable_that_is_not_an_int_is_refused_before_any_node(cal
     assert all(type(v) is int for v in m._var[2:])
 
 
+@pytest.mark.parametrize(
+    "variables, name", [([True, 2], "bool"), ([2.0, 1], "float"), ([1, "2"], "str")]
+)
+def test_an_order_of_variables_that_are_not_ints_is_refused(variables, name):
+    # True == 1 and 2.0 == 2 would pass the order's cover check against a
+    # formula over 1 and 2, and the trace's o line would then read `o True 2`
+    with pytest.raises(OrderError, match=f"^variable must be an int, not {name}$"):
+        VarOrder(variables)
+
+
 def test_clause_errors_keep_their_precedence():
     m = mgr()
     with pytest.raises(ObddError, match="^0 is not a literal$"):
