@@ -23,6 +23,10 @@ inside one walk, and a repeat finds its nodes in the unique table, so no
 memo outlives the calls it was passed to.
 References, variables and ``apply`` ops are validated at the public entry
 points only; the kernels and the node constructor they share trust them.
+The solver, whose refs, ``and`` code and position list are its own, calls
+``_apply`` for its bucket conjunctions and ``_shape``, the unchecked walk
+behind ``shape``, for each line it derives; so does the checker's reduction
+side test.
 
 A manager and its references belong to one logical thread at a time; hand a
 manager off between threads if you like, but never share one concurrently.
@@ -155,10 +159,6 @@ def _op_code(op) -> int:
             return op
         raise ObddError(f"op code out of range: {op!r}")
     raise ObddError(f"unknown binary op {op!r}")
-
-
-def _is_symmetric(code: int) -> bool:
-    return ((code >> 1) & 1) == ((code >> 2) & 1)
 
 
 class Shape(NamedTuple):
@@ -321,7 +321,7 @@ class Manager:
             return self._unary(((code >> g) & 1) | ((code >> (1 + g)) & 2), f, memo)
         var, lo, hi, rank = self._var, self._lo, self._hi, self._rank
         mk, unary = self._mk, self._unary
-        symmetric = _is_symmetric(code)
+        symmetric = not (code ^ (code >> 1)) & 2  # op(0, 1) == op(1, 0)
         out: list[int] = []
         stack: list[tuple] = [(f, g)]
         while stack:
@@ -650,6 +650,11 @@ class Manager:
         ``positions`` it is d.  A constant has size 1, width 1 (0 on an
         empty order) and position None.  Equal to ``size(f)``, the largest
         layer of ``complete(f)`` and the largest position over ``support(f)``.
+
+        This checks its arguments and wraps ``_shape``, the one walk, whose
+        plain tuple the solver's ``emit`` and the checker's reduction side
+        test read directly: their refs and list are their own, so the checks
+        and the record would only add a fixed cost to every line.
         """
         self._check_ref(f)
         n = self._terminal_rank
@@ -657,15 +662,24 @@ class Manager:
             positions = range(n)
         elif len(positions) != n:
             raise ObddError(f"{len(positions)} positions for an order of {n} variables")
+        return Shape(*self._shape(f, positions))
+
+    def _shape(self, f: int, positions: Sequence[int]) -> tuple[int, int, int | None]:
+        # Unchecked: ``f`` is a ref here, ``positions`` one entry per rank.  A
+        # non-constant diagram reaches both sinks, states to the order's end:
+        # they start in ``first`` at rank n, so only inner nodes are pushed.
+        n = self._terminal_rank
         if f <= 1:
-            return Shape(1, 1 if n else 0, None)
+            return (1, 1 if n else 0, None)
         lo, hi, rank = self._lo, self._hi, self._rank
         top = deep = rank[f]
         right = positions[top]
-        first = {f: top}  # reached node -> first layer (from top) it is a state on
-        stack = [f]  # inner nodes only
+        first = {0: n, 1: n, f: top}  # reached node -> first layer it is a state on
+        get = first.get
+        stack = [f]
+        pop, push = stack.pop, stack.append
         while stack:
-            r = stack.pop()
+            r = pop()
             k = rank[r]
             if k > deep:
                 deep = k
@@ -674,34 +688,29 @@ class Manager:
                 right = p
             k += 1
             c = lo[r]
-            start = first.get(c)
+            start = get(c)
             if start is None:
                 first[c] = k
-                if c > 1:
-                    stack.append(c)
+                push(c)
             elif k < start:
                 first[c] = k
             c = hi[r]
-            start = first.get(c)
+            start = get(c)
             if start is None:
                 first[c] = k
-                if c > 1:
-                    stack.append(c)
+                push(c)
             elif k < start:
                 first[c] = k
         size = len(first)
-        # a non-constant diagram reaches both sinks, states to the order's end
-        sinks = (first.pop(self.ZERO), first.pop(self.ONE))
         diff = [0] * (deep - top + 2)
+        diff[first.pop(self.ZERO) - top] += 1
+        diff[first.pop(self.ONE) - top] += 1
         for r, start in first.items():
             diff[start - top] += 1
             diff[rank[r] + 1 - top] -= 1
-        for start in sinks:
-            diff[start - top] += 1
-        layers = list(accumulate(diff))
         if deep + 1 == n:
-            layers.pop()  # the sinks' layer lies past the order
-        return Shape(size, max(layers), right)
+            diff.pop()  # the sinks' layer lies past the order
+        return (size, max(accumulate(diff)), right)
 
     def evaluate(self, f: int, assignment: Mapping[int, int]) -> int:
         self._check_ref(f)

@@ -61,9 +61,12 @@ class Pcnf:
     _digest: str | None = field(default=None, init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "_pos", {v: i for i, (_, v) in enumerate(self.prefix)}
-        )
+        pos = {v: i for i, (_, v) in enumerate(self.prefix)}
+        if len(pos) != len(self.prefix):  # name the first repeat, as the parser does
+            seen: set[int] = set()
+            twice = next(v for _, v in self.prefix if v in seen or seen.add(v))
+            raise PcnfError(f"variable {twice} quantified twice")
+        object.__setattr__(self, "_pos", pos)
 
     @property
     def variables(self) -> tuple[int, ...]:
@@ -111,19 +114,16 @@ class Pcnf:
         return {abs(l) for c in self.clauses for l in c}
 
     def audit(self) -> None:
-        seen: set[int] = set()
+        # a variable quantified twice was refused when the formula was built
         for q, v in self.prefix:
             if q not in (EXISTS, FORALL):
                 raise PcnfError(f"bad quantifier {q!r}")
             if v <= 0:
                 raise PcnfError(f"bad variable id {v}")
-            if v in seen:
-                raise PcnfError(f"variable {v} quantified twice")
-            seen.add(v)
         for c in self.clauses:
             if c != clause(c):
                 raise PcnfError(f"non-canonical clause {c}")
-        missing = self.matrix_variables() - seen
+        missing = self.matrix_variables() - self._pos.keys()
         if missing:
             raise PcnfError(f"unquantified matrix variables {sorted(missing)}")
 

@@ -333,7 +333,7 @@ def check_trace(
                     if not f.is_universal(x):
                         return reject(lid, URED_NOT_UNIVERSAL)
                     # also rejects a premise whose support misses x
-                    if mgr.shape(premise, positions).rightmost != f.prefix_position(x):
+                    if mgr._shape(premise, positions)[2] != f.prefix_position(x):
                         return reject(lid, URED_NOT_RIGHTMOST)
                     tested.add((premise, x))
                 unbuilt[lid] = (premise, x, c)

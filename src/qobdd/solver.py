@@ -17,20 +17,25 @@ a single-entry bucket projects with ``Manager.exists``.  A universal's
 three lines come from one ``Manager.forall_split`` walk over L.  One
 ``emit`` in ``solve`` writes every line, axioms included.
 An axiom's size, width and rightmost prefix position are read off its
-clause; every other line's come from one ``Manager.shape`` walk, which
-reads a rank-to-prefix-position list built once per solve and keeps no
-support set, so bookkeeping costs the line's size, not the variable count.
-The checker and the translator read reduction's side condition off it too.
+clause, the position from a literal-to-prefix-position table built once
+per solve.  Every other line's come from one ``Manager._shape`` walk, the
+unchecked walk behind ``Manager.shape``: its ref is this solve's and its
+rank-to-prefix-position list is built once, so each line pays for the walk
+alone, which keeps no support set and costs the line's size, not the
+variable count.  The checker and the translator read reduction's side
+condition off the same walk, and a bucket's conjunctions go straight to
+the ``and`` kernel ``Manager._apply``.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Sequence
 
 from .graphs import narrow_order
-from .obdd import DEFAULT_NODE_BUDGET, Manager, OrderError, Shape, VarOrder
+from .obdd import DEFAULT_NODE_BUDGET, OPS, Manager, OrderError, VarOrder
 from .pcnf import EXISTS, Clause, Pcnf, primal_graph
 from .proof import Axiom, Conj, Proj, ProofLine, ProofTrace, URed, formula_hash
 
@@ -94,6 +99,8 @@ def prefix_order(f: Pcnf) -> VarOrder:
 # prefix position); the position is None for constants, which never enter
 # a bucket.
 Entry = tuple[int, int, int, int | None]
+_by_size = itemgetter(2, 1)  # a bucket's entries, smallest diagram first
+_AND = OPS["and"]
 
 
 def solve(
@@ -114,16 +121,20 @@ def solve(
     if set(order.vars) != set(f.variables):
         raise OrderError("order must cover exactly the formula variables")
     mgr = Manager(order, node_budget=node_budget)
-    positions = [f.prefix_position(v) for v in order.vars]  # by rank
+    # prefix position of each literal, and of each rank's variable
+    where = {l: p for p, (_, v) in enumerate(f.prefix) for l in (v, -v)}
+    positions = [where[v] for v in order.vars]
     last = order.vars[-1] if order.vars else None
-    stats = SolveStats()
+    walk = mgr._shape
     lines: list[ProofLine] = []
+    widths: list[int] = []
+    sizes: list[int] = []
 
-    def emit(rule, ref, shape: Shape | None = None) -> Entry:
-        size, width, right = mgr.shape(ref, positions) if shape is None else shape
+    def emit(rule, ref: int, known: tuple | None = None) -> Entry:
+        size, width, right = walk(ref, positions) if known is None else known
         lines.append(ProofLine(len(lines) + 1, rule))
-        stats.widths.append(width)
-        stats.trace_nodes += size
+        widths.append(width)
+        sizes.append(size)
         return (ref, len(lines), size, right)
 
     def axiom(i: int, c: Clause) -> Entry:
@@ -134,12 +145,13 @@ def solve(
         if ref <= 1:
             return emit(Axiom(i), ref)
         width = 1 if len(c) == 1 and abs(c[0]) == last else 2
-        right = max([f.prefix_position(abs(l)) for l in c])
-        return emit(Axiom(i), ref, Shape(len(c) + 2, width, right))
+        return emit(Axiom(i), ref, (len(c) + 2, width, max(map(where.__getitem__, c))))
 
     axioms = [axiom(i, c) for i, c in enumerate(f.clauses, start=1)]
-    stats.value = value = _eliminate_all(f, mgr, axioms, emit, stats.eliminations)
-    stats.wall_time_ms = (time.perf_counter() - start) * 1000.0
+    eliminations: list[int] = []
+    value = _eliminate_all(f, mgr, axioms, emit, eliminations)
+    wall_ms = (time.perf_counter() - start) * 1000.0
+    stats = SolveStats(value, widths, sum(sizes), eliminations, wall_ms)
     return SolveResult(value, ProofTrace(formula_hash(f), order, tuple(lines)), stats)
 
 
@@ -164,13 +176,13 @@ def _eliminate_all(f, mgr, axioms, emit, eliminations) -> bool:
         if not entries:
             continue
         q, var = f.prefix[pos]
-        entries.sort(key=lambda e: (e[2], e[1]))
+        entries.sort(key=_by_size)
         cur, proj = entries[0], None
         for i, nxt in enumerate(entries[1:], start=2):
             if q == EXISTS and i == len(entries):
                 ref, proj = mgr.conj_exists(cur[0], nxt[0], var)
             else:
-                ref = mgr.apply(cur[0], nxt[0], "and")
+                ref = mgr._apply(_AND, cur[0], nxt[0], {})
             cur = emit(Conj(cur[1], nxt[1]), ref)
             if ref == mgr.ZERO:
                 return False

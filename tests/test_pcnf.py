@@ -107,6 +107,18 @@ def test_audit_rejects_unquantified():
         f.audit()
 
 
+def test_a_variable_quantified_twice_is_refused_when_built():
+    # the formula is refused once, at construction, with the message of the
+    # parser and the audit, so solve, emit_qdimacs, primal_graph and
+    # default_order never see it; the first repeat is the one named
+    with pytest.raises(PcnfError, match="^variable 1 quantified twice$"):
+        Pcnf(((EXISTS, 1), (FORALL, 1)), (clause([1]),))
+    with pytest.raises(PcnfError, match="^variable 3 quantified twice$"):
+        Pcnf(((EXISTS, 1), (EXISTS, 3), (FORALL, 2), (FORALL, 3), (EXISTS, 1)), ())
+    with pytest.raises(PcnfError, match="quantified twice"):
+        parse_qdimacs("p cnf 1 1\ne 1 0\na 1 0\n1 0\n")
+
+
 def test_primal_graph_triangle():
     f = Pcnf(
         ((EXISTS, 1), (EXISTS, 2), (EXISTS, 3)),

@@ -259,6 +259,13 @@ def test_line_numbers_match_the_checkers_oracles(monkeypatch):
         rng.shuffle(shuffled)
         for order in (None, prefix_order(f), VarOrder(shuffled)):
             checked(f, order)
+    # the benchmark's families, whose lines the solver's walk measures
+    # under both the hand-written family order and the default one
+    for gen, dec in ((gen_quparity, quparity_decomposition), (gen_eqprime, eqprime_decomposition)):
+        for n in range(4, 9):
+            f = gen(n)
+            for order in (order_from_decomposition(dec(n)), default_order(f)):
+                assert checked(f, order)[-1][0] == 1  # a refutation ends at 0
     # a unit clause on the order's last variable is a width-1 axiom
     f = Pcnf(((EXISTS, 1), (FORALL, 2)), (clause([1, 2]), clause([2]), clause([-1])))
     assert checked(f, VarOrder([1, 2]))[:3] == [(4, 2, 1), (3, 1, 1), (3, 2, 0)]
