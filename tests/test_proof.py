@@ -42,9 +42,11 @@ from qobdd.proof import (
     formula_hash,
     parse_trace,
 )
+from qobdd.qures import parse_qures, simulate_qures
 from qobdd.solver import solve
 
 from .helpers import check_trace_reference, qbf_value, qbf_value_fn, random_pcnf
+from .test_qures import THREE_BLOCK, THREE_BLOCK_PROOF
 
 
 def contradiction():
@@ -837,10 +839,12 @@ def test_the_fused_replay_holds_fewer_nodes(f):
 
 # -- budget hits name the line being built ------------------------------------
 
-# For each solver refutation below: the final store size, and the line each
+# For each refutation below: the final store size, and the line each
 # budget from 0 up names, as (first budget, line) runs; None where the
-# check passes.  Computed with the checker of commit 71dd75b, which
-# pre-scanned the trace and built every line at its own place.
+# check passes.  The three solver refutations' runs were computed with the
+# checker of commit 71dd75b, which pre-scanned the trace and built every
+# line at its own place; the last two, which build reductions by restrict
+# and hold an entailment, with the checker of commit 07b061e.
 BUDGET_RUNS = {
     "quparity-bfs-order": (
         400,
@@ -905,26 +909,71 @@ BUDGET_RUNS = {
             (907, None),
         ],
     ),
+    "qures-three-block": (
+        14,
+        [(0, 1), (3, 2), (5, 3), (6, 4), (8, 7), (10, 6), (11, 9), (12, None)],
+    ),
+    "built-on-read": (
+        17,
+        [
+            (0, 1), (3, 2), (5, 3), (6, 4), (7, 5), (8, 6), (12, 7), (13, 8),
+            (14, 9), (15, None),
+        ],
+    ),
 }
 
 
-BUDGET_INSTANCES = {  # formula and order; None is the default order
+
+
+def solved(f, order=None):
+    """``f`` and its solver refutation; None is the default order."""
+    return f, solve(f, order=order).trace
+
+
+# exists x1 x2 x3 forall u4, refuted by a hand-made trace: the reduction 6
+# of the unbuilt conjunction 5 is built by restrict when the projection 7
+# reads it, and the entailment 10 builds the unbuilt conjunction 9
+BUILT_ON_READ = Pcnf(
+    ((EXISTS, 1), (EXISTS, 2), (EXISTS, 3), (FORALL, 4)),
+    (clause([1, 2, 4]), clause([-1, 3, 4]), clause([-2]), clause([-3])),
+)
+BUILT_ON_READ_LINES = (
+    *(ProofLine(i, Axiom(i)) for i in range(1, 5)),
+    ProofLine(5, Conj(1, 2)),  # (1 2 4)(-1 3 4)
+    ProofLine(6, URed(4, 0, 5)),  # (1 2)(-1 3)
+    ProofLine(7, Proj(1, 6)),  # (2 3)
+    # (2 3 4)
+    ProofLine(8, Entail((7,), "obdd 5\n0 T0 - -\n1 T1 - -\n2 4 0 1\n3 3 2 1\n4 2 3 1")),
+    ProofLine(9, Conj(3, 4)),  # (-2)(-3)
+    ProofLine(10, Entail((7, 9), "obdd 1\n0 T0 - -")),
+)
+
+
+BUDGET_INSTANCES = {  # formula and trace
     # the breadth-first order the default picked before universal vertices
     # went first, given here so that the pinned table still applies
-    "quparity-bfs-order": lambda: (
+    "quparity-bfs-order": lambda: solved(
         gen_quparity(8),
         VarOrder((1, 2, 9, 10, 11, 3, 4, 5, 6, 7, 8, 12, 13, 14, 15, 16, 17)),
     ),
-    "eqprime": lambda: (gen_eqprime(6), None),
-    "ipg": lambda: (gen_ipg_qbf(random_dregular(8, 3, seed=1)), None),
+    "eqprime": lambda: solved(gen_eqprime(6)),
+    "ipg": lambda: solved(gen_ipg_qbf(random_dregular(8, 3, seed=1))),
+    # reductions built by restrict, each read by a conjunction
+    "qures-three-block": lambda: (
+        THREE_BLOCK,
+        simulate_qures(THREE_BLOCK, parse_qures(THREE_BLOCK_PROOF)),
+    ),
+    "built-on-read": lambda: (
+        BUILT_ON_READ,
+        ProofTrace(formula_hash(BUILT_ON_READ), VarOrder([1, 2, 3, 4]), BUILT_ON_READ_LINES),
+    ),
 }
 
 
 @pytest.mark.parametrize("name", list(BUDGET_RUNS))
 def test_every_budget_names_the_line_it_named_before(name):
-    f, order = BUDGET_INSTANCES[name]()
+    f, trace = BUDGET_INSTANCES[name]()
     size, want = BUDGET_RUNS[name]
-    trace = solve(f, order=order).trace
     assert len(check_trace(f, trace, require_refutation=True).manager) == size
     runs = []
     for budget in range(size + 1):

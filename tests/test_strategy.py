@@ -11,7 +11,7 @@ from qobdd.families import (
     quparity_decomposition,
 )
 from qobdd.graphs import Graph, order_from_decomposition, random_dregular
-from qobdd.obdd import BudgetExceededError, Manager, VarOrder
+from qobdd.obdd import BudgetExceededError, Manager, VarOrder, deserialize, serialize
 from qobdd.pcnf import EXISTS, FORALL, Pcnf, clause
 from qobdd.proof import (
     Axiom,
@@ -40,6 +40,7 @@ from qobdd.strategy import (
 from .helpers import (
     assignments,
     covers_oracle,
+    deserialize_reference,
     emit_strategy_oracle,
     eval_ipg,
     family_nodes,
@@ -884,10 +885,12 @@ def test_strategy_reader_and_reference_fail_alike_on_bad_files():
 
 
 def test_strategy_reader_and_reference_run_out_of_budget_alike():
-    # the reader builds rows unchecked with Manager._mk inline; at every
-    # budget it builds what the reference builds, or fails with its error
+    # the strategy reader and the block reader build rows with Manager._mk
+    # inline; at every budget each builds what its reference builds through
+    # Manager.node, or fails with its error
     f, trace = solve_family(gen_eqprime, eqprime_decomposition, 4)
-    text = emit_strategy(extract(f, trace))
+    family = extract(f, trace)
+    text = emit_strategy(family)
     inner = len(parse_strategy(text, f).manager) - 2
 
     def read(reader, budget):
@@ -897,5 +900,23 @@ def test_strategy_reader_and_reference_run_out_of_budget_alike():
     for budget in range(inner + 1):
         got = outcome(read, parse_strategy, budget)
         assert got == outcome(read, parse_strategy_reference, budget), budget
+        runs.append(got[0])
+    assert runs == [BudgetExceededError] * inner + ["ok"]
+
+    # the largest line as one block, rebuilt in a fresh manager
+    m = family.manager
+    line = max((line for dl in family.lists.values() for line, _ in dl.lines), key=m.size)
+    block = serialize(m, line)
+    inner = len(block.splitlines()) - 1 - block.count(" T")
+    assert inner >= 5
+
+    def rebuild(reader, budget):
+        mgr = Manager(m.order, node_budget=budget)
+        return reader(block, mgr), mgr._var, mgr._lo, mgr._hi
+
+    runs = []
+    for budget in range(inner + 1):
+        got = outcome(rebuild, deserialize, budget)
+        assert got == outcome(rebuild, deserialize_reference, budget), budget
         runs.append(got[0])
     assert runs == [BudgetExceededError] * inner + ["ok"]
