@@ -1024,8 +1024,14 @@ def build_rows(rows: list[Row], manager: Manager) -> int:
     that child, and otherwise the row's variable must be in the order, else
     ``OrderError("variable <v> not in order")``, and rank above both
     children, else ``OrderError("... does not precede its children")``.
+    ``Manager._mk`` runs inline: the store gets the nodes, and a budget hit
+    the error, that ``Manager.node`` row by row would give.  ``deserialize``
+    and ``strategy.parse_strategy`` build every block through here.
     """
-    position, rank, mk = manager.order.position, manager._rank, manager._mk
+    position, budget = manager.order.position, manager.node_budget
+    var_, lo_, hi_, rank, unique = (
+        manager._var, manager._lo, manager._hi, manager._rank, manager._unique
+    )
     refs: list[int] = []
     append = refs.append
     for var, lo, hi in rows:
@@ -1041,30 +1047,6 @@ def build_rows(rows: list[Row], manager: Manager) -> int:
             raise OrderError(f"variable {var} not in order")
         if rank[lo] <= r or rank[hi] <= r:
             raise OrderError(f"variable {var} (rank {r}) does not precede its children")
-        append(mk(var, r, lo, hi))
-    return refs[-1]
-
-
-def build_ordered_rows(rows: list[Row], manager: Manager) -> int:
-    """``build_rows`` for rows known to fit the manager's order, as rows do
-    in an order inferred from them (``strategy.parse_strategy``): every
-    row's variable is in the order and ranks above its children.  So no row
-    is checked, and ``Manager._mk`` runs inline; the store gets the same
-    nodes, and a budget hit the same error, as through ``build_rows``."""
-    position, budget = manager.order.position, manager.node_budget
-    var_, lo_, hi_, rank, unique = (
-        manager._var, manager._lo, manager._hi, manager._rank, manager._unique
-    )
-    refs: list[int] = []
-    append = refs.append
-    for var, lo, hi in rows:
-        if var is None:
-            append(manager.const(hi))
-            continue
-        lo, hi = refs[lo], refs[hi]
-        if lo == hi:
-            append(lo)
-            continue
         key = (var, lo, hi)
         ref = unique.get(key)
         if ref is None:
@@ -1074,7 +1056,7 @@ def build_ordered_rows(rows: list[Row], manager: Manager) -> int:
             var_.append(var)
             lo_.append(lo)
             hi_.append(hi)
-            rank.append(position[var])
+            rank.append(r)
             unique[key] = ref
         append(ref)
     return refs[-1]

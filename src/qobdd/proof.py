@@ -21,10 +21,11 @@ conjunction (an existential bucket's ``C j k`` then ``P x l``) is one
 ``Manager.and_exists`` walk that never builds the conjunction above x, and
 a conjunction of a universal's two reductions is one
 ``Manager.forall_split`` walk.  A reduction's side test reads the
-rightmost position off ``Manager.shape``.  The trace header's formula hash
-is compared with ``formula_hash(f)``, the SHA-256 of ``f``'s canonical
-QDIMACS, which ``Pcnf.digest`` computes once per formula object: a solve,
-its check and every later check of that object share one digest.
+rightmost position off the unchecked walk ``Manager._shape``.  The trace
+header's formula hash is compared with ``formula_hash(f)``, the SHA-256 of
+``f``'s canonical QDIMACS, which ``Pcnf.digest`` computes once per formula
+object: a solve, its check and every later check of that object share one
+digest.
 """
 
 from __future__ import annotations
@@ -166,15 +167,6 @@ class ProofTrace:
     order: VarOrder
     lines: tuple[ProofLine, ...]
 
-    def referenced(self, rule: Rule) -> tuple[int, ...]:
-        if isinstance(rule, Conj):
-            return (rule.left, rule.right)
-        if isinstance(rule, (Proj, URed)):
-            return (rule.premise,)
-        if isinstance(rule, Entail):
-            return rule.premises
-        return ()
-
 
 def formula_hash(f: Pcnf) -> str:
     """The SHA-256 of ``f``'s canonical QDIMACS, computed once per formula
@@ -224,24 +216,27 @@ def check_trace(
     Returns an accepting result carrying the replayed line functions, or a
     rejection naming the offending line and a reason code.  Each line is
     checked at its place, but a ``Conj`` or ``URed`` line's diagram is
-    built when a later line first reads it; at the end the last line and
-    every reduction line are built.  ``strategy.extract`` reads the
+    postponed until a later line first reads it; at the end the last line
+    and every reduction line are built.  ``strategy.extract`` reads the
     reduction lines from ``reductions``, (line id, variable, value) of
-    each in line order, collected as the pass accepts them.  A
-    ``Proj`` line on an unbuilt conjunction takes ``Manager.and_exists``
-    over its operands; a ``Conj`` line on two unbuilt reductions of one
-    diagram on one variable to opposite constants takes all three results
-    from one ``Manager.forall_split`` walk; any other reader builds the line
-    with ``apply`` or ``restrict``.  So ``functions`` has no entry for a
+    each in line order, collected as the pass accepts them.  A ``Conj``
+    line on two unbuilt reductions of one diagram on one variable to
+    opposite constants takes all three results from one
+    ``Manager.forall_split`` walk.  A ``Proj`` line is one
+    ``Manager.and_exists`` walk, over an unbuilt conjunction's operands or
+    over its premise and ONE.  Any other reader builds a postponed line in
+    one place, the local ``build``: by ``restrict`` for a reduction, by
+    ``apply`` for a conjunction.  So ``functions`` has no entry for a
     non-last ``Conj`` line that only ``Proj`` lines read, or no line.
     Verdicts and reason codes are those of a replay of every line on its
     own; a reduction to a constant other than 0 or 1 is ``malformed``.
 
     A budget hit is never a verdict: running out of ``node_budget`` raises
     ``obdd.BudgetExceededError("line <id>")``, naming the line whose
-    diagram was being built (for an ``and_exists`` walk the conjunction,
-    for a ``forall_split`` walk the pair's first reduction line).
-    ``solver.solve`` raises the same error without a line.
+    diagram was being built: a postponed line that ``build`` builds, the
+    conjunction of an ``and_exists`` walk over one, the pair's first
+    reduction line of a ``forall_split`` walk, and otherwise the line
+    being checked.  ``solver.solve`` raises the same error without a line.
 
     The loop branches once per line on the rule's type and keeps its
     state in plain locals; the formula's digest is computed once per
@@ -258,7 +253,7 @@ def check_trace(
     if set(order.vars) != set(f.variables):
         return reject(None, ORDER_MISMATCH)
     mgr = Manager(order, node_budget=node_budget)
-    clause, apply, restrict = mgr.clause, mgr.apply, mgr.restrict
+    clause, apply, restrict, and_exists = mgr.clause, mgr.apply, mgr.restrict, mgr.and_exists
     in_order = order.position
     positions = [f.prefix_position(v) for v in order.vars]  # by rank
     funcs: dict[int, int] = {}
@@ -270,6 +265,16 @@ def check_trace(
     clauses = f.clauses
     m = len(clauses)
     last_id = at = 0  # at: the line whose diagram is being built
+
+    def build(j: int) -> int:
+        """Line j's diagram, built now if it was postponed."""
+        nonlocal at
+        args = unbuilt.pop(j, None)
+        if args is not None:
+            at = j
+            funcs[j] = restrict(*args) if len(args) == 3 else apply(*args, "and")
+        return funcs[j]
+
     try:
         for pos, line in enumerate(trace.lines):
             lid, rule = line._id, line._rule
@@ -296,39 +301,25 @@ def check_trace(
                     funcs[a], funcs[b] = split[u[2]], split[v[2]]
                     funcs[lid] = split[2]
                 else:
-                    for j in (a, b):
-                        args = unbuilt.pop(j, None)
-                        if args is not None:
-                            at = j
-                            funcs[j] = restrict(*args) if len(args) == 3 else apply(*args, "and")
-                    unbuilt[lid] = (funcs[a], funcs[b])
+                    unbuilt[lid] = (build(a), build(b))
             elif kind is Proj:
                 j, x = rule._premise, rule._var
                 args = unbuilt.get(j)
                 if (args is None and j not in funcs) or x not in in_order:
                     return reject(lid, BAD_REFERENCE)
                 if args is not None and len(args) == 2:
-                    at = j
-                    funcs[lid] = mgr.and_exists(args[0], args[1], x)
+                    at = j  # the conjunction, never built above x
                 else:
-                    if args is not None:
-                        del unbuilt[j]
-                        at = j
-                        funcs[j] = restrict(*args)
-                        at = lid
-                    funcs[lid] = mgr.exists(funcs[j], x)
+                    args = (build(j), mgr.ONE)
+                    at = lid
+                funcs[lid] = and_exists(args[0], args[1], x)
             elif kind is URed:
                 j, x, c = rule._premise, rule._var, rule._value
-                args = unbuilt.get(j)
-                if (args is None and j not in funcs) or x not in in_order:
+                if (j not in funcs and j not in unbuilt) or x not in in_order:
                     return reject(lid, BAD_REFERENCE)
                 if c not in (0, 1):
                     return reject(lid, MALFORMED)
-                if args is not None:
-                    del unbuilt[j]
-                    at = j
-                    funcs[j] = restrict(*args) if len(args) == 3 else apply(*args, "and")
-                premise = funcs[j]
+                premise = build(j)
                 if (premise, x) not in tested:
                     if not f.is_universal(x):
                         return reject(lid, URED_NOT_UNIVERSAL)
@@ -341,13 +332,7 @@ def check_trace(
             elif kind is Entail:
                 if any(j not in funcs and j not in unbuilt for j in rule._premises):
                     return reject(lid, BAD_REFERENCE)
-                premises = []
-                for j in rule._premises:
-                    args = unbuilt.pop(j, None)
-                    if args is not None:
-                        at = j
-                        funcs[j] = restrict(*args) if len(args) == 3 else apply(*args, "and")
-                    premises.append(funcs[j])
+                premises = [build(j) for j in rule._premises]
                 at = lid
                 try:
                     claimed = obdd.deserialize(rule._block, mgr)
@@ -367,9 +352,7 @@ def check_trace(
         # every reduction line (strategy.extract reads them), then the last
         # line, which the loop put into unbuilt last
         for j in [j for j, args in unbuilt.items() if len(args) == 3 or j == last_id]:
-            args = unbuilt.pop(j)
-            at = j
-            funcs[j] = restrict(*args) if len(args) == 3 else apply(*args, "and")
+            build(j)
         ref = funcs[last_id] if last_id else mgr.ONE
     except BudgetExceededError:
         raise BudgetExceededError(f"line {at}") from None

@@ -431,7 +431,7 @@ def parse_strategy(
     """Read a strategy file into an audited family over one manager; its
     guards may build at most ``node_budget`` nodes, else
     ``obdd.BudgetExceededError``.  The manager's order is inferred from the
-    guards' rows, so they fit it by construction and are built unchecked."""
+    guards' rows, which ``obdd.build_rows`` then builds."""
     reader = obdd.TextReader(text)
     raw: dict[int, list[tuple[int, list[Row]]]] = {}
     try:
@@ -453,7 +453,7 @@ def parse_strategy(
     blocks = [rows for entries in raw.values() for _, rows in entries]
     mgr = Manager(_infer_order(blocks, f.variables), node_budget=node_budget)
     lists = {
-        var: DecisionList(mgr, [(obdd.build_ordered_rows(rows, mgr), v) for v, rows in entries])
+        var: DecisionList(mgr, [(obdd.build_rows(rows, mgr), v) for v, rows in entries])
         for var, entries in raw.items()
     }
     return DecisionListFamily(f, mgr, lists)

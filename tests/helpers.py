@@ -31,9 +31,10 @@ algorithm that ``Manager.clause`` replaced.
 
 Oracles and writers that only tests call live here too: the graph inner
 product ``eval_ipg``, the cell-by-cell table ``truth_table_from_function``,
-the largest layer of a layered copy ``layer_width``, and ``emit_qures``
-and ``emit_edge_list``, which write what ``qures.parse_qures`` and
-``graphs.parse_edge_list`` read.
+the largest layer of a layered copy ``layer_width``, the line ids a trace
+rule reads ``referenced``, and ``emit_qures`` and ``emit_edge_list``,
+which write what ``qures.parse_qures`` and ``graphs.parse_edge_list``
+read.
 """
 
 from __future__ import annotations
@@ -806,6 +807,17 @@ def eliminate_all_reference(
     return True
 
 
+def referenced(rule: proof.Rule) -> tuple[int, ...]:
+    """The line ids a trace rule reads."""
+    if isinstance(rule, proof.Conj):
+        return (rule.left, rule.right)
+    if isinstance(rule, (proof.Proj, proof.URed)):
+        return (rule.premise,)
+    if isinstance(rule, proof.Entail):
+        return rule.premises
+    return ()
+
+
 def check_trace_reference(
     f: Pcnf, trace: proof.ProofTrace, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> tuple[proof.Verdict, Manager | None, dict[int, int]]:
@@ -835,7 +847,7 @@ def check_trace_reference(
             pos < m and rule.clause_index != pos + 1
         ):
             return reject(line.id, proof.AXIOM_MISMATCH)
-        if any(j not in funcs for j in trace.referenced(rule)):
+        if any(j not in funcs for j in referenced(rule)):
             return reject(line.id, proof.BAD_REFERENCE)
         if isinstance(rule, (proof.Proj, proof.URed)) and rule.var not in trace.order:
             return reject(line.id, proof.BAD_REFERENCE)

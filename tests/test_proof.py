@@ -45,7 +45,7 @@ from qobdd.proof import (
 from qobdd.qures import parse_qures, simulate_qures
 from qobdd.solver import solve
 
-from .helpers import check_trace_reference, qbf_value, qbf_value_fn, random_pcnf
+from .helpers import check_trace_reference, qbf_value, qbf_value_fn, random_pcnf, referenced
 from .test_qures import THREE_BLOCK, THREE_BLOCK_PROOF
 
 
@@ -530,7 +530,7 @@ def fused_lines(trace):
     order, and not joining two reductions of one premise on one variable
     to opposite constants."""
     rules = {line.id: line.rule for line in trace.lines}
-    readers = Counter(j for line in trace.lines for j in trace.referenced(line.rule))
+    readers = Counter(j for line in trace.lines for j in referenced(line.rule))
 
     def joins_a_pair(c):
         a, b = rules[c.left], rules[c.right]
@@ -557,7 +557,7 @@ def unread_lines(trace):
     read, or no line: the only lines the checker may leave unbuilt."""
     readers = {line.id: [] for line in trace.lines}
     for line in trace.lines:
-        for j in trace.referenced(line.rule):
+        for j in referenced(line.rule):
             readers[j].append(line.rule)
     return {
         line.id
@@ -695,9 +695,10 @@ def test_a_solver_trace_replays_each_elimination_in_one_walk(monkeypatch):
     fused = len(fused_lines(trace))
     assert calls["forall_split"] == len(ureds) // 2 == len(f.universals)
     assert "restrict" not in calls
-    # an existential elimination's conjunction and projection are one walk
-    assert calls["and_exists"] == fused > 0
-    assert calls.get("exists", 0) == projs - fused
+    # every projection is one and_exists walk; an existential elimination's
+    # takes its conjunction's operands, so the conjunction is never built
+    assert calls["and_exists"] == projs and fused > 0
+    assert "exists" not in calls
     # every other conjunction still goes through apply
     assert calls["apply"] == conjs - len(ureds) // 2 - fused
 
@@ -843,8 +844,9 @@ def test_the_fused_replay_holds_fewer_nodes(f):
 # budget from 0 up names, as (first budget, line) runs; None where the
 # check passes.  The three solver refutations' runs were computed with the
 # checker of commit 71dd75b, which pre-scanned the trace and built every
-# line at its own place; the last two, which build reductions by restrict
-# and hold an entailment, with the checker of commit 07b061e.
+# line at its own place; the last two, a translation whose reductions are
+# built by restrict and a hand-made trace with entailments, with the
+# checker of commit 07b061e.
 BUDGET_RUNS = {
     "quparity-bfs-order": (
         400,
@@ -921,8 +923,6 @@ BUDGET_RUNS = {
         ],
     ),
 }
-
-
 
 
 def solved(f, order=None):
