@@ -4,18 +4,18 @@ A ``Manager`` owns an append-only node store and hands out node references
 (plain ints).  Nodes are hash-consed at creation, so the diagram for a given
 Boolean function is unique within its manager: structural equality is
 reference equality.  The two terminals are ``Manager.ZERO`` and
-``Manager.ONE``.
+``Manager.ONE``.  A node is the triple (rank, lo, hi): under the manager's
+one order its rank names its variable, ``order.vars[rank]``.
 
 The kernels (apply, negate, the bit-parallel ``evaluate_bits``,
 ``and_exists``, the relational product exists x. (f and g),
 ``forall_split``, both cofactors of a universal and their conjunction, and
 ``conj_exists``, a conjunction and its projection for the solver, which
 measures the conjunction) walk with explicit stacks, so a deep variable
-order never reaches Python's recursion limit, and those that build nodes
-read each node's rank from an array kept beside the store.  ``exists`` is
-the relational product with ONE, ``restrict`` the one with x's literal,
-and ``forall`` the third part of ``forall_split``.  The rightmost position
-of ``shape`` is the one prefix rule of universal reduction.
+order never reaches Python's recursion limit.  ``exists`` is the relational
+product with ONE, ``restrict`` the one with x's literal, and ``forall`` the
+third part of ``forall_split``.  The rightmost position of ``shape`` is the
+one prefix rule of universal reduction.
 Every kernel memoizes per operation (a quantification's cofactor
 conjunctions share its memo, and a caller may share one negation memo, or
 one cover map memo at a fixed cut, across several roots): hits come from
@@ -174,12 +174,12 @@ class Manager:
     """Hash-consed OBDD store for one variable order.
 
     Node references are indices into the store; 0 and 1 are the sinks.  No
-    node ever has equal children and no triple is stored twice, so diagrams
-    are fully reduced by construction.  There is no garbage collection:
-    managers are meant to be short-lived, one per solve or check, and each
-    raises ``BudgetExceededError`` past ``node_budget`` inner nodes.  The
-    store and its unique table are all it keeps between calls: every
-    operation memoizes per call.
+    node ever has equal children and no (rank, lo, hi) triple is stored
+    twice, so diagrams are fully reduced by construction.  There is no
+    garbage collection: managers are meant to be short-lived, one per solve
+    or check, and each raises ``BudgetExceededError`` past ``node_budget``
+    inner nodes.  The store and its unique table are all it keeps between
+    calls: every operation memoizes per call.
     """
 
     ZERO = 0
@@ -191,7 +191,6 @@ class Manager:
         n = len(order)
         self._terminal_rank = n
         # parallel arrays; slots 0/1 are the sinks, which rank past the order
-        self._var: list[int | None] = [None, None]
         self._lo: list[int] = [-1, -1]
         self._hi: list[int] = [-1, -1]
         self._rank: list[int] = [n, n]
@@ -200,10 +199,10 @@ class Manager:
     # -- basic accessors ---------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._var)
+        return len(self._rank)
 
     def _check_ref(self, ref: int) -> None:
-        if not isinstance(ref, int) or not 0 <= ref < len(self._var):
+        if not isinstance(ref, int) or not 0 <= ref < len(self._rank):
             raise ObddError(f"invalid node reference {ref!r} for this manager")
 
     # -- construction ------------------------------------------------------
@@ -224,23 +223,22 @@ class Manager:
             raise OrderError(
                 f"variable {var} (rank {rank}) does not precede its children"
             )
-        return self._mk(var, rank, lo, hi)
+        return self._mk(rank, lo, hi)
 
-    def _mk(self, var: int, rank: int, lo: int, hi: int) -> int:
-        # Unchecked: callers pass refs of this manager whose ranks exceed
-        # ``rank``, the rank of ``var``.
+    def _mk(self, rank: int, lo: int, hi: int) -> int:
+        # Unchecked: ``rank`` is in 0..|X|-1, and callers pass refs of this
+        # manager that rank past it.
         if lo == hi:
             return lo
-        key = (var, lo, hi)
+        key = (rank, lo, hi)
         found = self._unique.get(key)
         if found is not None:
             return found
-        if len(self._var) - 2 >= self.node_budget:
+        if len(self._rank) - 2 >= self.node_budget:
             raise BudgetExceededError(
                 f"node budget {self.node_budget} exceeded"
             )
-        ref = len(self._var)
-        self._var.append(var)
+        ref = len(self._rank)
         self._lo.append(lo)
         self._hi.append(hi)
         self._rank.append(rank)
@@ -275,7 +273,7 @@ class Manager:
         acc, prev, mk = self.ZERO, -1, self._mk
         for rank, lit in ranked:
             if rank != prev:  # else a repeat of the literal just built
-                acc = mk(lit, rank, acc, 1) if lit > 0 else mk(-lit, rank, 1, acc)
+                acc = mk(rank, acc, 1) if lit > 0 else mk(rank, 1, acc)
                 prev = rank
         return acc
 
@@ -294,12 +292,13 @@ class Manager:
     #
     # Each kernel walks with an explicit stack, so no order is too deep for
     # it.  A stack entry is either a subproblem or the step that joins the
-    # two results on top of ``out`` into one node: in ``_apply``,
-    # ``and_exists`` and ``conj_exists`` a pair (f, g) or a triple (key,
-    # var, rank), in ``_negate`` and ``forall_split`` a ref f >= 0 or its
-    # complement ~f.  The lo subproblem is pushed last, so it is finished
-    # before the hi one starts and nodes are created in depth-first,
-    # lo-first post-order, as a recursive walk would.
+    # two results on top of ``out`` into one node, told apart by the sign of
+    # its first element: in ``_apply``, ``and_exists`` and ``conj_exists`` a
+    # pair (f, g) or the join (~rank, key) of the pair ``key``'s node, in
+    # ``_negate`` and ``forall_split`` a ref f >= 0 or its complement ~f.
+    # The lo subproblem is pushed last, so it is finished before the hi one
+    # starts and nodes are created in depth-first, lo-first post-order, as
+    # a recursive walk would.
 
     def apply(self, f: int, g: int, op) -> int:
         """Combine two diagrams with a binary Boolean operation.
@@ -319,21 +318,19 @@ class Manager:
             return self._unary((code >> (f << 1)) & 3, g, memo)
         if g <= 1:
             return self._unary(((code >> g) & 1) | ((code >> (1 + g)) & 2), f, memo)
-        var, lo, hi, rank = self._var, self._lo, self._hi, self._rank
+        lo, hi, rank = self._lo, self._hi, self._rank
         mk, unary = self._mk, self._unary
         symmetric = not (code ^ (code >> 1)) & 2  # op(0, 1) == op(1, 0)
         out: list[int] = []
         stack: list[tuple] = [(f, g)]
         while stack:
-            task = stack.pop()
-            if len(task) == 3:
-                key, v, r = task
+            f, g = stack.pop()
+            if f < 0:  # the join (~rank, key)
                 h = out.pop()
-                res = mk(v, r, out.pop(), h)
-                memo[key] = res
+                res = mk(~f, out.pop(), h)
+                memo[g] = res
                 out.append(res)
                 continue
-            f, g = task
             if f <= 1:
                 out.append(unary((code >> (f << 1)) & 3, g, memo))
                 continue
@@ -349,14 +346,14 @@ class Manager:
                 continue
             rf, rg = rank[f], rank[g]
             if rf <= rg:
-                v, r, f0, f1 = var[f], rf, lo[f], hi[f]
+                r, f0, f1 = rf, lo[f], hi[f]
             else:
-                v, r, f0, f1 = var[g], rg, f, f
+                r, f0, f1 = rg, f, f
             if rg <= rf:
                 g0, g1 = lo[g], hi[g]
             else:
                 g0, g1 = g, g
-            stack.append((key, v, r))
+            stack.append((~r, key))
             stack.append((f1, g1))
             stack.append((f0, g0))
         return out[0]
@@ -383,7 +380,7 @@ class Manager:
         return self._negate(f, {} if memo is None else memo)
 
     def _negate(self, f: int, cache: dict) -> int:
-        var, lo, hi, rank, mk = self._var, self._lo, self._hi, self._rank, self._mk
+        lo, hi, rank, mk = self._lo, self._hi, self._rank, self._mk
         out: list[int] = []
         stack = [f]
         while stack:
@@ -391,7 +388,7 @@ class Manager:
             if f < 0:
                 f = ~f
                 h = out.pop()
-                res = mk(var[f], rank[f], out.pop(), h)
+                res = mk(rank[f], out.pop(), h)
                 cache[f] = res
                 cache[res] = f
                 out.append(res)
@@ -413,7 +410,7 @@ class Manager:
         if bit not in (0, 1):
             raise ObddError(f"restrict bit must be 0 or 1, not {bit!r}")
         at = self.order.rank(var)
-        literal = self._mk(var, at, 0, 1) if bit else self._mk(var, at, 1, 0)
+        literal = self._mk(at, 0, 1) if bit else self._mk(at, 1, 0)
         return self.and_exists(f, literal, var)
 
     def exists(self, f: int, var: int) -> int:
@@ -437,7 +434,7 @@ class Manager:
         """
         self._check_ref(f)
         at = self.order.rank(var)
-        var_, lo, hi, rank, mk = self._var, self._lo, self._hi, self._rank, self._mk
+        lo, hi, rank, mk = self._lo, self._hi, self._rank, self._mk
         apply, code, conj_memo = self._apply, OPS["and"], {}
         memo: dict[int, tuple[int, int, int]] = {}
         out: list[tuple[int, int, int]] = []
@@ -448,8 +445,8 @@ class Manager:
                 f = ~f
                 h0, h1, h = out.pop()
                 l0, l1, l = out.pop()
-                v, r = var_[f], rank[f]
-                res = (mk(v, r, l0, h0), mk(v, r, l1, h1), mk(v, r, l, h))
+                r = rank[f]
+                res = (mk(r, l0, h0), mk(r, l1, h1), mk(r, l, h))
                 memo[f] = res
                 out.append(res)
                 continue
@@ -482,21 +479,19 @@ class Manager:
         self._check_ref(f)
         self._check_ref(g)
         at = self.order.rank(var)
-        var_, lo, hi, rank, mk, apply = self._var, self._lo, self._hi, self._rank, self._mk, self._apply
+        lo, hi, rank, mk, apply = self._lo, self._hi, self._rank, self._mk, self._apply
         conj, disj, conj_memo, disj_memo = OPS["and"], OPS["or"], {}, {}
         memo: dict[tuple[int, int], int] = {}
         out: list[int] = []
         stack: list[tuple] = [(f, g)]
         while stack:
-            task = stack.pop()
-            if len(task) == 3:
-                key, v, r = task
+            f, g = stack.pop()
+            if f < 0:  # the join (~rank, key)
                 h = out.pop()
-                res = mk(v, r, out.pop(), h)
-                memo[key] = res
+                res = mk(~f, out.pop(), h)
+                memo[g] = res
                 out.append(res)
                 continue
-            f, g = task
             if f > g:
                 f, g = g, f  # so a sink operand is f
             if f == 0:
@@ -521,7 +516,7 @@ class Manager:
                 memo[key] = res
                 out.append(res)
                 continue
-            stack.append((key, var_[f] if rf == r else var_[g], r))
+            stack.append((~r, key))
             stack.append((f1, g1))
             stack.append((f0, g0))
         return out[0]
@@ -542,22 +537,20 @@ class Manager:
         self._check_ref(f)
         self._check_ref(g)
         at = self.order.rank(var)
-        var_, lo, hi, rank, mk, apply = self._var, self._lo, self._hi, self._rank, self._mk, self._apply
+        lo, hi, rank, mk, apply = self._lo, self._hi, self._rank, self._mk, self._apply
         conj, disj, conj_memo, disj_memo = OPS["and"], OPS["or"], {}, {}
         memo: dict[tuple[int, int], tuple[int, int]] = {}
         out: list[tuple[int, int]] = []
         stack: list[tuple] = [(f, g)]
         while stack:
-            task = stack.pop()
-            if len(task) == 3:
-                key, v, r = task
+            f, g = stack.pop()
+            if f < 0:  # the join (~rank, key)
                 h, hp = out.pop()
                 l, lp = out.pop()
-                res = (mk(v, r, l, h), mk(v, r, lp, hp))
-                memo[key] = res
+                res = (mk(~f, l, h), mk(~f, lp, hp))
+                memo[g] = res
                 out.append(res)
                 continue
-            f, g = task
             if f > g:
                 f, g = g, f  # so a sink operand is f
             if f == 0:
@@ -578,11 +571,11 @@ class Manager:
             g0, g1 = (lo[g], hi[g]) if rg == r else (g, g)
             if r == at:
                 c0, c1 = apply(conj, f0, g0, conj_memo), apply(conj, f1, g1, conj_memo)
-                res = (mk(var, at, c0, c1), c0 if c0 == c1 else apply(disj, c0, c1, disj_memo))
+                res = (mk(at, c0, c1), c0 if c0 == c1 else apply(disj, c0, c1, disj_memo))
                 memo[key] = res
                 out.append(res)
                 continue
-            stack.append((key, var_[f] if rf == r else var_[g], r))
+            stack.append((~r, key))
             stack.append((f1, g1))
             stack.append((f0, g0))
         return out[0]
@@ -596,7 +589,7 @@ class Manager:
         everything below them, and adds the nodes it reads."""
         for f in refs:
             self._check_ref(f)
-        var, lo, hi = self._var, self._lo, self._hi
+        vars_, lo, hi, rank = self.order.vars, self._lo, self._hi, self._rank
         if seen is None:
             seen = set()
         out: set[int] = set()
@@ -606,7 +599,7 @@ class Manager:
             if r <= 1 or r in seen:
                 continue
             seen.add(r)
-            out.add(var[r])
+            out.add(vars_[rank[r]])
             stack.append(lo[r])
             stack.append(hi[r])
         return out
@@ -714,11 +707,12 @@ class Manager:
 
     def evaluate(self, f: int, assignment: Mapping[int, int]) -> int:
         self._check_ref(f)
+        vars_, rank = self.order.vars, self._rank
         try:
             while f > 1:
-                f = self._hi[f] if assignment[self._var[f]] else self._lo[f]
+                f = self._hi[f] if assignment[vars_[rank[f]]] else self._lo[f]
         except KeyError:
-            raise ObddError(f"assignment lacks variable {self._var[f]}") from None
+            raise ObddError(f"assignment lacks variable {vars_[rank[f]]}") from None
         return f
 
     def evaluate_bits(self, f: int, columns: Mapping[int, int], memo: dict[int, int]) -> int:
@@ -736,7 +730,7 @@ class Manager:
         self._check_ref(f)
         if self.ZERO not in memo or self.ONE not in memo:
             raise ObddError("memo must start with both sinks")
-        var, lo, hi = self._var, self._lo, self._hi
+        vars_, lo, hi, rank = self.order.vars, self._lo, self._hi, self._rank
         stack = [f]
         while stack:
             r = stack.pop()
@@ -744,9 +738,9 @@ class Manager:
                 r = ~r
                 a = memo[lo[r]]
                 try:
-                    x = columns[var[r]]
+                    x = columns[vars_[rank[r]]]
                 except KeyError:
-                    raise ObddError(f"columns lack variable {var[r]}") from None
+                    raise ObddError(f"columns lack variable {vars_[rank[r]]}") from None
                 memo[r] = a ^ (x & (a ^ memo[hi[r]]))
             elif r not in memo:
                 stack += (~r, hi[r], lo[r])
@@ -754,22 +748,22 @@ class Manager:
 
     def audit(self) -> None:
         """Structural self-check: reduced, deduplicated, order-respecting."""
-        if len(self._unique) != len(self._var) - 2:
+        lo, hi, rank, n = self._lo, self._hi, self._rank, self._terminal_rank
+        if not len(lo) == len(hi) == len(rank):
+            raise ObddError("node arrays out of sync with each other")
+        if len(self._unique) != len(rank) - 2:
             raise ObddError("unique table out of sync with node store")
-        if len(self._rank) != len(self._var):
-            raise ObddError("rank array out of sync with node store")
-        if self._rank[:2] != [self._terminal_rank] * 2:
+        if rank[:2] != [n, n]:
             raise ObddError("sinks do not rank past the order")
-        for ref in range(2, len(self._var)):
-            var, lo, hi = self._var[ref], self._lo[ref], self._hi[ref]
-            if lo == hi:
+        for ref in range(2, len(rank)):
+            r, l, h = rank[ref], lo[ref], hi[ref]
+            if not 0 <= r < n:
+                raise ObddError(f"node {ref} has rank {r} outside the order")
+            if l == h:
                 raise ObddError(f"node {ref} has equal children")
-            if self._unique.get((var, lo, hi)) != ref:
+            if self._unique.get((r, l, h)) != ref:
                 raise ObddError(f"node {ref} missing from unique table")
-            rank = self.order.rank(var)
-            if self._rank[ref] != rank:
-                raise ObddError(f"node {ref} has a stale rank")
-            if self._rank[lo] <= rank or self._rank[hi] <= rank:
+            if rank[l] <= r or rank[h] <= r:
                 raise ObddError(f"node {ref} violates the variable order")
 
     # -- completion ----------------------------------------------------------
@@ -795,14 +789,14 @@ class Manager:
             depth = n
         elif not 0 <= depth <= n:
             raise ObddError(f"depth {depth} not a prefix length of the order")
-        var, lo, hi, rank = self._var, self._lo, self._hi, self._rank
+        lo, hi, rank = self._lo, self._hi, self._rank
         layers: list[list[int]] = []
         states = [f]
-        for i, v in enumerate(self.order.vars[:depth]):
+        for i in range(depth):
             layers.append(states)
             nxt: dict[int, None] = {}  # insertion-ordered set
             for s in states:
-                if s > 1 and var[s] == v:
+                if rank[s] == i:
                     nxt[lo[s]] = None
                     nxt[hi[s]] = None
                 elif rank[s] < i:
@@ -888,7 +882,7 @@ class CompleteObdd:
             raise ObddError(f"cut {cut} past the {len(self.layers)} layers built")
         if memo is None:
             memo = {}
-        var, lo, hi, rank, mk = mgr._var, mgr._lo, mgr._hi, mgr._rank, mgr._mk
+        lo, hi, rank, mk = mgr._lo, mgr._hi, mgr._rank, mgr._mk
         # post-order with an explicit stack, as in ``_negate``: ~t on the
         # stack joins the maps of t's children
         stack = [self.root]
@@ -896,12 +890,12 @@ class CompleteObdd:
             t = stack.pop()
             if t < 0:
                 t = ~t
-                v, r = var[t], rank[t]
+                r = rank[t]
                 m0, m1 = memo[lo[t]], memo[hi[t]]
-                reach = {s: mk(v, r, a, m1.get(s, 0)) for s, a in m0.items()}
+                reach = {s: mk(r, a, m1.get(s, 0)) for s, a in m0.items()}
                 for s, b in m1.items():
                     if s not in m0:
-                        reach[s] = mk(v, r, 0, b)
+                        reach[s] = mk(r, 0, b)
                 memo[t] = reach
             elif t not in memo:
                 if rank[t] >= cut:
@@ -931,11 +925,11 @@ def serialize(manager: Manager, f: int, negated: bool = False) -> str:
     which is ``f``'s with the sinks swapped, row for row.  Each node's
     block index is made a string once, for its own row and its parents'."""
     manager._check_ref(f)
-    var, lo, hi = manager._var, manager._lo, manager._hi
+    vars_, lo, hi, rank = manager.order.vars, manager._lo, manager._hi, manager._rank
     nodes = manager._postorder(f)
     index = dict(zip(nodes, map(str, range(len(nodes)))))
     rows = [
-        f"{index[r]} {var[r]} {index[lo[r]]} {index[hi[r]]}" if r > 1
+        f"{index[r]} {vars_[rank[r]]} {index[lo[r]]} {index[hi[r]]}" if r > 1
         else f"{index[r]} T{r ^ negated} - -"
         for r in nodes
     ]
@@ -1029,9 +1023,7 @@ def build_rows(rows: list[Row], manager: Manager) -> int:
     and ``strategy.parse_strategy`` build every block through here.
     """
     position, budget = manager.order.position, manager.node_budget
-    var_, lo_, hi_, rank, unique = (
-        manager._var, manager._lo, manager._hi, manager._rank, manager._unique
-    )
+    lo_, hi_, rank, unique = manager._lo, manager._hi, manager._rank, manager._unique
     refs: list[int] = []
     append = refs.append
     for var, lo, hi in rows:
@@ -1047,13 +1039,12 @@ def build_rows(rows: list[Row], manager: Manager) -> int:
             raise OrderError(f"variable {var} not in order")
         if rank[lo] <= r or rank[hi] <= r:
             raise OrderError(f"variable {var} (rank {r}) does not precede its children")
-        key = (var, lo, hi)
+        key = (r, lo, hi)
         ref = unique.get(key)
         if ref is None:
-            ref = len(var_)
+            ref = len(rank)
             if ref - 2 >= budget:
                 raise BudgetExceededError(f"node budget {budget} exceeded")
-            var_.append(var)
             lo_.append(lo)
             hi_.append(hi)
             rank.append(r)

@@ -50,9 +50,11 @@ class Pcnf:
     """Quantifier prefix plus CNF matrix.
 
     ``prefix`` is one (quantifier, variable) pair per variable, outermost
-    first.  Block structure is derived: maximal runs of one quantifier.
-    ``digest()`` is computed once per formula object and kept; the write is
-    idempotent, so a formula stays safe to share across threads.
+    first.  Block structure is derived: maximal runs of one quantifier.  A
+    repeated variable, a quantifier other than ``e`` or ``a`` and a
+    non-canonical clause are refused at construction.  ``digest()`` is
+    computed once per formula object and kept; the write is idempotent, so
+    a formula stays safe to share across threads.
     """
 
     prefix: tuple[tuple[str, int], ...]
@@ -66,6 +68,18 @@ class Pcnf:
             seen: set[int] = set()
             twice = next(v for _, v in self.prefix if v in seen or seen.add(v))
             raise PcnfError(f"variable {twice} quantified twice")
+        for q, _ in self.prefix:
+            if q not in (EXISTS, FORALL):
+                raise PcnfError(f"bad quantifier {q!r}")
+        for c in self.clauses:
+            # canonical: a tuple of int literals on strictly increasing variables
+            if type(c) is not tuple:
+                raise PcnfError(f"non-canonical clause {c}")
+            prev = 0
+            for l in c:
+                if type(l) is not int or abs(l) <= prev:
+                    raise PcnfError(f"non-canonical clause {c}")
+                prev = abs(l)
         object.__setattr__(self, "_pos", pos)
 
     @property
@@ -114,15 +128,10 @@ class Pcnf:
         return {abs(l) for c in self.clauses for l in c}
 
     def audit(self) -> None:
-        # a variable quantified twice was refused when the formula was built
-        for q, v in self.prefix:
-            if q not in (EXISTS, FORALL):
-                raise PcnfError(f"bad quantifier {q!r}")
+        # quantifiers and clauses were checked when the formula was built
+        for _, v in self.prefix:
             if v <= 0:
                 raise PcnfError(f"bad variable id {v}")
-        for c in self.clauses:
-            if c != clause(c):
-                raise PcnfError(f"non-canonical clause {c}")
         missing = self.matrix_variables() - self._pos.keys()
         if missing:
             raise PcnfError(f"unquantified matrix variables {sorted(missing)}")

@@ -547,9 +547,9 @@ def clause_reference(mgr: Manager, literals: Iterable[int]) -> int:
     acc = mgr.ZERO
     for rank, lit in ranked:
         if lit > 0:
-            acc = mgr._mk(lit, rank, acc, mgr.ONE)
+            acc = mgr._mk(rank, acc, mgr.ONE)
         else:
-            acc = mgr._mk(-lit, rank, mgr.ONE, acc)
+            acc = mgr._mk(rank, mgr.ONE, acc)
     return acc
 
 
@@ -647,11 +647,11 @@ def parse_strategy_reference(
 
 
 def family_nodes(family: DecisionListFamily) -> tuple:
-    """A family's manager node for node (order, ``_var``, ``_lo``,
+    """A family's manager node for node (order, ``_rank``, ``_lo``,
     ``_hi``) and every list's (line ref, value) entries."""
     m = family.manager
     lists = {u: dl.lines for u, dl in family.lists.items()}
-    return m.order.vars, m._var, m._lo, m._hi, lists
+    return m.order.vars, m._rank, m._lo, m._hi, lists
 
 
 def outcome(fn: Callable, *args) -> tuple:
@@ -680,7 +680,7 @@ def covers_oracle(co: CompleteObdd, cut: int, drop: int) -> list[tuple[int, int]
     sweep = []
     for i in range(cut - 1, -1, -1):
         v = order[i]
-        tests = [(t, m._lo[t], m._hi[t]) for t in co.layers[i] if t > 1 and m._var[t] == v]
+        tests = [(t, m._lo[t], m._hi[t]) for t in co.layers[i] if m._rank[t] == i]
         sweep.append((v, i, tests))
     rects = []
     for s in states:

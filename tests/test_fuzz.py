@@ -160,7 +160,7 @@ def _read_strategy(read, text):
 
 def _read_block(read, text):
     mgr = Manager(ORDER)
-    return read(text, mgr), mgr._var, mgr._lo, mgr._hi
+    return read(text, mgr), mgr._rank, mgr._lo, mgr._hi
 
 
 # the block and strategy readers must also end as the per-row reference
@@ -430,7 +430,7 @@ def _api_cases():
         "Pcnf": [
             raises(twice),
             raises(lambda: unquantified.audit()),
-            raises(lambda: Pcnf((("x", 1),), ()).audit()),
+            raises(lambda: Pcnf((("x", 1),), ())),
             raises(lambda: Pcnf(((EXISTS, 0),), ()).audit()),
             raises(lambda: f.prefix_position(99)),
         ],

@@ -91,7 +91,7 @@ def test_clause_matches_the_set_based_reference(calls):
     for lits, form in calls:
         make = LITERAL_FORMS[form]
         assert outcome(got.clause, make(lits)) == outcome(clause_reference, want, make(lits))
-        assert (got._var, got._lo, got._hi, got._rank) == (want._var, want._lo, want._hi, want._rank)
+        assert (got._rank, got._lo, got._hi) == (want._rank, want._lo, want._hi)
 
 
 @pytest.mark.parametrize(
@@ -116,7 +116,7 @@ def test_a_literal_or_variable_that_is_not_an_int_is_refused_before_any_node(cal
         call(m)
     assert len(m) == before
     assert m.clause([1]) == m.node(1, m.ZERO, m.ONE)
-    assert all(type(v) is int for v in m._var[2:])
+    m.audit()
 
 
 @pytest.mark.parametrize(
@@ -656,18 +656,57 @@ def test_transpose_reads_the_columns_of_a_bit_matrix():
         ]
 
 
+def _moved(m: Manager, ref: int, rank: int) -> None:
+    """Move node ``ref`` to ``rank``, in the store and in the unique table."""
+    del m._unique[(m._rank[ref], m._lo[ref], m._hi[ref])]
+    m._rank[ref] = rank
+    m._unique[(rank, m._lo[ref], m._hi[ref])] = ref
+
+
+def _unread_below_the_top(m: Manager) -> int:
+    """A node of rank > 0 that no node reads: a rank up keeps the order."""
+    read = {*m._lo, *m._hi}
+    return next(r for r in range(len(m) - 1, 1, -1) if m._rank[r] > 0 and r not in read)
+
+
 def test_audit_and_store_invariants():
-    rng = random.Random(2)
-    m = Manager(VarOrder(range(1, 9)))
-    refs = [obdd_from_table(m, range(1, 9), random_table(rng, 8)) for _ in range(20)]
-    for i in range(0, len(refs) - 1, 2):
-        m.apply(refs[i], refs[i + 1], rng.choice(sorted(OPS)))
-        m.exists(refs[i], rng.randint(1, 8))
-        m.negate(refs[i + 1])
-    m.audit()
-    m._rank[-1] += 1  # a stale rank is caught
-    with pytest.raises(ObddError):
-        m.audit()
+    def store() -> Manager:
+        rng = random.Random(2)
+        m = Manager(VarOrder(range(1, 9)))
+        refs = [obdd_from_table(m, range(1, 9), random_table(rng, 8)) for _ in range(20)]
+        for i in range(0, len(refs) - 1, 2):
+            m.apply(refs[i], refs[i + 1], rng.choice(sorted(OPS)))
+            m.exists(refs[i], rng.randint(1, 8))
+            m.negate(refs[i + 1])
+        return m
+
+    def rank_up(m: Manager) -> None:
+        m._rank[_unread_below_the_top(m)] -= 1
+
+    def rank_down(m: Manager) -> None:
+        m._rank[-1] += 1
+
+    store().audit()
+    corruptions = [
+        # a node moved to another rank no longer matches its unique key
+        (rank_up, "missing from unique table"),
+        (rank_down, "missing from unique table"),
+        # moved with its key, to a rank outside 0..|X|-1 or above a child
+        (lambda m: _moved(m, _unread_below_the_top(m), -1), "rank -1 outside the order"),
+        (lambda m: _moved(m, _unread_below_the_top(m), 8), "rank 8 outside the order"),
+        (lambda m: _moved(m, next(r for r in range(2, len(m)) if m._lo[r] > 1), 7), "violates the variable order"),
+        # the three node arrays, the unique table and the sinks out of step
+        (lambda m: m._lo.append(0), "arrays out of sync"),
+        (lambda m: m._hi.pop(), "arrays out of sync"),
+        (lambda m: m._rank.append(8), "arrays out of sync"),
+        (lambda m: m._unique.popitem(), "unique table out of sync"),
+        (lambda m: m._rank.__setitem__(0, 7), "sinks do not rank past the order"),
+    ]
+    for corrupt, message in corruptions:
+        m = store()
+        corrupt(m)
+        with pytest.raises(ObddError, match=message):
+            m.audit()
 
 
 def test_foreign_reference_rejected():

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -117,6 +118,35 @@ def test_a_variable_quantified_twice_is_refused_when_built():
         Pcnf(((EXISTS, 1), (EXISTS, 3), (FORALL, 2), (FORALL, 3), (EXISTS, 1)), ())
     with pytest.raises(PcnfError, match="quantified twice"):
         parse_qdimacs("p cnf 1 1\ne 1 0\na 1 0\n1 0\n")
+
+
+def test_a_quantifier_other_than_e_or_a_is_refused_when_built():
+    # solve took it for a universal, and emit_qdimacs wrote "x 2 0", a line
+    # parse_qdimacs refuses; the message is the one audit gave
+    with pytest.raises(PcnfError, match="^bad quantifier 'x'$"):
+        Pcnf(((EXISTS, 1), ("x", 2)), ((1, 2), (-1, 2)))
+
+
+def test_a_clause_is_refused_when_built_unless_canonical():
+    # canonical is what clause() makes: a tuple of int literals, no 0, on
+    # strictly increasing variables; the solver sizes an axiom of k literals
+    # as a chain of k nodes, and (1, 1) is one node
+    prefix = ((EXISTS, 1), (FORALL, 2), (EXISTS, 3))
+    rng = random.Random(5)
+    for _ in range(300):
+        c = tuple(rng.randint(-3, 3) for _ in range(rng.randint(0, 4)))
+        try:
+            canonical = clause(c) == c
+        except PcnfError:
+            canonical = False
+        if canonical:
+            assert Pcnf(prefix, (c,)).clauses == (c,)
+        else:
+            with pytest.raises(PcnfError, match=f"^non-canonical clause {re.escape(str(c))}$"):
+                Pcnf(prefix, ((1,), c))
+    for c in ((True,), (1.0, 2), [1, 2], (1, "2")):
+        with pytest.raises(PcnfError, match="^non-canonical clause "):
+            Pcnf(prefix, (c,))
 
 
 def test_primal_graph_triangle():

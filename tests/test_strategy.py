@@ -912,7 +912,7 @@ def test_strategy_reader_and_reference_run_out_of_budget_alike():
 
     def rebuild(reader, budget):
         mgr = Manager(m.order, node_budget=budget)
-        return reader(block, mgr), mgr._var, mgr._lo, mgr._hi
+        return reader(block, mgr), mgr._rank, mgr._lo, mgr._hi
 
     runs = []
     for budget in range(inner + 1):
