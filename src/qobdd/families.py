@@ -158,6 +158,4 @@ def gen_ipg_qbf(g: Graph) -> Pcnf:
         + [(FORALL, z)]
         + [(EXISTS, v) for v in outs[:-1]]
     )
-    f = Pcnf(tuple(prefix), tuple(clauses))
-    f.audit()
-    return f
+    return Pcnf(tuple(prefix), tuple(clauses))

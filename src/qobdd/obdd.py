@@ -88,7 +88,8 @@ def _variable_type_error(var: object) -> OrderError:
 
 
 class VarOrder:
-    """An ordering pi of integer variable ids; rank 0 is tested first."""
+    """An ordering pi of integer variable ids; rank 0 is tested first.  An
+    id is an int of at least 1, as in QDIMACS text."""
 
     __slots__ = ("vars", "position")
 
@@ -96,6 +97,8 @@ class VarOrder:
         self.vars = tuple(variables)
         if {*map(type, self.vars)} - {int}:
             raise _variable_type_error(next(v for v in self.vars if type(v) is not int))
+        if self.vars and min(self.vars) < 1:
+            raise OrderError(f"bad variable id {next(v for v in self.vars if v < 1)}")
         self.position = {v: i for i, v in enumerate(self.vars)}
         if len(self.position) != len(self.vars):
             raise OrderError("duplicate variable in order")
@@ -234,11 +237,11 @@ class Manager:
         found = self._unique.get(key)
         if found is not None:
             return found
-        if len(self._rank) - 2 >= self.node_budget:
+        ref = len(self._rank)
+        if ref - 2 >= self.node_budget:
             raise BudgetExceededError(
                 f"node budget {self.node_budget} exceeded"
             )
-        ref = len(self._rank)
         self._lo.append(lo)
         self._hi.append(hi)
         self._rank.append(rank)
@@ -291,14 +294,23 @@ class Manager:
     # -- boolean combination -----------------------------------------------
     #
     # Each kernel walks with an explicit stack, so no order is too deep for
-    # it.  A stack entry is either a subproblem or the step that joins the
-    # two results on top of ``out`` into one node, told apart by the sign of
-    # its first element: in ``_apply``, ``and_exists`` and ``conj_exists`` a
+    # it, and descends in place: a subproblem it splits pushes its join and
+    # its hi subproblem, and the walk goes on with the lo subproblem in its
+    # own variables.  A stack entry is told apart by the sign of its first
+    # element: in ``_apply``, ``and_exists`` and ``conj_exists`` a pending
     # pair (f, g) or the join (~rank, key) of the pair ``key``'s node, in
-    # ``_negate`` and ``forall_split`` a ref f >= 0 or its complement ~f.
-    # The lo subproblem is pushed last, so it is finished before the hi one
-    # starts and nodes are created in depth-first, lo-first post-order, as
-    # a recursive walk would.
+    # ``_negate`` and ``forall_split`` a pending ref f >= 0 or the join ~f.
+    # When a result is ready, the joins on top of the stack fold it at once,
+    # each with the lo result it pops from ``out``, until a pending
+    # subproblem comes up: the result waits on ``out`` as the lo sibling of
+    # that subproblem, which the walk descends into next.  So the lo
+    # subproblem is finished before the hi one starts and nodes are created
+    # in depth-first, lo-first post-order, as a recursive walk would.  A pair
+    # with a sink operand decides itself without a call unless its result
+    # is the other operand's negation, and the quantifying walks decide a
+    # cofactor conjunction with a sink operand, and the ``or`` of a sink or
+    # of two equal results, in line as well, so a sink operand seldom
+    # reaches ``_apply`` at its top and needs no path of its own there.
 
     def apply(self, f: int, g: int, op) -> int:
         """Combine two diagrams with a binary Boolean operation.
@@ -312,62 +324,56 @@ class Manager:
         return self._apply(_op_code(op), f, g, {})
 
     def _apply(self, code: int, f: int, g: int, memo: dict[tuple[int, int], int]) -> int:
-        # a sink operand decides the call in one unary step, before the setup
-        # (most of a quantification's cofactor pairs hold a sink)
-        if f <= 1:
-            return self._unary((code >> (f << 1)) & 3, g, memo)
-        if g <= 1:
-            return self._unary(((code >> g) & 1) | ((code >> (1 + g)) & 2), f, memo)
-        lo, hi, rank = self._lo, self._hi, self._rank
-        mk, unary = self._mk, self._unary
+        lo, hi, rank, mk = self._lo, self._hi, self._rank, self._mk
         symmetric = not (code ^ (code >> 1)) & 2  # op(0, 1) == op(1, 0)
+        # the op with a sink f, and with a sink g, by the sink: bit 0 is the
+        # result when the other operand is 0, bit 1 when it is 1, so 0b00 is
+        # ZERO, 0b11 ONE, 0b10 the other operand and 0b01 its negation,
+        # which keeps its int keys in the apply memo, beside the pairs
+        left = (code & 3, (code >> 2) & 3)
+        right = ((code & 1) | ((code >> 1) & 2), ((code >> 1) & 1) | ((code >> 2) & 2))
         out: list[int] = []
-        stack: list[tuple] = [(f, g)]
-        while stack:
-            f, g = stack.pop()
-            if f < 0:  # the join (~rank, key)
-                h = out.pop()
-                res = mk(~f, out.pop(), h)
+        stack: list[tuple] = []
+        while True:
+            if f <= 1 or g <= 1:
+                if f <= 1:
+                    p, other = left[f], g
+                else:
+                    p, other = right[g], f
+                if p == 0b10:
+                    res = other
+                elif p == 0b01:
+                    res = self._negate(other, memo)
+                else:
+                    res = p >> 1
+            else:
+                if symmetric and f > g:
+                    f, g = g, f
+                key = (f, g)
+                res = memo.get(key)
+                if res is None:
+                    rf, rg = rank[f], rank[g]
+                    if rf <= rg:
+                        r, f0, f1 = rf, lo[f], hi[f]
+                    else:
+                        r, f0, f1 = rg, f, f
+                    if rg <= rf:
+                        g0, g1 = lo[g], hi[g]
+                    else:
+                        g0, g1 = g, g
+                    stack.append((~r, key))
+                    stack.append((f1, g1))
+                    f, g = f0, g0
+                    continue
+            while stack:  # fold the joins the result completes
+                f, g = stack.pop()
+                if f >= 0:
+                    break
+                res = mk(~f, out.pop(), res)
                 memo[g] = res
-                out.append(res)
-                continue
-            if f <= 1:
-                out.append(unary((code >> (f << 1)) & 3, g, memo))
-                continue
-            if g <= 1:
-                out.append(unary(((code >> g) & 1) | ((code >> (1 + g)) & 2), f, memo))
-                continue
-            if symmetric and f > g:
-                f, g = g, f
-            key = (f, g)
-            found = memo.get(key)
-            if found is not None:
-                out.append(found)
-                continue
-            rf, rg = rank[f], rank[g]
-            if rf <= rg:
-                r, f0, f1 = rf, lo[f], hi[f]
             else:
-                r, f0, f1 = rg, f, f
-            if rg <= rf:
-                g0, g1 = lo[g], hi[g]
-            else:
-                g0, g1 = g, g
-            stack.append((~r, key))
-            stack.append((f1, g1))
-            stack.append((f0, g0))
-        return out[0]
-
-    def _unary(self, pair: int, g: int, memo: dict) -> int:
-        # bit 0: the result when g = 0; bit 1: the result when g = 1.  A
-        # negation keeps its int keys in the apply memo, beside the pairs.
-        if pair == 0b00:
-            return self.ZERO
-        if pair == 0b11:
-            return self.ONE
-        if pair == 0b10:
-            return g
-        return self._negate(g, memo)
+                return res
+            out.append(res)
 
     def negate(self, f: int, memo: dict[int, int] | None = None) -> int:
         """Complement by sink swap; size-preserving and involutive.
@@ -382,25 +388,28 @@ class Manager:
     def _negate(self, f: int, cache: dict) -> int:
         lo, hi, rank, mk = self._lo, self._hi, self._rank, self._mk
         out: list[int] = []
-        stack = [f]
-        while stack:
-            f = stack.pop()
-            if f < 0:
+        stack: list[int] = []
+        while True:
+            if f <= 1:
+                res = 1 - f
+            else:
+                res = cache.get(f)
+                if res is None:
+                    stack.append(~f)
+                    stack.append(hi[f])
+                    f = lo[f]
+                    continue
+            while stack:
+                f = stack.pop()
+                if f >= 0:
+                    break
                 f = ~f
-                h = out.pop()
-                res = mk(rank[f], out.pop(), h)
+                res = mk(rank[f], out.pop(), res)
                 cache[f] = res
                 cache[res] = f
-                out.append(res)
-            elif f <= 1:
-                out.append(1 - f)
             else:
-                found = cache.get(f)
-                if found is not None:
-                    out.append(found)
-                else:
-                    stack += (~f, hi[f], lo[f])
-        return out[0]
+                return res
+            out.append(res)
 
     def restrict(self, f: int, var: int, bit: int) -> int:
         """Fix ``var`` to ``bit``; the variable is absent from the result.
@@ -426,11 +435,14 @@ class Manager:
 
         The three are images of the same nodes above ``var``'s rank (the
         Shannon cofactors and their conjunction), so each such node is
-        rebuilt three ways at once; a node of ``var``'s rank gives its lo,
-        its hi and their conjunction, the conjunctions sharing one memo.
-        Equal to ``restrict(f, var, 0)``, ``restrict(f, var, 1)`` and the
-        conjunction of the two, and leaves the store with the same nodes,
-        except for the literals of ``var`` that ``restrict`` builds.
+        rebuilt three ways at once, the walk descending into its lo child
+        in place; a node of ``var``'s rank gives its lo, its hi and their
+        conjunction, decided in line when a cofactor is a sink and else by
+        the ``and`` kernel, the conjunctions sharing one memo.  Equal to
+        ``restrict(f, var, 0)``, ``restrict(f, var, 1)`` and the
+        conjunction of the two, and leaves the store with the same nodes in
+        the same order, except for the literals of ``var`` that
+        ``restrict`` builds.
         """
         self._check_ref(f)
         at = self.order.rank(var)
@@ -438,43 +450,51 @@ class Manager:
         apply, code, conj_memo = self._apply, OPS["and"], {}
         memo: dict[int, tuple[int, int, int]] = {}
         out: list[tuple[int, int, int]] = []
-        stack = [f]
-        while stack:
-            f = stack.pop()
-            if f < 0:
+        stack: list[int] = []
+        while True:
+            rf = rank[f]
+            if rf > at:
+                res = (f, f, f)
+            elif rf == at:
+                f0, f1 = lo[f], hi[f]
+                a, b = (f0, f1) if f0 < f1 else (f1, f0)
+                res = (f0, f1, (b if a else 0) if a <= 1 else apply(code, a, b, conj_memo))
+            else:
+                res = memo.get(f)
+                if res is None:
+                    stack.append(~f)
+                    stack.append(hi[f])
+                    f = lo[f]
+                    continue
+            while stack:
+                f = stack.pop()
+                if f >= 0:
+                    break
                 f = ~f
-                h0, h1, h = out.pop()
+                h0, h1, h = res
                 l0, l1, l = out.pop()
                 r = rank[f]
                 res = (mk(r, l0, h0), mk(r, l1, h1), mk(r, l, h))
                 memo[f] = res
-                out.append(res)
-                continue
-            rf = rank[f]
-            if rf > at:
-                out.append((f, f, f))
-            elif rf == at:
-                f0, f1 = lo[f], hi[f]
-                out.append((f0, f1, apply(code, f0, f1, conj_memo)))
             else:
-                found = memo.get(f)
-                if found is not None:
-                    out.append(found)
-                else:
-                    stack += (~f, hi[f], lo[f])
-        return out[0]
+                return res
+            out.append(res)
 
     def and_exists(self, f: int, g: int, var: int) -> int:
         """``exists var. (f and g)`` in one walk over the pairs of ``f`` and
         ``g``, without building the conjunction above ``var``'s rank.
 
-        A pair topped above that rank is split on its top variable and
-        rebuilt over its two results; a pair of that rank gives the ``or``
-        of its cofactor pairs' conjunctions, and a pair below it their
-        conjunction.  Only a ZERO operand ends a pair early above the rank,
-        since ONE and g must still be projected.  The conjunctions share one
-        memo and the disjunctions another.  Equal to the ``or`` of the
-        conjunction's two cofactors at ``var``: the relational product.
+        A pair topped above that rank is split on its top variable, the walk
+        descending into its lo pair in place, and rebuilt over its two
+        results; a pair of that rank gives the ``or`` of its cofactor pairs'
+        conjunctions, and a pair below it their conjunction.  Only a ZERO
+        operand ends a pair early above the rank, since ONE and g must still
+        be projected.  At the rank a cofactor conjunction with a sink
+        operand, and an ``or`` with a sink operand or of two equal results,
+        is decided in line; the ``and`` and ``or`` kernels take the rest, the
+        conjunctions sharing one memo and the disjunctions another.  Equal
+        to the ``or`` of the conjunction's two cofactors at ``var``: the
+        relational product, built node for node in the same order.
         """
         self._check_ref(f)
         self._check_ref(g)
@@ -483,56 +503,67 @@ class Manager:
         conj, disj, conj_memo, disj_memo = OPS["and"], OPS["or"], {}, {}
         memo: dict[tuple[int, int], int] = {}
         out: list[int] = []
-        stack: list[tuple] = [(f, g)]
-        while stack:
-            f, g = stack.pop()
-            if f < 0:  # the join (~rank, key)
-                h = out.pop()
-                res = mk(~f, out.pop(), h)
-                memo[g] = res
-                out.append(res)
-                continue
+        stack: list[tuple] = []
+        while True:
             if f > g:
                 f, g = g, f  # so a sink operand is f
             if f == 0:
-                out.append(0)
-                continue
-            rf, rg = rank[f], rank[g]
-            r = rf if rf <= rg else rg
-            if r > at:
-                out.append(g if f == 1 else apply(conj, f, g, conj_memo))
-                continue
-            key = (f, g)
-            found = memo.get(key)
-            if found is not None:
-                out.append(found)
-                continue
-            f0, f1 = (lo[f], hi[f]) if rf == r else (f, f)
-            g0, g1 = (lo[g], hi[g]) if rg == r else (g, g)
-            if r == at:
-                res = apply(conj, f0, g0, conj_memo)
-                if res != 1:
-                    res = apply(disj, res, apply(conj, f1, g1, conj_memo), disj_memo)
-                memo[key] = res
-                out.append(res)
-                continue
-            stack.append((~r, key))
-            stack.append((f1, g1))
-            stack.append((f0, g0))
-        return out[0]
+                res = 0
+            else:
+                rf, rg = rank[f], rank[g]
+                r = rf if rf <= rg else rg
+                if r > at:
+                    res = g if f == 1 else apply(conj, f, g, conj_memo)
+                else:
+                    key = (f, g)
+                    res = memo.get(key)
+                    if res is None:
+                        f0, f1 = (lo[f], hi[f]) if rf == r else (f, f)
+                        g0, g1 = (lo[g], hi[g]) if rg == r else (g, g)
+                        if r < at:
+                            stack.append((~r, key))
+                            stack.append((f1, g1))
+                            f, g = f0, g0
+                            continue
+                        if f0 > g0:
+                            f0, g0 = g0, f0
+                        res = (g0 if f0 else 0) if f0 <= 1 else apply(conj, f0, g0, conj_memo)
+                        if res != 1:
+                            if f1 > g1:
+                                f1, g1 = g1, f1
+                            c1 = (g1 if f1 else 0) if f1 <= 1 else apply(conj, f1, g1, conj_memo)
+                            if res == 0 or res == c1:
+                                res = c1
+                            elif c1 <= 1:
+                                res = res if c1 == 0 else 1
+                            else:
+                                res = apply(disj, res, c1, disj_memo)
+                        memo[key] = res
+            while stack:
+                f, g = stack.pop()
+                if f >= 0:
+                    break
+                res = mk(~f, out.pop(), res)
+                memo[g] = res
+            else:
+                return res
+            out.append(res)
 
     def conj_exists(self, f: int, g: int, var: int) -> tuple[int, int]:
         """``(f and g, exists var. (f and g))`` in one walk over the pairs of
         ``f`` and ``g``.
 
-        A pair topped above ``var``'s rank is split on its top variable and
-        rebuilt over its two results twice, as its conjunction and as its
-        projection.  A pair of that rank gives the node over its cofactor
-        pairs' conjunctions c0 and c1 and their ``or`` (c0 itself when
-        c0 == c1), and a pair below it their conjunction, which is its own
-        projection.  The conjunctions share one memo and the disjunctions
-        another.  Equal to ``apply(f, g, "and")`` and ``exists`` of it, and
-        leaves the store with the same nodes.
+        A pair topped above ``var``'s rank is split on its top variable, the
+        walk descending into its lo pair in place, and rebuilt over its two
+        results twice, as its conjunction and as its projection.  A pair of
+        that rank gives the node over its cofactor pairs' conjunctions c0
+        and c1 and their ``or``, and a pair below it their conjunction,
+        which is its own projection.  A conjunction with a sink operand, and
+        an ``or`` with a sink operand or of c0 == c1, is decided in line;
+        the ``and`` and ``or`` kernels take the rest, the conjunctions
+        sharing one memo and the disjunctions another.  Equal to
+        ``apply(f, g, "and")`` and ``exists`` of it, and leaves the store
+        with the same nodes in the same order.
         """
         self._check_ref(f)
         self._check_ref(g)
@@ -541,44 +572,56 @@ class Manager:
         conj, disj, conj_memo, disj_memo = OPS["and"], OPS["or"], {}, {}
         memo: dict[tuple[int, int], tuple[int, int]] = {}
         out: list[tuple[int, int]] = []
-        stack: list[tuple] = [(f, g)]
-        while stack:
-            f, g = stack.pop()
-            if f < 0:  # the join (~rank, key)
-                h, hp = out.pop()
-                l, lp = out.pop()
-                res = (mk(~f, l, h), mk(~f, lp, hp))
-                memo[g] = res
-                out.append(res)
-                continue
+        stack: list[tuple] = []
+        while True:
             if f > g:
                 f, g = g, f  # so a sink operand is f
             if f == 0:
-                out.append((0, 0))
-                continue
-            rf, rg = rank[f], rank[g]
-            r = rf if rf <= rg else rg
-            if r > at:
-                c = g if f == 1 else apply(conj, f, g, conj_memo)
-                out.append((c, c))
-                continue
-            key = (f, g)
-            found = memo.get(key)
-            if found is not None:
-                out.append(found)
-                continue
-            f0, f1 = (lo[f], hi[f]) if rf == r else (f, f)
-            g0, g1 = (lo[g], hi[g]) if rg == r else (g, g)
-            if r == at:
-                c0, c1 = apply(conj, f0, g0, conj_memo), apply(conj, f1, g1, conj_memo)
-                res = (mk(at, c0, c1), c0 if c0 == c1 else apply(disj, c0, c1, disj_memo))
-                memo[key] = res
-                out.append(res)
-                continue
-            stack.append((~r, key))
-            stack.append((f1, g1))
-            stack.append((f0, g0))
-        return out[0]
+                res = (0, 0)
+            else:
+                rf, rg = rank[f], rank[g]
+                r = rf if rf <= rg else rg
+                if r > at:
+                    c = g if f == 1 else apply(conj, f, g, conj_memo)
+                    res = (c, c)
+                else:
+                    key = (f, g)
+                    res = memo.get(key)
+                    if res is None:
+                        f0, f1 = (lo[f], hi[f]) if rf == r else (f, f)
+                        g0, g1 = (lo[g], hi[g]) if rg == r else (g, g)
+                        if r < at:
+                            stack.append((~r, key))
+                            stack.append((f1, g1))
+                            f, g = f0, g0
+                            continue
+                        if f0 > g0:
+                            f0, g0 = g0, f0
+                        if f1 > g1:
+                            f1, g1 = g1, f1
+                        c0 = (g0 if f0 else 0) if f0 <= 1 else apply(conj, f0, g0, conj_memo)
+                        c1 = (g1 if f1 else 0) if f1 <= 1 else apply(conj, f1, g1, conj_memo)
+                        c = mk(at, c0, c1)
+                        if c0 == 0 or c0 == c1:
+                            res = (c, c1)
+                        elif c1 == 0:
+                            res = (c, c0)
+                        elif c0 == 1 or c1 == 1:
+                            res = (c, 1)
+                        else:
+                            res = (c, apply(disj, c0, c1, disj_memo))
+                        memo[key] = res
+            while stack:
+                f, g = stack.pop()
+                if f >= 0:
+                    break
+                h, hp = res
+                l, lp = out.pop()
+                res = (mk(~f, l, h), mk(~f, lp, hp))
+                memo[g] = res
+            else:
+                return res
+            out.append(res)
 
     # -- inspection ----------------------------------------------------------
 

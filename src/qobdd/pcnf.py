@@ -51,10 +51,13 @@ class Pcnf:
 
     ``prefix`` is one (quantifier, variable) pair per variable, outermost
     first.  Block structure is derived: maximal runs of one quantifier.  A
-    repeated variable, a quantifier other than ``e`` or ``a`` and a
-    non-canonical clause are refused at construction.  ``digest()`` is
-    computed once per formula object and kept; the write is idempotent, so
-    a formula stays safe to share across threads.
+    repeated variable, a quantifier other than ``e`` or ``a``, a
+    non-canonical clause, a prefix variable that is not an int of at least
+    1 and a matrix variable outside the prefix are refused at construction,
+    so ``emit_qdimacs`` writes every formula built as text that
+    ``parse_qdimacs`` reads back.  ``digest()`` is computed once per
+    formula object and kept; the write is idempotent, so a formula stays
+    safe to share across threads.
     """
 
     prefix: tuple[tuple[str, int], ...]
@@ -80,6 +83,12 @@ class Pcnf:
                 if type(l) is not int or abs(l) <= prev:
                     raise PcnfError(f"non-canonical clause {c}")
                 prev = abs(l)
+        for _, v in self.prefix:
+            if type(v) is not int or v < 1:  # a bool or 2.0 would be written as such
+                raise PcnfError(f"bad variable id {v}")
+        missing = self.matrix_variables() - pos.keys()
+        if missing:
+            raise PcnfError(f"unquantified matrix variables {sorted(missing)}")
         object.__setattr__(self, "_pos", pos)
 
     @property
@@ -126,15 +135,6 @@ class Pcnf:
 
     def matrix_variables(self) -> set[int]:
         return {abs(l) for c in self.clauses for l in c}
-
-    def audit(self) -> None:
-        # quantifiers and clauses were checked when the formula was built
-        for _, v in self.prefix:
-            if v <= 0:
-                raise PcnfError(f"bad variable id {v}")
-        missing = self.matrix_variables() - self._pos.keys()
-        if missing:
-            raise PcnfError(f"unquantified matrix variables {sorted(missing)}")
 
 
 def parse_qdimacs(text: str) -> Pcnf:
@@ -211,9 +211,6 @@ def parse_qdimacs(text: str) -> Pcnf:
         )
     free = sorted({abs(l) for c in clauses for l in c} - quantified)
     full_prefix = [(EXISTS, v) for v in free] + prefix
-    # what ``Pcnf.audit`` checks holds by construction: quantifiers and
-    # ids were read and checked above, each clause made canonical once,
-    # and every matrix variable is quantified or in the free block
     return Pcnf(tuple(full_prefix), tuple(clauses))
 
 

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from . import obdd
-from .obdd import BlockFormatError, Manager, Row, VarOrder, transpose
+from .obdd import BlockFormatError, Manager, OrderError, Row, VarOrder, transpose
 from .pcnf import FORALL, Pcnf
 from .proof import CheckResult, ProofTrace, check_trace
 
@@ -451,7 +451,11 @@ def parse_strategy(
     if set(raw) != set(f.universals):
         raise StrategyError("strategy file does not cover the universal variables")
     blocks = [rows for entries in raw.values() for _, rows in entries]
-    mgr = Manager(_infer_order(blocks, f.variables), node_budget=node_budget)
+    try:
+        order = _infer_order(blocks, f.variables)
+    except OrderError as exc:  # a row's variable below 1
+        raise StrategyError(f"bad strategy file: {exc}") from None
+    mgr = Manager(order, node_budget=node_budget)
     lists = {
         var: DecisionList(mgr, [(obdd.build_rows(rows, mgr), v) for v, rows in entries])
         for var, entries in raw.items()

@@ -27,7 +27,11 @@ through the public ``Manager.node`` and infer a strategy's order from
 per-row sets of child variables.
 
 Clause diagrams are built by ``clause_reference``, the set-based
-algorithm that ``Manager.clause`` replaced.
+algorithm that ``Manager.clause`` replaced, and the pair kernels' results
+by ``apply_reference``, ``negate_reference``, ``and_exists_reference``,
+``conj_exists_reference`` and ``forall_split_reference``, plain recursions
+without memos that build through the public ``Manager.node`` in lo-first
+post-order, so a kernel must leave the same store node for node.
 
 Oracles and writers that only tests call live here too: the graph inner
 product ``eval_ipg``, the cell-by-cell table ``truth_table_from_function``,
@@ -48,6 +52,7 @@ from qobdd import obdd, proof
 from qobdd.graphs import Graph, _bfs_order
 from qobdd.obdd import (
     DEFAULT_NODE_BUDGET,
+    OPS,
     BlockFormatError,
     BudgetExceededError,
     CompleteObdd,
@@ -553,6 +558,127 @@ def clause_reference(mgr: Manager, literals: Iterable[int]) -> int:
     return acc
 
 
+def _bit(code: int, a: int, b: int) -> int:
+    """op(a, b) from a 4-bit ``OPS`` truth-table code."""
+    return (code >> ((a << 1) | b)) & 1
+
+
+def negate_reference(mgr: Manager, f: int) -> int:
+    """``Manager.negate`` as the plain recursion: each node rebuilt through
+    the public ``Manager.node`` over its negated children, lo child first."""
+    vars_, rank, lo, hi = mgr.order.vars, mgr._rank, mgr._lo, mgr._hi
+
+    def rec(f):
+        if f <= 1:
+            return 1 - f
+        return mgr.node(vars_[rank[f]], rec(lo[f]), rec(hi[f]))
+
+    return rec(f)
+
+
+def _cofactors(mgr: Manager, f: int, r: int) -> tuple[int, int]:
+    """f's two cofactors at rank r, where f ranks at or past r."""
+    return (mgr._lo[f], mgr._hi[f]) if mgr._rank[f] == r else (f, f)
+
+
+def apply_reference(mgr: Manager, f: int, g: int, code: int) -> int:
+    """``Manager._apply`` as the plain recursion over pairs, with no memo:
+    a sink operand leaves a constant, the other operand or its negation,
+    read off the truth table bit by bit, and any other pair is split on
+    its top variable and rebuilt through the public ``Manager.node``, lo
+    pair first.  A memo hit only returns nodes the store already holds, so
+    this makes the kernel's nodes in the kernel's order."""
+    vars_, rank = mgr.order.vars, mgr._rank
+
+    def by_sink(other, r0, r1):  # the result as the other operand goes 0, 1
+        if r0 == r1:
+            return r0
+        return other if r1 else negate_reference(mgr, other)
+
+    def rec(f, g):
+        if f <= 1:
+            return by_sink(g, _bit(code, f, 0), _bit(code, f, 1))
+        if g <= 1:
+            return by_sink(f, _bit(code, 0, g), _bit(code, 1, g))
+        r = min(rank[f], rank[g])
+        (f0, f1), (g0, g1) = _cofactors(mgr, f, r), _cofactors(mgr, g, r)
+        return mgr.node(vars_[r], rec(f0, g0), rec(f1, g1))
+
+    return rec(f, g)
+
+
+def and_exists_reference(mgr: Manager, f: int, g: int, var: int) -> int:
+    """``Manager.and_exists`` as the plain recursion: ZERO ends a pair, a
+    pair past x's rank is its conjunction, a pair of that rank the ``or``
+    of its cofactor conjunctions (ONE when the first is ONE, without the
+    second), and a pair above it is rebuilt over its two pairs' results."""
+    vars_, rank, at = mgr.order.vars, mgr._rank, mgr.order.rank(var)
+    conj, disj = OPS["and"], OPS["or"]
+
+    def rec(f, g):
+        if f == 0 or g == 0:
+            return 0
+        r = min(rank[f], rank[g])
+        if r > at:
+            return apply_reference(mgr, f, g, conj)
+        (f0, f1), (g0, g1) = _cofactors(mgr, f, r), _cofactors(mgr, g, r)
+        if r == at:
+            c0 = apply_reference(mgr, f0, g0, conj)
+            if c0 == 1:
+                return 1
+            return apply_reference(mgr, c0, apply_reference(mgr, f1, g1, conj), disj)
+        return mgr.node(vars_[r], rec(f0, g0), rec(f1, g1))
+
+    return rec(f, g)
+
+
+def conj_exists_reference(mgr: Manager, f: int, g: int, var: int) -> tuple[int, int]:
+    """``Manager.conj_exists`` as the plain recursion: ZERO ends a pair, a
+    pair past x's rank is its conjunction twice, a pair of that rank the
+    node over its cofactor conjunctions c0 and c1, then their ``or``, and a
+    pair above it is rebuilt twice over its two pairs' results, conjunction
+    first."""
+    vars_, rank, at = mgr.order.vars, mgr._rank, mgr.order.rank(var)
+    conj, disj = OPS["and"], OPS["or"]
+
+    def rec(f, g):
+        if f == 0 or g == 0:
+            return 0, 0
+        r = min(rank[f], rank[g])
+        if r > at:
+            c = apply_reference(mgr, f, g, conj)
+            return c, c
+        (f0, f1), (g0, g1) = _cofactors(mgr, f, r), _cofactors(mgr, g, r)
+        if r == at:
+            c0 = apply_reference(mgr, f0, g0, conj)
+            c1 = apply_reference(mgr, f1, g1, conj)
+            both = mgr.node(var, c0, c1)
+            return both, apply_reference(mgr, c0, c1, disj)
+        (l, lp), (h, hp) = rec(f0, g0), rec(f1, g1)
+        return mgr.node(vars_[r], l, h), mgr.node(vars_[r], lp, hp)
+
+    return rec(f, g)
+
+
+def forall_split_reference(mgr: Manager, f: int, var: int) -> tuple[int, int, int]:
+    """``Manager.forall_split`` as the plain recursion: a node past x's
+    rank is its own three images, a node of that rank gives its children
+    and their conjunction, and a node above it is rebuilt three times over
+    its children's images, lo child first."""
+    vars_, rank, lo, hi = mgr.order.vars, mgr._rank, mgr._lo, mgr._hi
+    at = mgr.order.rank(var)
+
+    def rec(f):
+        if rank[f] > at:
+            return f, f, f
+        if rank[f] == at:
+            return lo[f], hi[f], apply_reference(mgr, lo[f], hi[f], OPS["and"])
+        low, high, v = rec(lo[f]), rec(hi[f]), vars_[rank[f]]
+        return tuple(mgr.node(v, a, b) for a, b in zip(low, high))
+
+    return rec(f)
+
+
 def build_rows_reference(rows: list[obdd.Row], manager: Manager) -> int:
     """``obdd.build_rows`` through the public ``Manager.node``, row by row."""
     refs: list[int] = []
@@ -638,7 +764,11 @@ def parse_strategy_reference(
     if set(raw) != set(f.universals):
         raise StrategyError("strategy file does not cover the universal variables")
     blocks = [rows for entries in raw.values() for _, rows in entries]
-    mgr = Manager(infer_order_reference(blocks, f.variables), node_budget=node_budget)
+    try:
+        order = infer_order_reference(blocks, f.variables)
+    except OrderError as exc:
+        raise StrategyError(f"bad strategy file: {exc}") from None
+    mgr = Manager(order, node_budget=node_budget)
     lists = {
         var: DecisionList(mgr, [(build_rows_reference(rows, mgr), v) for v, rows in entries])
         for var, entries in raw.items()

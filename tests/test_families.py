@@ -19,7 +19,6 @@ from .helpers import assignments, eval_ipg, qbf_value
 def test_quparity_counts():
     for n in (2, 3, 5, 9):
         f = gen_quparity(n)
-        f.audit()
         assert len(f.variables) == 2 * n + 1
         assert len(f.clauses) == 8 * n - 6
         assert [q for q, _ in f.blocks()] == [EXISTS, FORALL, EXISTS]
@@ -38,7 +37,6 @@ def test_quparity_false():
 def test_eqprime_counts_and_blocks():
     for n in (2, 3, 6):
         f = gen_eqprime(n)
-        f.audit()
         assert len(f.clauses) == 3 * n
         assert len(f.variables) == 4 * n - 1
     assert len(parse_qdimacs(emit_qdimacs(gen_eqprime(3))).blocks()) == 3
@@ -86,7 +84,6 @@ def test_family_decompositions_valid_and_narrow():
 def test_ipg_single_edge():
     g = Graph([1, 2], [(1, 2)])
     f = gen_ipg_qbf(g)
-    f.audit()
     assert not qbf_value(f)
     assert f.prefix == ((EXISTS, 1), (EXISTS, 2), (FORALL, 3))
     # the only winning universal play falsifies: z = complement of the product

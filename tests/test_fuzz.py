@@ -310,7 +310,12 @@ def _api_cases():
     g = Graph(range(1, 7), [(1, 2), (3, 4), (5, 6), (1, 3)])
     split = ([1, 3, 5], [2, 4, 6])
     rdl = to_rectangle_list(dl, 1)
-    unquantified = Pcnf(((EXISTS, 1),), (clause([1, 2]),))
+
+    def unquantified():
+        # refused when built, so every case that reads it raises
+        return Pcnf(((EXISTS, 1),), (clause([1, 2]),))
+
+    empty = Pcnf((), ())  # no variable, no clause: valid, and read as such
 
     def twice():
         # refused when built, so every case that reads it raises
@@ -429,9 +434,9 @@ def _api_cases():
         ],
         "Pcnf": [
             raises(twice),
-            raises(lambda: unquantified.audit()),
+            raises(unquantified),
             raises(lambda: Pcnf((("x", 1),), ())),
-            raises(lambda: Pcnf(((EXISTS, 0),), ()).audit()),
+            raises(lambda: Pcnf(((EXISTS, 0),), ())),
             raises(lambda: f.prefix_position(99)),
         ],
         "QobddError": [returns(lambda: QobddError("message"))],
@@ -457,17 +462,19 @@ def _api_cases():
             returns(
                 lambda: check_trace(f, ProofTrace(trace.formula_hash, VarOrder([x]), trace.lines))
             ),
-            returns(lambda: check_trace(unquantified, trace)),
+            raises(lambda: check_trace(unquantified(), trace)),
             raises(lambda: check_trace(f, trace, node_budget=0)),
             returns(lambda: check_trace(f, true_trace, require_refutation=True)),
         ],
         "clause": [raises(lambda: clause([0])), raises(lambda: clause([1, -1]))],
         "default_order": [
-            returns(lambda: default_order(unquantified)),
+            raises(lambda: default_order(unquantified())),
+            returns(lambda: default_order(empty)),
             raises(lambda: default_order(twice())),
         ],
         "emit_qdimacs": [
-            returns(lambda: emit_qdimacs(unquantified)),
+            raises(lambda: emit_qdimacs(unquantified())),
+            returns(lambda: emit_qdimacs(empty)),
             raises(lambda: emit_qdimacs(twice())),
         ],
         "emit_trace": [returns(lambda: emit_trace(bad_trace))],
@@ -478,9 +485,12 @@ def _api_cases():
         "extract": [
             raises(lambda: extract(f, bad_trace)),
             raises(lambda: extract(f, true_trace)),
-            raises(lambda: extract(unquantified, trace)),
+            raises(lambda: extract(unquantified(), trace)),
         ],
-        "formula_hash": [returns(lambda: formula_hash(unquantified))],
+        "formula_hash": [
+            raises(lambda: formula_hash(unquantified())),
+            returns(lambda: formula_hash(empty)),
+        ],
         "gen_eqprime": [raises(lambda: gen_eqprime(1)), raises(lambda: gen_eqprime(-1))],
         "gen_ipg_qbf": [
             raises(lambda: gen_ipg_qbf(Graph([2, 3], [(2, 3)]))),
@@ -518,7 +528,8 @@ def _api_cases():
         "path_decomposition": [returns(lambda: path_decomposition(Graph([])))],
         "prefix_order": [raises(lambda: prefix_order(twice()))],
         "primal_graph": [
-            returns(lambda: primal_graph(unquantified)),
+            raises(lambda: primal_graph(unquantified())),
+            returns(lambda: primal_graph(empty)),
             raises(lambda: primal_graph(twice())),
         ],
         "quparity_decomposition": [raises(lambda: quparity_decomposition(1))],
@@ -534,12 +545,12 @@ def _api_cases():
             raises(lambda: simulate_qures(f, QuResProof((QuResLine(1, QAxiom((99,))),)))),
             raises(lambda: simulate_qures(f, QuResProof((QuResLine(1, QReduce(1, 99)),)))),
             raises(
-                lambda: simulate_qures(unquantified, QuResProof((QuResLine(1, QAxiom((1, 2))),)))
+                lambda: simulate_qures(unquantified(), QuResProof((QuResLine(1, QAxiom((1, 2))),)))
             ),
         ],
         "solve": [
             raises(lambda: solve(f, order=VarOrder([x]))),
-            raises(lambda: solve(unquantified)),
+            raises(lambda: solve(unquantified())),
             raises(lambda: solve(twice())),
             raises(lambda: solve(f, node_budget=0)),
         ],
@@ -551,7 +562,7 @@ def _api_cases():
         "verify_winning": [
             raises(lambda: verify_winning(f, family, samples=0)),
             raises(lambda: verify_winning(gen_eqprime(3), family)),
-            raises(lambda: verify_winning(unquantified, family)),
+            raises(lambda: verify_winning(unquantified(), family)),
         ],
     }
 

@@ -17,12 +17,17 @@ from qobdd.obdd import (
 )
 
 from .helpers import (
+    and_exists_reference,
+    apply_reference,
     assignments,
     clause_reference,
     cofactor_counts,
     cofactor_tables,
+    conj_exists_reference,
     cube,
+    forall_split_reference,
     layer_width,
+    negate_reference,
     obdd_from_table,
     outcome,
     random_table,
@@ -127,6 +132,15 @@ def test_an_order_of_variables_that_are_not_ints_is_refused(variables, name):
     # formula over 1 and 2, and the trace's o line would then read `o True 2`
     with pytest.raises(OrderError, match=f"^variable must be an int, not {name}$"):
         VarOrder(variables)
+
+
+@pytest.mark.parametrize("variables, bad", [([0, 1], 0), ([2, -1, 0], -1), ([1, 2, -3], -3)])
+def test_an_order_of_a_variable_below_1_is_refused(variables, bad):
+    # QDIMACS ids start at 1: a trace's o line or a strategy's rows naming 0
+    # would belong to no formula a file can state
+    with pytest.raises(OrderError, match=f"^bad variable id {bad}$"):
+        VarOrder(variables)
+    assert VarOrder([]).vars == ()
 
 
 def test_clause_errors_keep_their_precedence():
@@ -407,6 +421,70 @@ def test_conj_exists_walks_a_deep_order_and_checks_its_arguments():
         m.conj_exists(a, len(m), 1)
     with pytest.raises(ObddError):
         m.conj_exists(-1, b, 1)
+
+
+# How an operand's truth table treats the variable x that the kernels
+# quantify: as drawn, with one half made a sink (every node of x's rank
+# then has that sink as a child), or with its hi half copied from its lo
+# half (x is then outside the operand).
+X_HALVES = ("keep", "lo0", "lo1", "hi0", "hi1", "skip")
+
+
+@st.composite
+def kernel_inputs(draw):
+    """An order of 2 to 5 variables, x in it, and two truth tables over
+    the order, its first variable the most significant bit, each bit one
+    with a drawn density and the halves at x shaped by ``X_HALVES``."""
+    nv = draw(st.integers(2, 5))
+    order = draw(st.permutations(range(1, nv + 1)))
+    x = draw(st.sampled_from(order))
+    size, xbit = 1 << nv, 1 << (nv - 1 - order.index(x))
+    rng = draw(st.randoms(use_true_random=False))
+
+    def table():
+        density = draw(st.sampled_from((0.15, 0.5, 0.85)))
+        bits = [int(rng.random() < density) for _ in range(size)]
+        half = draw(st.sampled_from(X_HALVES))
+        for i in range(size):
+            if i & xbit:
+                continue
+            j = i | xbit
+            if half == "skip":
+                bits[j] = bits[i]
+            elif half != "keep":
+                bits[j if half[0] == "h" else i] = int(half[2])
+        return tuple(bits)
+
+    return order, x, (table(), table())
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(kernel_inputs())
+def test_pair_kernels_build_the_recursive_references_nodes_in_its_order(inputs):
+    # each kernel call in a fresh manager, its reference in a fresh twin
+    # with the same operands: the same refs, and the same store node for
+    # node, so the walks create their nodes in the recursion's lo-first
+    # post-order.  The operands put sinks and equal operands among the
+    # cofactor pairs at x's rank, where the walks decide them in line.
+    order, x, tables = inputs
+
+    def check(kernel, reference, pick, *args):
+        m, twin = Manager(VarOrder(order)), Manager(VarOrder(order))
+        f, g = (obdd_from_table(m, order, t) for t in tables)
+        assert (f, g) == tuple(obdd_from_table(twin, order, t) for t in tables)
+        refs = [(f, g, m.ZERO, m.ONE)[i] for i in pick]
+        assert kernel(m)(*refs, *args) == reference(twin, *refs, *args)
+        assert (m._rank, m._lo, m._hi) == (twin._rank, twin._lo, twin._hi)
+
+    pairs = [(0, 1), (1, 0), (0, 0), (0, 3), (2, 1), (3, 1)]
+    for pick in pairs:
+        for code in range(16):
+            check(lambda m: m.apply, apply_reference, pick, code)
+        check(lambda m: m.and_exists, and_exists_reference, pick, x)
+        check(lambda m: m.conj_exists, conj_exists_reference, pick, x)
+    for pick in ((0,), (1,)):
+        check(lambda m: m.negate, negate_reference, pick)
+        check(lambda m: m.forall_split, forall_split_reference, pick, x)
 
 
 def test_canonicity_of_construction_paths():

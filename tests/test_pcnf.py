@@ -59,9 +59,9 @@ def test_tautological_clause_is_dropped_but_counted():
         parse_qdimacs("p cnf 2 1\ne 1 2 0\n1 -1 2 0\n2 0\n")
 
 
-def test_parsed_clauses_are_canonical_once_and_pass_the_audit():
-    # parse_qdimacs canonicalizes each clause once and runs no audit: its
-    # output must be what clause() and Pcnf.audit accept
+def test_parsed_clauses_are_canonical_once_and_pass_the_constructor():
+    # parse_qdimacs canonicalizes each clause once: its output must be what
+    # clause() and the Pcnf constructor accept, built again from its parts
     rng = random.Random(31)
     for _ in range(50):
         f = random_pcnf(rng, 12, 20)
@@ -73,8 +73,7 @@ def test_parsed_clauses_are_canonical_once_and_pass_the_audit():
             rng.shuffle(lits)
             lines[i] = " ".join(lits + ["0"])
         g = parse_qdimacs("\n".join(lines) + "\n")
-        g.audit()
-        assert g == f
+        assert Pcnf(g.prefix, g.clauses) == g == f
         assert all(c == clause(c) for c in g.clauses)
     g = parse_qdimacs("p cnf 3 2\ne 1 2 3 0\n-3 1 -2 1 0\n2 -2 3 0\n")
     assert g.clauses == ((1, -2, -3),)
@@ -102,10 +101,25 @@ def test_blocks():
     assert f.is_universal(3) and not f.is_universal(4)
 
 
-def test_audit_rejects_unquantified():
-    f = Pcnf(((EXISTS, 1),), (clause([1, 2]),))
-    with pytest.raises(PcnfError):
-        f.audit()
+def test_a_bad_or_unquantified_variable_is_refused_when_built():
+    # emit_qdimacs would write these as text parse_qdimacs refuses: `p cnf
+    # 1 1` over the clause `1 2 0` (variable 2 out of range), `p cnf -1 1`
+    with pytest.raises(PcnfError, match=r"^unquantified matrix variables \[2\]$"):
+        Pcnf(((EXISTS, 1),), ((1, 2),))
+    with pytest.raises(PcnfError, match=r"^unquantified matrix variables \[2, 3\]$"):
+        Pcnf(((FORALL, 1),), ((-3,), (1, -2)))
+    with pytest.raises(PcnfError, match="^bad variable id -1$"):
+        Pcnf(((EXISTS, -1),), ((-1,),))
+    with pytest.raises(PcnfError, match="^bad variable id 0$"):
+        Pcnf(((EXISTS, 0), (FORALL, 2)), ((2,),))
+    # True and 2.0 pass for 1 and 2 in the prefix's dict, and were written
+    # as `p cnf True 1` and `e 2.0 0`
+    with pytest.raises(PcnfError, match="^bad variable id True$"):
+        Pcnf(((EXISTS, True),), ((1,),))
+    with pytest.raises(PcnfError, match="^bad variable id 2.0$"):
+        Pcnf(((EXISTS, 1), (FORALL, 2.0)), ((1, 2),))
+    with pytest.raises(QdimacsError, match="variable 2 out of range"):
+        parse_qdimacs("p cnf 1 1\ne 1 0\n1 2 0\n")
 
 
 def test_a_variable_quantified_twice_is_refused_when_built():

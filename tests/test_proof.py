@@ -348,6 +348,18 @@ def test_a_negative_count_in_the_header_is_malformed():
             assert err.value.reason == MALFORMED
 
 
+def test_an_order_line_naming_a_variable_below_1_is_malformed():
+    # `o 2 0` was read as an order; no QDIMACS text states a formula over 0
+    lines = emit_trace(trivial_refutation(contradiction())).splitlines()
+    for bad in ("0", "-1"):
+        order = lines[2].split()
+        order[-1] = bad
+        text = "\n".join([lines[0], lines[1], " ".join(order), *lines[3:]]) + "\n"
+        with pytest.raises(TraceParseError, match=f"^bad trace: bad variable id {bad}$") as err:
+            parse_trace(text)
+        assert err.value.reason == MALFORMED
+
+
 # -- mutation harness: each reason fires on each family --------------------
 
 

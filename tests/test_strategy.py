@@ -161,6 +161,19 @@ def test_family_audit_rejects_dependency_violation():
         DecisionListFamily(f, m, {3: guard_list(m, [(m.ONE, 1)])})
 
 
+def test_a_strategy_row_naming_a_variable_below_1_is_a_strategy_error():
+    # the order inferred from the rows would hold it; it is refused there
+    f = gen_eqprime(2)
+    text = emit_strategy(extract(f, solve(f).trace))
+    lines = text.splitlines()
+    row = next(i for i, ln in enumerate(lines) if len(ln.split()) == 4 and ln.split()[1][0] != "T")
+    for bad in ("0", "-2"):
+        idx, _, lo, hi = lines[row].split()
+        mutant = lines[:row] + [f"{idx} {bad} {lo} {hi}"] + lines[row + 1 :]
+        with pytest.raises(StrategyError, match=f"^bad strategy file: bad variable id {bad}$"):
+            parse_strategy("\n".join(mutant) + "\n", f)
+
+
 def test_family_audit_reads_each_node_once_and_names_the_same_variables(monkeypatch):
     # guards over random variables, sharing nodes across lists: the audit
     # must reject exactly where the per-list support says so, naming the
