@@ -5,7 +5,8 @@ A ``Manager`` owns an append-only node store and hands out node references
 Boolean function is unique within its manager: structural equality is
 reference equality.  The two terminals are ``Manager.ZERO`` and
 ``Manager.ONE``.  A node is the triple (rank, lo, hi): under the manager's
-one order its rank names its variable, ``order.vars[rank]``.
+one order its rank names its variable, ``order.vars[rank]``.  Each triple
+is stored once, one tuple that is both the node and its unique-table key.
 
 The kernels (apply, negate, the bit-parallel ``evaluate_bits``,
 ``and_exists``, the relational product exists x. (f and g),
@@ -176,11 +177,13 @@ class Shape(NamedTuple):
 class Manager:
     """Hash-consed OBDD store for one variable order.
 
-    Node references are indices into the store; 0 and 1 are the sinks.  No
-    node ever has equal children and no (rank, lo, hi) triple is stored
-    twice, so diagrams are fully reduced by construction.  There is no
-    garbage collection: managers are meant to be short-lived, one per solve
-    or check, and each raises ``BudgetExceededError`` past ``node_budget``
+    Node references are indices into ``_nodes``, a list of (rank, lo, hi)
+    tuples; 0 and 1 are the sinks, (|X|, -1, -1).  Each inner node's tuple
+    is the very object that keys it in the unique table, so no (rank, lo,
+    hi) triple is stored twice, and no node ever has equal children:
+    diagrams are fully reduced by construction.  There is no garbage
+    collection: managers are meant to be short-lived, one per solve or
+    check, and each raises ``BudgetExceededError`` past ``node_budget``
     inner nodes.  The store and its unique table are all it keeps between
     calls: every operation memoizes per call.
     """
@@ -191,21 +194,17 @@ class Manager:
     def __init__(self, order: VarOrder, node_budget: int = DEFAULT_NODE_BUDGET):
         self.order = order
         self.node_budget = node_budget
-        n = len(order)
-        self._terminal_rank = n
-        # parallel arrays; slots 0/1 are the sinks, which rank past the order
-        self._lo: list[int] = [-1, -1]
-        self._hi: list[int] = [-1, -1]
-        self._rank: list[int] = [n, n]
+        # ref -> (rank, lo, hi); the sinks rank past the order
+        self._nodes: list[tuple[int, int, int]] = [(len(order), -1, -1)] * 2
         self._unique: dict[tuple[int, int, int], int] = {}
 
     # -- basic accessors ---------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._rank)
+        return len(self._nodes)
 
     def _check_ref(self, ref: int) -> None:
-        if not isinstance(ref, int) or not 0 <= ref < len(self._rank):
+        if not isinstance(ref, int) or not 0 <= ref < len(self._nodes):
             raise ObddError(f"invalid node reference {ref!r} for this manager")
 
     # -- construction ------------------------------------------------------
@@ -222,29 +221,24 @@ class Manager:
         if lo == hi:
             return lo
         rank = self.order.rank(var)
-        if self._rank[lo] <= rank or self._rank[hi] <= rank:
-            raise OrderError(
-                f"variable {var} (rank {rank}) does not precede its children"
-            )
+        if self._nodes[lo][0] <= rank or self._nodes[hi][0] <= rank:
+            raise OrderError(f"variable {var} (rank {rank}) does not precede its children")
         return self._mk(rank, lo, hi)
 
     def _mk(self, rank: int, lo: int, hi: int) -> int:
         # Unchecked: ``rank`` is in 0..|X|-1, and callers pass refs of this
-        # manager that rank past it.
+        # manager that rank past it.  A new node's unique key is appended as
+        # its store entry, one tuple for both.
         if lo == hi:
             return lo
         key = (rank, lo, hi)
         found = self._unique.get(key)
         if found is not None:
             return found
-        ref = len(self._rank)
+        ref = len(self._nodes)
         if ref - 2 >= self.node_budget:
-            raise BudgetExceededError(
-                f"node budget {self.node_budget} exceeded"
-            )
-        self._lo.append(lo)
-        self._hi.append(hi)
-        self._rank.append(rank)
+            raise BudgetExceededError(f"node budget {self.node_budget} exceeded")
+        self._nodes.append(key)
         self._unique[key] = ref
         return ref
 
@@ -324,7 +318,7 @@ class Manager:
         return self._apply(_op_code(op), f, g, {})
 
     def _apply(self, code: int, f: int, g: int, memo: dict[tuple[int, int], int]) -> int:
-        lo, hi, rank, mk = self._lo, self._hi, self._rank, self._mk
+        nodes, mk = self._nodes, self._mk
         symmetric = not (code ^ (code >> 1)) & 2  # op(0, 1) == op(1, 0)
         # the op with a sink f, and with a sink g, by the sink: bit 0 is the
         # result when the other operand is 0, bit 1 when it is 1, so 0b00 is
@@ -352,15 +346,12 @@ class Manager:
                 key = (f, g)
                 res = memo.get(key)
                 if res is None:
-                    rf, rg = rank[f], rank[g]
-                    if rf <= rg:
-                        r, f0, f1 = rf, lo[f], hi[f]
-                    else:
-                        r, f0, f1 = rg, f, f
-                    if rg <= rf:
-                        g0, g1 = lo[g], hi[g]
-                    else:
-                        g0, g1 = g, g
+                    rf, f0, f1 = nodes[f]
+                    r, g0, g1 = nodes[g]
+                    if rf < r:
+                        r, g0, g1 = rf, g, g
+                    elif r < rf:
+                        f0 = f1 = f
                     stack.append((~r, key))
                     stack.append((f1, g1))
                     f, g = f0, g0
@@ -386,7 +377,7 @@ class Manager:
         return self._negate(f, {} if memo is None else memo)
 
     def _negate(self, f: int, cache: dict) -> int:
-        lo, hi, rank, mk = self._lo, self._hi, self._rank, self._mk
+        nodes, mk = self._nodes, self._mk
         out: list[int] = []
         stack: list[int] = []
         while True:
@@ -396,15 +387,15 @@ class Manager:
                 res = cache.get(f)
                 if res is None:
                     stack.append(~f)
-                    stack.append(hi[f])
-                    f = lo[f]
+                    _, f, h = nodes[f]
+                    stack.append(h)
                     continue
             while stack:
                 f = stack.pop()
                 if f >= 0:
                     break
                 f = ~f
-                res = mk(rank[f], out.pop(), res)
+                res = mk(nodes[f][0], out.pop(), res)
                 cache[f] = res
                 cache[res] = f
             else:
@@ -446,25 +437,26 @@ class Manager:
         """
         self._check_ref(f)
         at = self.order.rank(var)
-        lo, hi, rank, mk = self._lo, self._hi, self._rank, self._mk
+        nodes, mk = self._nodes, self._mk
         apply, code, conj_memo = self._apply, OPS["and"], {}
         memo: dict[int, tuple[int, int, int]] = {}
         out: list[tuple[int, int, int]] = []
         stack: list[int] = []
         while True:
-            rf = rank[f]
+            node = nodes[f]
+            rf = node[0]
             if rf > at:
                 res = (f, f, f)
             elif rf == at:
-                f0, f1 = lo[f], hi[f]
+                _, f0, f1 = node
                 a, b = (f0, f1) if f0 < f1 else (f1, f0)
                 res = (f0, f1, (b if a else 0) if a <= 1 else apply(code, a, b, conj_memo))
             else:
                 res = memo.get(f)
                 if res is None:
                     stack.append(~f)
-                    stack.append(hi[f])
-                    f = lo[f]
+                    _, f, f1 = node
+                    stack.append(f1)
                     continue
             while stack:
                 f = stack.pop()
@@ -473,7 +465,7 @@ class Manager:
                 f = ~f
                 h0, h1, h = res
                 l0, l1, l = out.pop()
-                r = rank[f]
+                r = nodes[f][0]
                 res = (mk(r, l0, h0), mk(r, l1, h1), mk(r, l, h))
                 memo[f] = res
             else:
@@ -499,7 +491,7 @@ class Manager:
         self._check_ref(f)
         self._check_ref(g)
         at = self.order.rank(var)
-        lo, hi, rank, mk, apply = self._lo, self._hi, self._rank, self._mk, self._apply
+        nodes, mk, apply = self._nodes, self._mk, self._apply
         conj, disj, conj_memo, disj_memo = OPS["and"], OPS["or"], {}, {}
         memo: dict[tuple[int, int], int] = {}
         out: list[int] = []
@@ -510,7 +502,8 @@ class Manager:
             if f == 0:
                 res = 0
             else:
-                rf, rg = rank[f], rank[g]
+                nf, ng = nodes[f], nodes[g]
+                rf, rg = nf[0], ng[0]
                 r = rf if rf <= rg else rg
                 if r > at:
                     res = g if f == 1 else apply(conj, f, g, conj_memo)
@@ -518,8 +511,8 @@ class Manager:
                     key = (f, g)
                     res = memo.get(key)
                     if res is None:
-                        f0, f1 = (lo[f], hi[f]) if rf == r else (f, f)
-                        g0, g1 = (lo[g], hi[g]) if rg == r else (g, g)
+                        _, f0, f1 = nf if rf == r else (r, f, f)
+                        _, g0, g1 = ng if rg == r else (r, g, g)
                         if r < at:
                             stack.append((~r, key))
                             stack.append((f1, g1))
@@ -568,7 +561,7 @@ class Manager:
         self._check_ref(f)
         self._check_ref(g)
         at = self.order.rank(var)
-        lo, hi, rank, mk, apply = self._lo, self._hi, self._rank, self._mk, self._apply
+        nodes, mk, apply = self._nodes, self._mk, self._apply
         conj, disj, conj_memo, disj_memo = OPS["and"], OPS["or"], {}, {}
         memo: dict[tuple[int, int], tuple[int, int]] = {}
         out: list[tuple[int, int]] = []
@@ -579,7 +572,8 @@ class Manager:
             if f == 0:
                 res = (0, 0)
             else:
-                rf, rg = rank[f], rank[g]
+                nf, ng = nodes[f], nodes[g]
+                rf, rg = nf[0], ng[0]
                 r = rf if rf <= rg else rg
                 if r > at:
                     c = g if f == 1 else apply(conj, f, g, conj_memo)
@@ -588,8 +582,8 @@ class Manager:
                     key = (f, g)
                     res = memo.get(key)
                     if res is None:
-                        f0, f1 = (lo[f], hi[f]) if rf == r else (f, f)
-                        g0, g1 = (lo[g], hi[g]) if rg == r else (g, g)
+                        _, f0, f1 = nf if rf == r else (r, f, f)
+                        _, g0, g1 = ng if rg == r else (r, g, g)
                         if r < at:
                             stack.append((~r, key))
                             stack.append((f1, g1))
@@ -632,19 +626,23 @@ class Manager:
         everything below them, and adds the nodes it reads."""
         for f in refs:
             self._check_ref(f)
-        vars_, lo, hi, rank = self.order.vars, self._lo, self._hi, self._rank
+        vars_, nodes = self.order.vars, self._nodes
         if seen is None:
             seen = set()
         out: set[int] = set()
-        stack = list(refs)
+        # an inner node is marked when pushed, so it is pushed and read once
+        stack = [r for r in refs if r > 1 and r not in seen]
+        seen.update(stack)
+        mark, push = seen.add, stack.append
         while stack:
-            r = stack.pop()
-            if r <= 1 or r in seen:
-                continue
-            seen.add(r)
-            out.add(vars_[rank[r]])
-            stack.append(lo[r])
-            stack.append(hi[r])
+            k, lo, hi = nodes[stack.pop()]
+            out.add(vars_[k])
+            if lo > 1 and lo not in seen:
+                mark(lo)
+                push(lo)
+            if hi > 1 and hi not in seen:
+                mark(hi)
+                push(hi)
         return out
 
     def size(self, f: int) -> int:
@@ -655,7 +653,7 @@ class Manager:
     def _postorder(self, f: int) -> list[int]:
         # nodes reachable from f, sinks included, children before parents
         # and the lo subtree first; ~r on the stack emits r
-        lo, hi = self._lo, self._hi
+        nodes = self._nodes
         out: list[int] = []
         seen: set[int] = set()
         stack = [f]
@@ -667,7 +665,8 @@ class Manager:
                 seen.add(r)
                 stack.append(~r)
                 if r > 1:
-                    stack += (hi[r], lo[r])
+                    _, lo, hi = nodes[r]
+                    stack += (hi, lo)
         return out
 
     def shape(self, f: int, positions: Sequence[int] | None = None) -> Shape:
@@ -693,7 +692,7 @@ class Manager:
         and the record would only add a fixed cost to every line.
         """
         self._check_ref(f)
-        n = self._terminal_rank
+        n = len(self.order)
         if positions is None:
             positions = range(n)
         elif len(positions) != n:
@@ -704,58 +703,56 @@ class Manager:
         # Unchecked: ``f`` is a ref here, ``positions`` one entry per rank.  A
         # non-constant diagram reaches both sinks, states to the order's end:
         # they start in ``first`` at rank n, so only inner nodes are pushed.
-        n = self._terminal_rank
+        n = len(self.order)
         if f <= 1:
             return (1, 1 if n else 0, None)
-        lo, hi, rank = self._lo, self._hi, self._rank
-        top = deep = rank[f]
+        nodes = self._nodes
+        top = deep = nodes[f][0]
         right = positions[top]
         first = {0: n, 1: n, f: top}  # reached node -> first layer it is a state on
         get = first.get
         stack = [f]
         pop, push = stack.pop, stack.append
         while stack:
-            r = pop()
-            k = rank[r]
+            k, lo, hi = nodes[pop()]
             if k > deep:
                 deep = k
             p = positions[k]
             if p > right:
                 right = p
             k += 1
-            c = lo[r]
-            start = get(c)
+            start = get(lo)
             if start is None:
-                first[c] = k
-                push(c)
+                first[lo] = k
+                push(lo)
             elif k < start:
-                first[c] = k
-            c = hi[r]
-            start = get(c)
+                first[lo] = k
+            start = get(hi)
             if start is None:
-                first[c] = k
-                push(c)
+                first[hi] = k
+                push(hi)
             elif k < start:
-                first[c] = k
+                first[hi] = k
         size = len(first)
         diff = [0] * (deep - top + 2)
         diff[first.pop(self.ZERO) - top] += 1
         diff[first.pop(self.ONE) - top] += 1
         for r, start in first.items():
             diff[start - top] += 1
-            diff[rank[r] + 1 - top] -= 1
+            diff[nodes[r][0] + 1 - top] -= 1
         if deep + 1 == n:
             diff.pop()  # the sinks' layer lies past the order
         return (size, max(accumulate(diff)), right)
 
     def evaluate(self, f: int, assignment: Mapping[int, int]) -> int:
         self._check_ref(f)
-        vars_, rank = self.order.vars, self._rank
+        vars_, nodes = self.order.vars, self._nodes
         try:
             while f > 1:
-                f = self._hi[f] if assignment[vars_[rank[f]]] else self._lo[f]
+                node = nodes[f]
+                f = node[2] if assignment[vars_[node[0]]] else node[1]
         except KeyError:
-            raise ObddError(f"assignment lacks variable {vars_[rank[f]]}") from None
+            raise ObddError(f"assignment lacks variable {vars_[nodes[f][0]]}") from None
         return f
 
     def evaluate_bits(self, f: int, columns: Mapping[int, int], memo: dict[int, int]) -> int:
@@ -773,40 +770,40 @@ class Manager:
         self._check_ref(f)
         if self.ZERO not in memo or self.ONE not in memo:
             raise ObddError("memo must start with both sinks")
-        vars_, lo, hi, rank = self.order.vars, self._lo, self._hi, self._rank
+        vars_, nodes = self.order.vars, self._nodes
         stack = [f]
         while stack:
             r = stack.pop()
             if r < 0:
                 r = ~r
-                a = memo[lo[r]]
+                k, lo, hi = nodes[r]
+                a = memo[lo]
                 try:
-                    x = columns[vars_[rank[r]]]
+                    x = columns[vars_[k]]
                 except KeyError:
-                    raise ObddError(f"columns lack variable {vars_[rank[r]]}") from None
-                memo[r] = a ^ (x & (a ^ memo[hi[r]]))
+                    raise ObddError(f"columns lack variable {vars_[k]}") from None
+                memo[r] = a ^ (x & (a ^ memo[hi]))
             elif r not in memo:
-                stack += (~r, hi[r], lo[r])
+                _, lo, hi = nodes[r]
+                stack += (~r, hi, lo)
         return memo[f]
 
     def audit(self) -> None:
         """Structural self-check: reduced, deduplicated, order-respecting."""
-        lo, hi, rank, n = self._lo, self._hi, self._rank, self._terminal_rank
-        if not len(lo) == len(hi) == len(rank):
-            raise ObddError("node arrays out of sync with each other")
-        if len(self._unique) != len(rank) - 2:
+        nodes, unique, n = self._nodes, self._unique, len(self.order)
+        if len(unique) != len(nodes) - 2:
             raise ObddError("unique table out of sync with node store")
-        if rank[:2] != [n, n]:
+        if nodes[0][0] != n or nodes[1][0] != n:
             raise ObddError("sinks do not rank past the order")
-        for ref in range(2, len(rank)):
-            r, l, h = rank[ref], lo[ref], hi[ref]
+        for ref in range(2, len(nodes)):
+            r, l, h = node = nodes[ref]
             if not 0 <= r < n:
                 raise ObddError(f"node {ref} has rank {r} outside the order")
             if l == h:
                 raise ObddError(f"node {ref} has equal children")
-            if self._unique.get((r, l, h)) != ref:
+            if unique.get(node) != ref:
                 raise ObddError(f"node {ref} missing from unique table")
-            if rank[l] <= r or rank[h] <= r:
+            if nodes[l][0] <= r or nodes[h][0] <= r:
                 raise ObddError(f"node {ref} violates the variable order")
 
     # -- completion ----------------------------------------------------------
@@ -832,17 +829,18 @@ class Manager:
             depth = n
         elif not 0 <= depth <= n:
             raise ObddError(f"depth {depth} not a prefix length of the order")
-        lo, hi, rank = self._lo, self._hi, self._rank
+        nodes = self._nodes
         layers: list[list[int]] = []
         states = [f]
         for i in range(depth):
             layers.append(states)
             nxt: dict[int, None] = {}  # insertion-ordered set
             for s in states:
-                if rank[s] == i:
-                    nxt[lo[s]] = None
-                    nxt[hi[s]] = None
-                elif rank[s] < i:
+                node = nodes[s]
+                if node[0] == i:
+                    nxt[node[1]] = None
+                    nxt[node[2]] = None
+                elif node[0] < i:
                     raise ObddError("state below its layer; store corrupt")
                 else:
                     nxt[s] = None
@@ -925,7 +923,7 @@ class CompleteObdd:
             raise ObddError(f"cut {cut} past the {len(self.layers)} layers built")
         if memo is None:
             memo = {}
-        lo, hi, rank, mk = mgr._lo, mgr._hi, mgr._rank, mgr._mk
+        nodes, mk = mgr._nodes, mgr._mk
         # post-order with an explicit stack, as in ``_negate``: ~t on the
         # stack joins the maps of t's children
         stack = [self.root]
@@ -933,18 +931,19 @@ class CompleteObdd:
             t = stack.pop()
             if t < 0:
                 t = ~t
-                r = rank[t]
-                m0, m1 = memo[lo[t]], memo[hi[t]]
+                r, lo, hi = nodes[t]
+                m0, m1 = memo[lo], memo[hi]
                 reach = {s: mk(r, a, m1.get(s, 0)) for s, a in m0.items()}
                 for s, b in m1.items():
                     if s not in m0:
                         reach[s] = mk(r, 0, b)
                 memo[t] = reach
             elif t not in memo:
-                if rank[t] >= cut:
+                r, lo, hi = nodes[t]
+                if r >= cut:
                     memo[t] = {} if t == drop else {t: 1}
                 else:
-                    stack += (~t, hi[t], lo[t])
+                    stack += (~t, hi, lo)
         reach = memo[self.root]
         return [(reach[s], s) for s in states if s != drop]
 
@@ -968,13 +967,14 @@ def serialize(manager: Manager, f: int, negated: bool = False) -> str:
     which is ``f``'s with the sinks swapped, row for row.  Each node's
     block index is made a string once, for its own row and its parents'."""
     manager._check_ref(f)
-    vars_, lo, hi, rank = manager.order.vars, manager._lo, manager._hi, manager._rank
-    nodes = manager._postorder(f)
-    index = dict(zip(nodes, map(str, range(len(nodes)))))
+    vars_, nodes = manager.order.vars, manager._nodes
+    post = manager._postorder(f)
+    index = dict(zip(post, map(str, range(len(post)))))
     rows = [
-        f"{index[r]} {vars_[rank[r]]} {index[lo[r]]} {index[hi[r]]}" if r > 1
+        f"{index[r]} {vars_[k]} {index[lo]} {index[hi]}" if r > 1
         else f"{index[r]} T{r ^ negated} - -"
-        for r in nodes
+        for r in post
+        for k, lo, hi in (nodes[r],)
     ]
     return f"obdd {len(rows)}\n" + "\n".join(rows)
 
@@ -1061,12 +1061,13 @@ def build_rows(rows: list[Row], manager: Manager) -> int:
     that child, and otherwise the row's variable must be in the order, else
     ``OrderError("variable <v> not in order")``, and rank above both
     children, else ``OrderError("... does not precede its children")``.
-    ``Manager._mk`` runs inline: the store gets the nodes, and a budget hit
-    the error, that ``Manager.node`` row by row would give.  ``deserialize``
-    and ``strategy.parse_strategy`` build every block through here.
+    ``Manager._mk`` runs inline, a new row's key tuple appended as its store
+    entry: the store gets the nodes, and a budget hit the error, that
+    ``Manager.node`` row by row would give.  ``deserialize`` and
+    ``strategy.parse_strategy`` build every block through here.
     """
     position, budget = manager.order.position, manager.node_budget
-    lo_, hi_, rank, unique = manager._lo, manager._hi, manager._rank, manager._unique
+    nodes, unique = manager._nodes, manager._unique
     refs: list[int] = []
     append = refs.append
     for var, lo, hi in rows:
@@ -1080,17 +1081,15 @@ def build_rows(rows: list[Row], manager: Manager) -> int:
         r = position.get(var)
         if r is None:
             raise OrderError(f"variable {var} not in order")
-        if rank[lo] <= r or rank[hi] <= r:
+        if nodes[lo][0] <= r or nodes[hi][0] <= r:
             raise OrderError(f"variable {var} (rank {r}) does not precede its children")
         key = (r, lo, hi)
         ref = unique.get(key)
         if ref is None:
-            ref = len(rank)
+            ref = len(nodes)
             if ref - 2 >= budget:
                 raise BudgetExceededError(f"node budget {budget} exceeded")
-            lo_.append(lo)
-            hi_.append(hi)
-            rank.append(r)
+            nodes.append(key)
             unique[key] = ref
         append(ref)
     return refs[-1]

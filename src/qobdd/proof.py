@@ -380,29 +380,38 @@ def check_trace(
 
 
 def emit_trace(trace: ProofTrace) -> str:
-    """The trace's text; a reduction to a value other than 0 or 1, which
-    ``parse_trace`` would refuse, raises ``TraceError`` naming its line."""
-    out = [f"p qobdd-trace {len(trace.order)} {len(trace.lines)}"]
-    out.append(f"h {trace.formula_hash}")
+    """The trace's text, each field of a line written by ``%d``, so a bool
+    as its digit, which reads back equal.  A value that ``parse_trace``
+    would refuse raises ``TraceError``: a formula hash that is not one
+    word, and, naming its line, a field that ``%d`` refuses or a reduction
+    to other than 0 or 1."""
+    h = trace.formula_hash
+    if type(h) is not str or h.split() != [h]:
+        raise TraceError(f"formula hash {h!r} is not one word")
+    out = [f"p qobdd-trace {len(trace.order)} {len(trace.lines)}", f"h {h}"]
     out.append("o " + " ".join(str(v) for v in trace.order.vars))
+    append = out.append
     for line in trace.lines:
         lid, r = line._id, line._rule
         kind = type(r)
-        if kind is Axiom:
-            out.append(f"{lid} A {r._clause_index}")
-        elif kind is Conj:
-            out.append(f"{lid} C {r._left} {r._right}")
-        elif kind is Proj:
-            out.append(f"{lid} P {r._var} {r._premise}")
-        elif kind is URed:
-            if r._value not in (0, 1):
-                raise TraceError(f"line {lid}: reduction to {r._value!r}, not to 0 or 1")
-            out.append(f"{lid} U {r._var} {r._value} {r._premise}")
-        elif kind is Entail:
-            out.append(f"{lid} E " + " ".join(str(j) for j in r._premises) + " 0")
-            out.append(r._block)
-        else:
-            raise TraceError(f"unknown rule {r!r}")
+        try:
+            if kind is Conj:
+                append("%d C %d %d" % (lid, r._left, r._right))
+            elif kind is Axiom:
+                append("%d A %d" % (lid, r._clause_index))
+            elif kind is Proj:
+                append("%d P %d %d" % (lid, r._var, r._premise))
+            elif kind is URed:
+                if r._value not in (0, 1):
+                    raise TraceError(f"line {lid!r}: reduction to {r._value!r}, not to 0 or 1")
+                append("%d U %d %d %d" % (lid, r._var, r._value, r._premise))
+            elif kind is Entail:
+                append("%d E " % lid + "".join(["%d " % j for j in r._premises]) + "0")
+                append(r._block)
+            else:
+                raise TraceError(f"unknown rule {r!r}")
+        except TypeError:
+            raise TraceError(f"line {lid!r}: {r!r} has a field that is not an int") from None
     return "\n".join(out) + "\n"
 
 

@@ -70,6 +70,9 @@ class DecisionList:
     def __post_init__(self):
         if not self.lines or self.lines[-1][0] != self.manager.ZERO:
             raise StrategyError("decision list must end in a constant-true guard")
+        for _, value in self.lines:
+            if type(value) is not int or not 0 <= value <= 1:
+                raise StrategyError(f"entry value {value!r} is not the int 0 or 1")
 
     def __len__(self) -> int:
         return len(self.lines)
@@ -138,7 +141,9 @@ def extract(
     f: Pcnf, trace: ProofTrace, check: CheckResult | None = None
 ) -> DecisionListFamily:
     """Decision lists from a refutation, in one pass over its lines; each
-    list holds its reduction lines as they are, so no node is created."""
+    list holds its reduction lines as they are, so no node is created.  A
+    reduction's value, which the checker took as equal to 0 or 1, enters
+    its list as that int, so a bool becomes its digit."""
     if check is None:
         check = check_trace(f, trace, require_refutation=True)
     if not check.accepted:
@@ -150,7 +155,7 @@ def extract(
     assert mgr is not None and check.functions is not None
     pairs: dict[int, list[tuple[int, int]]] = {u: [] for u in f.universals}
     for lid, var, value in check.reductions:
-        pairs[var].append((check.functions[lid], value))
+        pairs[var].append((check.functions[lid], int(value)))
     lists = {
         u: DecisionList(mgr, entries + [(mgr.ZERO, 1)])
         for u, entries in pairs.items()

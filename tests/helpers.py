@@ -566,19 +566,21 @@ def _bit(code: int, a: int, b: int) -> int:
 def negate_reference(mgr: Manager, f: int) -> int:
     """``Manager.negate`` as the plain recursion: each node rebuilt through
     the public ``Manager.node`` over its negated children, lo child first."""
-    vars_, rank, lo, hi = mgr.order.vars, mgr._rank, mgr._lo, mgr._hi
+    vars_, nodes = mgr.order.vars, mgr._nodes
 
     def rec(f):
         if f <= 1:
             return 1 - f
-        return mgr.node(vars_[rank[f]], rec(lo[f]), rec(hi[f]))
+        r, lo, hi = nodes[f]
+        return mgr.node(vars_[r], rec(lo), rec(hi))
 
     return rec(f)
 
 
 def _cofactors(mgr: Manager, f: int, r: int) -> tuple[int, int]:
     """f's two cofactors at rank r, where f ranks at or past r."""
-    return (mgr._lo[f], mgr._hi[f]) if mgr._rank[f] == r else (f, f)
+    rank, lo, hi = mgr._nodes[f]
+    return (lo, hi) if rank == r else (f, f)
 
 
 def apply_reference(mgr: Manager, f: int, g: int, code: int) -> int:
@@ -588,7 +590,7 @@ def apply_reference(mgr: Manager, f: int, g: int, code: int) -> int:
     its top variable and rebuilt through the public ``Manager.node``, lo
     pair first.  A memo hit only returns nodes the store already holds, so
     this makes the kernel's nodes in the kernel's order."""
-    vars_, rank = mgr.order.vars, mgr._rank
+    vars_, nodes = mgr.order.vars, mgr._nodes
 
     def by_sink(other, r0, r1):  # the result as the other operand goes 0, 1
         if r0 == r1:
@@ -600,7 +602,7 @@ def apply_reference(mgr: Manager, f: int, g: int, code: int) -> int:
             return by_sink(g, _bit(code, f, 0), _bit(code, f, 1))
         if g <= 1:
             return by_sink(f, _bit(code, 0, g), _bit(code, 1, g))
-        r = min(rank[f], rank[g])
+        r = min(nodes[f][0], nodes[g][0])
         (f0, f1), (g0, g1) = _cofactors(mgr, f, r), _cofactors(mgr, g, r)
         return mgr.node(vars_[r], rec(f0, g0), rec(f1, g1))
 
@@ -612,13 +614,13 @@ def and_exists_reference(mgr: Manager, f: int, g: int, var: int) -> int:
     pair past x's rank is its conjunction, a pair of that rank the ``or``
     of its cofactor conjunctions (ONE when the first is ONE, without the
     second), and a pair above it is rebuilt over its two pairs' results."""
-    vars_, rank, at = mgr.order.vars, mgr._rank, mgr.order.rank(var)
+    vars_, nodes, at = mgr.order.vars, mgr._nodes, mgr.order.rank(var)
     conj, disj = OPS["and"], OPS["or"]
 
     def rec(f, g):
         if f == 0 or g == 0:
             return 0
-        r = min(rank[f], rank[g])
+        r = min(nodes[f][0], nodes[g][0])
         if r > at:
             return apply_reference(mgr, f, g, conj)
         (f0, f1), (g0, g1) = _cofactors(mgr, f, r), _cofactors(mgr, g, r)
@@ -638,13 +640,13 @@ def conj_exists_reference(mgr: Manager, f: int, g: int, var: int) -> tuple[int, 
     node over its cofactor conjunctions c0 and c1, then their ``or``, and a
     pair above it is rebuilt twice over its two pairs' results, conjunction
     first."""
-    vars_, rank, at = mgr.order.vars, mgr._rank, mgr.order.rank(var)
+    vars_, nodes, at = mgr.order.vars, mgr._nodes, mgr.order.rank(var)
     conj, disj = OPS["and"], OPS["or"]
 
     def rec(f, g):
         if f == 0 or g == 0:
             return 0, 0
-        r = min(rank[f], rank[g])
+        r = min(nodes[f][0], nodes[g][0])
         if r > at:
             c = apply_reference(mgr, f, g, conj)
             return c, c
@@ -665,15 +667,15 @@ def forall_split_reference(mgr: Manager, f: int, var: int) -> tuple[int, int, in
     rank is its own three images, a node of that rank gives its children
     and their conjunction, and a node above it is rebuilt three times over
     its children's images, lo child first."""
-    vars_, rank, lo, hi = mgr.order.vars, mgr._rank, mgr._lo, mgr._hi
-    at = mgr.order.rank(var)
+    vars_, nodes, at = mgr.order.vars, mgr._nodes, mgr.order.rank(var)
 
     def rec(f):
-        if rank[f] > at:
+        r, lo, hi = nodes[f]
+        if r > at:
             return f, f, f
-        if rank[f] == at:
-            return lo[f], hi[f], apply_reference(mgr, lo[f], hi[f], OPS["and"])
-        low, high, v = rec(lo[f]), rec(hi[f]), vars_[rank[f]]
+        if r == at:
+            return lo, hi, apply_reference(mgr, lo, hi, OPS["and"])
+        low, high, v = rec(lo), rec(hi), vars_[r]
         return tuple(mgr.node(v, a, b) for a, b in zip(low, high))
 
     return rec(f)
@@ -777,11 +779,11 @@ def parse_strategy_reference(
 
 
 def family_nodes(family: DecisionListFamily) -> tuple:
-    """A family's manager node for node (order, ``_rank``, ``_lo``,
-    ``_hi``) and every list's (line ref, value) entries."""
+    """A family's manager node for node (order and ``_nodes``) and every
+    list's (line ref, value) entries."""
     m = family.manager
     lists = {u: dl.lines for u, dl in family.lists.items()}
-    return m.order.vars, m._rank, m._lo, m._hi, lists
+    return m.order.vars, m._nodes, lists
 
 
 def outcome(fn: Callable, *args) -> tuple:
@@ -810,7 +812,7 @@ def covers_oracle(co: CompleteObdd, cut: int, drop: int) -> list[tuple[int, int]
     sweep = []
     for i in range(cut - 1, -1, -1):
         v = order[i]
-        tests = [(t, m._lo[t], m._hi[t]) for t in co.layers[i] if m._rank[t] == i]
+        tests = [(t, *m._nodes[t][1:]) for t in co.layers[i] if m._nodes[t][0] == i]
         sweep.append((v, i, tests))
     rects = []
     for s in states:

@@ -57,7 +57,10 @@ from qobdd.proof import (
     Entail,
     ProofLine,
     ProofTrace,
+    Proj,
+    TraceError,
     TraceParseError,
+    URed,
     check_trace,
     emit_trace,
     formula_hash,
@@ -160,7 +163,7 @@ def _read_strategy(read, text):
 
 def _read_block(read, text):
     mgr = Manager(ORDER)
-    return read(text, mgr), mgr._rank, mgr._lo, mgr._hi
+    return read(text, mgr), mgr._nodes
 
 
 # the block and strategy readers must also end as the per-row reference
@@ -182,6 +185,101 @@ def test_block_mutants_raise_only_block_or_order_errors(text):
     got = outcome(_read_block, obdd.deserialize, text)
     assert got[0] == "ok" or issubclass(got[0], (BlockFormatError, OrderError)), got
     assert got == outcome(_read_block, deserialize_reference, text)
+
+
+# -- round trips -------------------------------------------------------------
+#
+# Every value the library takes as a trace or a strategy either is refused
+# with the library's typed error, when built or when written, or is written
+# as text whose reader gives it back: an equal trace, or a strategy that is
+# written as the same text again.  Each field the writers print draws bools,
+# 0, 2 and negative ids beside plain values.
+
+ODD = st.sampled_from((True, False, 0, 2, -1, -5))
+VALUES = st.one_of(st.integers(1, 9), ODD)
+RULES = st.one_of(
+    st.builds(Axiom, VALUES),
+    st.builds(Conj, VALUES, VALUES),
+    st.builds(Proj, VALUES, VALUES),
+    st.builds(URed, VALUES, st.one_of(st.sampled_from((0, 1)), ODD), VALUES),
+    st.builds(
+        Entail,
+        st.lists(VALUES, max_size=3).map(tuple),
+        st.sampled_from((BLOCK, obdd.serialize(_mgr, _mgr.ZERO))),
+    ),
+)
+
+
+@FUZZ
+@given(
+    st.one_of(st.just(formula_hash(F4)), st.sampled_from(("0", 0, True, "", "a b"))),
+    st.one_of(st.just(ORDER.vars), st.lists(VALUES, max_size=3)),
+    st.lists(st.tuples(VALUES, RULES), max_size=6),
+)
+def test_traces_round_trip_through_their_text_or_are_refused(digest, order, lines):
+    try:
+        trace = ProofTrace(digest, VarOrder(order), tuple(ProofLine(*ln) for ln in lines))
+        text = emit_trace(trace)
+    except QobddError:
+        return
+    assert parse_trace(text) == trace
+
+
+F2 = gen_eqprime(2)
+FAMILY2 = extract(F2, solve(F2).trace)
+M2 = FAMILY2.manager
+# every (universal, entry, field) of the family: a field 0 is a line ref,
+# which may also become another of its lines, and a field 1 a value
+SPOTS = [(u, i, k) for u, dl in FAMILY2.lists.items() for i in range(len(dl)) for k in (0, 1)]
+LINES2 = sorted({line for dl in FAMILY2.lists.values() for line, _ in dl.lines})
+
+
+@FUZZ
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(SPOTS), st.one_of(ODD, st.sampled_from(LINES2 + [1, len(M2)]))),
+        min_size=1,
+        max_size=2,
+    )
+)
+def test_strategies_round_trip_through_their_text_or_are_refused(edits):
+    entries = {u: [list(entry) for entry in dl.lines] for u, dl in FAMILY2.lists.items()}
+    for (u, i, k), value in edits:
+        entries[u][i][k] = value
+    try:
+        lists = {u: DecisionList(M2, [tuple(e) for e in es]) for u, es in entries.items()}
+        text = emit_strategy(DecisionListFamily(F2, M2, lists))
+    except QobddError:
+        return
+    assert emit_strategy(parse_strategy(text, F2)) == text
+
+
+def test_bool_fields_are_written_as_digits_and_other_values_refused():
+    # a reduction to False and a conjunction of line True read back equal;
+    # a reduction to 2, or an entry value that is a bool or 2, is refused
+    trace = solve(F2).trace
+    at = next(i for i, ln in enumerate(trace.lines) if isinstance(ln.rule, URed))
+    lid, rule = trace.lines[at].id, trace.lines[at].rule
+
+    def with_rule(new):
+        lines = trace.lines[:at] + (ProofLine(lid, new),) + trace.lines[at + 1 :]
+        return ProofTrace(trace.formula_hash, trace.order, lines)
+
+    for new in (URed(rule.var, bool(rule.value), rule.premise), Conj(True, 2)):
+        text = emit_trace(with_rule(new))
+        assert f"\n{lid} {'U' if new.__class__ is URed else 'C'} " in text
+        assert "True" not in text and "False" not in text
+        assert parse_trace(text) == with_rule(new)
+    with pytest.raises(TraceError, match=f"line {lid}: reduction to 2, not to 0 or 1"):
+        emit_trace(with_rule(URed(rule.var, 2, rule.premise)))
+    with pytest.raises(TraceError, match=f"line {lid}: .* has a field that is not an int"):
+        emit_trace(with_rule(Conj("1", 2)))
+    # the checker takes a reduction to a bool as one to its digit, as does extract
+    checked = extract(F2, with_rule(URed(rule.var, bool(rule.value), rule.premise)))
+    assert emit_strategy(checked) == emit_strategy(FAMILY2)
+    for value in (True, False, 2, -1, 1.0):
+        with pytest.raises(StrategyError, match=f"entry value {value!r} is not the int 0 or 1"):
+            DecisionList(M2, [(M2.ZERO, value)])
 
 
 # -- regressions -------------------------------------------------------------

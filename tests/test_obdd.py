@@ -96,7 +96,7 @@ def test_clause_matches_the_set_based_reference(calls):
     for lits, form in calls:
         make = LITERAL_FORMS[form]
         assert outcome(got.clause, make(lits)) == outcome(clause_reference, want, make(lits))
-        assert (got._rank, got._lo, got._hi) == (want._rank, want._lo, want._hi)
+        assert got._nodes == want._nodes
 
 
 @pytest.mark.parametrize(
@@ -474,7 +474,7 @@ def test_pair_kernels_build_the_recursive_references_nodes_in_its_order(inputs):
         assert (f, g) == tuple(obdd_from_table(twin, order, t) for t in tables)
         refs = [(f, g, m.ZERO, m.ONE)[i] for i in pick]
         assert kernel(m)(*refs, *args) == reference(twin, *refs, *args)
-        assert (m._rank, m._lo, m._hi) == (twin._rank, twin._lo, twin._hi)
+        assert m._nodes == twin._nodes
 
     pairs = [(0, 1), (1, 0), (0, 0), (0, 3), (2, 1), (3, 1)]
     for pick in pairs:
@@ -734,17 +734,20 @@ def test_transpose_reads_the_columns_of_a_bit_matrix():
         ]
 
 
-def _moved(m: Manager, ref: int, rank: int) -> None:
-    """Move node ``ref`` to ``rank``, in the store and in the unique table."""
-    del m._unique[(m._rank[ref], m._lo[ref], m._hi[ref])]
-    m._rank[ref] = rank
-    m._unique[(rank, m._lo[ref], m._hi[ref])] = ref
+def _replaced(m: Manager, ref: int, rank: int, rekey: bool) -> None:
+    """Give node ``ref`` the rank ``rank``: a new entry in the store and,
+    with ``rekey``, the same tuple as its key in the unique table."""
+    old = m._nodes[ref]
+    m._nodes[ref] = (rank, *old[1:])
+    if rekey:
+        del m._unique[old]
+        m._unique[m._nodes[ref]] = ref
 
 
 def _unread_below_the_top(m: Manager) -> int:
     """A node of rank > 0 that no node reads: a rank up keeps the order."""
-    read = {*m._lo, *m._hi}
-    return next(r for r in range(len(m) - 1, 1, -1) if m._rank[r] > 0 and r not in read)
+    read = {c for _, lo, hi in m._nodes for c in (lo, hi)}
+    return next(r for r in range(len(m) - 1, 1, -1) if m._nodes[r][0] > 0 and r not in read)
 
 
 def test_audit_and_store_invariants():
@@ -758,27 +761,32 @@ def test_audit_and_store_invariants():
             m.negate(refs[i + 1])
         return m
 
+    m = store()
+    m.audit()
+    # each node is stored once: its unique key is its store entry
+    assert all(m._nodes[ref] is key for key, ref in m._unique.items())
+    assert m._nodes[:2] == [(8, -1, -1)] * 2
+
     def rank_up(m: Manager) -> None:
-        m._rank[_unread_below_the_top(m)] -= 1
+        ref = _unread_below_the_top(m)
+        _replaced(m, ref, m._nodes[ref][0] - 1, False)
 
     def rank_down(m: Manager) -> None:
-        m._rank[-1] += 1
+        _replaced(m, len(m) - 1, m._nodes[-1][0] + 1, False)
 
-    store().audit()
+    inner_child = lambda m: next(r for r in range(2, len(m)) if m._nodes[r][1] > 1)
     corruptions = [
-        # a node moved to another rank no longer matches its unique key
+        # an entry replaced by a triple that differs from its unique key
         (rank_up, "missing from unique table"),
         (rank_down, "missing from unique table"),
         # moved with its key, to a rank outside 0..|X|-1 or above a child
-        (lambda m: _moved(m, _unread_below_the_top(m), -1), "rank -1 outside the order"),
-        (lambda m: _moved(m, _unread_below_the_top(m), 8), "rank 8 outside the order"),
-        (lambda m: _moved(m, next(r for r in range(2, len(m)) if m._lo[r] > 1), 7), "violates the variable order"),
-        # the three node arrays, the unique table and the sinks out of step
-        (lambda m: m._lo.append(0), "arrays out of sync"),
-        (lambda m: m._hi.pop(), "arrays out of sync"),
-        (lambda m: m._rank.append(8), "arrays out of sync"),
+        (lambda m: _replaced(m, _unread_below_the_top(m), -1, True), "rank -1 outside the order"),
+        (lambda m: _replaced(m, _unread_below_the_top(m), 8, True), "rank 8 outside the order"),
+        (lambda m: _replaced(m, inner_child(m), 7, True), "violates the variable order"),
+        # an entry without a key, a key without an entry, a sink in the order
+        (lambda m: m._nodes.append((7, 0, 1)), "unique table out of sync"),
         (lambda m: m._unique.popitem(), "unique table out of sync"),
-        (lambda m: m._rank.__setitem__(0, 7), "sinks do not rank past the order"),
+        (lambda m: m._nodes.__setitem__(0, (7, -1, -1)), "sinks do not rank past the order"),
     ]
     for corrupt, message in corruptions:
         m = store()
