@@ -13,10 +13,12 @@ The kernels (apply, negate, the bit-parallel ``evaluate_bits``,
 ``forall_split``, both cofactors of a universal and their conjunction, and
 ``conj_exists``, a conjunction and its projection for the solver, which
 measures the conjunction) walk with explicit stacks, so a deep variable
-order never reaches Python's recursion limit.  ``exists`` is the relational
-product with ONE, ``restrict`` the one with x's literal, and ``forall`` the
-third part of ``forall_split``.  The rightmost position of ``shape`` is the
-one prefix rule of universal reduction.
+order never reaches Python's recursion limit.  ``shape`` walks with a heap
+instead, expanding nodes in rank order, in O(size * log width) heap steps.
+``exists`` is the relational product with ONE, ``restrict`` the one with
+x's literal, and ``forall`` the third part of ``forall_split``.  The
+rightmost position of ``shape`` is the one prefix rule of universal
+reduction.
 Every kernel memoizes per operation (a quantification's cofactor
 conjunctions share its memo, and a caller may share one negation memo, or
 one cover map memo at a fixed cut, across several roots): hits come from
@@ -41,7 +43,7 @@ strategy verification and the rectangle oracle both call.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from heapq import heappop, heappush
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 DEFAULT_NODE_BUDGET = 10**7
@@ -672,19 +674,22 @@ class Manager:
     def shape(self, f: int, positions: Sequence[int] | None = None) -> Shape:
         """Size, complete width and rightmost position of ``f`` in one walk.
 
-        A reached node, sinks included, is a state of the complete diagram
-        on the layers from its smallest parent rank + 1 (0 for the root) up
-        to min(its rank, |X| - 1).  Above the root's rank the root is the
-        only state, and past the deepest inner rank d only the reached
-        sinks are, so a difference array over the ranks rank(f) .. d + 1
-        gives every layer size that can be the largest, in O(size); the
-        width is the largest, layer d + 1 counting only if it is in the
-        order.  ``positions[k]`` places the rank-k variable in an outer
-        order, such as a PCNF prefix, one position per rank, and the
-        rightmost position is the largest over the nodes; without
-        ``positions`` it is d.  A constant has size 1, width 1 (0 on an
-        empty order) and position None.  Equal to ``size(f)``, the largest
-        layer of ``complete(f)`` and the largest position over ``support(f)``.
+        The walk expands the reached nodes in rank order, taking each from
+        a heap of their (rank, lo, hi) records.  The states of a layer k
+        are the reached nodes of rank k or more, sinks included, with a
+        parent above k (the root with none).  When the first node of a new
+        rank comes up, every node above it has been expanded, so the heap,
+        that node and the sinks reached are the states of its layer, and of
+        the layers back to the last rank with nodes.  The width is the
+        largest of these counts, and at least 2 if the sinks' layer, past
+        the deepest rank d, lies in the order.  That is O(size * log w)
+        heap steps on a diagram of width w, with no state kept per layer.
+        ``positions[k]`` places the rank-k variable in an outer order, such
+        as a PCNF prefix, one position per rank, and the rightmost position
+        is the largest over the ranks with nodes; without ``positions`` it
+        is d.  A constant has size 1, width 1 (0 on an empty order) and
+        position None.  Equal to ``size(f)``, the largest layer of
+        ``complete(f)`` and the largest position over ``support(f)``.
 
         This checks its arguments and wraps ``_shape``, the one walk, whose
         plain tuple the solver's ``emit`` and the checker's reduction side
@@ -700,49 +705,41 @@ class Manager:
         return Shape(*self._shape(f, positions))
 
     def _shape(self, f: int, positions: Sequence[int]) -> tuple[int, int, int | None]:
-        # Unchecked: ``f`` is a ref here, ``positions`` one entry per rank.  A
-        # non-constant diagram reaches both sinks, states to the order's end:
-        # they start in ``first`` at rank n, so only inner nodes are pushed.
+        # Unchecked: ``f`` is a ref here, ``positions`` one entry per rank.
+        # The rank-ordered walk of ``shape``: inner nodes are popped from
+        # the heap as their records, and a sink is counted, never pushed.
         n = len(self.order)
         if f <= 1:
             return (1, 1 if n else 0, None)
         nodes = self._nodes
-        top = deep = nodes[f][0]
-        right = positions[top]
-        first = {0: n, 1: n, f: top}  # reached node -> first layer it is a state on
-        get = first.get
-        stack = [f]
-        pop, push = stack.pop, stack.append
-        while stack:
-            k, lo, hi = nodes[pop()]
-            if k > deep:
-                deep = k
-            p = positions[k]
-            if p > right:
-                right = p
-            k += 1
-            start = get(lo)
-            if start is None:
-                first[lo] = k
-                push(lo)
-            elif k < start:
-                first[lo] = k
-            start = get(hi)
-            if start is None:
-                first[hi] = k
-                push(hi)
-            elif k < start:
-                first[hi] = k
-        size = len(first)
-        diff = [0] * (deep - top + 2)
-        diff[first.pop(self.ZERO) - top] += 1
-        diff[first.pop(self.ONE) - top] += 1
-        for r, start in first.items():
-            diff[start - top] += 1
-            diff[nodes[r][0] + 1 - top] -= 1
-        if deep + 1 == n:
-            diff.pop()  # the sinks' layer lies past the order
-        return (size, max(accumulate(diff)), right)
+        heap = [nodes[f]]
+        seen = {f}
+        mark, pop, push = seen.add, heappop, heappush
+        width = others = 1  # the states off the heap: the node popped, the sinks
+        at, right = -1, positions[heap[0][0]]
+        while heap:
+            k, lo, hi = pop(heap)
+            if k != at:
+                at = k
+                if len(heap) + others > width:
+                    width = len(heap) + others
+                if positions[k] > right:
+                    right = positions[k]
+            if lo not in seen:
+                mark(lo)
+                if lo > 1:
+                    push(heap, nodes[lo])
+                else:
+                    others += 1
+            if hi not in seen:
+                mark(hi)
+                if hi > 1:
+                    push(heap, nodes[hi])
+                else:
+                    others += 1
+        if at + 1 < n and width < 2:
+            width = 2  # the two sinks' layer lies in the order
+        return (len(seen), width, right)
 
     def evaluate(self, f: int, assignment: Mapping[int, int]) -> int:
         self._check_ref(f)

@@ -381,10 +381,11 @@ def check_trace(
 
 def emit_trace(trace: ProofTrace) -> str:
     """The trace's text, each field of a line written by ``%d``, so a bool
-    as its digit, which reads back equal.  A value that ``parse_trace``
-    would refuse raises ``TraceError``: a formula hash that is not one
-    word, and, naming its line, a field that ``%d`` refuses or a reduction
-    to other than 0 or 1."""
+    as its digit, which reads back equal.  A value that would not read back
+    equal raises ``TraceError``: a formula hash that is not one word, and,
+    naming its line, a field that is not an int, a reduction to other than
+    0 or 1, premises that are not a tuple and an ``E`` block that is not
+    text framed exactly as ``parse_trace`` frames it."""
     h = trace.formula_hash
     if type(h) is not str or h.split() != [h]:
         raise TraceError(f"formula hash {h!r} is not one word")
@@ -394,25 +395,61 @@ def emit_trace(trace: ProofTrace) -> str:
     for line in trace.lines:
         lid, r = line._id, line._rule
         kind = type(r)
-        try:
-            if kind is Conj:
-                append("%d C %d %d" % (lid, r._left, r._right))
-            elif kind is Axiom:
-                append("%d A %d" % (lid, r._clause_index))
-            elif kind is Proj:
-                append("%d P %d %d" % (lid, r._var, r._premise))
-            elif kind is URed:
-                if r._value not in (0, 1):
-                    raise TraceError(f"line {lid!r}: reduction to {r._value!r}, not to 0 or 1")
-                append("%d U %d %d %d" % (lid, r._var, r._value, r._premise))
-            elif kind is Entail:
-                append("%d E " % lid + "".join(["%d " % j for j in r._premises]) + "0")
-                append(r._block)
-            else:
-                raise TraceError(f"unknown rule {r!r}")
-        except TypeError:
-            raise TraceError(f"line {lid!r}: {r!r} has a field that is not an int") from None
+        # ``%d`` also writes a float, truncated: each field is an int, or
+        # else goes through ``_ints``, which lets only a bool pass
+        if kind is Conj:
+            a, b = r._left, r._right
+            if type(lid) is not int or type(a) is not int or type(b) is not int:
+                _ints(lid, r, a, b)
+            append("%d C %d %d" % (lid, a, b))
+        elif kind is Axiom:
+            a = r._clause_index
+            if type(lid) is not int or type(a) is not int:
+                _ints(lid, r, a)
+            append("%d A %d" % (lid, a))
+        elif kind is Proj:
+            a, b = r._var, r._premise
+            if type(lid) is not int or type(a) is not int or type(b) is not int:
+                _ints(lid, r, a, b)
+            append("%d P %d %d" % (lid, a, b))
+        elif kind is URed:
+            a, c, b = r._var, r._value, r._premise
+            if c not in (0, 1):
+                raise TraceError(f"line {lid!r}: reduction to {c!r}, not to 0 or 1")
+            if (type(lid) is not int or type(a) is not int or type(c) is not int
+                    or type(b) is not int):
+                _ints(lid, r, a, c, b)
+            append("%d U %d %d %d" % (lid, a, c, b))
+        elif kind is Entail:
+            premises, block = r._premises, r._block
+            if not isinstance(premises, tuple):
+                raise TraceError(f"line {lid!r}: premises {premises!r} are not a tuple")
+            _ints(lid, r, *premises)
+            if type(block) is not str or _framed(block) != block:
+                raise TraceError(f"line {lid!r}: block {block!r} would not read back as written")
+            append("%d E " % lid + "".join(["%d " % j for j in premises]) + "0")
+            append(block)
+        else:
+            raise TraceError(f"unknown rule {r!r}")
     return "\n".join(out) + "\n"
+
+
+def _ints(lid: object, rule: Rule, *fields: object) -> None:
+    """Refuse line ``lid`` unless it and each of its rule's ``fields`` is
+    an int; a bool is one, and reads back equal."""
+    if not all(isinstance(v, int) for v in (lid, *fields)):
+        raise TraceError(f"line {lid!r}: {rule!r} has a field that is not an int")
+
+
+def _framed(block: str) -> str | None:
+    """``block`` as ``parse_trace`` reads it back after an ``E`` line: its
+    one block, framed by a ``TextReader``; None if it is not one block."""
+    reader = obdd.TextReader(block)
+    try:
+        framed = "\n".join(reader.block_lines())
+    except BlockFormatError:
+        return None
+    return framed if reader.at_end() else None
 
 
 def parse_trace(text: str) -> ProofTrace:

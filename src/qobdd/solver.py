@@ -21,10 +21,12 @@ clause, the position from a literal-to-prefix-position table built once
 per solve.  Every other line's come from one ``Manager._shape`` walk, the
 unchecked walk behind ``Manager.shape``: its ref is this solve's and its
 rank-to-prefix-position list is built once, so each line pays for the walk
-alone, which keeps no support set and costs the line's size, not the
-variable count.  The checker and the translator read reduction's side
-condition off the same walk, and a bucket's conjunctions go straight to
-the ``and`` kernel ``Manager._apply``.
+alone.  The walk expands the line's nodes in rank order from a heap and
+reads each layer's width off it when a new rank comes up, so it keeps no
+support set and no count per layer, and costs O(size * log width) heap
+steps, not the variable count.  The checker and the translator read
+reduction's side condition off the same walk, and a bucket's conjunctions
+go straight to the ``and`` kernel ``Manager._apply``.
 """
 
 from __future__ import annotations

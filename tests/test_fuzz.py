@@ -193,10 +193,13 @@ def test_block_mutants_raise_only_block_or_order_errors(text):
 # with the library's typed error, when built or when written, or is written
 # as text whose reader gives it back: an equal trace, or a strategy that is
 # written as the same text again.  Each field the writers print draws bools,
-# 0, 2 and negative ids beside plain values.
+# 0, 2 and negative ids beside plain values, and a trace field also a float,
+# which ``%d`` would write truncated.  An E line's block is also drawn as
+# text that is not a block, as a block with a trailing newline, which the
+# reader drops, and as an int.
 
 ODD = st.sampled_from((True, False, 0, 2, -1, -5))
-VALUES = st.one_of(st.integers(1, 9), ODD)
+VALUES = st.one_of(st.integers(1, 9), ODD, st.just(2.5))
 RULES = st.one_of(
     st.builds(Axiom, VALUES),
     st.builds(Conj, VALUES, VALUES),
@@ -205,7 +208,9 @@ RULES = st.one_of(
     st.builds(
         Entail,
         st.lists(VALUES, max_size=3).map(tuple),
-        st.sampled_from((BLOCK, obdd.serialize(_mgr, _mgr.ZERO))),
+        st.sampled_from(
+            (BLOCK, obdd.serialize(_mgr, _mgr.ZERO), "foo", "obdd 1\n0 T0 - -\n", 0)
+        ),
     ),
 )
 
@@ -272,8 +277,17 @@ def test_bool_fields_are_written_as_digits_and_other_values_refused():
         assert parse_trace(text) == with_rule(new)
     with pytest.raises(TraceError, match=f"line {lid}: reduction to 2, not to 0 or 1"):
         emit_trace(with_rule(URed(rule.var, 2, rule.premise)))
-    with pytest.raises(TraceError, match=f"line {lid}: .* has a field that is not an int"):
-        emit_trace(with_rule(Conj("1", 2)))
+    for new in (Conj("1", 2), Conj(2.5, 1), Entail((1.5,), BLOCK)):
+        with pytest.raises(TraceError, match=f"line {lid}: .* has a field that is not an int"):
+            emit_trace(with_rule(new))
+    # a block that is not one block as the reader frames it would read back
+    # other than written, or not at all
+    for block in ("foo", BLOCK + "\n", "\n" + BLOCK, "c note\n" + BLOCK, BLOCK + "\nobdd 1", 0):
+        with pytest.raises(TraceError, match=f"line {lid}: block .* would not read back"):
+            emit_trace(with_rule(Entail((1,), block)))
+    # premises read back as a tuple, which a list is not equal to
+    with pytest.raises(TraceError, match=rf"line {lid}: premises \[1\] are not a tuple"):
+        emit_trace(with_rule(Entail([1], BLOCK)))
     # the checker takes a reduction to a bool as one to its digit, as does extract
     checked = extract(F2, with_rule(URed(rule.var, bool(rule.value), rule.premise)))
     assert emit_strategy(checked) == emit_strategy(FAMILY2)

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qobdd import obdd
+from qobdd.graphs import random_dregular
 from qobdd.obdd import (
     OPS,
     BlockFormatError,
@@ -610,8 +611,82 @@ def test_shape_matches_complete_and_cofactor_oracle():
 def test_shape_of_the_empty_order():
     m = Manager(VarOrder([]))
     for f in (m.ZERO, m.ONE):
-        assert m.shape(f) == (1, 0, None)
+        assert m.shape(f) == m.shape(f, []) == (1, 0, None)
         assert layer_width(m.complete(f)) == 0
+
+
+def assert_shape_oracles(m, f, positions):
+    """``shape`` against its oracles: ``size``, the largest layer of
+    ``complete`` and the largest position over ``support``."""
+    ranks = [m.order.rank(v) for v in m.support(f)]
+    right = max((positions[k] for k in ranks), default=None)
+    want = (m.size(f), layer_width(m.complete(f)), right)
+    assert m.shape(f, positions) == want
+    assert m.shape(f) == (*want[:2], max(ranks, default=None))
+
+
+@st.composite
+def wide_diagrams(draw):
+    """A manager over 8 to 12 variables in a drawn order, a drawn position
+    per rank, and diagrams with many nodes per rank: the inner product of
+    a random regular graph on the variables, and every result of a run of
+    drawn ``apply``, ``and_exists`` and ``forall_split`` steps over drawn
+    clauses."""
+    nv = draw(st.integers(8, 12))
+    order = draw(st.permutations(range(1, nv + 1)))
+    positions = draw(st.permutations(range(nv)))
+    rng = draw(st.randoms(use_true_random=False))
+    m = Manager(VarOrder(order))
+    ip = m.ZERO
+    for u, w in random_dregular(nv, 3 if nv % 2 == 0 else 4, seed=rng.randrange(1000)).edges():
+        ip = m.apply(ip, m.apply(m.clause([u]), m.clause([w]), "and"), "xor")
+    pool = [ip]
+    for _ in range(6):
+        lits = rng.sample(range(1, nv + 1), rng.randint(1, 4))
+        pool.append(m.clause([v if rng.random() < 0.5 else -v for v in lits]))
+    for _ in range(draw(st.integers(4, 14))):
+        f, g = rng.choice(pool), rng.choice(pool)
+        var = rng.choice(order)
+        step = draw(st.sampled_from(("apply", "and_exists", "forall_split")))
+        if step == "apply":
+            pool.append(m.apply(f, g, rng.randrange(16)))
+        elif step == "and_exists":
+            pool.append(m.and_exists(f, g, var))
+        else:
+            pool += m.forall_split(m.apply(f, g, "xor"), var)
+    return m, positions, pool
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(wide_diagrams())
+def test_shape_matches_its_oracles_on_wide_diagrams(drawn):
+    # the walk's heap holds a rank's reached nodes, so it only grows wide
+    # on diagrams with many nodes per rank
+    m, positions, pool = drawn
+    for f in pool:
+        assert_shape_oracles(m, f, positions)
+
+
+def test_shape_at_the_ends_of_the_order():
+    order = [5, 3, 8, 1, 7, 2, 6, 4]
+    positions = [3, 7, 0, 5, 1, 6, 2, 4]
+    m = Manager(VarOrder(order))
+    below = m.apply(m.clause([8, -7]), m.clause([1, 2]), "xor")  # root at rank 2
+    last = m.clause([4])  # one node, on the order's last rank
+    on_last = m.apply(m.clause([1, 4]), m.clause([-7, -4]), "and")
+    above = m.clause([5, -3])  # deepest at rank 1: the sinks' layer in the order
+    cases = {
+        below: (m.size(below), 4, 6),  # positions 0, 5, 1, 6 at ranks 2..5
+        last: (3, 1, 4),
+        on_last: (m.size(on_last), 4, 5),
+        above: (4, 2, 7),
+        m.clause([-3]): (3, 2, 7),  # one node, the sinks' layer in the order
+        m.ZERO: (1, 1, None),
+        m.ONE: (1, 1, None),
+    }
+    for f, want in cases.items():
+        assert m.shape(f, positions) == want
+        assert_shape_oracles(m, f, positions)
 
 
 def test_serialize_roundtrip_trivial():

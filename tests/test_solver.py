@@ -333,15 +333,21 @@ def test_fused_elimination_runs_once_per_existential_bucket(monkeypatch):
 
 def test_line_widths_match_the_checkers_complete_diagrams():
     # the checker replays in a fresh manager; diagrams are canonical under
-    # one order, so its complete widths must equal the solver's line widths
+    # one order, so its complete widths must equal the solver's line widths.
+    # The IPG's lines are wide: the solver's walk holds up to 32 states of a
+    # layer at once
     rng = random.Random(5)
+    ipg = gen_ipg_qbf(random_dregular(10, 3, seed=0))
     cases = [
         (gen_eqprime(4), order_from_decomposition(eqprime_decomposition(4))),
         (gen_quparity(5), None),
+        (ipg, None),
     ]
     cases += [(random_pcnf(rng, max_vars=10, max_clauses=18), None) for _ in range(8)]
     for f, order in cases:
         res = solve(f, order=order)
+        if f is ipg:
+            assert res.stats.max_width == 32
         assert check_trace(f, res.trace).accepted
         _, m, funcs = check_trace_reference(f, res.trace)
         widths = [layer_width(m.complete(funcs[line.id])) for line in res.trace.lines]
