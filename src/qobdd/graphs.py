@@ -77,7 +77,8 @@ class Graph:
 
 
 def parse_edge_list(text: str) -> Graph:
-    """Edge-list file: one `u v` pair per line, 1-based ids."""
+    """Edge-list file: one `u v` pair per line, 1-based ids, or one id `v`
+    alone, which names a vertex, so a vertex without edges can be stated."""
     edges = []
     vertices: set[int] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -85,14 +86,15 @@ def parse_edge_list(text: str) -> Graph:
         if not line or line.startswith("#") or line.startswith("c"):
             continue
         parts = line.split()
-        if len(parts) != 2:
-            raise GraphError(f"line {lineno}: expected `u v`, got {line!r}")
+        if len(parts) > 2:
+            raise GraphError(f"line {lineno}: expected `u v` or `v`, got {line!r}")
         try:
-            u, w = int(parts[0]), int(parts[1])
+            ids = [int(p) for p in parts]
         except ValueError:
             raise GraphError(f"line {lineno}: non-integer vertex id in {line!r}") from None
-        vertices.update((u, w))
-        edges.append((u, w))
+        vertices.update(ids)
+        if len(ids) == 2:
+            edges.append((ids[0], ids[1]))
     return Graph(vertices, edges)
 
 

@@ -25,11 +25,12 @@ one cover map memo at a fixed cut, across several roots): hits come from
 inside one walk, and a repeat finds its nodes in the unique table, so no
 memo outlives the calls it was passed to.
 References, variables and ``apply`` ops are validated at the public entry
-points only; the kernels and the node constructor they share trust them.
+points only; the kernels and the node constructor ``_mk`` trust them.
 The solver, whose refs, ``and`` code and position list are its own, calls
-``_apply`` for its bucket conjunctions and ``_shape``, the unchecked walk
-behind ``shape``, for each line it derives; so does the checker's reduction
-side test.
+``_apply`` for its bucket conjunctions, as the checker does for the
+conjunctions it builds, and ``_shape``, the unchecked walk behind
+``shape``, for each line it derives, as the checker's reduction side test
+does.
 
 A manager and its references belong to one logical thread at a time; hand a
 manager off between threads if you like, but never share one concurrently.
@@ -88,6 +89,12 @@ def transpose(words: Sequence[int], width: int) -> list[int]:
 def _variable_type_error(var: object) -> OrderError:
     """Variables are ints, and a bool, which would pass for 0 or 1, is not one."""
     return OrderError(f"variable must be an int, not {type(var).__name__}")
+
+
+def _budget_error(budget: int) -> BudgetExceededError:
+    """The error of a store that would pass ``budget`` inner nodes, raised
+    by each loop that makes nodes before it appends the one too many."""
+    return BudgetExceededError(f"node budget {budget} exceeded")
 
 
 class VarOrder:
@@ -167,6 +174,20 @@ def _op_code(op) -> int:
     raise ObddError(f"unknown binary op {op!r}")
 
 
+def _sink_rules(code: int) -> tuple[bool, tuple[int, int], tuple[int, int]]:
+    """Whether op ``code`` is symmetric, op(0, 1) == op(1, 0), and the op
+    with a sink f, and with a sink g, by the sink: bit 0 is the result when
+    the other operand is 0, bit 1 when it is 1, so 0b00 is ZERO, 0b11 ONE,
+    0b10 the other operand and 0b01 its negation, which ``_apply`` takes
+    through its apply memo, the negation's int keys beside the pairs."""
+    left = (code & 3, (code >> 2) & 3)
+    right = ((code & 1) | ((code >> 1) & 2), ((code >> 1) & 1) | ((code >> 2) & 2))
+    return not (code ^ (code >> 1)) & 2, left, right
+
+
+_SINK_RULES = [_sink_rules(code) for code in range(16)]  # read by ``_apply``
+
+
 class Shape(NamedTuple):
     """Size, complete width and rightmost position of one diagram
     (``Manager.shape``); the position is None for a constant."""
@@ -188,6 +209,16 @@ class Manager:
     check, and each raises ``BudgetExceededError`` past ``node_budget``
     inner nodes.  The store and its unique table are all it keeps between
     calls: every operation memoizes per call.
+
+    A loop that makes many nodes makes each in place, without a call: the
+    join steps of ``_apply``, ``and_exists``, ``conj_exists`` and
+    ``forall_split``, the chain of ``clause`` and the rows of
+    ``build_rows``.  Each does what ``_mk`` does, with the store, the
+    unique table and the budget bound once per call, so a budget runs out
+    at the same node with the same error either way.  ``_mk`` serves the
+    callers that make a single node: ``node``, the literal of ``restrict``,
+    the node of x's rank in ``conj_exists``, ``CompleteObdd.covers`` and
+    ``_negate``.
     """
 
     ZERO = 0
@@ -228,9 +259,12 @@ class Manager:
         return self._mk(rank, lo, hi)
 
     def _mk(self, rank: int, lo: int, hi: int) -> int:
-        # Unchecked: ``rank`` is in 0..|X|-1, and callers pass refs of this
-        # manager that rank past it.  A new node's unique key is appended as
-        # its store entry, one tuple for both.
+        """The node (rank, lo, hi), unchecked: ``rank`` is in 0..|X|-1 and
+        ``lo``, ``hi`` are refs of this manager that rank past it.  Equal
+        children collapse; else the unique table is probed with the key,
+        and on a miss the budget is checked and the key appended as the new
+        node's store entry, one tuple for both.  For the callers that make
+        a single node; the loops that make many do this in place."""
         if lo == hi:
             return lo
         key = (rank, lo, hi)
@@ -239,7 +273,7 @@ class Manager:
             return found
         ref = len(self._nodes)
         if ref - 2 >= self.node_budget:
-            raise BudgetExceededError(f"node budget {self.node_budget} exceeded")
+            raise _budget_error(self.node_budget)
         self._nodes.append(key)
         self._unique[key] = ref
         return ref
@@ -269,10 +303,21 @@ class Manager:
             if rank == prev and lit != last:
                 return self.ONE
             prev, last = rank, lit
-        acc, prev, mk = self.ZERO, -1, self._mk
+        # each link is made in place, as ``_mk`` would: the chain below it
+        # is ZERO or a node, never ONE, so its two children differ
+        nodes, unique, budget = self._nodes, self._unique, self.node_budget
+        find, append = unique.get, nodes.append
+        acc, prev = self.ZERO, -1
         for rank, lit in ranked:
             if rank != prev:  # else a repeat of the literal just built
-                acc = mk(rank, acc, 1) if lit > 0 else mk(rank, 1, acc)
+                key = (rank, acc, 1) if lit > 0 else (rank, 1, acc)
+                acc = find(key)
+                if acc is None:
+                    acc = len(nodes)
+                    if acc - 2 >= budget:
+                        raise _budget_error(budget)
+                    append(key)
+                    unique[key] = acc
                 prev = rank
         return acc
 
@@ -307,6 +352,12 @@ class Manager:
     # cofactor conjunction with a sink operand, and the ``or`` of a sink or
     # of two equal results, in line as well, so a sink operand seldom
     # reaches ``_apply`` at its top and needs no path of its own there.
+    # A join makes its node in place, as ``_mk`` would: equal children
+    # collapse, else the (rank, lo, hi) key is looked up in the unique
+    # table, and a miss checks the budget, appends the key to the store and
+    # inserts it.  In ``and_exists`` and ``conj_exists`` a skewed pair, one
+    # whose operands start at different ranks, takes the operand below the
+    # top rank as both of its cofactors.
 
     def apply(self, f: int, g: int, op) -> int:
         """Combine two diagrams with a binary Boolean operation.
@@ -320,14 +371,9 @@ class Manager:
         return self._apply(_op_code(op), f, g, {})
 
     def _apply(self, code: int, f: int, g: int, memo: dict[tuple[int, int], int]) -> int:
-        nodes, mk = self._nodes, self._mk
-        symmetric = not (code ^ (code >> 1)) & 2  # op(0, 1) == op(1, 0)
-        # the op with a sink f, and with a sink g, by the sink: bit 0 is the
-        # result when the other operand is 0, bit 1 when it is 1, so 0b00 is
-        # ZERO, 0b11 ONE, 0b10 the other operand and 0b01 its negation,
-        # which keeps its int keys in the apply memo, beside the pairs
-        left = (code & 3, (code >> 2) & 3)
-        right = ((code & 1) | ((code >> 1) & 2), ((code >> 1) & 1) | ((code >> 2) & 2))
+        nodes, unique, budget = self._nodes, self._unique, self.node_budget
+        find, append = unique.get, nodes.append
+        symmetric, left, right = _SINK_RULES[code]
         out: list[int] = []
         stack: list[tuple] = []
         while True:
@@ -362,7 +408,16 @@ class Manager:
                 f, g = stack.pop()
                 if f >= 0:
                     break
-                res = mk(~f, out.pop(), res)
+                lo = out.pop()
+                if lo != res:
+                    key = (~f, lo, res)
+                    res = find(key)
+                    if res is None:
+                        res = len(nodes)
+                        if res - 2 >= budget:
+                            raise _budget_error(budget)
+                        append(key)
+                        unique[key] = res
                 memo[g] = res
             else:
                 return res
@@ -439,7 +494,8 @@ class Manager:
         """
         self._check_ref(f)
         at = self.order.rank(var)
-        nodes, mk = self._nodes, self._mk
+        nodes, unique, budget = self._nodes, self._unique, self.node_budget
+        find, append = unique.get, nodes.append
         apply, code, conj_memo = self._apply, OPS["and"], {}
         memo: dict[int, tuple[int, int, int]] = {}
         out: list[tuple[int, int, int]] = []
@@ -468,7 +524,34 @@ class Manager:
                 h0, h1, h = res
                 l0, l1, l = out.pop()
                 r = nodes[f][0]
-                res = (mk(r, l0, h0), mk(r, l1, h1), mk(r, l, h))
+                if l0 != h0:
+                    key = (r, l0, h0)
+                    l0 = find(key)
+                    if l0 is None:
+                        l0 = len(nodes)
+                        if l0 - 2 >= budget:
+                            raise _budget_error(budget)
+                        append(key)
+                        unique[key] = l0
+                if l1 != h1:
+                    key = (r, l1, h1)
+                    l1 = find(key)
+                    if l1 is None:
+                        l1 = len(nodes)
+                        if l1 - 2 >= budget:
+                            raise _budget_error(budget)
+                        append(key)
+                        unique[key] = l1
+                if l != h:
+                    key = (r, l, h)
+                    l = find(key)
+                    if l is None:
+                        l = len(nodes)
+                        if l - 2 >= budget:
+                            raise _budget_error(budget)
+                        append(key)
+                        unique[key] = l
+                res = (l0, l1, l)
                 memo[f] = res
             else:
                 return res
@@ -493,7 +576,8 @@ class Manager:
         self._check_ref(f)
         self._check_ref(g)
         at = self.order.rank(var)
-        nodes, mk, apply = self._nodes, self._mk, self._apply
+        nodes, unique, budget, apply = self._nodes, self._unique, self.node_budget, self._apply
+        find, append = unique.get, nodes.append
         conj, disj, conj_memo, disj_memo = OPS["and"], OPS["or"], {}, {}
         memo: dict[tuple[int, int], int] = {}
         out: list[int] = []
@@ -513,8 +597,12 @@ class Manager:
                     key = (f, g)
                     res = memo.get(key)
                     if res is None:
-                        _, f0, f1 = nf if rf == r else (r, f, f)
-                        _, g0, g1 = ng if rg == r else (r, g, g)
+                        _, f0, f1 = nf
+                        _, g0, g1 = ng
+                        if rf < rg:
+                            g0 = g1 = g
+                        elif rg < rf:
+                            f0 = f1 = f
                         if r < at:
                             stack.append((~r, key))
                             stack.append((f1, g1))
@@ -538,7 +626,16 @@ class Manager:
                 f, g = stack.pop()
                 if f >= 0:
                     break
-                res = mk(~f, out.pop(), res)
+                lo = out.pop()
+                if lo != res:
+                    key = (~f, lo, res)
+                    res = find(key)
+                    if res is None:
+                        res = len(nodes)
+                        if res - 2 >= budget:
+                            raise _budget_error(budget)
+                        append(key)
+                        unique[key] = res
                 memo[g] = res
             else:
                 return res
@@ -563,7 +660,8 @@ class Manager:
         self._check_ref(f)
         self._check_ref(g)
         at = self.order.rank(var)
-        nodes, mk, apply = self._nodes, self._mk, self._apply
+        nodes, unique, budget, apply = self._nodes, self._unique, self.node_budget, self._apply
+        find, append, mk = unique.get, nodes.append, self._mk
         conj, disj, conj_memo, disj_memo = OPS["and"], OPS["or"], {}, {}
         memo: dict[tuple[int, int], tuple[int, int]] = {}
         out: list[tuple[int, int]] = []
@@ -584,8 +682,12 @@ class Manager:
                     key = (f, g)
                     res = memo.get(key)
                     if res is None:
-                        _, f0, f1 = nf if rf == r else (r, f, f)
-                        _, g0, g1 = ng if rg == r else (r, g, g)
+                        _, f0, f1 = nf
+                        _, g0, g1 = ng
+                        if rf < rg:
+                            g0 = g1 = g
+                        elif rg < rf:
+                            f0 = f1 = f
                         if r < at:
                             stack.append((~r, key))
                             stack.append((f1, g1))
@@ -611,9 +713,28 @@ class Manager:
                 f, g = stack.pop()
                 if f >= 0:
                     break
+                r = ~f
                 h, hp = res
                 l, lp = out.pop()
-                res = (mk(~f, l, h), mk(~f, lp, hp))
+                if l != h:
+                    key = (r, l, h)
+                    l = find(key)
+                    if l is None:
+                        l = len(nodes)
+                        if l - 2 >= budget:
+                            raise _budget_error(budget)
+                        append(key)
+                        unique[key] = l
+                if lp != hp:
+                    key = (r, lp, hp)
+                    lp = find(key)
+                    if lp is None:
+                        lp = len(nodes)
+                        if lp - 2 >= budget:
+                            raise _budget_error(budget)
+                        append(key)
+                        unique[key] = lp
+                res = (l, lp)
                 memo[g] = res
             else:
                 return res
@@ -1058,10 +1179,11 @@ def build_rows(rows: list[Row], manager: Manager) -> int:
     that child, and otherwise the row's variable must be in the order, else
     ``OrderError("variable <v> not in order")``, and rank above both
     children, else ``OrderError("... does not precede its children")``.
-    ``Manager._mk`` runs inline, a new row's key tuple appended as its store
-    entry: the store gets the nodes, and a budget hit the error, that
-    ``Manager.node`` row by row would give.  ``deserialize`` and
-    ``strategy.parse_strategy`` build every block through here.
+    Each row's node is made in place, as in the kernels' join steps, a new
+    row's key tuple appended as its store entry: the store gets the nodes,
+    and a budget hit the error, that ``Manager.node`` row by row would
+    give.  ``deserialize`` and ``strategy.parse_strategy`` build every
+    block through here.
     """
     position, budget = manager.order.position, manager.node_budget
     nodes, unique = manager._nodes, manager._unique
@@ -1085,7 +1207,7 @@ def build_rows(rows: list[Row], manager: Manager) -> int:
         if ref is None:
             ref = len(nodes)
             if ref - 2 >= budget:
-                raise BudgetExceededError(f"node budget {budget} exceeded")
+                raise _budget_error(budget)
             nodes.append(key)
             unique[key] = ref
         append(ref)

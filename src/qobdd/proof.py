@@ -51,6 +51,8 @@ NOT_REFUTATION = "not-a-refutation"
 TRUNCATED = "truncated"
 MALFORMED = "malformed"
 
+_AND = obdd.OPS["and"]
+
 
 class TraceError(obdd.QobddError):
     pass
@@ -226,7 +228,8 @@ def check_trace(
     ``Manager.and_exists`` walk, over an unbuilt conjunction's operands or
     over its premise and ONE.  Any other reader builds a postponed line in
     one place, the local ``build``: by ``restrict`` for a reduction, by
-    ``apply`` for a conjunction.  So ``functions`` has no entry for a
+    the ``and`` kernel ``Manager._apply`` for a conjunction, as the
+    solver's bucket conjunctions are.  So ``functions`` has no entry for a
     non-last ``Conj`` line that only ``Proj`` lines read, or no line.
     Verdicts and reason codes are those of a replay of every line on its
     own; a reduction to a constant other than 0 or 1 is ``malformed``.
@@ -254,6 +257,7 @@ def check_trace(
         return reject(None, ORDER_MISMATCH)
     mgr = Manager(order, node_budget=node_budget)
     clause, apply, restrict, and_exists = mgr.clause, mgr.apply, mgr.restrict, mgr.and_exists
+    conjoin = mgr._apply  # unchecked: ``build`` passes refs of this manager
     in_order = order.position
     positions = [f.prefix_position(v) for v in order.vars]  # by rank
     funcs: dict[int, int] = {}
@@ -272,7 +276,7 @@ def check_trace(
         args = unbuilt.pop(j, None)
         if args is not None:
             at = j
-            funcs[j] = restrict(*args) if len(args) == 3 else apply(*args, "and")
+            funcs[j] = restrict(*args) if len(args) == 3 else conjoin(_AND, *args, {})
         return funcs[j]
 
     try:

@@ -1036,5 +1036,7 @@ def emit_qures(proof: QuResProof) -> str:
 
 
 def emit_edge_list(g: Graph) -> str:
-    """``g`` in the edge-list format ``graphs.parse_edge_list`` reads."""
-    return "\n".join(f"{u} {w}" for u, w in g.edges()) + "\n"
+    """``g`` in the edge-list format ``graphs.parse_edge_list`` reads: its
+    edges, then each vertex without one on a line of its own."""
+    lines = [f"{u} {w}" for u, w in g.edges()] + [f"{v}" for v in g.vertices if not g.degree(v)]
+    return "".join(ln + "\n" for ln in lines)

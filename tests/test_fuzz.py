@@ -48,6 +48,7 @@ from qobdd import (
 )
 from qobdd import cli, obdd
 from qobdd.families import gen_eqprime
+from qobdd.graphs import parse_edge_list
 from qobdd.obdd import BlockFormatError, Manager, OrderError, VarOrder
 from qobdd.pcnf import EXISTS, FORALL, Pcnf, clause, emit_qdimacs
 from qobdd.proof import (
@@ -70,7 +71,15 @@ from qobdd.qures import QAxiom, QReduce, QResolve, QuResLine, QuResProof
 from qobdd.solver import solve
 from qobdd.strategy import StrategyError, emit_strategy, extract, parse_strategy
 
-from .helpers import deserialize_reference, family_nodes, outcome, parse_strategy_reference
+from .helpers import (
+    deserialize_reference,
+    emit_edge_list,
+    family_nodes,
+    obdd_from_table,
+    outcome,
+    parse_strategy_reference,
+    truth_table_of,
+)
 
 TOKENS = ("0", "1", "-1", "2", "7", "x", "c", "-", "+1", "²",
           "obdd", "entry", "u", "T0", "T1", "E", "U")
@@ -294,6 +303,75 @@ def test_bool_fields_are_written_as_digits_and_other_values_refused():
     for value in (True, False, 2, -1, 1.0):
         with pytest.raises(StrategyError, match=f"entry value {value!r} is not the int 0 or 1"):
             DecisionList(M2, [(M2.ZERO, value)])
+
+
+@st.composite
+def diagrams(draw):
+    """An order of 1 to 6 variables and a truth table over it, the constant
+    tables drawn as often as any other."""
+    nv = draw(st.integers(1, 6))
+    order = draw(st.permutations(range(1, nv + 1)))
+    full = (1 << (1 << nv)) - 1
+    bits = draw(st.one_of(st.sampled_from((0, full)), st.integers(0, full)))
+    return order, tuple((bits >> i) & 1 for i in range(1 << nv))
+
+
+@FUZZ
+@given(diagrams())
+def test_diagrams_round_trip_through_their_blocks(drawn):
+    # a block read into a fresh manager is the diagram it was written from,
+    # or with ``negated`` its complement, and is written as the same text
+    order, table = drawn
+    m = Manager(VarOrder(order))
+    f = obdd_from_table(m, order, table)
+    for negated in (False, True):
+        text = obdd.serialize(m, f, negated)
+        fresh = Manager(VarOrder(order))
+        g = obdd.deserialize(text, fresh)
+        want = tuple(bit ^ negated for bit in table)
+        assert truth_table_of(fresh, g, order) == want
+        assert obdd.serialize(fresh, g) == text
+
+
+@st.composite
+def formulas(draw):
+    """A valid ``Pcnf`` over up to 6 drawn ids, 2**31 and above among them,
+    each quantified in a drawn prefix; each clause takes every prefix
+    variable in either sign or not at all, so the empty clause comes up,
+    as do the empty prefix and the empty matrix."""
+    big = st.integers(2**31, 2**40)
+    ids = draw(st.lists(st.one_of(st.integers(1, 9), big), unique=True, max_size=6))
+    prefix = tuple((draw(st.sampled_from((EXISTS, FORALL))), v) for v in ids)
+    signs = st.lists(st.sampled_from((0, 1, -1)), min_size=len(ids), max_size=len(ids))
+    clauses = tuple(
+        tuple(sorted((s * v for s, v in zip(draw(signs), ids) if s), key=abs))
+        for _ in range(draw(st.integers(0, 5)))
+    )
+    return Pcnf(prefix, clauses)
+
+
+@FUZZ
+@given(formulas())
+def test_formulas_round_trip_through_their_qdimacs(f):
+    assert parse_qdimacs(emit_qdimacs(f)) == f
+
+
+@FUZZ
+@given(
+    st.lists(st.integers(-3, 9), unique=True, max_size=7).flatmap(
+        lambda vs: st.tuples(
+            st.just(vs),
+            st.lists(st.tuples(st.sampled_from(vs), st.sampled_from(vs)), max_size=9)
+            if vs
+            else st.just([]),
+        )
+    )
+)
+def test_graphs_round_trip_through_their_edge_lists(drawn):
+    # vertex ids 0 and below included, and vertices with no edge
+    vertices, edges = drawn
+    g = Graph(vertices, [(u, w) for u, w in edges if u != w])
+    assert parse_edge_list(emit_edge_list(g)) == g
 
 
 # -- regressions -------------------------------------------------------------

@@ -41,6 +41,13 @@ def test_edge_list_roundtrip():
     assert parse_edge_list(emit_edge_list(g)) == g
     # blank lines and lines starting with `#` or `c` are comments
     assert parse_edge_list("# two edges\nc split\n\n1 2\n3 4\n") == g
+    # a line of one id names a vertex, which may have no edge
+    g = Graph([1, 2, 3, 4, 5], [(1, 2), (3, 4)])
+    assert emit_edge_list(g) == "1 2\n3 4\n5\n"
+    assert parse_edge_list(emit_edge_list(g)) == g
+    assert parse_edge_list("2\n1 2\n") == Graph([1, 2], [(1, 2)])
+    with pytest.raises(GraphError, match="line 1: expected `u v` or `v`, got '1 2 3'"):
+        parse_edge_list("1 2 3\n")
 
 
 def test_edge_list_rejects_non_integer_ids_with_line_number():

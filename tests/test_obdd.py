@@ -488,6 +488,49 @@ def test_pair_kernels_build_the_recursive_references_nodes_in_its_order(inputs):
         check(lambda m: m.forall_split, forall_split_reference, pick, x)
 
 
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(kernel_inputs(), st.lists(st.tuples(st.integers(0, 4), st.booleans()), max_size=6))
+def test_each_kernel_runs_out_of_budget_where_its_reference_does(inputs, picks):
+    # each loop that makes nodes checks the budget itself: under every
+    # budget from the operands' store up to the nodes the call makes, the
+    # kernel and its recursive reference, in fresh twin managers, raise the
+    # same error with the same store, and both return once the budget
+    # covers every node the call makes
+    order, x, tables = inputs
+    base = Manager(VarOrder(order))
+    operands = [obdd_from_table(base, order, t) for t in tables] + [base.ZERO, base.ONE]
+    lits = [order[i % len(order)] * (1 if pos else -1) for i, pos in picks]
+
+    def fresh(spare):
+        m = Manager(base.order, node_budget=len(base) - 2 + spare)
+        m._nodes, m._unique = list(base._nodes), dict(base._unique)
+        return m
+
+    def sweep(kernel, reference, pick, *args):
+        refs = [operands[i] for i in pick]
+        m = fresh(10**6)
+        kernel(m)(*refs, *args)
+        made = len(m) - len(base)
+        for spare in range(made + 1):
+            m, twin = fresh(spare), fresh(spare)
+            got = outcome(kernel(m), *refs, *args)
+            assert got == outcome(lambda *a: reference(twin, *a), *refs, *args)
+            assert m._nodes == twin._nodes
+            if spare < made:
+                assert got == (BudgetExceededError, f"node budget {m.node_budget} exceeded")
+            else:
+                assert got[0] == "ok"
+
+    for pick in ((0, 1), (1, 0), (0, 0), (0, 3), (2, 1)):
+        for code in range(16):
+            sweep(lambda m: m.apply, apply_reference, pick, code)
+        sweep(lambda m: m.and_exists, and_exists_reference, pick, x)
+        sweep(lambda m: m.conj_exists, conj_exists_reference, pick, x)
+    for pick in ((0,), (1,)):
+        sweep(lambda m: m.forall_split, forall_split_reference, pick, x)
+    sweep(lambda m: m.clause, clause_reference, (), lits)
+
+
 def test_canonicity_of_construction_paths():
     # same function via Shannon expansion and via minterm disjunction
     rng = random.Random(9)
