@@ -36,9 +36,33 @@ class QuResError(QobddError):
         self.line = line
 
 
+def _ints(record: object, *names: str) -> None:
+    """Refuse ``record`` unless each named field is an int, not a bool:
+    the text format writes ``str(value)``, which reads back only then."""
+    for name in names:
+        value = getattr(record, name)
+        if type(value) is not int:
+            raise QuResError(f"{type(record).__name__} {name} {value!r} is not an int")
+
+
 @dataclass(frozen=True)
 class QAxiom:
+    """A matrix clause, in canonical form (``pcnf.clause``): the form the
+    text reader gives back."""
+
     clause: Clause
+
+    def __post_init__(self):
+        c = self.clause
+        for literal in c:
+            if type(literal) is not int:
+                raise QuResError(f"axiom literal {literal!r} is not an int")
+        try:
+            canonical = clause(c)
+        except PcnfError as exc:
+            raise QuResError(f"bad axiom clause {c!r}: {exc}") from None
+        if canonical != c:
+            raise QuResError(f"axiom clause {c!r} is not canonical, {canonical!r} is")
 
 
 @dataclass(frozen=True)
@@ -47,11 +71,17 @@ class QResolve:
     right: int
     pivot: int  # variable id; positive in left premise, negative in right
 
+    def __post_init__(self):
+        _ints(self, "left", "right", "pivot")
+
 
 @dataclass(frozen=True)
 class QReduce:
     premise: int
     literal: int
+
+    def __post_init__(self):
+        _ints(self, "premise", "literal")
 
 
 QuResRule = Union[QAxiom, QResolve, QReduce]
@@ -62,6 +92,9 @@ class QuResLine:
     id: int
     rule: QuResRule
 
+    def __post_init__(self):
+        _ints(self, "id")
+
 
 @dataclass(frozen=True)
 class QuResProof:
@@ -69,11 +102,15 @@ class QuResProof:
 
 
 def parse_qures(text: str) -> QuResProof:
-    """Lines: `<id> A <lits> 0`, `<id> R <j> <k> <pivot>`, `<id> U <j> <lit>`."""
+    """Lines: `<id> A <lits> 0`, `<id> R <j> <k> <pivot>`, `<id> U <j> <lit>`.
+
+    As in trace and block text, a blank line or a stripped line starting
+    with `c ` is a comment; any other line is a proof line or an error.
+    """
     out: list[QuResLine] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         ln = raw.strip()
-        if not ln or ln.startswith("c"):
+        if not ln or ln.startswith("c "):
             continue
         parts = ln.split()
         try:

@@ -21,12 +21,14 @@ clause, the position from a literal-to-prefix-position table built once
 per solve.  Every other line's come from one ``Manager._shape`` walk, the
 unchecked walk behind ``Manager.shape``: its ref is this solve's and its
 rank-to-prefix-position list is built once, so each line pays for the walk
-alone.  The walk expands the line's nodes in rank order from a heap and
-reads each layer's width off it when a new rank comes up, so it keeps no
-support set and no count per layer, and costs O(size * log width) heap
-steps, not the variable count.  The checker and the translator read
-reduction's side condition off the same walk, and a bucket's conjunctions
-go straight to the ``and`` kernel ``Manager._apply``.
+alone.  The walk expands the line's nodes in rank order and reads each
+layer's width when its rank comes up: off a heap of the nodes while no
+layer is wider than 8, in O(size * log width) heap steps, and past that
+off one list per rank, in O(size) dict steps.  It keeps no support set
+and no count per layer, and its cost does not grow with the variable
+count.  The checker and the translator read reduction's side condition
+off the same walk, and a bucket's conjunctions go straight to the ``and``
+kernel ``Manager._apply``.
 """
 
 from __future__ import annotations

@@ -67,13 +67,14 @@ from qobdd.proof import (
     formula_hash,
     parse_trace,
 )
-from qobdd.qures import QAxiom, QReduce, QResolve, QuResLine, QuResProof
+from qobdd.qures import QAxiom, QReduce, QResolve, QuResError, QuResLine, QuResProof
 from qobdd.solver import solve
 from qobdd.strategy import StrategyError, emit_strategy, extract, parse_strategy
 
 from .helpers import (
     deserialize_reference,
     emit_edge_list,
+    emit_qures,
     family_nodes,
     obdd_from_table,
     outcome,
@@ -237,6 +238,45 @@ def test_traces_round_trip_through_their_text_or_are_refused(digest, order, line
     except QobddError:
         return
     assert parse_trace(text) == trace
+
+
+# A QU-resolution proof draws, in every field, bools, 0, negative ids and
+# ids of 2**31 and above beside plain ids.  An axiom's clause is drawn as
+# any tuple of them, so out of order, repeated or tautological too, or as
+# one in canonical order, whose only fault can be a bool or a 0.
+# The empty proof is left to its own case: ``simulate_qures`` takes it,
+# to refuse it for not deriving the empty clause, and its text, no lines,
+# is refused by the reader.
+
+QIDS = st.one_of(
+    st.integers(1, 9), st.sampled_from((True, False, 0, -1, -7)), st.integers(2**31, 2**40)
+)
+QRULES = st.one_of(
+    st.tuples(
+        st.just(QAxiom),
+        st.one_of(
+            st.lists(QIDS, max_size=4).map(tuple),
+            st.lists(QIDS, max_size=4, unique_by=abs).map(lambda c: tuple(sorted(c, key=abs))),
+        ),
+    ),
+    st.tuples(st.just(QResolve), QIDS, QIDS, QIDS),
+    st.tuples(st.just(QReduce), QIDS, QIDS),
+)
+
+
+@FUZZ
+@given(st.lists(st.tuples(QIDS, QRULES), min_size=1, max_size=5))
+def test_qures_proofs_round_trip_through_their_text_or_are_refused(lines):
+    try:
+        proof = QuResProof(tuple(QuResLine(lid, rule(*fields)) for lid, (rule, *fields) in lines))
+    except QuResError:
+        return
+    assert parse_qures(emit_qures(proof)) == proof
+
+
+def test_the_empty_qures_proof_is_refused_as_text():
+    with pytest.raises(QuResError, match="^empty proof$"):
+        parse_qures(emit_qures(QuResProof(())))
 
 
 F2 = gen_eqprime(2)

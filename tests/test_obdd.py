@@ -1,4 +1,6 @@
+import heapq
 import random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -672,9 +674,9 @@ def assert_shape_oracles(m, f, positions):
 def wide_diagrams(draw):
     """A manager over 8 to 12 variables in a drawn order, a drawn position
     per rank, and diagrams with many nodes per rank: the inner product of
-    a random regular graph on the variables, and every result of a run of
-    drawn ``apply``, ``and_exists`` and ``forall_split`` steps over drawn
-    clauses."""
+    a random regular graph on the variables, wider than 8, drawn
+    clauses, at most 2 wide, and every result of a run of drawn
+    ``apply``, ``and_exists`` and ``forall_split`` steps over them."""
     nv = draw(st.integers(8, 12))
     order = draw(st.permutations(range(1, nv + 1)))
     positions = draw(st.permutations(range(nv)))
@@ -704,10 +706,17 @@ def wide_diagrams(draw):
 @given(wide_diagrams())
 def test_shape_matches_its_oracles_on_wide_diagrams(drawn):
     # the walk's heap holds a rank's reached nodes, so it only grows wide
-    # on diagrams with many nodes per rank
+    # on diagrams with many nodes per rank; every pool has lines on both
+    # sides of the width where the walk leaves its heap, and each line is
+    # walked again with the switch at its first layer of two states
     m, positions, pool = drawn
+    widths = [m.shape(f).width for f in pool]
+    assert min(widths) <= obdd._SHAPE_HEAP_WIDTH < max(widths)
     for f in pool:
         assert_shape_oracles(m, f, positions)
+    with patch.object(obdd, "_SHAPE_HEAP_WIDTH", 1):
+        for f in pool:
+            assert_shape_oracles(m, f, positions)
 
 
 def test_shape_at_the_ends_of_the_order():
@@ -730,6 +739,74 @@ def test_shape_at_the_ends_of_the_order():
     for f, want in cases.items():
         assert m.shape(f, positions) == want
         assert_shape_oracles(m, f, positions)
+
+
+def residue_diagram(m, weights, modulus):
+    """[the sum of weights[k] * (rank-k variable) is 0 mod ``modulus``],
+    built a layer at a time from the sinks up: below a prefix, each
+    residue reached is one state, and ZERO one more once a residue has no
+    completion."""
+    vars_ = m.order.vars
+    level = [m.ONE] + [m.ZERO] * (modulus - 1)
+    for k in reversed(range(len(weights))):
+        w = weights[k]
+        level = [m.node(vars_[k], level[s], level[(s + w) % modulus]) for s in range(modulus)]
+    return level[0]
+
+
+def test_shape_where_the_walk_leaves_its_heap():
+    # ``_shape`` moves from its node heap to per-rank lists the first time
+    # a layer passes the switch width.  Each case pins its layers and puts
+    # the largest position on the layer where the switch falls (or would),
+    # whose rank the heap loop leaves to the per-rank loop
+    switch = obdd._SHAPE_HEAP_WIDTH
+    assert switch == 8
+
+    def two_sinks_above(m):
+        # ite(x1, x2, g): the sinks, reached from x2, are states of every
+        # layer below, and only with them does g's layer of 7 pass 8
+        g = residue_diagram(m, [0, 0, 1, 2, 4, 1, 2, 4], 7)
+        return m.node(1, g, m.clause([2]))
+
+    cases = [
+        # width 8 on rank 3: the walk stays on its heap
+        (6, lambda m: residue_diagram(m, [1, 2, 4, 1, 2, 4], 8), [1, 2, 4, 8, 5, 3]),
+        # width 9 on rank 4, the first layer that can pass 8: a layer k
+        # ranks below the root holds at most 2**k states
+        (8, lambda m: residue_diagram(m, [1, 2, 4, 8, 1, 2, 4, 8], 9), [1, 2, 4, 8, 9, 9, 5, 3]),
+        # the switch on rank 8 of 13, and the width grows past it to 12
+        (
+            13,
+            lambda m: residue_diagram(m, [1] * 8 + [3, 1, 2, 4, 8], 16),
+            [1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 8, 5, 3],
+        ),
+        # the layer that passes 8 on rank 5 is 7 inner nodes and both
+        # sinks (the sinks' own layer, at most 2 states, never passes)
+        (8, two_sinks_above, [1, 2, 3, 4, 6, 9, 6, 4]),
+    ]
+    for n, build, layers in cases:
+        m = Manager(VarOrder(range(1, n + 1)))
+        f = build(m)
+        assert [len(layer) for layer in m.complete(f).layers] == layers
+        at = next(k for k, count in enumerate(layers) if count == max(layers) or count > switch)
+        positions = [k - (k > at) for k in range(n)]
+        positions[at] = n - 1
+        # the walk heapifies the ranks of its lists once it leaves its heap,
+        # and the first of them is the rank where it does
+        switched = []
+
+        def heapify(ranks):
+            switched.append(min(ranks))
+            heapq.heapify(ranks)
+
+        with patch.object(obdd, "heapify", heapify):
+            assert m.shape(f, positions) == (m.size(f), max(layers), n - 1)
+        assert switched == ([at] if max(layers) > switch else [])
+        assert_shape_oracles(m, f, positions)
+        # the switch moved onto every layer of the diagram, and past its width
+        for width in range(1, max(layers) + 1):
+            with patch.object(obdd, "_SHAPE_HEAP_WIDTH", width):
+                assert_shape_oracles(m, f, positions)
 
 
 def test_serialize_roundtrip_trivial():

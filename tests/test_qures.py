@@ -4,7 +4,7 @@ import pytest
 
 from qobdd.obdd import Manager
 from qobdd.pcnf import EXISTS, FORALL, Pcnf, clause
-from qobdd.proof import Conj, Proj, URed, check_trace
+from qobdd.proof import Conj, Proj, TraceParseError, URed, check_trace, emit_trace, parse_trace
 from qobdd.qures import (
     QuResError,
     parse_qures,
@@ -49,6 +49,24 @@ def test_parse_emit_roundtrip():
     # comment and blank lines are skipped anywhere
     commented = "c proof\n\n" + REDUCTION_PROOF.replace("4 U", "c reduce\n4 U")
     assert parse_qures(commented) == parse_qures(REDUCTION_PROOF)
+
+
+def test_comments_follow_the_trace_rule():
+    # a line is a comment when blank or when it starts with "c ", in a
+    # proof as in a trace; "cfoo bar" is a bad line in both
+    text = "1 A 1 0\n  c note\n\n2 U 1 1\n"
+    assert parse_qures(text) == parse_qures("1 A 1 0\n2 U 1 1\n")
+    for bad in ("cfoo bar", "c", "c\tnote"):
+        with pytest.raises(QuResError, match=re.escape(f"bad proof line {bad!r} at line 2")):
+            parse_qures(f"1 A 1 0\n{bad}\n2 U 1 1\n")
+    lines = emit_trace(solve(all_pairs_formula()).trace).splitlines()
+    for comment, refused in (("c note", False), ("cfoo bar", True)):
+        text = "\n".join(lines[:4] + [comment] + lines[4:]) + "\n"
+        if refused:
+            with pytest.raises(TraceParseError, match=re.escape(f"bad trace line {comment!r}")):
+                parse_trace(text)
+        else:
+            assert parse_trace(text) == parse_trace("\n".join(lines) + "\n")
 
 
 def test_universal_pivot_fixture_translates():
